@@ -7,7 +7,7 @@ and the radical property of the final stage.
 """
 
 from multispec import (deformation, point, rank_and_normalize, run_pipeline,
-                       apply_Lk, render_genset, mono, pair, value_of,
+                       eliminate, render_genset, mono, pair, tau, value_of,
                        mono_membership, radical_member, equivalent,
                        classify_action)
 
@@ -27,7 +27,7 @@ print("  G = F0 =", render_genset(pl.F0))
 print("\neliminating the vanishing blocks")
 stage = pl.F0
 for k in pl.zero_cols_L:
-    stage = apply_Lk(stage, k)
+    stage = eliminate(stage, tau(k))
     print(f"  after block {k}:", render_genset(stage))
 assert stage == pl.Fq
 

@@ -22,7 +22,7 @@ print("  member (6.25e-6, 1.25e-4) at eps 0.1:",
 
 report = contraction_stable_check(system, 2000, rng_seed=1)
 print(f"  contraction stability: {report.checked} checked, "
-      f"{report.violations} violations")
+      f"{report.violations} violations, passed: {report.passed}")
 
 # Projection: a staircase system loses its middle block.
 dtak = deformation([[1, 1], [0, 1]])
@@ -40,9 +40,9 @@ print("\nclosed system of the three-line configuration:")
 for ineq in cl.system.inequalities:
     print("  " + ineq.text(strict=False))
 print("  contains (0, 0.2, 0) at eps 0.1:",
-      cl.member({1: 0, 2: 0.2, 3: 0}, 0.1))
+      cl.system.member({1: 0, 2: 0.2, 3: 0}, 0.1))
 print("  contains (0, 0.005, 0) at eps 0.1:",
-      cl.member({1: 0, 2: 0.005, 3: 0}, 0.1))
+      cl.system.member({1: 0, 2: 0.005, 3: 0}, 0.1))
 
 # Normal-cone probe: the graph x3 = x1*x2 reaches the direction with all
 # block norms comparable, the coordinate plane x3 = 0 does not.

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from multispec import deformation, point, rank_and_normalize, run_pipeline
 from multispec.levels import build_levels, canonical
-from multispec.asymptotics import (index_set, structure_of, canonical_family,
+from multispec.asymptotics import (index_set, constraint_text, subset_label,
+                                   structure_of, canonical_family,
                                    app_template, taylor_oracle, t_poly,
                                    remainder_exponent, subsets_of_actions,
                                    verify_estimate, flatness_check)
@@ -20,9 +21,8 @@ s = structure_of(d)
 print("weighted index sets of the cusp-type action")
 for J in subsets_of_actions(d.ell):
     iset = index_set(d, r, J, (7, 4))
-    label = "{" + ",".join(map(str, sorted(J))) + "}"
-    print(f"  A_{label}(7,4): {len(iset.members)} indices, constraints "
-          + "; ".join(iset.constraint_text(d, r.sigma_A)))
+    print(f"  A_{subset_label(J)}(7,4): {len(iset.members)} indices, "
+          "constraints " + "; ".join(constraint_text(d, J, r.sigma_A)))
 
 f = poly_monomial(s, (1, 1)) + poly_monomial(s, (3, 0), Fraction(1, 6))
 fam = canonical_family(f, d)

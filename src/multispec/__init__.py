@@ -10,17 +10,15 @@ harnesses.
 """
 
 from .monomials import (Var, Monomial, Value, Pair, ONE, ZERO, UNIT_VALUE,
-                        tau, lam, xi, mono, pair, xival, genset,
-                        fraction_closure, sorted_pairs, render_genset,
-                        mono_mul, pair_pow, exponent_of, evaluate)
+                        tau, lam, xi, mono, pair, xival,
+                        fraction_closure, sorted_pairs, render_genset, evaluate)
 from .deformation import (DeformationData, PointPattern, RankData,
                           DerivedMonomials, ActionClass, deformation, point,
                           build_from_index_family, classify_action,
                           is_fixed_point, rank_and_normalize, derive_monomials,
                           bundle_decomposition)
 from .semigroup import (PipelineResult, Verdict, MembershipResult,
-                        apply_Lk, apply_Lj_lambda, apply_Lk_modified,
-                        apply_Lj_lambda_modified, build_G, build_G_hat,
+                        eliminate, build_G, build_G_hat,
                         run_pipeline, mono_membership, radical_member,
                         equivalent, value_of, eliminate_lambda)
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .deformation import (DeformationData, PointPattern, RankData,
-                          rank_and_normalize, classify_action, ActionClass)
+                          rank_and_normalize)
 from .levels import (LevelExpr, LevelFamily, LEVEL_ONE, lprod, lpow,
                      canonical, evaluate_level, build_levels)
 from .linear import rank, mat
@@ -45,21 +45,29 @@ def weight_vector(d: DeformationData, struct: BlockStructure, idx,
                  for j in range(1, d.ell + 1))
 
 
+def subset_label(J) -> str:
+    """An action subset as text, e.g. "{1,2}"."""
+    return "{" + ",".join(str(j) for j in sorted(J)) + "}"
+
+
+def constraint_text(d: DeformationData, J, sigma: Fraction) -> list[str]:
+    """The weight constraints of the index set of J, one per action, with
+    the orders left symbolic: "3*|a1| + 2*|a2| < n1"."""
+    out = []
+    for j in sorted(J):
+        parts = [
+            (f"|a{k}|" if d.entry(j, k) == 1 else f"{d.entry(j, k)}*|a{k}|")
+            for k in range(1, d.m + 1) if d.entry(j, k) != 0]
+        rhs = f"n{j}" if sigma == 1 else f"n{j}/{sigma}"
+        out.append(" + ".join(parts) + f" < {rhs}")
+    return out
+
+
 @dataclass(frozen=True)
 class IndexSet:
     J: frozenset[int]
     N: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-
-    def constraint_text(self, d: DeformationData, sigma: Fraction) -> list[str]:
-        out = []
-        for j in sorted(self.J):
-            parts = [
-                (f"|a{k}|" if d.entry(j, k) == 1 else f"{d.entry(j, k)}*|a{k}|")
-                for k in range(1, d.m + 1) if d.entry(j, k) != 0]
-            rhs = f"n{j}" if sigma == 1 else f"n{j}/{sigma}"
-            out.append(" + ".join(parts) + f" < {rhs}")
-        return out
 
 
 def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
@@ -303,9 +311,6 @@ class PolyMapSpec:
     source: DeformationData
     target: DeformationData
     components: tuple[BlockPolynomial, ...]  # one per target coordinate
-
-    def target_struct(self) -> BlockStructure:
-        return structure_of(self.target)
 
 
 @dataclass(frozen=True)
@@ -556,18 +561,7 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
     pipeline = run_pipeline(d, r, p)
     system = build_multicone(pipeline, p, check_equivalence=False)
     family = build_levels(pipeline)
-    n_symbolic = ("n1", "n2")
-    constraints = {}
-    for J in subsets_of_actions(2):
-        key = "{" + ",".join(str(j) for j in sorted(J)) + "}"
-        txt = []
-        for j in sorted(J):
-            parts = [(f"|a{k}|" if d.entry(j, k) == 1
-                      else f"{d.entry(j, k)}*|a{k}|")
-                     for k in range(1, m + 1) if d.entry(j, k) != 0]
-            rhs = n_symbolic[j - 1] + ("" if r.sigma_A == 1
-                                       else f"/{r.sigma_A}")
-            txt.append(" + ".join(parts) + " < " + rhs)
-        constraints[key] = txt
+    constraints = {subset_label(J): constraint_text(d, J, r.sigma_A)
+                   for J in subsets_of_actions(2)}
     return TwoManifoldCase(label, m, nonzero, subcase, system, constraints,
                            family, r.sigma_A)

@@ -13,20 +13,18 @@ from fractions import Fraction
 import numpy as np
 
 from .deformation import (deformation, point, rank_and_normalize,
-                          classify_action, derive_monomials,
-                          bundle_decomposition, ActionClass)
+                          classify_action, bundle_decomposition, ActionClass)
 from .levels import build_levels, build_generalized_levels, canonical
 from .linear import fr
-from .monomials import pair, render_genset, sorted_pairs
-from .multicone import (build_multicone, closure, project, normal_cone_probe,
-                        contraction_stable_check)
+from .monomials import render_genset, sorted_pairs
+from .multicone import build_multicone, closure, project, normal_cone_probe
 from .polynomials import BlockPolynomial, BlockStructure, poly_zero
 from .restriction import check_restriction
 from .semigroup import run_pipeline
 from .asymptotics import (structure_of, subsets_of_actions, index_set,
-                          canonical_family, app_template, remainder_exponent,
-                          check_map, PolyMapSpec, classify_two_manifolds,
-                          verify_estimate)
+                          remainder_exponent, check_map, PolyMapSpec,
+                          classify_two_manifolds, verify_estimate,
+                          subset_label, constraint_text)
 from .fixtures import run_fixtures
 
 
@@ -58,9 +56,6 @@ def load_scenario(source: str):
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
     return d, p, data
-
-
-_TERM = re.compile(r"^\s*([+-]?\s*\d+(?:/\d+)?)?\s*\*?\s*(.*?)\s*$")
 
 
 def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial:
@@ -105,6 +100,11 @@ def _emit(args, payload: dict, text_lines: list[str], latex_lines=None):
             print(line)
 
 
+def _scenario_pipeline(args):
+    d, p, _ = load_scenario(args.scenario)
+    return run_pipeline(d, None, p)
+
+
 def _pipeline_payload(pl):
     return {
         "G": [p.json() for p in sorted_pairs(pl.G)],
@@ -118,9 +118,26 @@ def _pipeline_payload(pl):
     }
 
 
+def _level_lines(fam, name: str = "rho") -> list[str]:
+    return [f"{name}[{j}] = {canonical(fam.rho_Lambda[j])}   "
+            f"strict: {fam.strict[j]}" for j in sorted(fam.rho_Lambda)]
+
+
+def _levels_or_reason(pl):
+    """The level family, or None and the reason it is unavailable (the
+    point is fixed)."""
+    try:
+        return build_levels(pl), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _closure_lines(cl) -> list[str]:
+    return [ineq.text(strict=False) for ineq in cl.system.inequalities]
+
+
 def cmd_pipeline(args):
-    d, p, _ = load_scenario(args.scenario)
-    pl = run_pipeline(d, None, p)
+    pl = _scenario_pipeline(args)
     lines = [f"G     = {render_genset(pl.G)}"]
     for j, s in pl.F0_stages:
         lines.append(f"F0,{j} = {render_genset(s)}")
@@ -131,27 +148,20 @@ def cmd_pipeline(args):
 
 
 def cmd_levels(args):
-    d, p, _ = load_scenario(args.scenario)
-    pl = run_pipeline(d, None, p)
+    pl = _scenario_pipeline(args)
     fam = build_levels(pl)
-    lines = []
-    for j in sorted(fam.rho_Lambda):
-        lines.append(f"rho[{j}] = {canonical(fam.rho_Lambda[j])}"
-                     f"   strict: {fam.strict[j]}")
+    lines = _level_lines(fam)
     payload = fam.json()
     if args.generalized:
-        ghat = build_generalized_levels(d, rank_and_normalize(d, p), p)
-        for j in sorted(ghat.rho_Lambda):
-            lines.append(f"rho^[{j}] = {canonical(ghat.rho_Lambda[j])}"
-                         f"   strict: {ghat.strict[j]}")
+        ghat = build_generalized_levels(pl.d, pl.r, pl.p)
+        lines += _level_lines(ghat, "rho^")
         payload = {"rho": payload, "rho_hat": ghat.json()}
     _emit(args, payload, lines)
 
 
 def cmd_multicone(args):
-    d, p, _ = load_scenario(args.scenario)
-    pl = run_pipeline(d, None, p)
-    system = build_multicone(pl, p, check_equivalence=not args.no_check)
+    pl = _scenario_pipeline(args)
+    system = build_multicone(pl, check_equivalence=not args.no_check)
     lines = system.text()
     latex = [r"\left\{\begin{array}{l}"] + \
         [ln.replace("eps", r"\epsilon").replace("*", r"\,") + r" \\"
@@ -160,17 +170,12 @@ def cmd_multicone(args):
 
 
 def cmd_closure(args):
-    d, p, _ = load_scenario(args.scenario)
-    pl = run_pipeline(d, None, p)
-    cl = closure(pl, rounds=args.rounds)
-    lines = [ineq.text(strict=False) for ineq in cl.system.inequalities]
-    _emit(args, cl.system.json(), lines)
+    cl = closure(_scenario_pipeline(args), rounds=args.rounds)
+    _emit(args, cl.system.json(), _closure_lines(cl))
 
 
 def cmd_project(args):
-    d, p, _ = load_scenario(args.scenario)
-    pl = run_pipeline(d, None, p)
-    system = build_multicone(pl, p, check_equivalence=False)
+    system = build_multicone(_scenario_pipeline(args), check_equivalence=False)
     for k in args.drop:
         system = project(system, k)
     _emit(args, system.json(), system.text())
@@ -196,9 +201,7 @@ class _GraphSet:
 
     def __init__(self, struct: BlockStructure, equations):
         self.struct = struct
-        self.deps = {}
-        for target, rhs in equations:
-            self.deps[target] = rhs
+        self.deps = dict(equations)
 
     def sample(self, rng, scale):
         coords = {}
@@ -242,25 +245,29 @@ def cmd_probe(args):
 
 
 def cmd_expand(args):
-    d, p, _ = load_scenario(args.scenario)
-    r = rank_and_normalize(d, p)
+    pl = _scenario_pipeline(args)
+    d, r = pl.d, pl.r
     N = tuple(int(x) for x in args.N.split(","))
     lines = []
     payload = {"J_terms": []}
     for J in subsets_of_actions(d.ell):
         iset = index_set(d, r, J, N)
         sign = "+" if len(J) % 2 == 1 else "-"
-        label = "{" + ",".join(str(j) for j in sorted(J)) + "}"
-        lines.append(f"{sign} T_{label}: " +
-                     "; ".join(iset.constraint_text(d, r.sigma_A)) +
+        constraints = constraint_text(d, J, r.sigma_A)
+        lines.append(f"{sign} T_{subset_label(J)}: " + "; ".join(constraints) +
                      f"   ({len(iset.members)} indices)")
         payload["J_terms"].append({"J": sorted(J), "sign": sign,
-                                   "constraints": iset.constraint_text(d, r.sigma_A),
+                                   "constraints": constraints,
                                    "count": len(iset.members)})
-    fam = build_levels(run_pipeline(d, r, p))
-    rem = remainder_exponent(fam, N, r.sigma_A)
-    lines.append(f"remainder exponent: {canonical(rem)}")
-    payload["remainder"] = str(canonical(rem))
+    fam, reason = _levels_or_reason(pl)
+    if fam is None:
+        lines.append(f"remainder exponent unavailable: {reason}")
+        payload["remainder"] = None
+        payload["remainder_unavailable"] = reason
+    else:
+        rem = canonical(remainder_exponent(fam, N, r.sigma_A))
+        lines.append(f"remainder exponent: {rem}")
+        payload["remainder"] = str(rem)
     _emit(args, payload, lines)
 
 
@@ -314,18 +321,17 @@ def cmd_verify(args):
 
 
 def cmd_analyze(args):
-    d, p, _ = load_scenario(args.scenario)
-    r = rank_and_normalize(d, p)
-    derived = derive_monomials(d, r)
-    pl = run_pipeline(d, r, p)
-    lines = [f"classification: {classify_action(d).value}",
+    pl = _scenario_pipeline(args)
+    d, r, p, derived = pl.d, pl.r, pl.p, pl.derived
+    action_class = classify_action(d)
+    lines = [f"classification: {action_class.value}",
              f"rank L = {r.L}, sigma = {r.sigma_A}",
              f"selected rows {list(r.sel_rows)}, columns {list(r.sel_cols)}"]
     for j in r.sel_rows:
         lines.append(f"phi_inv[{j}] = {derived.phi_inv[j]}")
     for k, psi in sorted(derived.psi.items()):
         lines.append(f"psi[{k}] = {psi}")
-    if classify_action(d) in (ActionClass.TRANSITIVE, ActionClass.NORMAL):
+    if action_class in (ActionClass.TRANSITIVE, ActionClass.NORMAL):
         for s in bundle_decomposition(d):
             lines.append(f"block {s.block}: B = {sorted(s.B_k)}: {s.text}")
     lines.append(f"G  = {render_genset(pl.G)}")
@@ -334,37 +340,26 @@ def cmd_analyze(args):
     for k, s in pl.F_stages:
         lines.append(f"after eliminating block {k}: {render_genset(s)}")
     lines.append(f"Fq = {render_genset(pl.Fq)}")
-    try:
-        fam = build_levels(pl)
-        for j in sorted(fam.rho_Lambda):
-            lines.append(f"rho[{j}] = {canonical(fam.rho_Lambda[j])}   "
-                         f"strict: {fam.strict[j]}")
+    fam, reason = _levels_or_reason(pl)
+    if fam is None:
+        lines.append(f"levels unavailable: {reason}")
+    else:
+        lines += _level_lines(fam)
         if args.generalized:
-            ghat = build_generalized_levels(d, r, p)
-            for j in sorted(ghat.rho_Lambda):
-                lines.append(f"rho^[{j}] = {canonical(ghat.rho_Lambda[j])}   "
-                             f"strict: {ghat.strict[j]}")
-    except ValueError as exc:
-        lines.append(f"levels unavailable: {exc}")
-        fam = None
-    system = build_multicone(pl, p, check_equivalence=False)
+            lines += _level_lines(build_generalized_levels(d, r, p), "rho^")
+    system = build_multicone(pl, check_equivalence=False)
     lines.append("multicone:")
     lines.extend("  " + ln for ln in system.text())
-    cl = closure(pl)
     lines.append("closure:")
-    lines.extend("  " + ineq.text(strict=False)
-                 for ineq in cl.system.inequalities)
-    N = tuple(1 for _ in range(d.ell))
+    lines.extend("  " + ln for ln in _closure_lines(closure(pl)))
     for J in subsets_of_actions(d.ell):
-        iset = index_set(d, r, J, tuple(2 for _ in range(d.ell)))
-        label = "{" + ",".join(str(j) for j in sorted(J)) + "}"
-        lines.append(f"A_{label}(2,..): " +
-                     "; ".join(iset.constraint_text(d, r.sigma_A)))
+        lines.append(f"A_{subset_label(J)}(2,..): " +
+                     "; ".join(constraint_text(d, J, r.sigma_A)))
     if fam is not None:
-        rem = remainder_exponent(fam, N, r.sigma_A)
+        rem = remainder_exponent(fam, tuple(1 for _ in range(d.ell)), r.sigma_A)
         lines.append(f"remainder exponent at unit orders: {canonical(rem)}")
     payload = {"scenario": d.json(),
-               "classification": classify_action(d).value,
+               "classification": action_class.value,
                "pipeline": _pipeline_payload(pl),
                "levels": fam.json() if fam else None,
                "multicone": system.json()}
@@ -376,7 +371,6 @@ def cmd_fixtures(args):
     if not results:
         print("warning: no fixtures match the filter")
         return 0
-    failures = 0
     for name, check in results:
         status = "ok" if check.ok else "FAIL"
         detail = f"  ({check.detail})" if check.detail and not check.ok else ""

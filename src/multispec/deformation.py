@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linear import mat, rank, inverse, sigma_for
-from .monomials import Monomial, Var, LAM, tau, lam, xi
+from .monomials import Monomial, Var, LAM, tau, lam
 
 
 class ActionClass(Enum):
@@ -147,12 +147,6 @@ class PointPattern:
     norms: dict[int, float] = field(default_factory=dict)
     normalized: bool = True
 
-    def is_zero(self, k: int) -> bool:
-        return k in self.zero_blocks
-
-    def norm(self, k: int) -> float:
-        return float(self.norms.get(k, 1.0))
-
 
 def point(zero_blocks=(), norms=None, normalized=True) -> PointPattern:
     return PointPattern(frozenset(zero_blocks), dict(norms or {}), normalized)
@@ -214,7 +208,6 @@ def _minor_invertible(d: DeformationData, rows, cols) -> bool:
 
 
 def rank_and_normalize(d: DeformationData, p: PointPattern,
-                       row_priority: tuple[int, ...] | None = None,
                        avoid_zero_blocks: bool = False,
                        fixed_rows: tuple[int, ...] | None = None) -> RankData:
     """Choose an invertible L x L minor deterministically.
@@ -222,21 +215,17 @@ def rank_and_normalize(d: DeformationData, p: PointPattern,
     Columns: the lexicographically smallest L-subset giving an invertible
     minor.  With avoid_zero_blocks (possible exactly when the point is not
     fixed) the subset is additionally restricted to nonzero directions, so
-    the zero-pattern eliminations become vacuous.  Rows: the first subset
-    in priority order (default: increasing index) making the minor
+    the zero-pattern eliminations become vacuous.  Rows: fixed_rows when
+    given, else the lexicographically smallest L-subset making the minor
     invertible.
     """
     check_point(d, p)
     L = rank(mat(d.A))
 
-    order = list(row_priority) if row_priority else list(range(1, d.ell + 1))
-    if sorted(order) != list(range(1, d.ell + 1)):
-        raise ValueError("row priority must be a permutation of the rows")
-
     def pick_rows(cols) -> tuple[int, ...] | None:
         if fixed_rows is not None:
             return fixed_rows if _minor_invertible(d, fixed_rows, cols) else None
-        for rows in combinations(order, L):
+        for rows in combinations(range(1, d.ell + 1), L):
             if _minor_invertible(d, rows, cols):
                 return rows
         return None
@@ -265,7 +254,7 @@ def rank_and_normalize(d: DeformationData, p: PointPattern,
         raise RuntimeError("matrix has no invertible minor of its own rank")
 
     rows, cols = chosen
-    row_perm = tuple(list(rows) + [j for j in order if j not in rows])
+    row_perm = tuple(list(rows) + [j for j in range(1, d.ell + 1) if j not in rows])
     col_perm = tuple(list(cols) + [k for k in range(1, d.m + 1) if k not in cols])
     return RankData(L, tuple(rows), tuple(cols), row_perm, col_perm, sigma_for(d.A))
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           is_fixed_point, rank_and_normalize)
@@ -307,8 +307,10 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
     """Minimum of the level families over all admissible action orderings.
 
     Orderings whose leading rows are linearly independent each give a
-    family; duplicates collapse before the pointwise minimum.  Every action
-    is strict with respect to the result, which is asserted.
+    family; duplicates collapse before the pointwise minimum.  An ordering
+    acts only through its set of leading rows and the order of the rest,
+    so each such pair is built once.  Every action is strict with respect
+    to the result, which is asserted.
     """
     total = 1
     for i in range(2, d.ell + 1):
@@ -319,19 +321,18 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
 
     families: list[LevelFamily] = []
     seen: set[tuple] = set()
-    for theta in permutations(range(1, d.ell + 1)):
-        lead = theta[:r.L]
+    for lead in combinations(range(1, d.ell + 1), r.L):
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
         rr = rank_and_normalize(d, p, fixed_rows=lead)
-        pl = run_pipeline(d, rr, p, elim_order=tuple(j for j in theta
-                                                     if j not in rr.sel_rows))
-        fam = build_levels(pl)
-        key = tuple(canonical(fam.rho_Lambda[j]) for j in range(1, d.ell + 1))
-        if key in seen:
-            continue
-        seen.add(key)
-        families.append(fam)
+        rest = [j for j in range(1, d.ell + 1) if j not in lead]
+        for order in permutations(rest):
+            fam = build_levels(run_pipeline(d, rr, p, elim_order=order))
+            key = tuple(canonical(fam.rho_Lambda[j])
+                        for j in range(1, d.ell + 1))
+            if key not in seen:
+                seen.add(key)
+                families.append(fam)
     if not families:
         raise ValueError("no admissible ordering: the rank data is inconsistent")
 

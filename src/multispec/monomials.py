@@ -88,9 +88,6 @@ class Monomial:
                 return e
         return Fraction(0)
 
-    def vars(self) -> tuple[Var, ...]:
-        return tuple(v for v, _ in self.exps)
-
     @property
     def is_one(self) -> bool:
         return not self.exps
@@ -113,20 +110,8 @@ class Monomial:
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inv()
 
-    def restrict(self, kinds: Iterable[str]) -> "Monomial":
-        keep = set(kinds)
-        return Monomial(tuple((v, e) for v, e in self.exps if v.kind in keep))
-
     def has_kind(self, kind: str) -> bool:
         return any(v.kind == kind for v, _ in self.exps)
-
-    def substitute(self, var: Var, replacement: "Monomial") -> "Monomial":
-        """Replace var by a monomial (raised to var's exponent)."""
-        e = self.exponent(var)
-        if e == 0:
-            return self
-        rest = Monomial(tuple((v, x) for v, x in self.exps if v != var))
-        return rest * (replacement ** e)
 
     def evaluate(self, assign: Mapping[Var, float]) -> float:
         out = 1.0
@@ -345,27 +330,8 @@ def pair(f, v=ZERO) -> Pair:
     return Pair(f, v)
 
 
-GenSet = frozenset  # of Pair
-
-
-def genset(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    return frozenset(pairs)
-
-
 def sorted_pairs(gs: Iterable[Pair]) -> list[Pair]:
     return sorted(gs, key=lambda p: p.sort_key())
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return a * b
-
-
-def pair_pow(p: Pair, n) -> Pair:
-    return p ** n
-
-
-def exponent_of(p: Pair, var: Var) -> Fraction:
-    return p.f.exponent(var)
 
 
 def fraction_closure(gs: Iterable[Pair]) -> frozenset[Pair]:

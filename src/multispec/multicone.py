@@ -55,10 +55,6 @@ def _single(v: Value) -> BoundFactors:
     return BoundFactors(((v, Fraction(1)),))
 
 
-def _value_pow(v: Value, n: int) -> Value:
-    return v ** n
-
-
 def _merge(a: BoundFactors, na: Fraction, b: BoundFactors, nb: Fraction) -> BoundFactors:
     acc: dict[Value, Fraction] = {}
     for bf, n in ((a, na), (b, nb)):
@@ -88,12 +84,6 @@ class Inequality:
         for v, e in den.exps:
             dv *= float(norms.get(v.index, 1.0)) ** float(e)
         return nv, dv
-
-    def eval_f(self, norms) -> float:
-        nv, dv = self.eval_parts(norms)
-        if dv == 0.0:
-            return math.inf if nv > 0 else math.nan
-        return nv / dv
 
     def text(self, eps_symbol: str = "eps", strict: bool = True) -> str:
         num, den = self.split()
@@ -208,7 +198,6 @@ def _cmp(a, b, kind: SystemKind) -> bool:
 
 
 def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
-                    eps_mode: str = "single",
                     check_equivalence: bool = True) -> MulticoneSystem:
     """Inequality system over the pipeline's final stage.
 
@@ -216,9 +205,6 @@ def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
     fraction-closed; the generated-semigroup equivalence precondition is
     checked unless explicitly skipped.
     """
-    if eps_mode != "single":
-        raise ValueError("only the single-eps family is built here; pass "
-                         "per-pair bounds to member() for the general family")
     p = p or pipeline.p
     if check_equivalence:
         verdict = equivalent(pipeline.Fq, pipeline.G,
@@ -260,9 +246,6 @@ class ClosureSystem:
     @property
     def K(self) -> frozenset[Pair]:
         return frozenset(e.pair for e in self.entries)
-
-    def member(self, norms, eps: float) -> bool:
-        return self.system.member(norms, eps)
 
 
 def closure(pipeline: PipelineResult, rounds: int | None = 1,
@@ -355,12 +338,10 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
         new = list(keep)
         for gneg, en in neg:
             for gpos, ep in pos:
-                # coprime a, b with a*|e_neg| = b*e_pos
-                ratio = ep / -en
-                a, b = ratio.numerator, ratio.denominator
-                f = (gneg.f ** a) * (gpos.f ** b)
-                bound = _merge(gneg.bound, Fraction(a), gpos.bound, Fraction(b))
-                value = _value_pow(gneg.value, a) * _value_pow(gpos.value, b)
+                a, b = _balanced(ep, en)
+                f = (gpos.f ** a) * (gneg.f ** b)
+                bound = _merge(gpos.bound, Fraction(a), gneg.bound, Fraction(b))
+                value = (gpos.value ** a) * (gneg.value ** b)
                 new.append(Inequality(f, bound, value))
     return MulticoneSystem(
         inequalities=tuple(sorted(set(new), key=lambda i: i.f.sort_key())),
@@ -373,11 +354,6 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
         has_x0=system.has_x0,
         kind=system.kind,
     )
-
-
-def member(system: MulticoneSystem, norms, eps: float, cone_ok=None,
-           x0_norm: float | None = None) -> bool:
-    return system.member(norms, eps, cone_ok=cone_ok, x0_norm=x0_norm)
 
 
 def sample_members(system: MulticoneSystem, n: int, eps: float,
@@ -415,10 +391,16 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
 
 @dataclass(frozen=True)
 class ContractionReport:
+    requested: int
     sampled: int
     checked: int
     violations: int
     failures: list
+
+    @property
+    def passed(self) -> bool:
+        """False when the sampler starved or any contraction left the system."""
+        return self.sampled >= self.requested and self.violations == 0
 
 
 def contraction_stable_check(system: MulticoneSystem, samples: int,
@@ -440,7 +422,7 @@ def contraction_stable_check(system: MulticoneSystem, samples: int,
         checked += 1
         if not system.member(moved, eps):
             failures.append((norms, tuple(lam_vec)))
-    return ContractionReport(len(pts), checked, len(failures), failures)
+    return ContractionReport(samples, len(pts), checked, len(failures), failures)
 
 
 class ProbeOutcome(Enum):

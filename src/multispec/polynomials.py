@@ -132,14 +132,6 @@ class BlockPolynomial:
             out += term
         return out
 
-    def support_blocks(self) -> frozenset[int]:
-        used = set()
-        for i, _ in self.terms:
-            for coord, e in enumerate(i):
-                if e:
-                    used.add(self.struct.block_of(coord))
-        return frozenset(used)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -165,12 +157,6 @@ def poly_const(struct: BlockStructure, c) -> BlockPolynomial:
 
 def poly_monomial(struct: BlockStructure, idx, c=1) -> BlockPolynomial:
     return BlockPolynomial.from_dict(struct, {tuple(idx): fr(c)})
-
-
-def coordinate(struct: BlockStructure, coord: int) -> BlockPolynomial:
-    idx = [0] * struct.n
-    idx[coord] = 1
-    return poly_monomial(struct, idx)
 
 
 def factorial_multi(idx) -> int:

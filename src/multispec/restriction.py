@@ -63,7 +63,8 @@ class RestrictionVerdict:
         }
 
 
-def _extended(d: DeformationData, beta) -> DeformationData:
+def extended_matrix(d: DeformationData, beta) -> DeformationData:
+    """The action matrix with beta appended as a new last row."""
     rows = [list(row) for row in d.A] + [[fr(x) for x in beta]]
     with warnings.catch_warnings():
         # adding an existing manifold again is a legitimate probe here
@@ -72,16 +73,12 @@ def _extended(d: DeformationData, beta) -> DeformationData:
                            complement_block=d.complement_block)
 
 
-def extended_matrix(d: DeformationData, beta) -> DeformationData:
-    return _extended(d, beta)
-
-
 def check_same_rank(d_A: DeformationData, r_A: RankData, p: PointPattern,
                     beta) -> RestrictionVerdict:
     """The rank-preserving case: zero-valued stage pairs must pair
     non-negatively with the new row."""
     beta = [fr(x) for x in beta]
-    d_B = _extended(d_A, beta)
+    d_B = extended_matrix(d_A, beta)
     if rank(mat(d_B.A)) != r_A.L:
         raise ValueError("the added row increases the rank; use the "
                          "rank-plus-one check instead")
@@ -120,7 +117,7 @@ def check_rank_plus_one(d_A: DeformationData, r_A: RankData, p: PointPattern,
     """The rank-increasing case: three conditions over the final stage plus
     the pivot bookkeeping for the transformed monomials."""
     beta = [fr(x) for x in beta]
-    d_B = _extended(d_A, beta)
+    d_B = extended_matrix(d_A, beta)
     if rank(mat(d_B.A)) != r_A.L + 1:
         raise ValueError("the added row does not increase the rank; use the "
                          "same-rank check instead")
@@ -180,7 +177,7 @@ def check_restriction(d_A: DeformationData, p: PointPattern, beta,
                       r_A: RankData | None = None) -> RestrictionVerdict:
     """Dispatch on the rank of the extended matrix."""
     r_A = r_A or rank_and_normalize(d_A, p)
-    d_B = _extended(d_A, beta)
+    d_B = extended_matrix(d_A, beta)
     if rank(mat(d_B.A)) == r_A.L:
         return check_same_rank(d_A, r_A, p, beta)
     return check_rank_plus_one(d_A, r_A, p, beta)

@@ -8,11 +8,11 @@ from enum import Enum
 from fractions import Fraction
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
-                          derive_monomials, rank_and_normalize, is_fixed_point,
+                          derive_monomials, rank_and_normalize,
                           classify_action, ActionClass, check_point)
 from .linear import cone_feasible
-from .monomials import (Monomial, Pair, Value, ZERO, UNIT_VALUE,
-                        TAU, LAM, XI, tau, lam, xi, fraction_closure, genset)
+from .monomials import (Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
+                        TAU, LAM, XI, tau, lam, xi, fraction_closure)
 
 
 def _balanced(e_pos: Fraction, e_neg: Fraction) -> tuple[int, int]:
@@ -21,10 +21,11 @@ def _balanced(e_pos: Fraction, e_neg: Fraction) -> tuple[int, int]:
     return ratio.numerator, ratio.denominator
 
 
-def apply_Lk(F, k: int) -> frozenset[Pair]:
-    """One elimination step in a block-scale variable: keep exponent-zero
-    pairs, zero the values of positive ones, and balance opposite signs."""
-    v = tau(k)
+def eliminate(F, v: Var) -> frozenset[Pair]:
+    """One elimination step in the variable v: keep the pairs free of v and
+    balance opposite signs.  A block scale (kind TAU) also keeps its
+    positive pairs with value zero; an action parameter is eliminated
+    completely."""
     out: set[Pair] = set()
     pos, neg = [], []
     for p in F:
@@ -32,7 +33,8 @@ def apply_Lk(F, k: int) -> frozenset[Pair]:
         if e == 0:
             out.add(p)
         elif e > 0:
-            out.add(Pair(p.f, ZERO))
+            if v.kind == TAU:
+                out.add(Pair(p.f, ZERO))
             pos.append((p, e))
         else:
             neg.append((p, e))
@@ -40,89 +42,6 @@ def apply_Lk(F, k: int) -> frozenset[Pair]:
         for q, eq in neg:
             a, b = _balanced(ep, eq)
             out.add((p ** a) * (q ** b))
-    return frozenset(out)
-
-
-def apply_Lj_lambda(F, j: int) -> frozenset[Pair]:
-    """Like apply_Lk but in an action parameter: no value-zeroing branch,
-    so the parameter is eliminated completely."""
-    v = lam(j)
-    out: set[Pair] = set()
-    pos, neg = [], []
-    for p in F:
-        e = p.f.exponent(v)
-        if e == 0:
-            out.add(p)
-        elif e > 0:
-            pos.append((p, e))
-        else:
-            neg.append((p, e))
-    for p, ep in pos:
-        for q, eq in neg:
-            a, b = _balanced(ep, eq)
-            out.add((p ** a) * (q ** b))
-    return frozenset(out)
-
-
-def apply_Lk_modified(F, k: int) -> frozenset[Pair]:
-    """The closure-flavoured variant with the extra inverse and quotient
-    branches; agrees with apply_Lk on fraction-closed inputs."""
-    v = tau(k)
-    zero_e = [p for p in F if p.f.exponent(v) == 0]
-    f0p = [p for p in F if p.v.is_zero and p.f.exponent(v) > 0]
-    f0n = [p for p in F if p.v.is_zero and p.f.exponent(v) < 0]
-    fxp = [p for p in F if not p.v.is_zero and p.f.exponent(v) > 0]
-    fxn = [p for p in F if not p.v.is_zero and p.f.exponent(v) < 0]
-    out: set[Pair] = set(zero_e)
-    for p in f0p + fxp:
-        out.add(Pair(p.f, ZERO))
-    for p in fxn:
-        out.add(Pair(p.f.inv(), ZERO))
-    for p in f0p + fxp:
-        for q in f0n + fxn:
-            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q ** b))
-    for p in f0p + fxp:
-        for q in fxp:
-            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
-    for p in f0n + fxn:
-        for q in fxn:
-            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
-    return frozenset(out)
-
-
-def apply_Lj_lambda_modified(F, j: int) -> frozenset[Pair]:
-    v = lam(j)
-    zero_e = [p for p in F if p.f.exponent(v) == 0]
-    f0p = [p for p in F if p.v.is_zero and p.f.exponent(v) > 0]
-    f0n = [p for p in F if p.v.is_zero and p.f.exponent(v) < 0]
-    fxp = [p for p in F if not p.v.is_zero and p.f.exponent(v) > 0]
-    fxn = [p for p in F if not p.v.is_zero and p.f.exponent(v) < 0]
-    out: set[Pair] = set(zero_e)
-    lam_j = Pair(Monomial.from_dict({v: 1}), ZERO)
-
-    def lam_balance(p: Pair):
-        e = abs(p.f.exponent(v))
-        out.add((lam_j ** e.numerator) * (p ** e.denominator))
-
-    for p in f0n + fxn:
-        lam_balance(p)
-    for p in fxp:
-        lam_balance(p.inv())
-    for p in f0p + fxp:
-        for q in f0n + fxn:
-            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q ** b))
-    for p in f0p + fxp:
-        for q in fxp:
-            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
-    for p in f0n + fxn:
-        for q in fxn:
-            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
     return frozenset(out)
 
 
@@ -225,7 +144,7 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
     stage = G
     f0_stages = []
     for j in elim_order:
-        stage = apply_Lj_lambda(stage, j)
+        stage = eliminate(stage, lam(j))
         f0_stages.append((j, stage))
     if any(v.kind == LAM for pr in stage for v, _ in pr.f.exps):
         raise AssertionError("lambda variables survived the elimination")
@@ -233,7 +152,7 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
     zero_cols = tuple(sorted(k for k in r.sel_cols if k in p.zero_blocks))
     f_stages = []
     for k in zero_cols:
-        stage = apply_Lk(stage, k)
+        stage = eliminate(stage, tau(k))
         f_stages.append((k, stage))
     fq = stage
 
@@ -371,7 +290,7 @@ def eliminate_lambda(F) -> frozenset[Pair]:
     out = fraction_closure(F)
     js = sorted({v.index for pr in out for v, _ in pr.f.exps if v.kind == LAM})
     for j in js:
-        out = apply_Lj_lambda(out, j)
+        out = eliminate(out, lam(j))
     return out
 
 

@@ -120,11 +120,13 @@ def _contraction_suite():
         systems.append(build_multicone(pl, check_equivalence=False))
     per = 10000 // len(systems) + 1
     total = violations = 0
+    passed = True
     for i, system in enumerate(systems):
         rep = contraction_stable_check(system, per, rng_seed=100 + i)
         total += rep.checked
         violations += rep.violations
-    return total, violations
+        passed = passed and rep.passed
+    return total, violations, passed
 
 
 def _boundedness_suite():
@@ -212,12 +214,12 @@ def _estimate_suite():
 
 def test_criterion_7_property_suites():
     t0 = time.monotonic()
-    c_total, c_bad = _contraction_suite()
+    c_total, c_bad, c_passed = _contraction_suite()
     b_total, b_bad = _boundedness_suite()
     r_total, r_bad = _roundtrip_suite()
     est_ok = _estimate_suite()
     elapsed = time.monotonic() - t0
-    ok = (c_total >= 10000 and c_bad == 0 and
+    ok = (c_passed and c_total >= 10000 and c_bad == 0 and
           b_total >= 5000 and b_bad == 0 and
           r_total >= 10000 and r_bad == 0 and est_ok)
     _report(7, f"contraction {c_total}/{c_bad} bad, boundedness "

@@ -7,7 +7,8 @@ from multispec.deformation import deformation, point, rank_and_normalize
 from multispec.levels import build_levels, level_eq, lmono
 from multispec.monomials import mono
 from multispec.semigroup import run_pipeline
-from multispec.asymptotics import (index_set, structure_of, canonical_family,
+from multispec.asymptotics import (index_set, constraint_text, subset_label,
+                                   structure_of, canonical_family,
                                    family_at, t_poly, app_template,
                                    taylor_oracle, remainder_exponent,
                                    derivative_shift, family_shift,
@@ -86,8 +87,9 @@ def test_app_clean2_constraints():
     want = {(b1, b2, b3) for b1 in range(3) for b2 in range(3)
             for b3 in range(3) if b1 + b2 < 2 and b2 + b3 < 2}
     assert set(iset.members) == want
-    txt = iset.constraint_text(d, r.sigma_A)
+    txt = constraint_text(d, iset.J, r.sigma_A)
     assert txt == ["|a1| + |a2| < n1", "|a2| + |a3| < n2"]
+    assert subset_label(iset.J) == "{1,2}"
 
 
 def test_taylor_oracle_examples():

@@ -79,6 +79,20 @@ def test_project_subcommand():
     assert res.returncode == 0 and "|z2| < eps^2" in res.stdout
 
 
+def test_expand_at_a_fixed_point():
+    res = run("expand", SC_RUNNING, "--N", "2,2")
+    assert res.returncode == 0
+    lines = res.stdout.splitlines()
+    assert lines[0] == "+ T_{1}: |a1| + |a3| < n1   (3 indices)"
+    assert lines[2].startswith("- T_{1,2}: |a1| + |a3| < n1; |a2| + |a3| < n2")
+    assert lines[-1] == ("remainder exponent unavailable: level functions "
+                         "need a point outside fixed points")
+    payload = json.loads(run("--format", "json", "expand", SC_RUNNING,
+                             "--N", "2,2").stdout)
+    assert payload["remainder"] is None
+    assert len(payload["J_terms"]) == 3
+
+
 def test_map_check_subcommand(tmp_path):
     spec = {
         "source": {"A": [["1", "0"], ["0", "1"]]},

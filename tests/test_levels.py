@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
                               lprod, sol_lambda, subst_lambda,
                               PermutationBudgetExceeded)
+from multispec.linear import rank
 from multispec.monomials import mono, tau
 from multispec.semigroup import run_pipeline
 
@@ -118,6 +120,26 @@ def test_generalized_levels():
 
     with pytest.raises(PermutationBudgetExceeded):
         build_generalized_levels(d, rank_and_normalize(d, p), p, max_perms=3)
+
+
+def test_generalized_levels_match_every_ordering():
+    # reference: the pointwise minimum over all ell! orderings, each with its
+    # leading rows as the minor and the rest eliminated in order
+    d = deformation([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
+    p = point()
+    r = rank_and_normalize(d, p)
+    branches = {j: [] for j in range(1, d.ell + 1)}
+    for theta in permutations(range(1, d.ell + 1)):
+        lead = theta[:r.L]
+        if rank([list(d.row(j)) for j in lead]) < r.L:
+            continue
+        rr = rank_and_normalize(d, p, fixed_rows=lead)
+        fam = build_levels(run_pipeline(d, rr, p, elim_order=theta[r.L:]))
+        for j in branches:
+            branches[j].append(fam.rho_Lambda[j])
+    ghat = build_generalized_levels(d, r, p)
+    for j, exprs in branches.items():
+        assert ghat.rho_Lambda[j] == canonical(lmin(exprs))
 
 
 def test_evaluate_level_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from multispec.deformation import deformation, point
 from multispec.monomials import pair
-from multispec.multicone import (build_multicone, closure, project, member,
+from multispec.multicone import (build_multicone, closure, project,
                                  contraction_stable_check, sample_members,
                                  normal_cone_probe, ProbeOutcome,
                                  ClosureCapExceeded, SystemKind)
@@ -90,7 +90,7 @@ def test_closure_contains_open_system():
     cl = closure(pl)
     rng = np.random.default_rng(5)
     for norms in sample_members(s226, 200, 0.1, rng):
-        assert cl.member(norms, 0.1)
+        assert cl.system.member(norms, 0.1)
 
 
 def test_closure_excludes_fake_boundary():
@@ -99,8 +99,8 @@ def test_closure_excludes_fake_boundary():
     cl = closure(pl)
     names = {str(e.pair.f) for e in cl.entries}
     assert {"t1", "t2"} <= names
-    assert not cl.member({1: 0.0, 2: 0.2, 3: 0.0}, 0.1)
-    assert cl.member({1: 0.0, 2: 0.005, 3: 0.0}, 0.1)
+    assert not cl.system.member({1: 0.0, 2: 0.2, 3: 0.0}, 0.1)
+    assert cl.system.member({1: 0.0, 2: 0.005, 3: 0.0}, 0.1)
     assert cl.system.kind is SystemKind.CLOSED
 
 
@@ -120,6 +120,19 @@ def test_contraction_stability():
         report = contraction_stable_check(system, 300, rng_seed=9)
         assert report.sampled > 0
         assert report.violations == 0
+        assert report.passed
+
+
+def test_starved_contraction_check_fails():
+    # exponents in the hundreds underflow every inequality to 0 < 0, so the
+    # sampler accepts no point; that must not read as a pass
+    _, system = system_for([["1/2", "3", "3"], ["0", "2", "1/2"],
+                            ["2", "0", "3"], ["1", "2", "1"],
+                            ["2", "3", "3/2"], ["3/2", "0", "1"],
+                            ["1", "2", "2"], ["0", "3/2", "3"]])
+    report = contraction_stable_check(system, 5, rng_seed=1)
+    assert (report.requested, report.sampled, report.violations) == (5, 0, 0)
+    assert not report.passed
 
 
 def test_projected_systems_contraction_stable():

@@ -1,20 +1,19 @@
 import pytest
 
 from multispec.deformation import deformation, point, rank_and_normalize
-from multispec.monomials import (Pair, ONE, UNIT_VALUE, mono, pair, genset,
-                                 fraction_closure, tau)
-from multispec.semigroup import (build_G_hat, apply_Lk,
-                                 apply_Lj_lambda, apply_Lk_modified,
-                                 apply_Lj_lambda_modified, run_pipeline,
+from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
+                                 pair, fraction_closure, tau, lam)
+from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  mono_membership, radical_member, equivalent,
                                  value_of, eliminate_lambda, Verdict,
-                                 NotRepresentable)
+                                 NotRepresentable, _balanced)
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
 
 def gs(*specs):
-    return genset(pair(*s) if isinstance(s, tuple) else pair(s) for s in specs)
+    return frozenset(pair(*s) if isinstance(s, tuple) else pair(s)
+                     for s in specs)
 
 
 @pytest.fixture
@@ -51,12 +50,12 @@ def test_build_G_hat_examples(running):
 
 def test_apply_Lk_examples(running):
     d, p, pl = running
-    f1 = apply_Lk(pl.F0, 1)
+    f1 = eliminate(pl.F0, tau(1))
     assert f1 == gs("t1", "t2", "t1*t2/t3", "t3/t2") | {UNIT_ONE}
-    f2 = apply_Lk(f1, 2)
+    f2 = eliminate(f1, tau(2))
     assert f2 == gs("t1", "t2", "t1*t2/t3", "t3") | {UNIT_ONE}
     untouched = gs("t2", "t3/t2")
-    assert apply_Lk(untouched, 1) == untouched
+    assert eliminate(untouched, tau(1)) == untouched
 
 
 def test_apply_Lj_lambda_examples():
@@ -83,8 +82,8 @@ def test_pipeline_2_49(running):
 def test_pipeline_idempotence(running):
     _, _, pl = running
     for k in pl.zero_cols_L:
-        once = apply_Lk(fraction_closure(pl.F0), k)
-        assert apply_Lk(once, k) == once
+        once = eliminate(fraction_closure(pl.F0), tau(k))
+        assert eliminate(once, tau(k)) == once
 
 
 def test_pipeline_invariants(running):
@@ -106,7 +105,7 @@ def test_mono_membership_examples(running):
     res = mono_membership(mono("1"), pl.Fq)
     assert res.verdict is Verdict.YES
     assert all(a == 0 for _, a in res.witness)
-    f1 = apply_Lk(pl.F0, 1)
+    f1 = eliminate(pl.F0, tau(1))
     res = mono_membership(mono("t3"), f1)
     assert res.verdict is Verdict.YES
     combo = ONE
@@ -186,15 +185,79 @@ def test_equivalent_symmetric_reflexive(running):
     assert a == b
 
 
+def _modified_Lk(F, k: int) -> frozenset[Pair]:
+    """Oracle: the closure-flavoured block-scale step with the extra inverse
+    and quotient branches; agrees with eliminate on fraction-closed
+    inputs."""
+    v = tau(k)
+    zero_e = [p for p in F if p.f.exponent(v) == 0]
+    f0p = [p for p in F if p.v.is_zero and p.f.exponent(v) > 0]
+    f0n = [p for p in F if p.v.is_zero and p.f.exponent(v) < 0]
+    fxp = [p for p in F if not p.v.is_zero and p.f.exponent(v) > 0]
+    fxn = [p for p in F if not p.v.is_zero and p.f.exponent(v) < 0]
+    out: set[Pair] = set(zero_e)
+    for p in f0p + fxp:
+        out.add(Pair(p.f, ZERO))
+    for p in fxn:
+        out.add(Pair(p.f.inv(), ZERO))
+    for p in f0p + fxp:
+        for q in f0n + fxn:
+            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
+            out.add((p ** a) * (q ** b))
+    for p in f0p + fxp:
+        for q in fxp:
+            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
+            out.add((p ** a) * (q.inv() ** b))
+    for p in f0n + fxn:
+        for q in fxn:
+            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
+            out.add((p ** a) * (q.inv() ** b))
+    return frozenset(out)
+
+
+def _modified_Lj_lambda(F, j: int) -> frozenset[Pair]:
+    """Oracle: the closure-flavoured action-parameter step."""
+    v = lam(j)
+    zero_e = [p for p in F if p.f.exponent(v) == 0]
+    f0p = [p for p in F if p.v.is_zero and p.f.exponent(v) > 0]
+    f0n = [p for p in F if p.v.is_zero and p.f.exponent(v) < 0]
+    fxp = [p for p in F if not p.v.is_zero and p.f.exponent(v) > 0]
+    fxn = [p for p in F if not p.v.is_zero and p.f.exponent(v) < 0]
+    out: set[Pair] = set(zero_e)
+    lam_j = Pair(Monomial.from_dict({v: 1}), ZERO)
+
+    def lam_balance(p: Pair):
+        e = abs(p.f.exponent(v))
+        out.add((lam_j ** e.numerator) * (p ** e.denominator))
+
+    for p in f0n + fxn:
+        lam_balance(p)
+    for p in fxp:
+        lam_balance(p.inv())
+    for p in f0p + fxp:
+        for q in f0n + fxn:
+            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
+            out.add((p ** a) * (q ** b))
+    for p in f0p + fxp:
+        for q in fxp:
+            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
+            out.add((p ** a) * (q.inv() ** b))
+    for p in f0n + fxn:
+        for q in fxn:
+            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
+            out.add((p ** a) * (q.inv() ** b))
+    return frozenset(out)
+
+
 def test_modified_operations_agree(running):
     _, _, pl = running
-    assert apply_Lk_modified(pl.F0, 1) == apply_Lk(pl.F0, 1)
+    assert _modified_Lk(pl.F0, 1) == eliminate(pl.F0, tau(1))
     d326 = deformation([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]])
     pl326 = run_pipeline(d326, None, point())
     G = fraction_closure(pl326.G)
-    assert apply_Lj_lambda_modified(G, 4) == apply_Lj_lambda(G, 4)
+    assert _modified_Lj_lambda(G, 4) == eliminate(G, lam(4))
     only_pos = gs("t1")
-    assert apply_Lk_modified(only_pos, 1) == gs("t1")
+    assert _modified_Lk(only_pos, 1) == gs("t1")
 
 
 def test_eliminate_lambda():
@@ -233,8 +296,8 @@ def test_stage_closure_and_value_consistency_everywhere():
         for pr in pl.Fq:
             assert value_of(pr.f, pl) == pr.v
         for k in pl.zero_cols_L:
-            once = apply_Lk(pl.F0, k)
-            assert apply_Lk(once, k) == once
+            once = eliminate(pl.F0, tau(k))
+            assert eliminate(once, tau(k)) == once
 
 
 def test_equivalence_everywhere():
