@@ -161,7 +161,7 @@ def cmd_levels(args):
 
 def cmd_multicone(args):
     pl = _scenario_pipeline(args)
-    system = build_multicone(pl, check_equivalence=not args.no_check)
+    system = build_multicone(pl)
     lines = system.text()
     latex = [r"\left\{\begin{array}{l}"] + \
         [ln.replace("eps", r"\epsilon").replace("*", r"\,") + r" \\"
@@ -408,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("multicone", cmd_multicone, help="inequality system")
     p.add_argument("scenario")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the stage/semigroup equivalence check")
 
     p = add("closure", cmd_closure, help="closed inequality system")
     p.add_argument("scenario")

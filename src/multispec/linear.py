@@ -1,8 +1,9 @@
 """Exact rational linear algebra: rank, inverse, solving, cone feasibility.
 
 Everything works over Fraction.  The cone feasibility solver is a small
-phase-one simplex with Bland's rule, used by the semigroup membership
-search and by the restriction analyzer's non-negative combination test.
+phase-one simplex with Bland's rule.  It decides radical membership, and
+with it equivalence of generating sets, and prunes the integer membership
+search.
 """
 
 from __future__ import annotations

@@ -75,6 +75,11 @@ class Inequality:
         den = Monomial(tuple((v, -e) for v, e in self.f.exps if e < 0))
         return num, den
 
+    def sort_key(self):
+        """Total order: monomial, then value, then bound factors."""
+        return (self.f.sort_key(), self.value.sort_key(),
+                tuple((v.sort_key(), a) for v, a in self.bound.factors))
+
     def eval_parts(self, norms) -> tuple[float, float]:
         """Numerator and denominator of f at non-negative block norms."""
         num, den = self.split()
@@ -344,7 +349,7 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
                 value = (gpos.value ** a) * (gneg.value ** b)
                 new.append(Inequality(f, bound, value))
     return MulticoneSystem(
-        inequalities=tuple(sorted(set(new), key=lambda i: i.f.sort_key())),
+        inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),
         zero_blocks=system.zero_blocks - {k},
         blocks=tuple(b for b in system.blocks if b != k),
         block_dims={b: d for b, d in system.block_dims.items() if b != k},

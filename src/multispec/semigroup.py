@@ -1,17 +1,19 @@
-"""Generator sets, the elimination pipeline, and exact decision procedures
-for semigroup membership, radical powers, and equivalence."""
+"""Generator sets, the elimination pipeline, and exact decision procedures:
+integer semigroup membership by a pruned search, and whether some power of
+a pair is a member (hence equivalence) by exact rational-cone LPs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm, prod
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
                           derive_monomials, rank_and_normalize,
                           classify_action, ActionClass, check_point)
-from .linear import cone_feasible
-from .monomials import (Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
+from .linear import cone_feasible, nonneg_solution
+from .monomials import (Monomial, Pair, Value, Var, ONE, ZERO, UNIT_VALUE,
                         TAU, LAM, XI, tau, lam, xi, fraction_closure)
 
 
@@ -194,10 +196,10 @@ class MembershipResult:
         return self.verdict is Verdict.YES
 
 
-def _exponent_vectors(pairs, extra: Monomial):
-    all_vars = sorted({v for pr in pairs for v, _ in pr.f.exps}
+def _exponent_vectors(monos, extra: Monomial):
+    all_vars = sorted({v for f in monos for v, _ in f.exps}
                       | {v for v, _ in extra.exps}, key=lambda v: v.key())
-    cols = [[pr.f.exponent(v) for v in all_vars] for pr in pairs]
+    cols = [[f.exponent(v) for v in all_vars] for f in monos]
     target = [extra.exponent(v) for v in all_vars]
     return cols, target
 
@@ -232,7 +234,7 @@ def mono_membership(f: Monomial, H, bound: int = 200) -> MembershipResult:
     pruning; the first witness found is the lexicographically smallest.
     """
     ordered = sorted(H, key=lambda p: p.sort_key())
-    cols, target = _exponent_vectors(ordered, f)
+    cols, target = _exponent_vectors([p.f for p in ordered], f)
     if not cone_feasible(cols, target):
         return MembershipResult(Verdict.NO)
 
@@ -245,43 +247,50 @@ def mono_membership(f: Monomial, H, bound: int = 200) -> MembershipResult:
     return MembershipResult(Verdict.UNKNOWN)
 
 
-def _value_of_combo(witness) -> Value:
-    v = UNIT_VALUE
-    for p, a in witness:
-        v = v * (p.v ** a)
-    return v
-
-
-def radical_member(probe: Pair, H, max_N: int = 64, bound: int = 200,
-                   zero_slack=()) -> MembershipResult:
-    """Smallest N <= max_N with probe^N in the bracket of H, values included.
-
-    No when even the rational cone relaxation is infeasible (then no power
-    exists); Unknown when the caps run out.  zero_slack lists zero-pattern
-    block indices: a zero-valued probe whose monomial is positive in one of
-    them matches regardless of the combination's value, reflecting the
-    value-zeroing branch of the generated semigroup.
-    """
+def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
+    """A power N with probe^N in the bracket of H, values included, decided
+    by exact LPs: a rational x >= 0 combining H into probe, times the lcm N
+    of its denominators, combines H into probe^N.  A nonzero value stacks
+    norm-symbol exponents under the scale exponents and excludes zero-valued
+    pairs; a zero value needs some zero-valued pair.  zero_slack lists
+    zero-pattern blocks: a zero-valued probe positive in one of them matches
+    whatever the combination's value (the value-zeroing branch of the
+    generated semigroup).  The witness is checked exactly before Yes."""
     ordered = sorted(H, key=lambda p: p.sort_key())
-    cols, target1 = _exponent_vectors(ordered, probe.f)
-    if not cone_feasible(cols, target1):
-        return MembershipResult(Verdict.NO)
     slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
                                       for k in zero_slack)
-    for n in range(1, max_N + 1):
-        powered = probe ** n
-        cols, target = _exponent_vectors(ordered, powered.f)
-
-        def leaf(alpha, _target_v=powered.v):
-            witness = tuple((p, a) for p, a in zip(ordered, alpha))
-            if slacked or _value_of_combo(witness) == _target_v:
-                return witness
-            return None
-
-        found = _dfs(cols, target, bound, leaf)
-        if found is not None:
-            return MembershipResult(Verdict.YES, witness=found, power=n)
-    return MembershipResult(Verdict.UNKNOWN)
+    cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
+    if not probe.v.is_zero:
+        # the last row sums the use of zero-valued pairs and must be zero
+        vcols, vtarget = _exponent_vectors(
+            [p.v.mono or ONE for p in ordered], probe.v.mono)
+        x = nonneg_solution([c + vc + [Fraction(p.v.is_zero)] for c, vc, p
+                             in zip(cols, vcols, ordered)],
+                            target + vtarget + [Fraction(0)])
+    else:
+        x = nonneg_solution(cols, target)
+        if x is not None and not slacked:
+            # homogenised: A y = s*probe, zero-valued part of y summing to
+            # one; s = 0 leaves a recession direction to add to x
+            y = nonneg_solution(
+                [c + [Fraction(p.v.is_zero)] for c, p in zip(cols, ordered)]
+                + [[-t for t in target] + [Fraction(0)]],
+                [Fraction(0)] * len(target) + [Fraction(1)])
+            if y is None:
+                x = None
+            elif y[-1]:
+                x = [a / y[-1] for a in y[:-1]]
+            else:
+                x = [a + b for a, b in zip(x, y[:-1])]
+    if x is None:
+        return MembershipResult(Verdict.NO)
+    power = lcm(*(a.denominator for a in x))
+    witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
+    got = prod((p ** a for p, a in witness), start=Pair(ONE, UNIT_VALUE))
+    want = probe ** power
+    if got.f != want.f or not (slacked or got.v == want.v):
+        raise AssertionError(f"radical witness does not reproduce {probe}^{power}")
+    return MembershipResult(Verdict.YES, witness=witness, power=power)
 
 
 def eliminate_lambda(F) -> frozenset[Pair]:
@@ -308,7 +317,7 @@ def _semigroup_probes(free, zero_slack) -> list[Pair]:
     return sorted(set(probes), key=lambda p: p.sort_key())
 
 
-def equivalent(A, B, max_N: int = 64, bound: int = 200, zero_slack=()) -> Verdict:
+def equivalent(A, B, zero_slack=()) -> Verdict:
     """Mutual radical membership of the parameter-free parts of two
     generating sets; parameters are eliminated first, so the comparison is
     between the induced scale-only semigroups.  zero_slack carries the
@@ -316,20 +325,11 @@ def equivalent(A, B, max_N: int = 64, bound: int = 200, zero_slack=()) -> Verdic
     slack = tuple(zero_slack)
     a_free = eliminate_lambda(A)
     b_free = eliminate_lambda(B)
-    saw_unknown = False
-    for probe in _semigroup_probes(a_free, slack):
-        res = radical_member(probe, b_free, max_N, bound, zero_slack=slack)
-        if res.verdict is Verdict.NO:
-            return Verdict.NO
-        if res.verdict is Verdict.UNKNOWN:
-            saw_unknown = True
-    for probe in _semigroup_probes(b_free, slack):
-        res = radical_member(probe, a_free, max_N, bound, zero_slack=slack)
-        if res.verdict is Verdict.NO:
-            return Verdict.NO
-        if res.verdict is Verdict.UNKNOWN:
-            saw_unknown = True
-    return Verdict.UNKNOWN if saw_unknown else Verdict.YES
+    for probes, H in ((a_free, b_free), (b_free, a_free)):
+        for probe in _semigroup_probes(probes, slack):
+            if not radical_member(probe, H, zero_slack=slack):
+                return Verdict.NO
+    return Verdict.YES
 
 
 class NotRepresentable(ValueError):

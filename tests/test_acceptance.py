@@ -242,8 +242,7 @@ def test_criterion_8_radical_property():
             continue
         probes = _semigroup_probes(eliminate_lambda(pl.G), pl.zero_cols_L)
         for probe in probes:
-            res = radical_member(probe, pl.Fq, max_N=64,
-                                 zero_slack=pl.zero_cols_L)
+            res = radical_member(probe, pl.Fq, zero_slack=pl.zero_cols_L)
             if res.verdict is not Verdict.YES or res.power > 64:
                 ok = False
                 details.append(f"{name}: {probe} -> {res.verdict.value}")

@@ -79,6 +79,18 @@ def test_project_subcommand():
     assert res.returncode == 0 and "|z2| < eps^2" in res.stdout
 
 
+def test_project_output_is_reproducible():
+    # two rows share the monomial 1; their order must not follow hashing
+    sc = json.dumps({"A": [["2", "1", "2"]]})
+    outs = [run("project", sc, "--drop", "1",
+                env_extra={"PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "2")]
+    assert outs[0] == outs[1]
+    ones = [ln for ln in outs[0].splitlines() if " < 1 < " in ln]
+    assert ones == ["(1-eps) < 1 < (x2^(-1)+eps)*(x2+eps)",
+                    "(1-eps) < 1 < (x3^(-1)+eps)*(x3+eps)"]
+
+
 def test_expand_at_a_fixed_point():
     res = run("expand", SC_RUNNING, "--N", "2,2")
     assert res.returncode == 0

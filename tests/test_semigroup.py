@@ -1,4 +1,8 @@
+import warnings
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multispec.deformation import deformation, point, rank_and_normalize
 from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
@@ -6,7 +10,10 @@ from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
 from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  mono_membership, radical_member, equivalent,
                                  value_of, eliminate_lambda, Verdict,
-                                 NotRepresentable, _balanced)
+                                 MembershipResult, NotRepresentable, _balanced,
+                                 _dfs, _exponent_vectors)
+from multispec.linear import cone_feasible
+from multispec.multicone import build_multicone
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
@@ -249,6 +256,36 @@ def _modified_Lj_lambda(F, j: int) -> frozenset[Pair]:
     return frozenset(out)
 
 
+def _searched_radical_member(probe: Pair, H, max_N: int = 64,
+                             bound: int = 200,
+                             zero_slack=()) -> MembershipResult:
+    """Oracle: smallest N <= max_N with probe^N in the bracket of H, by a
+    depth-first search with a step budget; Unknown when the caps run out."""
+    ordered = sorted(H, key=lambda p: p.sort_key())
+    cols, target1 = _exponent_vectors([p.f for p in ordered], probe.f)
+    if not cone_feasible(cols, target1):
+        return MembershipResult(Verdict.NO)
+    slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
+                                      for k in zero_slack)
+    for n in range(1, max_N + 1):
+        powered = probe ** n
+        cols, target = _exponent_vectors([p.f for p in ordered], powered.f)
+
+        def leaf(alpha, _target_v=powered.v):
+            witness = tuple((p, a) for p, a in zip(ordered, alpha))
+            value = UNIT_VALUE
+            for p, a in witness:
+                value = value * (p.v ** a)
+            if slacked or value == _target_v:
+                return witness
+            return None
+
+        found = _dfs(cols, target, bound, leaf)
+        if found is not None:
+            return MembershipResult(Verdict.YES, witness=found, power=n)
+    return MembershipResult(Verdict.UNKNOWN)
+
+
 def test_modified_operations_agree(running):
     _, _, pl = running
     assert _modified_Lk(pl.F0, 1) == eliminate(pl.F0, tau(1))
@@ -342,3 +379,78 @@ def test_random_pipelines_keep_invariants():
                 if not pr.v.is_zero:
                     assert e == 0
             assert value_of(pr.f, pl) == pr.v
+
+
+def test_two_by_four_case_with_lineality():
+    # the stage cone of this 2x4 case has a lineality space
+    d = deformation([[2, 1, Fraction(3, 2), 1], [2, Fraction(1, 2), 2, 0]])
+    pl = run_pipeline(d, None, point(zero_blocks={2}))
+    assert equivalent(pl.Fq, pl.G, zero_slack=pl.zero_cols_L) is Verdict.YES
+    assert build_multicone(pl).inequalities
+
+
+HALVES = [Fraction(x) for x in ("0", "1/2", "1", "3/2", "2", "3")]
+
+
+@st.composite
+def scenarios(draw, max_rows=4, max_cols=4):
+    ell = draw(st.integers(2, max_rows))
+    m = draw(st.integers(2, max_cols))
+    rows = draw(st.lists(st.lists(st.sampled_from(HALVES), min_size=m,
+                                  max_size=m), min_size=ell, max_size=ell))
+    zeros = draw(st.sets(st.integers(1, m)))
+    return rows, zeros
+
+
+def _pipeline_or_none(rows, zeros):
+    """The pipeline of a drawn scenario, None where it is rejected (an
+    identity action, a fixed point); zero columns always vanish."""
+    zeros = set(zeros) | {k for k in range(1, len(rows[0]) + 1)
+                          if all(row[k - 1] == 0 for row in rows)}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return run_pipeline(deformation(rows), None, point(zero_blocks=zeros))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_final_stage_radical_is_the_semigroup(sc):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None)
+    assert equivalent(pl.Fq, pl.G, zero_slack=pl.zero_cols_L) is Verdict.YES
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(max_rows=3, max_cols=3), st.data())
+def test_lp_radical_member_agrees_with_search(sc, data):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None)
+    slack = pl.zero_cols_L
+    free_G = eliminate_lambda(pl.G)
+    H = data.draw(st.sampled_from([pl.Fq, free_G]))
+    pool = sorted(pl.Fq | free_G, key=Pair.sort_key)
+    factors = data.draw(st.lists(st.tuples(
+        st.sampled_from(pool),
+        st.sampled_from([-1, 1, 2, Fraction(1, 2)])), max_size=3))
+    f, value = ONE, UNIT_VALUE
+    for q, e in factors:
+        f = f * q.f ** e
+        value = ZERO if q.v.is_zero or value.is_zero else value * q.v ** e
+    probe = Pair(f, data.draw(st.sampled_from([value, ZERO, UNIT_VALUE])))
+
+    res = radical_member(probe, H, zero_slack=slack)
+    ref = _searched_radical_member(probe, H, max_N=6, bound=30,
+                                   zero_slack=slack)
+    if ref.verdict is not Verdict.UNKNOWN:
+        assert res.verdict is ref.verdict
+    if res:
+        got = UNIT_ONE
+        for q, a in res.witness:
+            got = got * q ** a
+        want = probe ** res.power
+        slacked = probe.v.is_zero and any(f.exponent(tau(k)) > 0
+                                          for k in slack)
+        assert got.f == want.f and (slacked or got.v == want.v)
