@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .deformation import (DeformationData, PointPattern, RankData,
                           rank_and_normalize)
 from .levels import (LevelExpr, LevelFamily, LEVEL_ONE, lprod, lpow,
@@ -385,6 +383,8 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     """Fit the constant in the remainder bound by sampling and re-fit on the
     halved scale; the estimate passes when the constant does not grow by
     more than a factor of two."""
+    import numpy as np
+
     pipeline = run_pipeline(d, r, p)
     family = build_levels(pipeline)
     fam = canonical_family(f, d)

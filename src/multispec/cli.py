@@ -10,8 +10,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .deformation import (deformation, point, rank_and_normalize,
                           classify_action, bundle_decomposition, ActionClass)
 from .levels import build_levels, build_generalized_levels, canonical
@@ -204,6 +202,8 @@ class _GraphSet:
         self.deps = dict(equations)
 
     def sample(self, rng, scale):
+        import numpy as np
+
         coords = {}
         for k in range(1, self.struct.m + 1):
             if k not in self.deps:

@@ -1,15 +1,15 @@
 """Exact rational linear algebra: rank, inverse, solving, cone feasibility.
 
-Everything works over Fraction.  The cone feasibility solver is a small
-phase-one simplex with Bland's rule.  It decides radical membership, and
-with it equivalence of generating sets, and prunes the integer membership
-search.
+Everything works over Fraction.  The cone feasibility solver is an
+integer fraction-free phase-one simplex, Bland's rule.  It decides radical
+membership, and with it equivalence of generating sets, and prunes the
+integer membership search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 Matrix = list[list[Fraction]]
@@ -79,10 +79,6 @@ def in_row_space(rows: Matrix, v: Vector) -> bool:
     return rank(rows + [list(v)]) == rank(rows)
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b) if a and b else max(abs(a), abs(b))
-
-
 def sigma_for(entries) -> Fraction:
     """Smallest positive rational s with s*a integral for all a and gcd 1.
 
@@ -93,9 +89,7 @@ def sigma_for(entries) -> Fraction:
     nonzero = [a for a in fracs if a != 0]
     if not nonzero:
         return Fraction(1)
-    d = 1
-    for a in nonzero:
-        d = lcm(d, a.denominator)
+    d = lcm(*(a.denominator for a in nonzero))
     g = 0
     for a in nonzero:
         g = gcd(g, abs(int(a * d)))
@@ -105,61 +99,62 @@ def sigma_for(entries) -> Fraction:
 def nonneg_solution(columns: list[Vector], target: Vector) -> list[Fraction] | None:
     """Find rational x >= 0 with sum x_i * columns[i] = target, or None.
 
-    Phase-one simplex over exact rationals (Bland's rule, always
-    terminates).  Returns one feasible point, not a canonical one.
+    Phase-one simplex with Bland's rule (always terminates) on an integer
+    tableau: columns and target are scaled by the lcm of their
+    denominators, and fraction-free pivoting (Bareiss; Edmonds) keeps every
+    entry an integer over one common divisor d, the determinant of the
+    current basis.  Returns one feasible point, not a canonical one.
     """
     m = len(target)
     n = len(columns)
-    # Tableau rows: [A | I | b] with b >= 0 after sign flips.
-    a = [[columns[j][i] for j in range(n)] for i in range(m)]
-    b = list(target)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
     total = n + m
-    rows = [a[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
+    scale = lcm(*(x.denominator for col in columns for x in col),
+                *(t.denominator for t in target))
+
+    def whole(x) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    # Tableau rows: [A | I | b] with b >= 0 after sign flips.
+    rows = []
+    for i, t in enumerate(target):
+        sign = -1 if t < 0 else 1
+        rows.append([sign * whole(col[i]) for col in columns]
+                    + [int(k == i) for k in range(m)] + [sign * whole(t)])
     basis = [n + i for i in range(m)]
-    # Objective: minimise the sum of artificials.
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    z = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for k in range(total + 1):
-            z[k] += rows[i][k]
-    # reduced costs: cost - z for structural part; objective value = z[-1]
+    # Reduced costs of minimising the sum of artificials, times d; the last
+    # entry is minus the objective value.
+    reduced = [int(n <= k < total) - sum(row[k] for row in rows)
+               for k in range(total + 1)]
+    d = 1
     while True:
-        enter = None
-        for j in range(total):
-            if cost[j] - z[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(total) if reduced[j] < 0), None)
         if enter is None:
             break
-        ratios = [(rows[i][total] / rows[i][enter], basis[i], i)
-                  for i in range(m) if rows[i][enter] > 0]
-        if not ratios:
-            break  # unbounded: cannot happen for phase one
-        _, _, leave = min(ratios)
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        # Bland: least ratio rhs/entry over positive entries, ties to the
+        # least basic column.  Phase one is bounded below, so an entering
+        # column has a positive entry.
+        leave = min((i for i, row in enumerate(rows) if row[enter] > 0),
+                    key=lambda i: (Fraction(rows[i][total], rows[i][enter]),
+                                   basis[i]))
+        pivot_row = rows[leave]
+        p = pivot_row[enter]
+
+        # exact: every entry stays a minor of the scaled starting tableau
+        def eliminated(row):
+            f = row[enter]
+            return [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+
+        rows = [row if i == leave else eliminated(row)
+                for i, row in enumerate(rows)]
+        reduced = eliminated(reduced)
         basis[leave] = enter
-        z = [Fraction(0)] * (total + 1)
-        for i in range(m):
-            if cost[basis[i]] != 0:
-                for k in range(total + 1):
-                    z[k] += cost[basis[i]] * rows[i][k]
-    if z[total] != 0:
+        d = p
+    if reduced[total]:
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][total]
-        elif rows[i][total] != 0:
-            return None  # artificial stuck at a nonzero level
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[i][total], d)
     return x
 
 

@@ -7,13 +7,15 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .monomials import Monomial, Pair, Value, tau, sorted_pairs
 from .deformation import PointPattern
 from .semigroup import (PipelineResult, Verdict, equivalent, fraction_closure,
                         _balanced)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -371,6 +373,8 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     parameters below eps and a multiplicative jitter; candidates are
     accepted when they satisfy the system at a slightly shrunken eps, so the
     samples sit strictly inside."""
+    import numpy as np
+
     ell = len(system.action_rows)
     out: list[dict[int, float]] = []
     tries = 0
@@ -411,6 +415,8 @@ class ContractionReport:
 def contraction_stable_check(system: MulticoneSystem, samples: int,
                              rng_seed: int, eps: float = 0.1) -> ContractionReport:
     """Member points stay members under every contraction of the actions."""
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     pts = sample_members(system, samples, eps, rng)
     ell = len(system.action_rows)
@@ -457,6 +463,8 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
     Not a decision procedure: a clean miss at one scale reports not-in-cone,
     hits at every scale report in-cone, anything else is inconclusive.
     """
+    import numpy as np
+
     system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
     if ball_schedule is None:

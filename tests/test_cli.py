@@ -24,6 +24,18 @@ def test_pipeline_text_and_json():
     assert {"exponents": {"tau:1": "1"}, "value": "0"} in payload["Fq"]
 
 
+def test_pipeline_does_not_load_numpy():
+    # numpy is imported only by the subcommands and functions that sample
+    code = ("import sys, multispec.cli; "
+            "rc = multispec.cli.main(sys.argv[1:]); "
+            "print('numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code, "pipeline", SC_RUNNING],
+                         capture_output=True, text=True)
+    assert res.returncode == 0
+    assert "Fq" in res.stdout
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_env_var_format():
     res = run("pipeline", SC_RUNNING, env_extra={"MULTISPEC_FORMAT": "json"})
     json.loads(res.stdout)

@@ -3,9 +3,73 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
+import multispec.linear
+import multispec.semigroup
+from multispec.deformation import deformation, point
+from multispec.fixtures import run_fixtures
 from multispec.linear import (mat, rank, inverse, solve_unique, sigma_for,
                               nonneg_solution, cone_feasible, in_row_space)
+from multispec.semigroup import Verdict, equivalent, run_pipeline
+
+
+def _fraction_nonneg_solution(columns, target):
+    """Oracle: the phase-one simplex over Fractions (Bland's rule) that
+    nonneg_solution replaced; the integer tableau must pivot identically."""
+    m = len(target)
+    n = len(columns)
+    # Tableau rows: [A | I | b] with b >= 0 after sign flips.
+    a = [[columns[j][i] for j in range(n)] for i in range(m)]
+    b = list(target)
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    total = n + m
+    rows = [a[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # Objective: minimise the sum of artificials.
+    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    z = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for k in range(total + 1):
+            z[k] += rows[i][k]
+    # reduced costs: cost - z for structural part; objective value = z[-1]
+    while True:
+        enter = None
+        for j in range(total):
+            if cost[j] - z[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        ratios = [(rows[i][total] / rows[i][enter], basis[i], i)
+                  for i in range(m) if rows[i][enter] > 0]
+        if not ratios:
+            break  # unbounded: cannot happen for phase one
+        _, _, leave = min(ratios)
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        basis[leave] = enter
+        z = [Fraction(0)] * (total + 1)
+        for i in range(m):
+            if cost[basis[i]] != 0:
+                for k in range(total + 1):
+                    z[k] += cost[basis[i]] * rows[i][k]
+    if z[total] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][total]
+        elif rows[i][total] != 0:
+            return None  # artificial stuck at a nonzero level
+    return x
 
 
 def test_rank_and_inverse():
@@ -80,3 +144,82 @@ def test_cone_feasible_scaling_invariance():
     bad = [Fraction(-1), Fraction(0)]
     assert not cone_feasible(cols, bad)
     assert not cone_feasible(cols, [3 * t for t in bad])
+
+
+ENTRIES = [Fraction(x) for x in ("0", "1/3", "-1/3", "1/2", "-1/2", "1", "-1",
+                                 "3/2", "-3/2", "2", "3")]
+
+
+@st.composite
+def systems(draw):
+    """Random rational systems, with zero and duplicate columns mixed in."""
+    m = draw(st.integers(0, 4))
+    vec = st.lists(st.sampled_from(ENTRIES), min_size=m, max_size=m)
+    cols = draw(st.lists(vec, max_size=6))
+    if draw(st.booleans()):
+        cols.append([Fraction(0)] * m)
+    if cols and draw(st.booleans()):
+        cols.append(list(draw(st.sampled_from(cols))))
+    order = draw(st.permutations(range(len(cols))))
+    return [cols[j] for j in order], draw(vec)
+
+
+# Beale's cycling example in equality form, structural columns before the
+# slacks: two of its three targets are zero, so its pivots are degenerate.
+BEALE = ([[Fraction(1, 4), Fraction(1, 2), Fraction(0)],
+          [Fraction(-8), Fraction(-12), Fraction(0)],
+          [Fraction(-1), Fraction(-1, 2), Fraction(1)],
+          [Fraction(9), Fraction(3), Fraction(0)],
+          [Fraction(1), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(1), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(1)]],
+         [Fraction(0), Fraction(0), Fraction(1)])
+
+# A ratio tie that only the basic-column rule breaks the oracle's way.
+TIE = ([[Fraction(3, 2), Fraction(-1, 3), Fraction(2)],
+        [Fraction(-3, 2), Fraction(3), Fraction(1)],
+        [Fraction(1, 3), Fraction(-3, 2), Fraction(1)],
+        [Fraction(0), Fraction(-1, 2), Fraction(-1, 3)],
+        [Fraction(-1, 3), Fraction(3), Fraction(-1, 2)],
+        [Fraction(-1, 2), Fraction(2), Fraction(3, 2)]],
+       [Fraction(-3, 2), Fraction(0), Fraction(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example(([], []))
+@example(([[], []], []))
+@example(([], [Fraction(0), Fraction(0)]))
+@example(([], [Fraction(-1), Fraction(0)]))
+@example(BEALE)
+@example(TIE)
+def test_integer_simplex_matches_fraction_oracle(system):
+    cols, target = system
+    got = nonneg_solution(cols, target)
+    assert got == _fraction_nonneg_solution(cols, target)
+    if got is not None:
+        assert all(x >= 0 for x in got)
+        assert all(sum(x * c[i] for x, c in zip(got, cols)) == target[i]
+                   for i in range(len(target)))
+
+
+def test_replayed_calls_match_fraction_oracle(monkeypatch):
+    """Every LP that the fixtures and the 2x4 lineality case pose gets the
+    same point from both simplexes."""
+    calls = []
+    real = nonneg_solution
+
+    def recording(columns, target):
+        calls.append(([list(c) for c in columns], list(target)))
+        return real(columns, target)
+
+    monkeypatch.setattr(multispec.linear, "nonneg_solution", recording)
+    monkeypatch.setattr(multispec.semigroup, "nonneg_solution", recording)
+    assert all(check.ok for _, check in run_fixtures())
+    d = deformation([[2, 1, Fraction(3, 2), 1], [2, Fraction(1, 2), 2, 0]])
+    pl = run_pipeline(d, None, point(zero_blocks={2}))
+    assert equivalent(pl.Fq, pl.G, zero_slack=pl.zero_cols_L) is Verdict.YES
+    assert len(calls) > 20
+    for columns, target in calls:
+        assert real(columns, target) == \
+            _fraction_nonneg_solution(columns, target), (columns, target)
