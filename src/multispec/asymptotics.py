@@ -114,21 +114,26 @@ CoefficientFamily = dict  # frozenset[int] -> dict[idx -> BlockPolynomial]
 
 def canonical_family(f: BlockPolynomial, d: DeformationData) -> CoefficientFamily:
     """The derivative family: coefficient = matching derivative restricted
-    to the vanishing locus of the acting blocks."""
+    to the vanishing locus of the acting blocks.
+
+    Built in one pass over f's terms per subset J: the derivative of order
+    alpha (supported on the acting coordinates), restricted to their zero
+    locus, keeps exactly the terms whose acting part is alpha, each with its
+    acting part removed and its coefficient times alpha!."""
     struct = f.struct
     fam: CoefficientFamily = {}
     for J in subsets_of_actions(d.ell):
         K_J = set()
         for j in J:
             K_J |= set(d.k_set(j))
-        coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
-        entries: dict[tuple[int, ...], BlockPolynomial] = {}
-        for idx, _ in f.terms:
-            alpha = tuple(idx[c] if c in coords else 0 for c in range(struct.n))
-            if alpha in entries:
-                continue
-            entries[alpha] = f.diff_multi(alpha).restrict_zero(K_J)
-        fam[J] = entries
+        acting = [struct.block_of(c) in K_J for c in range(struct.n)]
+        groups: dict[tuple[int, ...], dict] = {}
+        for idx, c in f.terms:
+            alpha = tuple(i if a else 0 for i, a in zip(idx, acting))
+            rest = tuple(0 if a else i for i, a in zip(idx, acting))
+            groups.setdefault(alpha, {})[rest] = c * factorial_multi(alpha)
+        fam[J] = {alpha: BlockPolynomial.from_dict(struct, terms)
+                  for alpha, terms in groups.items()}
     return fam
 
 

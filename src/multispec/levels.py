@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .deformation import (DeformationData, PointPattern, RankData,
@@ -24,6 +25,11 @@ class LevelExpr:
     mono: Monomial | None = None
     children: tuple["LevelExpr", ...] = ()
     exp: Fraction | None = None
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The tree with float exponents, built on first evaluation."""
+        return _compile(self)
 
     def sort_key(self):
         if self.kind == MONO:
@@ -282,20 +288,43 @@ def is_strict(family: LevelFamily, d: DeformationData, j: int) -> bool:
 
 def evaluate_level(e: LevelExpr, tau_values) -> float:
     """Numeric value at strictly positive scales."""
+    return _run(e._compiled, tau_values)
+
+
+def _compile(e: LevelExpr) -> tuple:
+    """The tree as nested tuples: (MONO, ((block, float exponent), ...)),
+    (POW, child, float exponent), or (kind, children)."""
     if e.kind == MONO:
-        assign = {Var(TAU, k): float(v) for k, v in tau_values.items()}
-        return e.mono.evaluate(assign)
-    vals = [evaluate_level(c, tau_values) for c in e.children]
-    if e.kind == MAX:
-        return max(vals)
-    if e.kind == MIN:
-        return min(vals)
-    if e.kind == PROD:
+        for v, _ in e.mono.exps:
+            if v.kind != TAU:
+                raise KeyError(v)
+        return MONO, tuple((v.index, float(x)) for v, x in e.mono.exps)
+    if e.kind == POW:
+        return POW, _compile(e.children[0]), float(e.exp)
+    return e.kind, tuple(_compile(c) for c in e.children)
+
+
+def _run(node: tuple, tau_values) -> float:
+    kind = node[0]
+    if kind == MONO:
         out = 1.0
-        for v in vals:
-            out *= v
+        for k, x in node[1]:
+            base = float(tau_values[k])
+            if base <= 0:
+                raise ValueError(f"nonpositive value for {Var(TAU, k)}")
+            out *= base ** x
         return out
-    return vals[0] ** float(e.exp)
+    if kind == POW:
+        return _run(node[1], tau_values) ** node[2]
+    vals = [_run(c, tau_values) for c in node[1]]
+    if kind == MAX:
+        return max(vals)
+    if kind == MIN:
+        return min(vals)
+    out = 1.0
+    for v in vals:
+        out *= v
+    return out
 
 
 class PermutationBudgetExceeded(RuntimeError):

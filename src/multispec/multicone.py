@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .monomials import Monomial, Pair, Value, tau, sorted_pairs
@@ -23,23 +24,6 @@ class BoundFactors:
     """A formal product of (value +/- eps)^a factors bounding a monomial."""
 
     factors: tuple[tuple[Value, Fraction], ...]
-
-    def upper(self, eps: float, xi_norms) -> float:
-        out = 1.0
-        for v, a in self.factors:
-            out *= (v.evaluate(xi_norms) + eps) ** float(a)
-        return out
-
-    def lower(self, eps: float, xi_norms, clamp: bool = False) -> float:
-        out = 1.0
-        for v, a in self.factors:
-            base = v.evaluate(xi_norms) - eps
-            if base <= 0:
-                if clamp:
-                    return 0.0
-                return -math.inf
-            out *= base ** float(a)
-        return out
 
     def describe(self, eps_symbol: str = "eps") -> str:
         parts = []
@@ -81,16 +65,6 @@ class Inequality:
         """Total order: monomial, then value, then bound factors."""
         return (self.f.sort_key(), self.value.sort_key(),
                 tuple((v.sort_key(), a) for v, a in self.bound.factors))
-
-    def eval_parts(self, norms) -> tuple[float, float]:
-        """Numerator and denominator of f at non-negative block norms."""
-        num, den = self.split()
-        nv = dv = 1.0
-        for v, e in num.exps:
-            nv *= float(norms.get(v.index, 1.0)) ** float(e)
-        for v, e in den.exps:
-            dv *= float(norms.get(v.index, 1.0)) ** float(e)
-        return nv, dv
 
     def text(self, eps_symbol: str = "eps", strict: bool = True) -> str:
         num, den = self.split()
@@ -136,7 +110,8 @@ class MulticoneSystem:
 
     def member(self, norms, eps, cone_ok=None, x0_norm: float | None = None) -> bool:
         """All inequalities hold at the given block norms (max-norm per
-        block); zero norms are only legal on the zero pattern.
+        block); zero norms are only legal on the zero pattern, and a block
+        missing from norms has norm zero.
 
         eps is a single number, or a mapping from inequality position to a
         (minus, plus) pair with an optional "x0" entry for the base bound.
@@ -151,24 +126,30 @@ class MulticoneSystem:
             eps0 = float(eps)
         else:
             per_pair = dict(eps)
-            bounds = [b for key, pair_ in per_pair.items() if key != "x0"
-                      for b in pair_]
-            eps0 = float(per_pair.get("x0", max(bounds)))
+            sides = [b for key, pair_ in per_pair.items() if key != "x0"
+                     for b in pair_]
+            eps0 = float(per_pair.get("x0", max(sides)))
+        vals = {}
         for k in self.blocks:
             val = float(norms.get(k, 0.0))
             if val < 0 or (open_kind and val == 0.0 and k not in self.zero_blocks):
                 return False
+            vals[k] = val
         if self.has_x0 and x0_norm is not None and not _cmp(x0_norm, eps0, self.kind):
             return False
-        for pos, ineq in enumerate(self.inequalities):
-            if per_pair is None:
-                e_minus = e_plus = float(eps)
-            else:
-                e_minus, e_plus = (float(x) for x in per_pair[pos])
+        rows = self._rows
+        if per_pair is None:
+            bounds = self._bounds(eps0, eps0)
+        else:
+            bounds = [self._bounds(*(float(x) for x in per_pair[pos]))[pos]
+                      for pos in range(len(rows))]
+        for (num, den, _), (lo, hi) in zip(rows, bounds):
             # Denominator-cleared comparison: valid at vanishing norms too.
-            nv, dv = ineq.eval_parts(norms)
-            hi = ineq.bound.upper(e_plus, self.norms)
-            lo = ineq.bound.lower(e_minus, self.norms, clamp=not open_kind)
+            nv = dv = 1.0
+            for k, e in num:
+                nv *= vals[k] ** e
+            for k, e in den:
+                dv *= vals[k] ** e
             if open_kind:
                 if not (lo * dv < nv < hi * dv):
                     return False
@@ -176,6 +157,56 @@ class MulticoneSystem:
                 if not (lo * dv <= nv <= hi * dv):
                     return False
         return True
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Each inequality as floats: the (block, exponent) factors of the
+        numerator and the denominator of its monomial, and the (value at
+        the base point, exponent) factors of its bound."""
+        rows = []
+        for ineq in self.inequalities:
+            num, den = ineq.split()
+            rows.append((tuple((v.index, float(e)) for v, e in num.exps),
+                         tuple((v.index, float(e)) for v, e in den.exps),
+                         tuple((v.evaluate(self.norms), float(a))
+                               for v, a in ineq.bound.factors)))
+        return tuple(rows)
+
+    @cached_property
+    def _bound_tables(self) -> dict:
+        return {}
+
+    def _bounds(self, e_minus: float, e_plus: float) -> tuple:
+        """(lo, hi) of every inequality's bound, computed once per pair of
+        eps values.  A factor whose lower base is not positive sends lo to
+        -inf, or to 0 in a closed system."""
+        table = self._bound_tables.get((e_minus, e_plus))
+        if table is None:
+            clamp = self.kind is not SystemKind.OPEN
+            table = []
+            for _, _, factors in self._rows:
+                hi = lo = 1.0
+                for v, a in factors:
+                    hi *= (v + e_plus) ** a
+                for v, a in factors:
+                    base = v - e_minus
+                    if base <= 0:
+                        lo = 0.0 if clamp else -math.inf
+                        break
+                    lo *= base ** a
+                table.append((lo, hi))
+            table = self._bound_tables[(e_minus, e_plus)] = tuple(table)
+        return table
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Per block, for the samplers: its index, its float base norm
+        (None on the zero pattern, where a base norm is drawn) and its float
+        column of action exponents."""
+        return tuple((k, None if k in self.zero_blocks
+                      else float(self.norms.get(k, 1.0)),
+                      tuple(float(row[k - 1]) for row in self.action_rows))
+                     for k in self.blocks)
 
     def text(self, eps_symbol: str = "eps") -> list[str]:
         lines = []
@@ -380,22 +411,28 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     tries = 0
     max_tries = max_tries or 200 * n
     shrunk = eps * (1.0 - margin)
+    lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
+    zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
     while len(out) < n and tries < max_tries:
         tries += 1
-        lam_vec = np.exp(rng.uniform(np.log(eps * 1e-3), np.log(eps * 0.9), ell))
-        jitter = rng.uniform(0.9, 1.1, len(system.blocks))
+        lams = np.exp(rng.uniform(lam_lo, lam_hi, ell)).tolist()
+        jitter = rng.uniform(0.9, 1.1, len(system.blocks)).tolist()
         norms = {}
-        for pos, k in enumerate(system.blocks):
-            base = system.norms.get(k, 1.0)
-            if k in system.zero_blocks:
-                base = float(np.exp(rng.uniform(np.log(1e-6), np.log(0.5))))
-            scale = 1.0
-            for j in range(ell):
-                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
-            norms[k] = base * scale * float(jitter[pos])
+        for (k, base, col), jit in zip(system._columns, jitter):
+            if base is None:
+                base = float(np.exp(rng.uniform(zero_lo, zero_hi)))
+            norms[k] = base * _contraction(lams, col) * jit
         if system.member(norms, shrunk):
             out.append(norms)
     return out
+
+
+def _contraction(lams: list[float], col: tuple[float, ...]) -> float:
+    """The factor prod_j lam_j^(a_jk) by which the actions scale one block."""
+    scale = 1.0
+    for lam, a in zip(lams, col):
+        scale *= lam ** a
+    return scale
 
 
 @dataclass(frozen=True)
@@ -424,12 +461,9 @@ def contraction_stable_check(system: MulticoneSystem, samples: int,
     checked = 0
     for norms in pts:
         lam_vec = rng.uniform(0.05, 1.0, ell)
-        moved = {}
-        for k in system.blocks:
-            scale = 1.0
-            for j in range(ell):
-                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
-            moved[k] = norms[k] * scale
+        lams = lam_vec.tolist()
+        moved = {k: norms[k] * _contraction(lams, col)
+                 for k, _, col in system._columns}
         checked += 1
         if not system.member(moved, eps):
             failures.append((norms, tuple(lam_vec)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .linear import fr
@@ -124,13 +125,20 @@ class BlockPolynomial:
 
     def evaluate(self, values) -> float:
         out = 0.0
-        for i, c in self.terms:
-            term = float(c)
-            for coord, e in enumerate(i):
-                if e:
-                    term *= values[coord] ** e
+        for c, factors in self._float_terms:
+            term = c
+            for coord, e in factors:
+                term *= values[coord] ** e
             out += term
         return out
+
+    @cached_property
+    def _float_terms(self) -> tuple:
+        """Each term as its float coefficient and its (coordinate, exponent)
+        factors, converted on first evaluation."""
+        return tuple((float(c), tuple((coord, e) for coord, e in enumerate(i)
+                                      if e))
+                     for i, c in self.terms)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -1,7 +1,9 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import deformation, point, rank_and_normalize
 from multispec.levels import build_levels, level_eq, lmono
@@ -285,3 +287,66 @@ def test_classify_rejections():
         classify_two_manifolds([[2, 0], [0, 1]])  # not normalized
     with pytest.raises(ValueError):
         classify_two_manifolds([[1, 0], [0, 1], [1, 1]])
+
+
+def _derivative_family(f, d):
+    """canonical_family entry by entry: differentiate, then restrict."""
+    struct = f.struct
+    fam = {}
+    for J in subsets_of_actions(d.ell):
+        K_J = set()
+        for j in J:
+            K_J |= set(d.k_set(j))
+        coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
+        entries = {}
+        for idx, _ in f.terms:
+            alpha = tuple(idx[c] if c in coords else 0
+                          for c in range(struct.n))
+            if alpha not in entries:
+                entries[alpha] = f.diff_multi(alpha).restrict_zero(K_J)
+        fam[J] = entries
+    return fam
+
+
+@st.composite
+def _small_deformations(draw):
+    ell, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2)]),
+                   min_size=m, max_size=m).filter(any)
+    rows = draw(st.lists(row, min_size=ell, max_size=ell))
+    dims = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return deformation(rows, block_dims=dims)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_deformations(), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(1, 8))
+def test_canonical_family_matches_derivative_route(d, seed, degree, terms):
+    f = random_polynomial(structure_of(d), np.random.default_rng(seed),
+                          max_degree=degree, terms=terms)
+    got, want = canonical_family(f, d), _derivative_family(f, d)
+    assert list(got) == list(want)
+    for J, entries in want.items():
+        assert list(got[J]) == list(entries)
+        for alpha, poly in entries.items():
+            assert got[J][alpha].terms == poly.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_deformations(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_polynomial_evaluate_matches_exact_terms(d, seed, data):
+    s = structure_of(d)
+    f = random_polynomial(s, np.random.default_rng(seed), max_degree=4,
+                          terms=6)
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=s.n,
+                                max_size=s.n))
+    want = 0.0
+    for idx, c in f.terms:
+        term = float(c)
+        for coord, e in enumerate(idx):
+            if e:
+                term *= values[coord] ** e
+        want += term
+    assert f.evaluate(values) == want

@@ -25,15 +25,18 @@ def test_pipeline_text_and_json():
 
 
 def test_pipeline_does_not_load_numpy():
-    # numpy is imported only by the subcommands and functions that sample
+    # numpy is imported only by the subcommands and functions that sample;
+    # the fixtures also evaluate multicone membership
     code = ("import sys, multispec.cli; "
             "rc = multispec.cli.main(sys.argv[1:]); "
             "print('numpy' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code, "pipeline", SC_RUNNING],
-                         capture_output=True, text=True)
-    assert res.returncode == 0
-    assert "Fq" in res.stdout
-    assert res.stdout.splitlines()[-1] == "False"
+    for args, expect in ((["pipeline", SC_RUNNING], "Fq"),
+                         (["fixtures"], " 0 failures")):
+        res = subprocess.run([sys.executable, "-c", code, *args],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert expect in res.stdout
+        assert res.stdout.splitlines()[-1] == "False"
 
 
 def test_env_var_format():

@@ -148,6 +148,48 @@ def test_evaluate_level_examples():
     assert evaluate_level(lmono("1"), {1: 3}) == 1.0
     d, fam = fam_for([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     assert math.isclose(evaluate_level(fam.rho_Lambda[3], {1: 2, 2: 3, 3: 12}), 2.0)
+    with pytest.raises(ValueError):
+        evaluate_level(fam.rho_Lambda[3], {1: 2, 2: 0.0, 3: 12})
+
+
+def _scalar_level(e, tau_values):
+    """The tree evaluated from its exact exponents at every node."""
+    if e.kind == "mono":
+        out = 1.0
+        for v, x in e.mono.exps:
+            base = float(tau_values[v.index])
+            if base <= 0:
+                raise ValueError(f"nonpositive value for {v}")
+            out *= base ** float(x)
+        return out
+    vals = [_scalar_level(c, tau_values) for c in e.children]
+    if e.kind == "max":
+        return max(vals)
+    if e.kind == "min":
+        return min(vals)
+    if e.kind == "prod":
+        out = 1.0
+        for v in vals:
+            out *= v
+        return out
+    return vals[0] ** float(e.exp)
+
+
+def test_evaluate_level_matches_scalar_oracle():
+    d = deformation([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
+    p = point()
+    trees = list(build_generalized_levels(d, rank_and_normalize(d, p),
+                                          p).rho_Lambda.values())
+    trees += list(fam_for([[1, 0, 1], [0, 1, 1], [0, 0, 1],
+                           [1, 1, 1]])[1].rho_Lambda.values())
+    # uncanonicalised trees keep their product and power nodes
+    trees.append(lprod(lpow(lmax("t1", "t2/t3"), Fraction(-3, 2)),
+                       lmin("t1*t3", "t2^(1/2)"), "t3^(2/3)"))
+    rng = np.random.default_rng(11)
+    for e in trees:
+        for _ in range(40):
+            taus = {k: float(np.exp(rng.uniform(-6, 2))) for k in (1, 2, 3)}
+            assert evaluate_level(e, taus) == _scalar_level(e, taus)
 
 
 def test_canonical_identities():

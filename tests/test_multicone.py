@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multispec.deformation import deformation, point
 from multispec.monomials import pair
 from multispec.multicone import (build_multicone, closure, project,
                                  contraction_stable_check, sample_members,
                                  normal_cone_probe, ProbeOutcome,
-                                 ClosureCapExceeded, SystemKind)
+                                 ClosureCapExceeded, ContractionReport,
+                                 SystemKind)
 from multispec.semigroup import run_pipeline
+from test_semigroup import _pipeline_or_none, scenarios
 
 
 def system_for(rows, zeros=frozenset(), **kw):
@@ -218,3 +222,227 @@ def test_member_per_pair_bounds():
     assert not s.member(good, 0.1)
     per = {0: (0.1, 0.1), 1: (0.2, 0.2)}
     assert s.member(good, per)
+
+
+# The scalar evaluation, kept as the oracle of the compiled one: every call
+# re-derives the floats from the exact inequalities.
+
+def _eval_parts(ineq, norms):
+    num, den = ineq.split()
+    nv = dv = 1.0
+    for v, e in num.exps:
+        nv *= float(norms.get(v.index, 0.0)) ** float(e)
+    for v, e in den.exps:
+        dv *= float(norms.get(v.index, 0.0)) ** float(e)
+    return nv, dv
+
+
+def _upper(bound, eps, xi_norms):
+    out = 1.0
+    for v, a in bound.factors:
+        out *= (v.evaluate(xi_norms) + eps) ** float(a)
+    return out
+
+
+def _lower(bound, eps, xi_norms, clamp):
+    out = 1.0
+    for v, a in bound.factors:
+        base = v.evaluate(xi_norms) - eps
+        if base <= 0:
+            return 0.0 if clamp else -math.inf
+        out *= base ** float(a)
+    return out
+
+
+def _scalar_member(system, norms, eps, cone_ok=None, x0_norm=None):
+    if cone_ok is not None and not all(cone_ok.get(k, True)
+                                       for k in system.blocks
+                                       if k not in system.zero_blocks):
+        return False
+    open_kind = system.kind is SystemKind.OPEN
+    per_pair = None
+    if isinstance(eps, (int, float)):
+        eps0 = float(eps)
+    else:
+        per_pair = dict(eps)
+        eps0 = float(per_pair.get("x0", max(
+            b for key, pair_ in per_pair.items() if key != "x0"
+            for b in pair_)))
+    for k in system.blocks:
+        val = float(norms.get(k, 0.0))
+        if val < 0 or (open_kind and val == 0.0
+                       and k not in system.zero_blocks):
+            return False
+    if system.has_x0 and x0_norm is not None and not (
+            x0_norm < eps0 if open_kind else x0_norm <= eps0):
+        return False
+    for pos, ineq in enumerate(system.inequalities):
+        if per_pair is None:
+            e_minus = e_plus = float(eps)
+        else:
+            e_minus, e_plus = (float(x) for x in per_pair[pos])
+        nv, dv = _eval_parts(ineq, norms)
+        hi = _upper(ineq.bound, e_plus, system.norms)
+        lo = _lower(ineq.bound, e_minus, system.norms, clamp=not open_kind)
+        if open_kind:
+            if not (lo * dv < nv < hi * dv):
+                return False
+        elif not (lo * dv <= nv <= hi * dv):
+            return False
+    return True
+
+
+def _scalar_sample_members(system, n, eps, rng, margin=0.05):
+    ell = len(system.action_rows)
+    out = []
+    tries = 0
+    shrunk = eps * (1.0 - margin)
+    while len(out) < n and tries < 200 * n:
+        tries += 1
+        lam_vec = np.exp(rng.uniform(np.log(eps * 1e-3), np.log(eps * 0.9),
+                                     ell))
+        jitter = rng.uniform(0.9, 1.1, len(system.blocks))
+        norms = {}
+        for pos, k in enumerate(system.blocks):
+            base = system.norms.get(k, 1.0)
+            if k in system.zero_blocks:
+                base = float(np.exp(rng.uniform(np.log(1e-6), np.log(0.5))))
+            scale = 1.0
+            for j in range(ell):
+                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
+            norms[k] = base * scale * float(jitter[pos])
+        if _scalar_member(system, norms, shrunk):
+            out.append(norms)
+    return out
+
+
+def _scalar_contraction_check(system, samples, rng_seed, eps=0.1):
+    rng = np.random.default_rng(rng_seed)
+    pts = _scalar_sample_members(system, samples, eps, rng)
+    ell = len(system.action_rows)
+    failures = []
+    checked = 0
+    for norms in pts:
+        lam_vec = rng.uniform(0.05, 1.0, ell)
+        moved = {}
+        for k in system.blocks:
+            scale = 1.0
+            for j in range(ell):
+                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
+            moved[k] = norms[k] * scale
+        checked += 1
+        if not _scalar_member(system, moved, eps):
+            failures.append((norms, tuple(lam_vec)))
+    return ContractionReport(samples, len(pts), checked, len(failures),
+                             failures)
+
+
+def test_member_reads_a_missing_block_as_zero():
+    _, s226 = system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2})
+    assert s226.member({3: 0.05}, 0.1)
+    assert s226.member({1: 0.0, 2: 0.0, 3: 0.05}, 0.1)
+    d = deformation([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
+    closed = closure(run_pipeline(d, None, point())).system
+    assert closed.member({2: 0.005}, 0.1)
+    assert closed.member({1: 0.0, 2: 0.005, 3: 0.0}, 0.1)
+    # off the zero pattern a missing block is a vanishing norm, not allowed
+    _, s = system_for([[1, 0], [0, 1]])
+    assert not s.member({1: 0.01}, 0.1)
+
+
+_EPS = st.sampled_from([0.05, 0.1, 0.2])
+_EPS_SIDE = st.floats(0.01, 0.3)
+
+
+@st.composite
+def _systems(draw):
+    pl = _pipeline_or_none(*draw(scenarios(max_rows=3, max_cols=3)))
+    assume(pl is not None)
+    system = build_multicone(pl, check_equivalence=False)
+    form = draw(st.sampled_from(["open", "closed", "project",
+                                 "closed-project"]))
+    if form.startswith("closed"):
+        system = closure(pl).system
+    if form.endswith("project"):
+        k = draw(st.sampled_from(system.blocks))
+        try:
+            system = project(system, k)
+        except ValueError:  # negative exponents on a vanishing block
+            assume(False)
+    if draw(st.booleans()):
+        system = replace(system, has_x0=True)
+    return system
+
+
+@st.composite
+def _norms(draw, system):
+    """Block norms near the system: contractions of the base norms, with
+    vanishing, missing and unrelated norms on and off the zero pattern."""
+    lams = [draw(st.floats(1e-4, 0.2)) for _ in system.action_rows]
+    norms = {}
+    for k in system.blocks:
+        how = draw(st.sampled_from(["contracted"] * 4
+                                   + ["zero", "missing", "free"]))
+        if how == "contracted":
+            scale = 1.0
+            for lam, row in zip(lams, system.action_rows):
+                scale *= lam ** float(row[k - 1])
+            norms[k] = (float(system.norms.get(k, 1.0)) * scale
+                        * draw(st.floats(0.5, 2.0)))
+        elif how == "zero":
+            norms[k] = 0.0
+        elif how == "free":
+            norms[k] = draw(st.floats(1e-6, 1.0))
+    return norms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems(), st.data())
+def test_member_matches_scalar_oracle(system, data):
+    for _ in range(20):
+        norms = data.draw(_norms(system))
+        if data.draw(st.booleans()):
+            eps = data.draw(_EPS)
+        else:
+            eps = {pos: (data.draw(_EPS_SIDE), data.draw(_EPS_SIDE))
+                   for pos in range(len(system.inequalities))}
+            if data.draw(st.booleans()):
+                eps["x0"] = data.draw(_EPS_SIDE)
+        cone_ok = data.draw(st.none() | st.dictionaries(
+            st.sampled_from(system.blocks), st.booleans()))
+        x0_norm = data.draw(st.none() | st.floats(0.0, 0.4))
+        assert system.member(norms, eps, cone_ok=cone_ok, x0_norm=x0_norm) \
+            is _scalar_member(system, norms, eps, cone_ok=cone_ok,
+                              x0_norm=x0_norm)
+
+
+CRITERION_7_RIGS = ([[1, 0], [0, 1]], [[3, 2], [1, 1]],
+                    [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]],
+                    [[1, 1], [0, 1]], [[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]])
+
+
+def test_sample_members_replays_scalar_sampler():
+    systems = [system_for(rows)[1] for rows in CRITERION_7_RIGS]
+    systems.append(system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2})[1])
+    for seed, system in enumerate(systems, start=500):
+        got = sample_members(system, 300, 0.1, np.random.default_rng(seed))
+        want = _scalar_sample_members(system, 300, 0.1,
+                                      np.random.default_rng(seed))
+        assert len(got) == 300
+        assert got == want
+
+
+def test_contraction_check_replays_scalar_check():
+    systems = [system_for(rows)[1] for rows in CRITERION_7_RIGS[:3]]
+    for seed, system in enumerate(systems, start=100):
+        got = contraction_stable_check(system, 300, rng_seed=seed)
+        assert got == _scalar_contraction_check(system, 300, rng_seed=seed)
+        assert got.sampled == 300
+    # the staircase under separated actions, which move points out of it,
+    # so that the failures are replayed too
+    _, tak = system_for([[1, 1], [0, 1]])
+    _, sep = system_for([[1, 0], [0, 1]])
+    moved = replace(tak, action_rows=sep.action_rows)
+    got = contraction_stable_check(moved, 50, rng_seed=7)
+    assert got == _scalar_contraction_check(moved, 50, rng_seed=7)
+    assert got.violations > 0
