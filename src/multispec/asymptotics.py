@@ -81,31 +81,34 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
     for j in J:
         K_J |= set(d.k_set(j))
     coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
+    # The weights of the actions in J (see weight_vector), and what one more
+    # unit in each coordinate adds to them.
+    acts = sorted(J)
+    steps = [[sigma * d.entry(j, struct.block_of(c)) for j in acts]
+             for c in coords]
 
-    def below(idx) -> bool:
-        w = weight_vector(d, struct, tuple(idx), sigma)
-        return all(w[j - 1] < N[j - 1] for j in J)
+    def below(w) -> bool:
+        return all(x < N[j - 1] for x, j in zip(w, acts))
 
     members: list[tuple[int, ...]] = []
 
-    def rec(pos: int, idx: list[int]):
+    def rec(pos: int, idx: list[int], w: list[Fraction]):
         if pos == len(coords):
             members.append(tuple(idx))
             return
         c = coords[pos]
         v = 0
-        while True:
+        while below(w):
             nxt = idx[:]
             nxt[c] = v
-            if not below(nxt):
-                break
-            rec(pos + 1, nxt)
+            rec(pos + 1, nxt, w)
             v += 1
+            w = [x + s for x, s in zip(w, steps[pos])]
 
     if any(n > 0 for n in N):
-        start = [0] * struct.n
-        if below(start):
-            rec(0, start)
+        zero = [Fraction(0)] * len(acts)
+        if below(zero):
+            rec(0, [0] * struct.n, zero)
     return IndexSet(J, N, tuple(sorted(members)))
 
 

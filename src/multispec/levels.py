@@ -4,9 +4,8 @@ minimised generalised family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations
 
 from .deformation import (DeformationData, PointPattern, RankData,
@@ -19,17 +18,30 @@ MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelExpr:
     kind: str
     mono: Monomial | None = None
     children: tuple["LevelExpr", ...] = ()
     exp: Fraction | None = None
+    # Caches filled on first use, outside every comparison: the hash, the
+    # canonical form (see canonical) and the float tree (see evaluate_level).
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _canonical: "LevelExpr | None" = field(default=None, init=False,
+                                           repr=False, compare=False)
+    _tree: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
-    @cached_property
-    def _compiled(self) -> tuple:
-        """The tree with float exponents, built on first evaluation."""
-        return _compile(self)
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.mono, self.children, self.exp))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return LevelExpr, (self.kind, self.mono, self.children, self.exp)
 
     def sort_key(self):
         if self.kind == MONO:
@@ -114,8 +126,19 @@ def canonical(e: LevelExpr) -> LevelExpr:
     Products and powers distribute into the lattice nodes (non-monomial
     product factors in sorted order), nested same-kind nodes flatten,
     duplicates collapse, children sort.  Comparison of level expressions is
-    structural equality of canonical forms.
+    structural equality of canonical forms.  The result is kept on the node,
+    and a canonical tree is its own canonical form.
     """
+    c = e._canonical
+    if c is None:
+        c = _canonical(e)
+        object.__setattr__(e, "_canonical", c)
+        if c._canonical is None:
+            object.__setattr__(c, "_canonical", c)
+    return c
+
+
+def _canonical(e: LevelExpr) -> LevelExpr:
     if e.kind == MONO:
         return e
     if e.kind == POW:
@@ -223,6 +246,18 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     d, r, p = pipeline.d, pipeline.r, pipeline.p
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
+    rho_lambda, rho_raw = _level_trees(pipeline)
+    family = LevelFamily(rho_lambda, rho_raw, {}, r.sel_cols,
+                         pipeline.elim_order)
+    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
+    return LevelFamily(rho_lambda, rho_raw, strict, r.sel_cols,
+                       pipeline.elim_order)
+
+
+def _level_trees(pipeline: PipelineResult):
+    """The canonical restricted level of every action, and the unrestricted
+    level of every eliminated one."""
+    r = pipeline.r
     elim = pipeline.elim_order
     rho_raw: dict[int, LevelExpr] = {}
     for j in elim:
@@ -249,10 +284,7 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
                    if v.kind != TAU or v.index not in r.sel_cols]
             if bad:
                 raise AssertionError(f"level for action {j} involves {bad}")
-
-    family = LevelFamily(rho_lambda, rho_raw, {}, r.sel_cols, elim)
-    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_lambda, rho_raw, strict, r.sel_cols, elim)
+    return rho_lambda, rho_raw
 
 
 def _leaves(e: LevelExpr):
@@ -288,7 +320,11 @@ def is_strict(family: LevelFamily, d: DeformationData, j: int) -> bool:
 
 def evaluate_level(e: LevelExpr, tau_values) -> float:
     """Numeric value at strictly positive scales."""
-    return _run(e._compiled, tau_values)
+    tree = e._tree
+    if tree is None:
+        tree = _compile(e)
+        object.__setattr__(e, "_tree", tree)
+    return _run(tree, tau_values)
 
 
 def _compile(e: LevelExpr) -> tuple:
@@ -337,9 +373,10 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
 
     Orderings whose leading rows are linearly independent each give a
     family; duplicates collapse before the pointwise minimum.  An ordering
-    acts only through its set of leading rows and the order of the rest,
-    so each such pair is built once.  Every action is strict with respect
-    to the result, which is asserted.
+    acts only through its set of leading rows and the order of the rest:
+    the pipeline is run once per set of leading rows, and each order of
+    the rest rebuilds only its elimination stages.  Every action is strict
+    with respect to the result, which is asserted.
     """
     total = 1
     for i in range(2, d.ell + 1):
@@ -347,29 +384,32 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
     if total > max_perms:
         raise PermutationBudgetExceeded(
             f"{total} orderings exceed the budget of {max_perms}")
+    if is_fixed_point(d, p):
+        raise ValueError("level functions need a point outside fixed points")
 
-    families: list[LevelFamily] = []
+    families: list[dict[int, LevelExpr]] = []
+    sel_cols: set[int] = set()
     seen: set[tuple] = set()
     for lead in combinations(range(1, d.ell + 1), r.L):
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
         rr = rank_and_normalize(d, p, fixed_rows=lead)
+        pipeline = run_pipeline(d, rr, p)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
-            fam = build_levels(run_pipeline(d, rr, p, elim_order=order))
-            key = tuple(canonical(fam.rho_Lambda[j])
-                        for j in range(1, d.ell + 1))
+            rho = _level_trees(pipeline.reordered(order))[0]
+            key = tuple(rho[j] for j in range(1, d.ell + 1))
             if key not in seen:
                 seen.add(key)
-                families.append(fam)
+                families.append(rho)
+                sel_cols.update(rr.sel_cols)
     if not families:
         raise ValueError("no admissible ordering: the rank data is inconsistent")
 
     rho_hat: dict[int, LevelExpr] = {}
     for j in range(1, d.ell + 1):
-        branches = [fam.rho_Lambda[j] for fam in families]
-        rho_hat[j] = canonical(lmin(branches))
-    sel_cols = tuple(sorted({k for fam in families for k in fam.sel_cols}))
+        rho_hat[j] = canonical(lmin([rho[j] for rho in families]))
+    sel_cols = tuple(sorted(sel_cols))
     family = LevelFamily(rho_hat, {}, {}, sel_cols, ())
     strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
     if not all(strict.values()):

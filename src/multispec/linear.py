@@ -1,6 +1,7 @@
 """Exact rational linear algebra: rank, inverse, solving, cone feasibility.
 
-Everything works over Fraction.  The cone feasibility solver is an
+Everything works over Fraction; rank and the cone feasibility solver
+eliminate on integers scaled from it.  The cone feasibility solver is an
 integer fraction-free phase-one simplex, Bland's rule.  It decides radical
 membership, and with it equivalence of generating sets, and prunes the
 integer membership search.
@@ -28,23 +29,32 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _whole_row(row) -> list[int]:
+    """The row times the lcm of its denominators: integers, same span."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def rank(a: Matrix) -> int:
+    """Fraction-free elimination (Bareiss) on the rows made integral: each
+    step divides exactly by the previous pivot."""
     if not a or not a[0]:
         return 0
-    m = [row[:] for row in a]
+    m = [_whole_row(row) for row in a]
     rows, cols = len(m), len(m[0])
     r = 0
+    d = 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
+        d = p
         r += 1
         if r == rows:
             break

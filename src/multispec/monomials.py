@@ -11,7 +11,7 @@ arithmetic is exact; floats appear only in `evaluate`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -24,24 +24,36 @@ _KIND_LETTER = {TAU: "t", LAM: "l", XI: "x"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """A single variable: kind in {tau, lam, xi} plus a 1-based index."""
 
     kind: str
     index: int
+    # The sort key and the hash, fixed at construction.
+    _key: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.index < 1:
             raise ValueError("variable indices are 1-based")
+        object.__setattr__(self, "_key", (_KIND_ORDER[self.kind], self.index))
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the hash depends on the process's string hashing, so it is rebuilt
+        return Var, (self.kind, self.index)
 
     def key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind], self.index)
+        return self._key
 
     def __lt__(self, other: "Var") -> bool:
-        return self.key() < other.key()
+        return self._key < other._key
 
     def __str__(self) -> str:
         return f"{_KIND_LETTER[self.kind]}{self.index}"
@@ -62,15 +74,36 @@ def xi(k: int) -> Var:
     return Var(XI, k)
 
 
+_NO_EXPONENT = Fraction(0)
+
+
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Product of rational powers of variables; the empty product is 1."""
+    """Product of rational powers of variables; the empty product is 1.
+
+    exps lists (variable, nonzero exponent) in increasing variable order.
+    """
 
     exps: tuple[tuple[Var, Fraction], ...]
+    # The hash and the sort key, computed on first use.
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _sort_key: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.exps,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Monomial, (self.exps,)
 
     @staticmethod
     def from_dict(d: Mapping[Var, Fraction | int]) -> "Monomial":
@@ -83,26 +116,51 @@ class Monomial:
         return dict(self.exps)
 
     def exponent(self, var: Var) -> Fraction:
+        key = var._key
         for v, e in self.exps:
-            if v == var:
+            if v._key == key:
                 return e
-        return Fraction(0)
+        return _NO_EXPONENT
 
     @property
     def is_one(self) -> bool:
         return not self.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] = d.get(v, Fraction(0)) + e
-        return Monomial.from_dict(d)
+        # merge the two sorted exponent lists, dropping cancelled variables
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (va, ea), (vb, eb) = a[i], b[j]
+            if va._key < vb._key:
+                out.append(a[i])
+                i += 1
+            elif vb._key < va._key:
+                out.append(b[j])
+                j += 1
+            else:
+                e = ea + eb
+                if e:
+                    out.append((va, e))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Monomial(tuple(out))
 
     def __pow__(self, r) -> "Monomial":
+        # a nonzero power keeps the support and the variable order
         r = _fr(r)
+        if r == 1:
+            return self
         if r == 0:
             return ONE
-        return Monomial.from_dict({v: e * r for v, e in self.exps})
+        return Monomial(tuple((v, e * r) for v, e in self.exps))
 
     def inv(self) -> "Monomial":
         return self ** Fraction(-1)
@@ -123,7 +181,12 @@ class Monomial:
         return out
 
     def sort_key(self):
-        return tuple((v.key(), e.numerator, e.denominator) for v, e in self.exps)
+        k = self._sort_key
+        if k is None:
+            k = tuple(x for v, e in self.exps
+                      for x in (*v._key, e.numerator, e.denominator))
+            object.__setattr__(self, "_sort_key", k)
+        return k
 
     def __str__(self) -> str:
         if self.is_one:

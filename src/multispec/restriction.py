@@ -205,8 +205,9 @@ def check_H2_subfamily(I_sets_B, subset) -> H2Report:
     pairing conditions that make restriction to the subfamily compatible.
 
     For each manifold outside the subfamily (removed one at a time, largest
-    index first) the removed row must pair to zero against its own quotient
-    and to zero or one against each solved inverse.
+    index first) the removed row must pair to zero or one against every
+    solved inverse (the phi logs) and every quotient (the psi logs) of the
+    family without it.
     """
     sets = [frozenset(s) for s in I_sets_B]
     bad = _h2_pairwise(sets)

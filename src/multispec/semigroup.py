@@ -4,7 +4,7 @@ a pair is a member (hence equivalence) by exact rational-cone LPs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm, prod
@@ -129,19 +129,25 @@ class PipelineResult:
             prev = stage
         raise KeyError(j)
 
+    def reordered(self, elim_order: tuple[int, ...]) -> "PipelineResult":
+        """The same pipeline with the parameters eliminated in another
+        order: only the parameter and zero-pattern stages are rebuilt."""
+        elim_order = tuple(elim_order)
+        if elim_order == self.elim_order:
+            return self
+        f0_stages, f_stages, fq = _stages(self.G, self.d, self.r, self.p,
+                                          elim_order, self.zero_cols_L)
+        return replace(self, F0_stages=f0_stages, F_stages=f_stages, Fq=fq,
+                       elim_order=elim_order)
 
-def run_pipeline(d: DeformationData, r: RankData | None = None,
-                 p: PointPattern | None = None,
-                 elim_order: tuple[int, ...] | None = None) -> PipelineResult:
-    p = p if p is not None else PointPattern(frozenset())
-    r = r or rank_and_normalize(d, p)
-    derived = derive_monomials(d, r)
-    G = build_G(d, r, p, derived)
 
+def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
+            elim_order: tuple[int, ...], zero_cols: tuple[int, ...]):
+    """The elimination stages from G, each unselected parameter in
+    elim_order and then each zero-pattern column of the minor, and the
+    final stage."""
     unselected = tuple(j for j in range(1, d.ell + 1) if j not in r.sel_rows)
-    if elim_order is None:
-        elim_order = unselected
-    elif tuple(sorted(elim_order)) != unselected:
+    if tuple(sorted(elim_order)) != unselected:
         raise ValueError("elimination order must list the unselected rows")
     stage = G
     f0_stages = []
@@ -151,14 +157,12 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
     if any(v.kind == LAM for pr in stage for v, _ in pr.f.exps):
         raise AssertionError("lambda variables survived the elimination")
 
-    zero_cols = tuple(sorted(k for k in r.sel_cols if k in p.zero_blocks))
     f_stages = []
     for k in zero_cols:
         stage = eliminate(stage, tau(k))
         f_stages.append((k, stage))
-    fq = stage
 
-    for pr in fq:
+    for pr in stage:
         for k in p.zero_blocks:
             e = pr.f.exponent(tau(k))
             if e < 0:
@@ -166,6 +170,21 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
             if e > 0 and not pr.v.is_zero:
                 raise AssertionError("nonzero value with positive zero-pattern "
                                      "exponent in F^q")
+    return tuple(f0_stages), tuple(f_stages), stage
+
+
+def run_pipeline(d: DeformationData, r: RankData | None = None,
+                 p: PointPattern | None = None,
+                 elim_order: tuple[int, ...] | None = None) -> PipelineResult:
+    p = p if p is not None else PointPattern(frozenset())
+    r = r or rank_and_normalize(d, p)
+    derived = derive_monomials(d, r)
+    G = build_G(d, r, p, derived)
+    if elim_order is None:
+        elim_order = [j for j in range(1, d.ell + 1) if j not in r.sel_rows]
+    elim_order = tuple(elim_order)
+    zero_cols = tuple(sorted(k for k in r.sel_cols if k in p.zero_blocks))
+    f0_stages, f_stages, fq = _stages(G, d, r, p, elim_order, zero_cols)
 
     # Shortcut cross-check: a non-degenerate action has no parameters left
     # to eliminate, and an empty zero pattern on the minor leaves G as is.
@@ -176,8 +195,8 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
                                  "non-degenerate action with no zero-pattern "
                                  "columns in the minor")
 
-    return PipelineResult(d, r, p, derived, G, tuple(f0_stages), tuple(f_stages),
-                          fq, zero_cols, elim_order)
+    return PipelineResult(d, r, p, derived, G, f0_stages, f_stages, fq,
+                          zero_cols, elim_order)
 
 
 class Verdict(Enum):

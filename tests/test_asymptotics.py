@@ -17,7 +17,8 @@ from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    derivative_identity_holds, consistency_C1,
                                    check_map, PolyMapSpec,
                                    classify_two_manifolds, verify_estimate,
-                                   flatness_check, subsets_of_actions)
+                                   flatness_check, subsets_of_actions,
+                                   weight_vector)
 from multispec.polynomials import (BlockStructure,
                                    poly_monomial, poly_zero, poly_const,
                                    random_polynomial, exp_truncation)
@@ -39,6 +40,58 @@ def rigs():
 
 
 RIGS = rigs()
+
+
+def _weight_vector_members(d, r, J, N):
+    """Oracle: the members found by recomputing weight_vector for every
+    candidate index, which index_set replaced by incremental weights."""
+    struct = structure_of(d)
+    K_J = set().union(*(d.k_set(j) for j in J))
+    coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
+
+    def below(idx) -> bool:
+        w = weight_vector(d, struct, tuple(idx), r.sigma_A)
+        return all(w[j - 1] < N[j - 1] for j in J)
+
+    members = []
+
+    def rec(pos, idx):
+        if pos == len(coords):
+            members.append(tuple(idx))
+            return
+        v = 0
+        while True:
+            nxt = idx[:]
+            nxt[coords[pos]] = v
+            if not below(nxt):
+                break
+            rec(pos + 1, nxt)
+            v += 1
+
+    if any(n > 0 for n in N) and below([0] * struct.n):
+        rec(0, [0] * struct.n)
+    return tuple(sorted(members))
+
+
+def test_index_set_matches_weight_vector_route():
+    # the criterion-7 rigs, a rational matrix and blocks of size two
+    rigs = [deformation(rows) for rows in (
+        [[1, 0], [0, 1]], [[3, 2], [1, 1]], [[1, 1], [0, 1]],
+        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]],
+        [[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]],
+        [[1, Fraction(1, 2)], [0, 1]])]
+    rigs.append(deformation([[1, 1, 0], [0, 1, 1]], block_dims=(2, 1, 2)))
+    for d in rigs:
+        r = rank_and_normalize(d, P0)
+        for J in subsets_of_actions(d.ell):
+            for N in ((0,) * d.ell, (1,) * d.ell, (3,) * d.ell,
+                      tuple(range(2, d.ell + 2)),
+                      tuple(range(d.ell + 1, 1, -1)),
+                      (4,) + (0,) * (d.ell - 1)):
+                got = index_set(d, r, J, N).members
+                assert got == _weight_vector_members(d, r, J, N)
 
 
 def test_index_set_examples():

@@ -1,19 +1,26 @@
+import copy
 import math
+import pickle
+import warnings
+from dataclasses import fields
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from multispec.deformation import deformation, point, rank_and_normalize
+from multispec.deformation import (deformation, is_fixed_point, point,
+                                   rank_and_normalize)
 from multispec.levels import (build_levels, build_generalized_levels,
                               canonical, effective_exponent, evaluate_level,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
-                              lprod, sol_lambda, subst_lambda,
+                              lprod, sol_lambda, subst_lambda, LevelFamily,
                               PermutationBudgetExceeded)
 from multispec.linear import rank
 from multispec.monomials import mono, tau
 from multispec.semigroup import run_pipeline
+from test_semigroup import scenarios
 
 
 def fam_for(rows, zeros=frozenset()):
@@ -269,3 +276,160 @@ def test_two_sided_scaling_bound():
                 bound = t ** float(n_bound)
                 assert r1 <= r0 * bound * (1 + 1e-9)
                 assert r1 >= r0 / bound * (1 - 1e-9)
+
+
+def _trees():
+    """Level trees built by every constructor, canonical or not; the last
+    ones still hold action parameters, so they cannot be evaluated."""
+    d = deformation([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
+    fam = build_levels(run_pipeline(d, None, point()))
+    return list(fam.rho_Lambda.values()) + [
+        lprod(lpow(lmax("t1", "t2/t3"), Fraction(-3, 2)),
+              lmin("t1*t3", "t2^(1/2)"), "t3^(2/3)"),
+        lmin(lmax("t1", lmax("t2", "t1")), "t3"),
+        lpow(lmin("1", "t1/t2"), 0),
+        lmono("t1/t2")], list(fam.rho_stages.values())
+
+
+TAUS = {1: 2.0, 2: 3.0, 3: 5.0}
+
+
+def test_canonical_form_is_kept_and_fixed():
+    for e in sum(_trees(), []):
+        c = canonical(e)
+        assert canonical(c) is c
+        assert canonical(e) is c
+        assert canonical(canonical(e)) is canonical(e)
+        # a fresh copy of the same tree finds the same form
+        assert canonical(copy.deepcopy(e)) == c
+
+
+def test_equal_trees_hash_alike():
+    a = lmax(lmono("t1"), lmono(mono("t2") * mono("t3^(-1)")))
+    b = lmax("t1", "t2/t3")
+    c = canonical(lmax("t2/t3", lmin("t1", "t1")))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    e1 = lprod(lmono("t1"), lpow(lmax(lmono("t1"), lmono("t2")), -1))
+    e2 = lmin(lmono("1"), lmono("t1/t2"))
+    assert hash(canonical(e1)) == hash(canonical(e2))
+    # caches take part in no comparison
+    evaluate_level(a, TAUS)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_level_trees_survive_pickle_and_deepcopy():
+    plain, with_params = _trees()
+    for e in plain + with_params:
+        hash(e)
+        canonical(e)
+        if e in plain:
+            evaluate_level(e, TAUS)
+        for back in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert back == e
+            assert hash(back) == hash(e)
+            assert str(back) == str(e)
+            assert canonical(back) == canonical(e)
+
+
+def test_level_trees_have_no_instance_dict():
+    # The hash, canonical form and float tree live in slots.  Setting them
+    # with object.__setattr__ on instances that have a __dict__ breaks
+    # CPython's key-sharing instance dicts, which cost about 15% more peak
+    # memory on the benchmark's elimination workload.
+    for e in _trees()[0]:
+        hash(e)
+        evaluate_level(e, TAUS)
+        assert not hasattr(e, "__dict__")
+        assert not hasattr(canonical(e), "__dict__")
+
+
+def _per_ordering_generalized_levels(d, r, p):
+    """Oracle: a full pipeline and level family per (leading rows, order of
+    the rest), minimised; build_generalized_levels shares one pipeline per
+    set of leading rows instead."""
+    families = []
+    seen = set()
+    for lead in combinations(range(1, d.ell + 1), r.L):
+        if rank([list(d.row(j)) for j in lead]) < r.L:
+            continue
+        rr = rank_and_normalize(d, p, fixed_rows=lead)
+        rest = [j for j in range(1, d.ell + 1) if j not in lead]
+        for order in permutations(rest):
+            fam = build_levels(run_pipeline(d, rr, p, elim_order=order))
+            key = tuple(canonical(fam.rho_Lambda[j])
+                        for j in range(1, d.ell + 1))
+            if key not in seen:
+                seen.add(key)
+                families.append(fam)
+    rho_hat = {j: canonical(lmin([fam.rho_Lambda[j] for fam in families]))
+               for j in range(1, d.ell + 1)}
+    sel_cols = tuple(sorted({k for fam in families for k in fam.sel_cols}))
+    family = LevelFamily(rho_hat, {}, {}, sel_cols, ())
+    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
+    return LevelFamily(rho_hat, {}, strict, sel_cols, ())
+
+
+def _check_generalized_against_oracle(d, p):
+    r = rank_and_normalize(d, p)
+    got = build_generalized_levels(d, r, p)
+    want = _per_ordering_generalized_levels(d, r, p)
+    assert got.rho_Lambda == want.rho_Lambda
+    assert got.strict == want.strict
+    assert got.sel_cols == want.sel_cols
+    # every reordered pipeline equals the pipeline run in that order
+    for lead in combinations(range(1, d.ell + 1), r.L):
+        if rank([list(d.row(j)) for j in lead]) < r.L:
+            continue
+        rr = rank_and_normalize(d, p, fixed_rows=lead)
+        base = run_pipeline(d, rr, p)
+        rest = [j for j in range(1, d.ell + 1) if j not in lead]
+        for order in permutations(rest):
+            fresh = run_pipeline(d, rr, p, elim_order=order)
+            moved = base.reordered(order)
+            for f in fields(fresh):
+                assert getattr(moved, f.name) == getattr(fresh, f.name), f.name
+
+
+@pytest.mark.parametrize("rows, zeros", [
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]], ()),
+    ([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]], ()),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], ()),
+    # zero patterns with zero-pattern stages after the parameter stages
+    ([[1, 0, 1], [2, 0, 2], [1, 1, 2], [0, 1, 1]], {2}),
+    ([[0, 2, 0], [2, 1, 2], [0, 1, 0], [1, 0, 1]], {1}),
+    ([[1, 1]], ()),
+])
+def test_generalized_levels_match_per_ordering_route(rows, zeros):
+    _check_generalized_against_oracle(deformation(rows),
+                                      point(zero_blocks=zeros))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_rows=5, max_cols=4))
+def test_generalized_levels_match_per_ordering_route_at_random(sc):
+    rows, zeros = sc
+    if len(rows) < 3:
+        rows = rows + [[a + b for a, b in zip(rows[0], rows[1])]]
+    zeros = set(zeros) | {k for k in range(1, len(rows[0]) + 1)
+                          if all(row[k - 1] == 0 for row in rows)}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = deformation(rows)
+    except ValueError:
+        return  # an identity action
+    p = point(zero_blocks=zeros)
+    if is_fixed_point(d, p):
+        with pytest.raises(ValueError, match="outside fixed points"):
+            build_generalized_levels(d, rank_and_normalize(d, p), p)
+        return
+    _check_generalized_against_oracle(d, p)
+
+
+def test_generalized_levels_reject_a_fixed_point():
+    d = deformation([[1, 0, 1], [0, 1, 1]])
+    p = point(zero_blocks={1, 2})
+    with pytest.raises(ValueError, match="outside fixed points"):
+        build_generalized_levels(d, rank_and_normalize(d, p), p)

@@ -72,6 +72,74 @@ def _fraction_nonneg_solution(columns, target):
     return x
 
 
+def _fraction_rank(a):
+    """Oracle: Gauss-Jordan elimination over Fractions, which rank replaced."""
+    if not a or not a[0]:
+        return 0
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+_RANK_ENTRIES = st.sampled_from(
+    [Fraction(x) for x in ("0", "0", "0", "1/3", "-1/2", "1", "-1", "3/2",
+                           "2", "-3", "5/7", "-12/5")])
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Matrices up to 7 x 5 with zero rows and columns, duplicated and
+    scaled rows, in shuffled order."""
+    n_cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_RANK_ENTRIES, min_size=n_cols,
+                                  max_size=n_cols), min_size=1, max_size=4))
+    for kind, src, c in draw(st.lists(st.tuples(
+            st.sampled_from(("zero row", "duplicate", "scaled")),
+            st.integers(0, 3), _RANK_ENTRIES), max_size=3)):
+        if kind == "zero row":
+            rows.append([Fraction(0)] * n_cols)
+        elif kind == "duplicate":
+            rows.append(list(rows[src % len(rows)]))
+        else:
+            rows.append([c * x for x in rows[src % len(rows)]])
+    for k in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in rows:
+            row[k] = Fraction(0)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_matrices())
+@example([])
+@example([[]])
+@example([[Fraction(0), Fraction(2, 3), Fraction(-1)]])
+@example([[Fraction(0)], [Fraction(1, 2)], [Fraction(-3)]])
+@example([[Fraction(0)] * 3] * 2)
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)],
+          [Fraction(0), Fraction(5, 7)]])
+def test_integer_rank_matches_fraction_oracle(a):
+    assert rank(a) == _fraction_rank(a)
+    t = [list(col) for col in zip(*a)]
+    assert rank(t) == _fraction_rank(t)
+    if a and a[0]:
+        assert rank(t) == rank(a)
+
+
 def test_rank_and_inverse():
     assert rank(mat([[1, 2], [2, 4]])) == 1
     assert rank(mat([[1, 0], [0, 1]])) == 2

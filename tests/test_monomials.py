@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from multispec.monomials import (Monomial, ONE, Pair, ZERO, UNIT_VALUE,
+from multispec.monomials import (Monomial, ONE, Pair, Var, ZERO, UNIT_VALUE,
                                  tau, lam, xi, mono, pair, xival,
                                  fraction_closure, evaluate, sorted_pairs)
 
@@ -128,3 +130,99 @@ def test_closure_never_inverts_zero(items):
     for p in gens:
         if p.v.is_zero and not p.f.is_one:
             assert Pair(p.f.inv(), p.v) not in q or p.f.inv() == p.f
+
+
+def _dict_mul(a, b):
+    """Oracle: the product through an exponent dict and a re-sort."""
+    d = a.as_dict()
+    for v, e in b.exps:
+        d[v] = d.get(v, Fraction(0)) + e
+    return Monomial.from_dict(d)
+
+
+def _dict_pow(m, r):
+    """Oracle: the power through an exponent dict and a re-sort."""
+    r = Fraction(r)
+    if r == 0:
+        return ONE
+    return Monomial.from_dict({v: e * r for v, e in m.exps})
+
+
+_VAR_MAKERS = (tau, lam, xi)
+
+
+def _mixed_monos():
+    # every variable family, so the merge crosses kinds as well as indices
+    return st.dictionaries(st.tuples(st.sampled_from(_VAR_MAKERS),
+                                     st.integers(1, 3)),
+                           _small, max_size=5).map(
+        lambda d: Monomial.from_dict({mk(i): v for (mk, i), v in d.items()}))
+
+
+def _same_exps(got, want):
+    assert got.exps == want.exps
+    assert all(type(e) is Fraction and e != 0 for _, e in got.exps)
+    assert [v.key() for v, _ in got.exps] == sorted(v.key() for v, _ in got.exps)
+
+
+@given(_mixed_monos(), _mixed_monos(), st.sampled_from(("free", "cancel")))
+@example(mono("t1*l2"), mono("x1/t2"), "free")          # disjoint supports
+@example(mono("t1*l2"), mono("t1^(1/2)*l1"), "free")    # overlapping
+@example(mono("t1*l2*x3"), mono("1"), "cancel")         # down to ONE
+@example(mono("1"), mono("1"), "free")
+def test_merge_mul_matches_dict_oracle(a, b, mode):
+    if mode == "cancel":
+        # b cancels part of a (all of it when b was the unit)
+        b = _dict_mul(b, _dict_pow(a, -1))
+    _same_exps(a * b, _dict_mul(a, b))
+    _same_exps(b * a, _dict_mul(b, a))
+    _same_exps(a * _dict_pow(a, -1), ONE)
+
+
+@given(_mixed_monos(), st.one_of(_small, st.integers(-3, 3)))
+@example(mono("t1*l2^(-1/2)"), 1)
+@example(mono("t1*l2^(-1/2)"), Fraction(1))
+@example(mono("t1*l2^(-1/2)"), 0)
+@example(mono("t1*l2^(-1/2)"), -1)
+@example(mono("t1*l2^(-1/2)"), Fraction(-2, 3))
+@example(ONE, Fraction(5, 2))
+def test_scaled_pow_matches_dict_oracle(m, r):
+    _same_exps(m ** r, _dict_pow(m, r))
+    if r == 1:
+        assert m ** r is m
+
+
+def test_equal_monomials_hash_alike():
+    routes = [mono("t1*t2^(1/2)/l3"),
+              mono("l3^(-1)*t2^(1/2)*t1"),
+              Monomial.from_dict({lam(3): -1, tau(2): Fraction(1, 2),
+                                  tau(1): 1}),
+              mono("t1*t2*l3") * mono("t2^(-1/2)*l3^(-2)"),
+              (mono("t1^2*t2/l3^2")) ** Fraction(1, 2)]
+    assert len(set(routes)) == 1
+    assert len({hash(m) for m in routes}) == 1
+    assert hash(Var("tau", 2)) == hash(tau(2))
+
+
+def test_kernel_objects_survive_pickle_and_deepcopy():
+    m = mono("t1^(3/2)*l2/x3")
+    p = pair("t3/(t1*t2)", "x3")
+    for obj in (tau(1), m, ONE, p, Pair(m, ZERO)):
+        hash(obj)  # fill the caches before copying
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj
+            assert hash(back) == hash(obj)
+            assert str(back) == str(obj)
+    assert {pickle.loads(pickle.dumps(m)): 1}[m] == 1
+
+
+def test_kernel_objects_have_no_instance_dict():
+    # Var and Monomial keep their caches in slots.  Cached values set with
+    # object.__setattr__ on instances that have a __dict__ break CPython's
+    # key-sharing instance dicts, which cost about 15% more peak memory on
+    # the benchmark's elimination workload.
+    m = mono("t1/l2")
+    hash(m)
+    m.sort_key()
+    for obj in (tau(1), m):
+        assert not hasattr(obj, "__dict__")

@@ -131,3 +131,25 @@ def test_h2_subfamily():
     assert rep.steps[0]["closed_form"] == {1: "t1", 2: "t2/t1", 3: "t3/t2"}
     rep = check_H2_subfamily([{1, 2}, {2, 3}], {1})
     assert not rep.holds and rep.failing_pairs == ((1, 2),)
+
+
+def test_h2_step_rule_is_zero_or_one_for_every_log():
+    # The rule: a removal step holds exactly when every phi log and every
+    # psi log is 0 or 1.  Passing steps have psi logs of one, not only zero,
+    # and a log of -1 fails its step.
+    seen_psi_one = seen_failing_step = False
+    for sets, subset in (([{1}, {2}, {3}], {1, 2}),
+                         ([{1, 2, 3}, {2, 3}, {3}], {1, 2}),
+                         ([{1, 2, 3}, {2, 3}, {3}], {1}),
+                         ([{1, 2, 3}, {2, 3}, {3}], {3}),
+                         ([{1, 2, 3}, {1}, {2}], {1})):
+        rep = check_H2_subfamily(sets, subset)
+        assert rep.steps
+        for step in rep.steps:
+            logs = list(step["phi_logs"].values()) + \
+                list(step["psi_logs"].values())
+            assert step["ok"] == all(v in (0, 1) for v in logs)
+            seen_psi_one |= step["ok"] and 1 in step["psi_logs"].values()
+            seen_failing_step |= not step["ok"]
+        assert rep.holds == all(step["ok"] for step in rep.steps)
+    assert seen_psi_one and seen_failing_step
