@@ -1,5 +1,9 @@
 """Command-line front end: scenario loading, per-module subcommands, the
-fixture regression runner, and text/json/latex rendering."""
+fixture regression runner, and text/json/latex rendering.
+
+Only the layers `pipeline` runs are imported here; every other subcommand
+imports its layers in its own body, so a cold call compiles no module it
+does not use."""
 
 from __future__ import annotations
 
@@ -9,21 +13,16 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .deformation import (deformation, point, rank_and_normalize,
                           classify_action, bundle_decomposition, ActionClass)
-from .levels import build_levels, build_generalized_levels, canonical
 from .linear import fr
 from .monomials import render_genset, sorted_pairs
-from .multicone import build_multicone, closure, project, normal_cone_probe
-from .polynomials import BlockPolynomial, BlockStructure, poly_zero
-from .restriction import check_restriction
 from .semigroup import run_pipeline
-from .asymptotics import (structure_of, subsets_of_actions, index_set,
-                          remainder_exponent, check_map, PolyMapSpec,
-                          classify_two_manifolds, verify_estimate,
-                          subset_label, constraint_text)
-from .fixtures import run_fixtures
+
+if TYPE_CHECKING:
+    from .polynomials import BlockPolynomial, BlockStructure
 
 
 class ScenarioError(ValueError):
@@ -58,6 +57,8 @@ def load_scenario(source: str):
 
 def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial:
     """Sums of monomials over block coordinates, e.g. "z1*z2 - 2/3*z1^3"."""
+    from .polynomials import BlockPolynomial, poly_zero
+
     text = text.replace("-", "+-").replace("++-", "+-")
     total = poly_zero(struct)
     for raw in text.split("+"):
@@ -117,6 +118,8 @@ def _pipeline_payload(pl):
 
 
 def _level_lines(fam, name: str = "rho") -> list[str]:
+    from .levels import canonical
+
     return [f"{name}[{j}] = {canonical(fam.rho_Lambda[j])}   "
             f"strict: {fam.strict[j]}" for j in sorted(fam.rho_Lambda)]
 
@@ -124,6 +127,8 @@ def _level_lines(fam, name: str = "rho") -> list[str]:
 def _levels_or_reason(pl):
     """The level family, or None and the reason it is unavailable (the
     point is fixed)."""
+    from .levels import build_levels
+
     try:
         return build_levels(pl), None
     except ValueError as exc:
@@ -146,6 +151,8 @@ def cmd_pipeline(args):
 
 
 def cmd_levels(args):
+    from .levels import build_levels, build_generalized_levels
+
     pl = _scenario_pipeline(args)
     fam = build_levels(pl)
     lines = _level_lines(fam)
@@ -158,6 +165,8 @@ def cmd_levels(args):
 
 
 def cmd_multicone(args):
+    from .multicone import build_multicone
+
     pl = _scenario_pipeline(args)
     system = build_multicone(pl)
     lines = system.text()
@@ -168,11 +177,15 @@ def cmd_multicone(args):
 
 
 def cmd_closure(args):
+    from .multicone import closure
+
     cl = closure(_scenario_pipeline(args), rounds=args.rounds)
     _emit(args, cl.system.json(), _closure_lines(cl))
 
 
 def cmd_project(args):
+    from .multicone import build_multicone, project
+
     system = build_multicone(_scenario_pipeline(args), check_equivalence=False)
     for k in args.drop:
         system = project(system, k)
@@ -180,6 +193,8 @@ def cmd_project(args):
 
 
 def cmd_restrict(args):
+    from .restriction import check_restriction
+
     d, p, _ = load_scenario(args.scenario)
     beta = [fr(x) for x in args.beta.split(",")]
     verdict = check_restriction(d, p, beta)
@@ -223,6 +238,9 @@ class _GraphSet:
 
 
 def cmd_probe(args):
+    from .asymptotics import structure_of
+    from .multicone import normal_cone_probe
+
     d, p, _ = load_scenario(args.scenario)
     struct = structure_of(d)
     equations = []
@@ -245,6 +263,10 @@ def cmd_probe(args):
 
 
 def cmd_expand(args):
+    from .asymptotics import (constraint_text, index_set, remainder_exponent,
+                              subset_label, subsets_of_actions)
+    from .levels import canonical
+
     pl = _scenario_pipeline(args)
     d, r = pl.d, pl.r
     N = tuple(int(x) for x in args.N.split(","))
@@ -272,6 +294,8 @@ def cmd_expand(args):
 
 
 def cmd_map_check(args):
+    from .asymptotics import PolyMapSpec, check_map, structure_of
+
     with open(args.spec_file) as fh:
         data = json.load(fh)
     src = deformation([[fr(x) for x in row] for row in data["source"]["A"]],
@@ -293,6 +317,8 @@ def cmd_map_check(args):
 
 
 def cmd_classify2(args):
+    from .asymptotics import classify_two_manifolds
+
     rows = json.loads(args.matrix)
     case = classify_two_manifolds([[fr(x) for x in row] for row in rows])
     lines = [f"case: {case.label}",
@@ -307,6 +333,8 @@ def cmd_classify2(args):
 
 
 def cmd_verify(args):
+    from .asymptotics import structure_of, verify_estimate
+
     d, p, _ = load_scenario(args.scenario)
     r = rank_and_normalize(d, p)
     struct = structure_of(d)
@@ -321,6 +349,11 @@ def cmd_verify(args):
 
 
 def cmd_analyze(args):
+    from .asymptotics import (constraint_text, remainder_exponent,
+                              subset_label, subsets_of_actions)
+    from .levels import build_generalized_levels, canonical
+    from .multicone import build_multicone, closure
+
     pl = _scenario_pipeline(args)
     d, r, p, derived = pl.d, pl.r, pl.p, pl.derived
     action_class = classify_action(d)
@@ -367,6 +400,8 @@ def cmd_analyze(args):
 
 
 def cmd_fixtures(args):
+    from .fixtures import run_fixtures
+
     results = run_fixtures(args.filter or "")
     if not results:
         print("warning: no fixtures match the filter")

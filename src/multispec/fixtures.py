@@ -9,12 +9,20 @@ multicone systems, expansion data).  The test suite and the command-line
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
+from .asymptotics import (index_set, structure_of, remainder_exponent,
+                          check_map, PolyMapSpec, classify_two_manifolds)
 from .deformation import deformation, point, rank_and_normalize
 from .levels import (build_levels, build_generalized_levels, canonical,
                      level_eq, lmax, lmono, lpow, lprod)
-from .monomials import Pair, Monomial, mono, pair, render_genset, tau
+from .linear import sigma_for
+from .monomials import (Pair, Monomial, ONE, UNIT_VALUE, mono, pair,
+                        render_genset, tau)
+from .multicone import build_multicone, closure, project
+from .polynomials import poly_monomial
 from .restriction import (check_same_rank, check_rank_plus_one,
                           extended_matrix)
 from .semigroup import run_pipeline, eliminate, radical_member, Verdict
@@ -60,8 +68,6 @@ def fixture(name, *tags):
         return fn
     return deco
 
-
-from .monomials import ONE, UNIT_VALUE  # noqa: E402
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
@@ -361,25 +367,15 @@ def _fx_327_levels():
 
 # --------------------------------------------------------------- multicone
 
-from .multicone import build_multicone, closure, project  # noqa: E402
-from .linear import sigma_for  # noqa: E402
-from fractions import Fraction as _Fr  # noqa: E402
-from math import gcd as _gcd  # noqa: E402
-
-
 def _primitive(m: Monomial):
     """Integer exponent vector scaled primitively, for notation-free
     comparison of cone inequalities."""
     if m.is_one:
         return ()
     exps = [(v, e) for v, e in m.exps]
-    den = 1
-    for _, e in exps:
-        den = den * e.denominator // _gcd(den, e.denominator)
+    den = lcm(*(e.denominator for _, e in exps))
     ints = [int(e * den) for _, e in exps]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple((str(v), x // g) for (v, _), x in zip(exps, ints))
 
 
@@ -498,12 +494,6 @@ def _fx_projection():
 
 # -------------------------------------------------------------- asymptotics
 
-from .asymptotics import (index_set, structure_of,  # noqa: E402
-                          remainder_exponent, check_map, PolyMapSpec,
-                          classify_two_manifolds)
-from .polynomials import poly_monomial  # noqa: E402
-
-
 @fixture("asymptotics-index-sets", "asymptotics")
 def _fx_index_sets():
     out = []
@@ -547,7 +537,7 @@ def _fx_remainders():
         want = lmono(mono(f"t1^({N[0] - N[1]})*t2^({N[1]})"))
         out.append(CheckResult(f"staircase N={N}", level_eq(rem, want)))
     # general two-block with rational entries
-    b, c = _Fr(1, 2), _Fr(1, 3)
+    b, c = Fraction(1, 2), Fraction(1, 3)
     dgen = deformation([[1, b], [c, 1]])
     rgen = rank_and_normalize(dgen, p0)
     famg = build_levels(run_pipeline(dgen, rgen, p0))
@@ -602,7 +592,8 @@ def _fx_classify():
     out.append(CheckResult("m=2 N=2", case.label == "m=2,N=2"))
     case = classify_two_manifolds([[1, 2], [0, 1]])
     out.append(CheckResult("m=2 N=3", case.label == "m=2,N=3"))
-    case = classify_two_manifolds([[1, _Fr(1, 2)], [_Fr(1, 3), 1]])
+    case = classify_two_manifolds([[1, Fraction(1, 2)],
+                                   [Fraction(1, 3), 1]])
     out.append(CheckResult("m=2 N=4", case.label == "m=2,N=4"))
     case = classify_two_manifolds([[1, 0, 2], [0, 1, 0]])
     out.append(CheckResult("m=3 N=3", case.label == "m=3,N=3"))
@@ -612,7 +603,8 @@ def _fx_classify():
     out.append(CheckResult("m=3 N=4b", case.label == "m=3,N=4b"))
     case = classify_two_manifolds([[1, 1, 3], [0, 1, 1]])
     out.append(CheckResult("m=3 N=5", case.label == "m=3,N=5"))
-    case = classify_two_manifolds([[1, _Fr(1, 2), 1], [_Fr(1, 2), 1, 1]])
+    case = classify_two_manifolds([[1, Fraction(1, 2), 1],
+                                   [Fraction(1, 2), 1, 1]])
     out.append(CheckResult("m=3 N=6", case.label == "m=3,N=6"))
     for bad in ([[1, 1], [1, 1]], [[1, 1, 1], [0, 1, 1]], [[1, 0, 1], [0, 1, 0]]):
         try:

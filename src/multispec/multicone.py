@@ -297,14 +297,16 @@ def closure(pipeline: PipelineResult, rounds: int | None = 1,
     """
     base = [ClosureEntry(pr, ((pr, 1),)) for pr in sorted_pairs(pipeline.Fq)]
     entries = {e.pair: e for e in base}
-    sel = pipeline.r.sel_cols
+    taus = [tau(k) for k in pipeline.r.sel_cols]
 
     def products(pool_a, pool_b):
+        # each entry's exponents on the selected columns, read once per call
+        exps_b = [(eb, [eb.pair.f.exponent(t) for t in taus]) for eb in pool_b]
         new = []
         for ea in pool_a:
-            for eb in pool_b:
-                for k in sel:
-                    ef, eg = ea.pair.f.exponent(tau(k)), eb.pair.f.exponent(tau(k))
+            exps_a = [ea.pair.f.exponent(t) for t in taus]
+            for eb, exps in exps_b:
+                for ef, eg in zip(exps_a, exps):
                     if ef > 0 and eg < 0:
                         a, b = _balanced(ef, eg)
                         prod = (ea.pair ** a) * (eb.pair ** b)
@@ -325,7 +327,10 @@ def closure(pipeline: PipelineResult, rounds: int | None = 1,
         if rounds is not None and round_no >= rounds:
             break
         fresh = []
-        for e in products(frontier, base) + products(base, frontier):
+        made = products(frontier, base)
+        if frontier is not base:
+            made += products(base, frontier)
+        for e in made:
             if e.pair not in entries:
                 entries[e.pair] = e
                 fresh.append(e)

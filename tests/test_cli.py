@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SC_RUNNING = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"]],
                          "zeros": [1, 2]})
 
@@ -39,6 +41,61 @@ def test_pipeline_does_not_load_numpy():
         assert res.stdout.splitlines()[-1] == "False"
 
 
+BASE_LAYERS = {"multispec", "multispec.cli", "multispec.monomials",
+               "multispec.deformation", "multispec.semigroup",
+               "multispec.linear"}
+EXPANSION_LAYERS = BASE_LAYERS | {"multispec.asymptotics", "multispec.levels",
+                                  "multispec.multicone",
+                                  "multispec.polynomials"}
+SC_PLANE = json.dumps({"A": [["3", "2"], ["1", "1"]]})
+MAP_SPEC = {
+    "source": {"A": [["1", "0"], ["0", "1"]]},
+    "target": {"A": [["3", "2"], ["1", "1"]]},
+    "components": ["z1^3*z2", "z1^2*z2"],
+}
+
+
+LAYER_CASES = [
+    (["pipeline", SC_RUNNING], BASE_LAYERS),
+    (["levels", SC_PLANE, "--generalized"],
+     BASE_LAYERS | {"multispec.levels"}),
+    (["multicone", SC_RUNNING], BASE_LAYERS | {"multispec.multicone"}),
+    (["closure", SC_RUNNING], BASE_LAYERS | {"multispec.multicone"}),
+    (["project", SC_PLANE, "--drop", "1"],
+     BASE_LAYERS | {"multispec.multicone"}),
+    (["restrict", "--matrix", SC_RUNNING, "--beta", "1,0,0"],
+     BASE_LAYERS | {"multispec.restriction"}),
+    (["probe", SC_RUNNING, "--zset", "z3=0", "--samples", "50"],
+     EXPANSION_LAYERS),
+    (["expand", SC_PLANE, "--N", "2,1"], EXPANSION_LAYERS),
+    (["map-check", "MAP_SPEC"], EXPANSION_LAYERS),
+    (["classify2", "--matrix", "[[1, 2], [0, 1]]"], EXPANSION_LAYERS),
+    (["verify", SC_PLANE, "--function", "z1*z2", "--N", "1,1",
+      "--samples", "50"], EXPANSION_LAYERS),
+    (["analyze", SC_RUNNING], EXPANSION_LAYERS),
+    (["fixtures", "--filter", "pipeline-two-actions"],
+     EXPANSION_LAYERS | {"multispec.restriction", "multispec.fixtures"}),
+]
+
+
+@pytest.mark.parametrize("args, layers", LAYER_CASES,
+                         ids=[args[0] for args, _ in LAYER_CASES])
+def test_subcommand_loads_only_its_layers(args, layers, tmp_path):
+    # a cold call compiles only the modules its subcommand runs
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps(MAP_SPEC))
+    args = [str(spec) if a == "MAP_SPEC" else a for a in args]
+    code = ("import sys, multispec.cli; "
+            "rc = multispec.cli.main(sys.argv[1:]); "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multispec'))); "
+            "sys.exit(rc)")
+    res = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert set(res.stdout.splitlines()[-1].split()) == layers
+
+
 def test_env_var_format():
     res = run("pipeline", SC_RUNNING, env_extra={"MULTISPEC_FORMAT": "json"})
     json.loads(res.stdout)
@@ -58,6 +115,37 @@ def test_levels_and_multicone():
     assert "|z2| < eps*|z1|" in res.stdout
     res = run("--format", "latex", "multicone", sc)
     assert "\\epsilon" in res.stdout
+
+
+def test_levels_generalized():
+    # action 3 is not strict, but every member of the generalized family is
+    sc = json.dumps({"A": [["1", "0", "0"], ["0", "1", "0"],
+                           ["1", "1", "1"], ["1", "1", "0"],
+                           ["0", "1", "1"]]})
+    res = run("levels", sc, "--generalized")
+    assert res.returncode == 0
+    lines = res.stdout.splitlines()
+    assert "rho[3] = 1   strict: False" in lines
+    hats = [ln for ln in lines if ln.startswith("rho^[")]
+    assert len(hats) == 5 and all(ln.endswith("strict: True") for ln in hats)
+    payload = json.loads(run("--format", "json", "levels", sc,
+                             "--generalized").stdout)
+    assert set(payload) == {"rho", "rho_hat"}
+
+
+def test_closure_subcommand():
+    # the closure gains both flags; a second round adds their product
+    sc = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"],
+                           ["1", "1", "1"]]})
+    res = run("closure", sc)
+    assert res.returncode == 0
+    one = res.stdout.splitlines()
+    assert "|z1| <= eps*eps" in one and "|z2| <= eps*eps" in one
+    two = run("closure", sc, "--rounds", "2").stdout.splitlines()
+    assert two[:len(one)] == one
+    assert two[len(one):] == ["|z3| <= eps*eps*eps"]
+    payload = json.loads(run("--format", "json", "closure", sc).stdout)
+    assert len(payload["inequalities"]) == len(one)
 
 
 def test_restrict_subcommand():
@@ -121,13 +209,8 @@ def test_expand_at_a_fixed_point():
 
 
 def test_map_check_subcommand(tmp_path):
-    spec = {
-        "source": {"A": [["1", "0"], ["0", "1"]]},
-        "target": {"A": [["3", "2"], ["1", "1"]]},
-        "components": ["z1^3*z2", "z1^2*z2"],
-    }
     path = tmp_path / "map.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(MAP_SPEC))
     res = run("map-check", str(path))
     assert res.returncode == 0 and "z1^3*z2" in res.stdout
 

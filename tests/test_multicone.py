@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multispec.deformation import deformation, point
-from multispec.monomials import pair
+from multispec.monomials import pair, sorted_pairs, tau
 from multispec.multicone import (build_multicone, closure, project,
                                  contraction_stable_check, sample_members,
                                  normal_cone_probe, ProbeOutcome,
-                                 ClosureCapExceeded, ContractionReport,
-                                 SystemKind)
-from multispec.semigroup import run_pipeline
+                                 ClosureCapExceeded, ClosureEntry,
+                                 ContractionReport, SystemKind)
+from multispec.semigroup import _balanced, run_pipeline
 from test_semigroup import _pipeline_or_none, scenarios
 
 
@@ -113,6 +113,59 @@ def test_closure_fixpoint_cap():
     pl = run_pipeline(d, None, point())
     with pytest.raises(ClosureCapExceeded):
         closure(pl, rounds=None, cap=50)
+
+
+def _closure_entries_oracle(pl, rounds):
+    """The closure entries by the literal rule: each round balances every
+    (new, base) and (base, new) couple of entries on every selected column
+    where their exponents have opposite signs, looking each exponent up
+    afresh; a product met again keeps its first factors."""
+    base = [ClosureEntry(pr, ((pr, 1),)) for pr in sorted_pairs(pl.Fq)]
+    entries = {e.pair: e for e in base}
+    frontier = base
+    for _ in range(rounds):
+        fresh = []
+        for pool_a, pool_b in ((frontier, base), (base, frontier)):
+            for ea in pool_a:
+                for eb in pool_b:
+                    for k in pl.r.sel_cols:
+                        ef = ea.pair.f.exponent(tau(k))
+                        eg = eb.pair.f.exponent(tau(k))
+                        if not (ef > 0 and eg < 0):
+                            continue
+                        a, b = _balanced(ef, eg)
+                        prod = (ea.pair ** a) * (eb.pair ** b)
+                        if prod in entries:
+                            continue
+                        fac = {}
+                        for q, n in ea.factors:
+                            fac[q] = fac.get(q, 0) + n * a
+                        for q, n in eb.factors:
+                            fac[q] = fac.get(q, 0) + n * b
+                        entries[prod] = ClosureEntry(prod, tuple(sorted(
+                            fac.items(), key=lambda t: t[0].sort_key())))
+                        fresh.append(entries[prod])
+        frontier = fresh
+    return tuple(sorted(entries.values(), key=lambda e: e.pair.sort_key()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_rows=3, max_cols=3), st.sampled_from([1, 2]))
+def test_closure_matches_literal_rule(sc, rounds):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None)
+    assert closure(pl, rounds=rounds).entries == \
+        _closure_entries_oracle(pl, rounds)
+
+
+def test_closure_matches_literal_rule_on_examples():
+    for rows, zeros in (([[1, 0, 1], [0, 1, 1], [1, 1, 1]], ()),
+                        ([[1, 0, 1], [0, 1, 1]], (1, 2)),
+                        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], ())):
+        pl = _pipeline_or_none(rows, zeros)
+        for rounds in (1, 2, 3):
+            assert closure(pl, rounds=rounds).entries == \
+                _closure_entries_oracle(pl, rounds)
 
 
 def test_contraction_stability():
