@@ -7,17 +7,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           rank_and_normalize)
-from .levels import (LevelExpr, LevelFamily, LEVEL_ONE, lprod, lpow,
-                     canonical, evaluate_level, build_levels)
 from .linear import rank, mat
 from .monomials import Monomial, tau
-from .multicone import MulticoneSystem, build_multicone, sample_members
 from .polynomials import (BlockStructure, BlockPolynomial, poly_zero,
                           poly_monomial, factorial_multi)
 from .semigroup import run_pipeline
+
+if TYPE_CHECKING:
+    from .levels import LevelExpr, LevelFamily
+    from .multicone import MulticoneSystem
 
 
 def structure_of(d: DeformationData) -> BlockStructure:
@@ -191,8 +193,12 @@ def taylor_oracle(d: DeformationData, r: RankData, J, N,
 
 
 def remainder_exponent(family: LevelFamily, N, sigma: Fraction) -> LevelExpr:
-    """Product of per-action levels raised to order over scale; collapses to
-    a plain monomial when every level is one."""
+    """The remainder's level: the product of the per-action levels, each
+    raised to its order over the scale, left factored (LEVEL_ONE when every
+    order is zero).  canonical() multiplies it out into a max/min tree;
+    level_eq and evaluate_level take either form."""
+    from .levels import LEVEL_ONE, lpow, lprod
+
     N = tuple(N)
     factors = []
     for j, e in sorted(family.rho_Lambda.items()):
@@ -200,9 +206,7 @@ def remainder_exponent(family: LevelFamily, N, sigma: Fraction) -> LevelExpr:
         if n_j == 0:
             continue
         factors.append(lpow(e, n_j / sigma))
-    if not factors:
-        return LEVEL_ONE
-    return canonical(lprod(factors))
+    return lprod(factors) if factors else LEVEL_ONE
 
 
 def derivative_shift(d: DeformationData, r: RankData, N, k: int) -> tuple[int, ...]:
@@ -391,6 +395,11 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     """Fit the constant in the remainder bound by sampling and re-fit on the
     halved scale; the estimate passes when the constant does not grow by
     more than a factor of two."""
+    # The layers load before numpy: the other order raises the peak memory
+    # of `multispec verify` by about 1 MB.
+    from .levels import build_levels, evaluate_level
+    from .multicone import build_multicone, sample_members
+
     import numpy as np
 
     pipeline = run_pipeline(d, r, p)
@@ -493,6 +502,8 @@ class TwoManifoldCase:
 
 
 def _level_monos(e: LevelExpr) -> list[Monomial]:
+    from .levels import canonical
+
     c = canonical(e)
     if c.kind == "mono":
         return [c.mono]
@@ -505,6 +516,9 @@ def _level_monos(e: LevelExpr) -> list[Monomial]:
 def classify_two_manifolds(rows) -> TwoManifoldCase:
     """Match a normalized 2-row action matrix against the catalogue of
     two-manifold expansions with at most three blocks."""
+    from .levels import build_levels
+    from .multicone import build_multicone
+
     a = mat(rows)
     if len(a) != 2:
         raise ValueError("the catalogue covers exactly two actions")

@@ -16,6 +16,8 @@ from .semigroup import PipelineResult, run_pipeline
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
+_ORDER = {MAX: 1, MIN: 2, PROD: 3, POW: 4}
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,9 +27,12 @@ class LevelExpr:
     children: tuple["LevelExpr", ...] = ()
     exp: Fraction | None = None
     # Caches filled on first use, outside every comparison: the hash, the
-    # canonical form (see canonical) and the float tree (see evaluate_level).
+    # sort key, the canonical form (see canonical) and the float tree (see
+    # evaluate_level).
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False)
+    _sort_key: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
     _canonical: "LevelExpr | None" = field(default=None, init=False,
                                            repr=False, compare=False)
     _tree: tuple | None = field(default=None, init=False, repr=False,
@@ -44,11 +49,17 @@ class LevelExpr:
         return LevelExpr, (self.kind, self.mono, self.children, self.exp)
 
     def sort_key(self):
-        if self.kind == MONO:
-            return (0, self.mono.sort_key())
-        order = {MAX: 1, MIN: 2, PROD: 3, POW: 4}[self.kind]
-        return (order, tuple(c.sort_key() for c in self.children),
-                (self.exp.numerator, self.exp.denominator) if self.exp else ())
+        k = self._sort_key
+        if k is None:
+            if self.kind == MONO:
+                k = (0, self.mono.sort_key())
+            else:
+                k = (_ORDER[self.kind],
+                     tuple(c.sort_key() for c in self.children),
+                     (self.exp.numerator, self.exp.denominator)
+                     if self.exp else ())
+            object.__setattr__(self, "_sort_key", k)
+        return k
 
     def __str__(self) -> str:
         if self.kind == MONO:
@@ -155,7 +166,9 @@ def _canonical(e: LevelExpr) -> LevelExpr:
         if not nodes:
             return lmono(mono_part)
         nodes.sort(key=lambda n: n.sort_key())
-        acc = _combine(mono_part, nodes[0], Fraction(1))
+        acc = nodes[0]
+        if not mono_part.is_one:
+            acc = _combine(mono_part, acc, Fraction(1))
         for n in nodes[1:]:
             acc = _cross(acc, n)
         return canonical(acc)
@@ -202,8 +215,7 @@ def subst_lambda(e: LevelExpr, j: int, replacement: LevelExpr) -> LevelExpr:
         exp = e.mono.exponent(v)
         if exp == 0:
             return e
-        base = Monomial(tuple((w, x) for w, x in e.mono.exps if w != v))
-        return _combine(base, replacement, exp)
+        return _combine(_drop(e.mono, v), replacement, exp)
     if e.kind in (MAX, MIN):
         return LevelExpr(e.kind, children=tuple(subst_lambda(c, j, replacement)
                                                 for c in e.children))
@@ -256,59 +268,99 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
 
 def _level_trees(pipeline: PipelineResult):
     """The canonical restricted level of every action, and the unrestricted
-    level of every eliminated one."""
+    level of every eliminated one.
+
+    Restriction substitutes the eliminated parameters in elimination order,
+    one monomial leaf at a time.  The restricted form of a leaf from a
+    position of the order is memoised for this call: a leaf without the
+    parameter at that position moves on to the next one, and any other is
+    combined once with that parameter's level, whose leaves are restricted
+    from the next position.  As canonical forms of max and min nodes depend
+    only on the canonical forms of their children, the result equals the
+    canonical form of the whole tree substituted parameter by parameter.
+    """
     r = pipeline.r
     elim = pipeline.elim_order
     rho_raw: dict[int, LevelExpr] = {}
+    steps: list[tuple[Var, LevelExpr]] = []
     for j in elim:
-        stage = pipeline.stage_before_lambda(j)
-        branches = sorted({sol_lambda(pr, j) for pr in stage
-                           if pr.f.exponent(lam(j)) < 0},
+        v = lam(j)
+        branches = sorted({sol_lambda(pr, j)
+                           for pr in pipeline.stage_before_lambda(j)
+                           if pr.f.exponent(v) < 0},
                           key=lambda m: m.sort_key())
         rho_raw[j] = lmax([lmono(b) for b in branches]) if branches else LEVEL_ONE
+        steps.append((v, rho_raw[j]))
 
-    def restrict(e: LevelExpr) -> LevelExpr:
-        for j in elim:
-            e = subst_lambda(e, j, rho_raw[j])
-        return canonical(e)
+    memo: dict[tuple[Monomial, int], LevelExpr] = {}
+    action = 0
+
+    def leaf(m: Monomial, pos: int) -> LevelExpr:
+        key = (m, pos)
+        out = memo.get(key)
+        if out is None:
+            if pos == len(steps):
+                bad = [v for v, _ in m.exps
+                       if v.kind != TAU or v.index not in r.sel_cols]
+                if bad:
+                    raise AssertionError(
+                        f"level for action {action} involves {bad}")
+                out = lmono(m)
+            else:
+                v, repl = steps[pos]
+                x = m.exponent(v)
+                out = (leaf(m, pos + 1) if x == 0 else
+                       restrict(_combine(_drop(m, v), repl, x), pos + 1))
+            memo[key] = out
+        return out
+
+    def restrict(e: LevelExpr, pos: int) -> LevelExpr:
+        if e.kind == MONO:
+            return leaf(e.mono, pos)
+        return canonical(LevelExpr(e.kind, children=tuple(
+            restrict(c, pos) for c in e.children)))
 
     rho_lambda: dict[int, LevelExpr] = {}
-    for j in r.sel_rows:
-        rho_lambda[j] = restrict(lmono(pipeline.derived.phi_inv[j]))
-    for j in elim:
-        rho_lambda[j] = restrict(rho_raw[j])
-
-    for j, e in rho_lambda.items():
-        for leaf in _leaves(e):
-            bad = [v for v, _ in leaf.exps
-                   if v.kind != TAU or v.index not in r.sel_cols]
-            if bad:
-                raise AssertionError(f"level for action {j} involves {bad}")
+    for action in r.sel_rows:
+        rho_lambda[action] = leaf(pipeline.derived.phi_inv[action], 0)
+    for action in elim:
+        rho_lambda[action] = restrict(rho_raw[action], 0)
     return rho_lambda, rho_raw
 
 
-def _leaves(e: LevelExpr):
-    if e.kind == MONO:
-        yield e.mono
-    else:
-        for c in e.children:
-            yield from _leaves(c)
+def _drop(m: Monomial, v: Var) -> Monomial:
+    return Monomial(tuple((w, x) for w, x in m.exps if w != v))
 
 
 def effective_exponent(e: LevelExpr, scaling) -> Fraction:
     """Exponent of t in e after scaling tau_k by t^{s_k}; as t -> 0+ a max
-    is dominated by its smallest exponent and a min by its largest."""
-    if e.kind == MONO:
-        return sum((Fraction(scaling.get(v.index, 0)) * x
-                    for v, x in e.mono.exps if v.kind == TAU), Fraction(0))
-    vals = [effective_exponent(c, scaling) for c in e.children]
-    if e.kind == MAX:
-        return min(vals)
-    if e.kind == MIN:
-        return max(vals)
-    if e.kind == PROD:
-        return sum(vals, Fraction(0))
-    return e.exp * vals[0]
+    is dominated by its smallest exponent and a min by its largest.
+
+    One pass over the tree: shared subtrees are evaluated once (memoised by
+    identity for this call), and blocks with zero scaling are skipped.
+    """
+    scale = {k: s for k, s in scaling.items() if s}
+    memo: dict[int, Fraction] = {}
+
+    def walk(n: LevelExpr) -> Fraction:
+        out = memo.get(id(n))
+        if out is None:
+            if n.kind == MONO:
+                out = _ZERO
+                for v, x in n.mono.exps:
+                    s = scale.get(v.index) if v.kind == TAU else None
+                    if s is not None:
+                        out += s * x
+            elif n.kind == POW:
+                out = n.exp * walk(n.children[0])
+            else:
+                vals = [walk(c) for c in n.children]
+                out = (min(vals) if n.kind == MAX else
+                       max(vals) if n.kind == MIN else sum(vals, _ZERO))
+            memo[id(n)] = out
+        return out
+
+    return walk(e)
 
 
 def is_strict(family: LevelFamily, d: DeformationData, j: int) -> bool:

@@ -1,3 +1,5 @@
+import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import deformation, point, rank_and_normalize
-from multispec.levels import build_levels, level_eq, lmono
+from multispec.levels import (build_levels, canonical, evaluate_level,
+                              level_eq, lmono, lpow, lprod)
 from multispec.monomials import mono
 from multispec.semigroup import run_pipeline
 from multispec.asymptotics import (index_set, constraint_text, subset_label,
@@ -22,6 +25,8 @@ from multispec.asymptotics import (index_set, constraint_text, subset_label,
 from multispec.polynomials import (BlockStructure,
                                    poly_monomial, poly_zero, poly_const,
                                    random_polynomial, exp_truncation)
+
+from test_levels import check_levels_against_oracles
 
 P0 = point()
 
@@ -290,6 +295,102 @@ def test_remainder_exponents():
         else:
             want = lmono(mono(f"t1^({N[0] - 2 * N[1]})*t2^({3 * N[1] - N[0]})"))
             assert level_eq(rem, want)
+
+
+# Worked-example remainders: rows, orders, and the remainder's monomial.
+B, C = Fraction(1, 2), Fraction(1, 3)
+WORKED_REMAINDERS = [
+    ([[3, 2], [1, 1]], (1, 1), "t1^(-1)*t2^2"),
+    ([[3, 2], [1, 1]], (3, 2), "t1^(-1)*t2^3"),
+    ([[3, 2], [1, 1]], (4, 1), "t1^2*t2^(-1)"),
+    ([[1, 1], [0, 1]], (1, 1), "t2"),
+    ([[1, 1], [0, 1]], (3, 2), "t1*t2^2"),
+    ([[1, B], [C, 1]], (1, 1), f"t1^({(1 - B) / (1 - B * C) / 6})*"
+                               f"t2^({(1 - C) / (1 - B * C) / 6})"),
+    ([[1, B], [C, 1]], (2, 5), f"t1^({(2 - 5 * B) / (1 - B * C) / 6})*"
+                               f"t2^({(5 - 2 * C) / (1 - B * C) / 6})"),
+    ([[1, 1, 1], [0, 1, 0], [0, 0, 1]], (2, 1, 1), "t2*t3"),
+]
+# Scenarios whose remainders are lattice trees, not single monomials.
+TREE_SCENARIOS = [
+    [[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]],
+    [[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]],
+]
+STRESS_STEPS = ("0", "0", "1", "2")
+
+
+def stress_matrix(name, ell, m):
+    """A stress-tier action matrix drawn from its seed string: entries from
+    STRESS_STEPS, no zero row or column."""
+    rng = random.Random(name)
+    while True:
+        a = [[rng.choice(STRESS_STEPS) for _ in range(m)] for _ in range(ell)]
+        if all(any(x != "0" for x in row) for row in a) and \
+                all(any(row[k] != "0" for row in a) for k in range(m)):
+            return [[Fraction(x) for x in row] for row in a]
+
+
+def _stress_pipeline(name, ell, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicated rows
+        return run_pipeline(deformation(stress_matrix(name, ell, m)), None, P0)
+
+
+STRESS = [("eliminate-8x3-4", 8, 3), ("eliminate-8x4-2", 8, 4),
+          ("eliminate-10x4-7", 10, 4)]
+
+
+def _expanded_remainder(fam, N, sigma):
+    """The remainder multiplied out at once."""
+    factors = [lpow(e, Fraction(N[j - 1]) / sigma)
+               for j, e in sorted(fam.rho_Lambda.items()) if N[j - 1]]
+    return canonical(lprod(factors)) if factors else lmono("1")
+
+
+def _remainder_cases():
+    for rows, N, _ in WORKED_REMAINDERS:
+        yield run_pipeline(deformation(rows), None, P0), N
+    for rows in TREE_SCENARIOS:
+        for N in ((1,) * len(rows), (2,) + (0,) * (len(rows) - 1)):
+            yield run_pipeline(deformation(rows), None, P0), N
+    for name, ell, m in STRESS:
+        yield _stress_pipeline(name, ell, m), (1, 1) + (0,) * (ell - 2)
+
+
+def test_worked_remainders_from_the_factored_form():
+    for rows, N, want in WORKED_REMAINDERS:
+        pl = run_pipeline(deformation(rows), None, P0)
+        rem = remainder_exponent(build_levels(pl), N, pl.r.sigma_A)
+        assert rem.kind in ("prod", "pow")
+        assert level_eq(rem, lmono(want))
+
+
+def test_factored_remainder_expands_to_the_product():
+    rng = np.random.default_rng(5)
+    for pl, N in _remainder_cases():
+        fam = build_levels(pl)
+        rem = remainder_exponent(fam, N, pl.r.sigma_A)
+        expanded = _expanded_remainder(fam, N, pl.r.sigma_A)
+        assert canonical(rem) == expanded
+        for _ in range(20):
+            taus = {k: float(np.exp(rng.uniform(-1, 1)))
+                    for k in pl.r.sel_cols}
+            assert math.isclose(evaluate_level(rem, taus),
+                                evaluate_level(expanded, taus),
+                                rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name, ell, m", STRESS, ids=[s[0] for s in STRESS])
+def test_stress_levels_and_remainders_match_the_oracles(name, ell, m):
+    # pipeline -> levels -> remainder, against the sequential restriction,
+    # the per-node strictness and the remainder multiplied out at once
+    pl = _stress_pipeline(name, ell, m)
+    fam = build_levels(pl)
+    check_levels_against_oracles(pl, fam)
+    N = (1, 1) + (0,) * (ell - 2)
+    assert (canonical(remainder_exponent(fam, N, pl.r.sigma_A))
+            == _expanded_remainder(fam, N, pl.r.sigma_A))
 
 
 def test_verify_estimate_positive():

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from multispec.deformation import (deformation, is_fixed_point, point,
                                    rank_and_normalize)
@@ -18,9 +18,9 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               lprod, sol_lambda, subst_lambda, LevelFamily,
                               PermutationBudgetExceeded)
 from multispec.linear import rank
-from multispec.monomials import mono, tau
+from multispec.monomials import lam, mono, tau
 from multispec.semigroup import run_pipeline
-from test_semigroup import scenarios
+from test_semigroup import _pipeline_or_none, scenarios
 
 
 def fam_for(rows, zeros=frozenset()):
@@ -253,6 +253,12 @@ def test_effective_exponent_matches_numeric_slope():
             assert abs(slope - float(exact)) < 0.05
 
 
+def _nodes(e):
+    yield e
+    for c in e.children:
+        yield from _nodes(c)
+
+
 def test_two_sided_scaling_bound():
     # scaling one selected coordinate moves each level by at most its
     # leaf-exponent bound in either direction
@@ -261,10 +267,10 @@ def test_two_sided_scaling_bound():
     d = deformation(rows)
     pl = run_pipeline(d, None, point())
     fam = build_levels(pl)
-    from multispec.levels import _leaves
     for j, e in fam.rho_Lambda.items():
-        n_bound = max((abs(leaf.exponent(tau(k))) for leaf in _leaves(e)
-                       for k in pl.r.sel_cols), default=Fraction(0))
+        n_bound = max((abs(n.mono.exponent(tau(k))) for n in _nodes(e)
+                       if n.kind == "mono" for k in pl.r.sel_cols),
+                      default=Fraction(0))
         for t in (2.0, 10.0, 100.0):
             for k in pl.r.sel_cols:
                 taus = {kk: float(np.exp(rng.uniform(-1, 1)))
@@ -433,3 +439,116 @@ def test_generalized_levels_reject_a_fixed_point():
     p = point(zero_blocks={1, 2})
     with pytest.raises(ValueError, match="outside fixed points"):
         build_generalized_levels(d, rank_and_normalize(d, p), p)
+
+
+# Oracles for the memoised level-tree kernel: the restriction substituted
+# parameter by parameter over the whole tree, and strictness evaluated
+# afresh at every node.
+
+def _sequential_level_trees(pl):
+    """Every leaf substituted one eliminated parameter at a time, over the
+    whole tree, then canonicalised."""
+    rho_raw = {}
+    for j in pl.elim_order:
+        branches = sorted({sol_lambda(pr, j)
+                           for pr in pl.stage_before_lambda(j)
+                           if pr.f.exponent(lam(j)) < 0},
+                          key=lambda m: m.sort_key())
+        rho_raw[j] = (lmax([lmono(b) for b in branches]) if branches
+                      else lmono("1"))
+
+    def restrict(e):
+        for j in pl.elim_order:
+            e = subst_lambda(e, j, rho_raw[j])
+        return canonical(e)
+
+    rho = {j: restrict(lmono(pl.derived.phi_inv[j])) for j in pl.r.sel_rows}
+    rho.update({j: restrict(rho_raw[j]) for j in pl.elim_order})
+    return rho, rho_raw
+
+
+def _tree_exponent(e, scaling):
+    """effective_exponent recomputed at every node, shared or not."""
+    if e.kind == "mono":
+        return sum((Fraction(scaling.get(v.index, 0)) * x
+                    for v, x in e.mono.exps if v.kind == "tau"), Fraction(0))
+    vals = [_tree_exponent(c, scaling) for c in e.children]
+    if e.kind == "max":
+        return min(vals)
+    if e.kind == "min":
+        return max(vals)
+    if e.kind == "prod":
+        return sum(vals, Fraction(0))
+    return e.exp * vals[0]
+
+
+def _nested_key(e):
+    if e.kind == "mono":
+        return (0, e.mono.sort_key())
+    order = {"max": 1, "min": 2, "prod": 3, "pow": 4}[e.kind]
+    return (order, tuple(_nested_key(c) for c in e.children),
+            (e.exp.numerator, e.exp.denominator) if e.exp else ())
+
+
+def check_levels_against_oracles(pl, fam):
+    """The family equals the sequential restriction, and its strictness the
+    per-node exponent along each action's own orbit."""
+    rho, rho_raw = _sequential_level_trees(pl)
+    assert fam.rho_Lambda == rho
+    assert fam.rho_stages == rho_raw
+    d = pl.d
+    for j, e in fam.rho_Lambda.items():
+        orbit = {k: d.entry(j, k) for k in range(1, d.m + 1)}
+        want = _tree_exponent(e, orbit)
+        assert effective_exponent(e, orbit) == want
+        assert fam.strict[j] is (want > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_rows=5, max_cols=4))
+def test_restriction_matches_sequential_substitution(sc):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None and not is_fixed_point(pl.d, pl.p))
+    check_levels_against_oracles(pl, build_levels(pl))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_rows=5, max_cols=4),
+       st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 3]),
+                min_size=4, max_size=4))
+def test_effective_exponent_matches_per_node_oracle(sc, s):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None and not is_fixed_point(pl.d, pl.p))
+    fam = build_levels(pl)
+    scaling = dict(enumerate(s, start=1))
+    plain, with_params = _trees()
+    for e in list(fam.rho_Lambda.values()) + plain + with_params:
+        assert effective_exponent(e, scaling) == _tree_exponent(e, scaling)
+
+
+def test_sort_key_is_the_nested_key():
+    plain, with_params = _trees()
+    for e in plain + with_params:
+        for n in (e, canonical(e)):
+            want = _nested_key(n)
+            assert n.sort_key() == want
+            assert n.sort_key() == want  # the cached key
+
+
+CACHES = ("_hash", "_sort_key", "_canonical", "_tree")
+
+
+def test_pickle_drops_every_cache():
+    plain, with_params = _trees()
+    for e in plain + with_params:
+        for n in _nodes(e):
+            hash(n)
+            n.sort_key()
+            canonical(n)
+        if e in plain:
+            evaluate_level(e, TAUS)
+        assert all(getattr(e, name) is not None for name in CACHES[:3])
+        for back in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            for n in _nodes(back):
+                assert all(getattr(n, name) is None for name in CACHES)
+            assert back == e
