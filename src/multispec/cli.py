@@ -50,7 +50,7 @@ def load_scenario(source: str):
         norms = {int(k): float(fr(v)) for k, v in data.get("norms", {}).items()}
         p = point(zero_blocks=zeros, norms=norms,
                   normalized=bool(data.get("normalized", True)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
     return d, p, data
 

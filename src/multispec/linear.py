@@ -1,10 +1,11 @@
 """Exact rational linear algebra: rank, inverse, solving, cone feasibility.
 
-Everything works over Fraction; rank and the cone feasibility solver
-eliminate on integers scaled from it.  The cone feasibility solver is an
-integer fraction-free phase-one simplex, Bland's rule.  It decides radical
-membership, and with it equivalence of generating sets, and prunes the
-integer membership search.
+Everything takes Fraction input; rank, inverse and the cone feasibility
+solver eliminate on integers scaled from it, dividing exactly by the
+previous pivot (Bareiss; Edmonds), and build Fractions only for the
+answer.  The cone feasibility solver is an integer phase-one simplex,
+Bland's rule.  It decides radical membership, and with it equivalence of
+generating sets, and prunes the integer membership search.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ def fr(x) -> Fraction:
 
 def mat(rows) -> Matrix:
     return [[fr(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def _whole_row(row) -> list[int]:
@@ -62,21 +59,31 @@ def rank(a: Matrix) -> int:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError if singular."""
+    """Inverse of a square matrix; raises ValueError if singular.
+
+    Fraction-free Gauss-Jordan elimination on [a | I] with each row made
+    integral (which leaves the inverse unchanged): each step divides
+    exactly by the previous pivot, so the left block ends as d*I, d the
+    last pivot, and the right block as d times the inverse."""
     n = len(a)
-    m = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    m = [_whole_row(list(row) + [int(i == j) for j in range(n)])
+         for i, row in enumerate(a)]
+    d = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if m[i][c]), None)
         if piv is None:
             raise ValueError("singular matrix")
         m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+        top = m[c]
+        p = top[c]
+
+        def eliminated(row):
+            f = row[c]
+            return [(p * x - f * y) // d for x, y in zip(row, top)]
+
+        m = [row if i == c else eliminated(row) for i, row in enumerate(m)]
+        d = p
+    return [[Fraction(x, d) for x in row[n:]] for row in m]
 
 
 def solve_unique(a: Matrix, b: Vector) -> Vector:

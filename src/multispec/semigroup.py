@@ -274,12 +274,21 @@ def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
     pairs; a zero value needs some zero-valued pair.  zero_slack lists
     zero-pattern blocks: a zero-valued probe positive in one of them matches
     whatever the combination's value (the value-zeroing branch of the
-    generated semigroup).  The witness is checked exactly before Yes."""
+    generated semigroup).
+
+    LPs whose answer is known are skipped.  A probe that is a pair of H
+    gets power 1 and the unit witness (1 on the probe, 0 elsewhere) with
+    no LP.  A zero-valued probe whose first solution already uses a
+    zero-valued pair keeps that solution, times N, as its witness: zero
+    absorbs in products, so the homogenised second LP is not posed.  The
+    witness is checked exactly before Yes."""
     ordered = sorted(H, key=lambda p: p.sort_key())
     slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
                                       for k in zero_slack)
-    cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
-    if not probe.v.is_zero:
+    if probe in H:
+        x = [Fraction(p == probe) for p in ordered]
+    elif not probe.v.is_zero:
+        cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
         # the last row sums the use of zero-valued pairs and must be zero
         vcols, vtarget = _exponent_vectors(
             [p.v.mono or ONE for p in ordered], probe.v.mono)
@@ -287,8 +296,10 @@ def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
                              in zip(cols, vcols, ordered)],
                             target + vtarget + [Fraction(0)])
     else:
+        cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
         x = nonneg_solution(cols, target)
-        if x is not None and not slacked:
+        if x is not None and not slacked and not any(
+                a and p.v.is_zero for a, p in zip(x, ordered)):
             # homogenised: A y = s*probe, zero-valued part of y summing to
             # one; s = 0 leaves a recession direction to add to x
             y = nonneg_solution(
@@ -305,7 +316,9 @@ def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
         return MembershipResult(Verdict.NO)
     power = lcm(*(a.denominator for a in x))
     witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
-    got = prod((p ** a for p, a in witness), start=Pair(ONE, UNIT_VALUE))
+    # pairs used zero times contribute the identity
+    got = prod((p ** a for p, a in witness if a),
+               start=Pair(ONE, UNIT_VALUE))
     want = probe ** power
     if got.f != want.f or not (slacked or got.v == want.v):
         raise AssertionError(f"radical witness does not reproduce {probe}^{power}")

@@ -110,6 +110,17 @@ def test_malformed_scenario_exits_2():
     assert "parse" in res.stderr
 
 
+@pytest.mark.parametrize("scenario", [
+    {"A": [["1/0", "1"]]},
+    {"A": [["1", "0"], ["0", "1"]], "norms": {"1": "1/0"}},
+], ids=["entry", "norm"])
+def test_zero_denominator_is_an_invalid_scenario(scenario):
+    res = run("pipeline", json.dumps(scenario))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: invalid scenario: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_levels_and_multicone():
     sc = json.dumps({"A": [["1", "1"], ["0", "1"]]})
     res = run("levels", sc)

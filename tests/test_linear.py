@@ -140,6 +140,57 @@ def test_integer_rank_matches_fraction_oracle(a):
         assert rank(t) == rank(a)
 
 
+def _fraction_inverse(a):
+    """Oracle: Gauss-Jordan elimination over Fractions, which inverse
+    replaced."""
+    n = len(a)
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square matrices of size 1 to 5; a duplicated, scaled or zero row
+    makes some of them singular."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_RANK_ENTRIES, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        rows[dst] = [draw(_RANK_ENTRIES) * x for x in rows[src]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+@example([[Fraction(1, 2)]])
+@example([[Fraction(0)]])
+@example([[Fraction(0), Fraction(2, 3)], [Fraction(-5, 7), Fraction(0)]])
+@example([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]])
+def test_fraction_free_inverse_matches_fraction_oracle(a):
+    try:
+        want = _fraction_inverse(a)
+    except ValueError:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    got = inverse(a)
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
 def test_rank_and_inverse():
     assert rank(mat([[1, 2], [2, 4]])) == 1
     assert rank(mat([[1, 0], [0, 1]])) == 2

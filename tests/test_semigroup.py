@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,8 +12,9 @@ from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  mono_membership, radical_member, equivalent,
                                  value_of, eliminate_lambda, Verdict,
                                  MembershipResult, NotRepresentable, _balanced,
-                                 _dfs, _exponent_vectors)
-from multispec.linear import cone_feasible
+                                 _dfs, _exponent_vectors, _semigroup_probes)
+import multispec.semigroup
+from multispec.linear import cone_feasible, nonneg_solution
 from multispec.multicone import build_multicone
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
@@ -454,3 +456,129 @@ def test_lp_radical_member_agrees_with_search(sc, data):
         slacked = probe.v.is_zero and any(f.exponent(tau(k)) > 0
                                           for k in slack)
         assert got.f == want.f and (slacked or got.v == want.v)
+
+
+def _lp_radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
+    """Oracle: radical_member before it skipped known answers, posing one
+    LP for every probe and the homogenised second LP for every zero-valued
+    probe outside the slack."""
+    ordered = sorted(H, key=lambda p: p.sort_key())
+    slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
+                                      for k in zero_slack)
+    cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
+    if not probe.v.is_zero:
+        vcols, vtarget = _exponent_vectors(
+            [p.v.mono or ONE for p in ordered], probe.v.mono)
+        x = nonneg_solution([c + vc + [Fraction(p.v.is_zero)] for c, vc, p
+                             in zip(cols, vcols, ordered)],
+                            target + vtarget + [Fraction(0)])
+    else:
+        x = nonneg_solution(cols, target)
+        if x is not None and not slacked:
+            y = nonneg_solution(
+                [c + [Fraction(p.v.is_zero)] for c, p in zip(cols, ordered)]
+                + [[-t for t in target] + [Fraction(0)]],
+                [Fraction(0)] * len(target) + [Fraction(1)])
+            if y is None:
+                x = None
+            elif y[-1]:
+                x = [a / y[-1] for a in y[:-1]]
+            else:
+                x = [a + b for a, b in zip(x, y[:-1])]
+    if x is None:
+        return MembershipResult(Verdict.NO)
+    power = lcm(*(a.denominator for a in x))
+    witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
+    got = prod((p ** a for p, a in witness), start=UNIT_ONE)
+    want = probe ** power
+    assert got.f == want.f and (slacked or got.v == want.v)
+    return MembershipResult(Verdict.YES, witness=witness, power=power)
+
+
+def _oracle_equivalent(A, B, zero_slack=()) -> Verdict:
+    """Oracle: equivalent with every probe decided by _lp_radical_member."""
+    slack = tuple(zero_slack)
+    a_free, b_free = eliminate_lambda(A), eliminate_lambda(B)
+    for probes, H in ((a_free, b_free), (b_free, a_free)):
+        for probe in _semigroup_probes(probes, slack):
+            if not _lp_radical_member(probe, H, zero_slack=slack):
+                return Verdict.NO
+    return Verdict.YES
+
+
+def _outside_generator(pl):
+    """A zero-valued unit scale monomial outside the rational cone of the
+    parameter-free part of G that stays a probe under the zero pattern, or
+    None."""
+    free = eliminate_lambda(pl.G)
+    for k in range(1, pl.d.m + 1):
+        for sign in (1, -1):
+            if sign < 0 and k in pl.zero_cols_L:
+                continue
+            g = Pair(Monomial.from_dict({tau(k): sign}), ZERO)
+            cols, target = _exponent_vectors([q.f for q in free], g.f)
+            if not cone_feasible(cols, target):
+                return g
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_equivalent_agrees_with_an_lp_on_every_probe(sc):
+    pl = _pipeline_or_none(*sc)
+    assume(pl is not None)
+    slack = pl.zero_cols_L
+    assert equivalent(pl.Fq, pl.G, zero_slack=slack) \
+        is _oracle_equivalent(pl.Fq, pl.G, zero_slack=slack) is Verdict.YES
+    free_G = eliminate_lambda(pl.G)
+    for probes, H in ((eliminate_lambda(pl.Fq), free_G),
+                      (free_G, pl.Fq)):
+        for probe in _semigroup_probes(probes, slack):
+            res = radical_member(probe, H, zero_slack=slack)
+            ref = _lp_radical_member(probe, H, zero_slack=slack)
+            assert res.verdict is ref.verdict
+            if probe in H:
+                assert res.power == 1
+    # negative control: a unit generator outside the cone
+    g = _outside_generator(pl)
+    if g is not None:
+        a = pl.Fq | {g}
+        assert equivalent(a, pl.G, zero_slack=slack) \
+            is _oracle_equivalent(a, pl.G, zero_slack=slack) is Verdict.NO
+
+
+def _counting_lps(monkeypatch):
+    calls = []
+
+    def counting(columns, target):
+        calls.append(target)
+        return nonneg_solution(columns, target)
+
+    monkeypatch.setattr(multispec.semigroup, "nonneg_solution", counting)
+    return calls
+
+
+def test_generator_probe_needs_no_lp(monkeypatch, running):
+    _, _, pl = running
+    calls = _counting_lps(monkeypatch)
+    ordered = sorted(pl.Fq, key=Pair.sort_key)
+    for probe in ordered:
+        res = radical_member(probe, pl.Fq, zero_slack=pl.zero_cols_L)
+        assert res.verdict is Verdict.YES and res.power == 1
+        assert res.witness == tuple((q, int(q == probe)) for q in ordered)
+    assert calls == []
+
+
+def test_zero_valued_support_skips_the_homogenised_lp(monkeypatch):
+    H = gs("t1", ("t2", "x2"), ("t2^(-1)", "x2^(-1)"))
+    probe = pair("t1*t2")
+    calls = _counting_lps(monkeypatch)
+    res = radical_member(probe, H)
+    assert len(calls) == 1
+    assert res.verdict is Verdict.YES and res.power == 1
+    assert dict(res.witness) == {pair("t1"): 1, pair("t2", "x2"): 1,
+                                 pair("t2^(-1)", "x2^(-1)"): 0}
+    # without a zero-valued pair in the first solution the second LP runs
+    calls.clear()
+    assert radical_member(pair("t2"), H).verdict is Verdict.NO
+    assert len(calls) == 2
