@@ -6,7 +6,7 @@ stage, and confirm failing witnesses by exact membership probes in the
 extended configuration.
 """
 
-from multispec import deformation, point, rank_and_normalize, run_pipeline
+from multispec import deformation, point, run_pipeline
 from multispec.monomials import pair
 from multispec.restriction import (check_restriction, check_H2_subfamily,
                                    extended_matrix)
@@ -25,8 +25,9 @@ candidates = {
 for zeros in ({1}, {2}, {3}):
     print(f"\nbase point with block {sorted(zeros)} vanishing")
     p = point(zero_blocks=zeros)
+    pl = run_pipeline(d, None, p)
     for label, beta in candidates.items():
-        verdict = check_restriction(d, p, beta)
+        verdict = check_restriction(pl, beta)
         if verdict.holds:
             print(f"  adding {label}: compatible")
         else:

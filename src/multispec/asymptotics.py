@@ -9,8 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .deformation import (DeformationData, PointPattern, RankData,
-                          rank_and_normalize)
+from .deformation import DeformationData, PointPattern, RankData
 from .linear import rank, mat
 from .monomials import Monomial, tau
 from .polynomials import (BlockStructure, BlockPolynomial, poly_zero,
@@ -389,8 +388,7 @@ class EstimateReport:
 
 
 def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
-                    f: BlockPolynomial, N, system: MulticoneSystem | None = None,
-                    samples: int = 2000, eps: float = 0.1,
+                    f: BlockPolynomial, N, samples: int = 2000, eps: float = 0.1,
                     seed: int = 0) -> EstimateReport:
     """Fit the constant in the remainder bound by sampling and re-fit on the
     halved scale; the estimate passes when the constant does not grow by
@@ -407,7 +405,7 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     fam = canonical_family(f, d)
     app = app_template(d, r, N, fam)
     diffp = f - app
-    system = system or build_multicone(pipeline, p, check_equivalence=False)
+    system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
 
     def fit(scale: float, n: int) -> float:
@@ -579,11 +577,11 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
     d = DeformationData(2, m, tuple(tuple(row) for row in a),
                         tuple([1] * m), None, frozenset())
     p = PointPattern(frozenset())
-    r = rank_and_normalize(d, p)
-    pipeline = run_pipeline(d, r, p)
+    pipeline = run_pipeline(d, None, p)
+    sigma = pipeline.r.sigma_A
     system = build_multicone(pipeline, p, check_equivalence=False)
     family = build_levels(pipeline)
-    constraints = {subset_label(J): constraint_text(d, J, r.sigma_A)
+    constraints = {subset_label(J): constraint_text(d, J, sigma)
                    for J in subsets_of_actions(2)}
     return TwoManifoldCase(label, m, nonzero, subcase, system, constraints,
-                           family, r.sigma_A)
+                           family, sigma)

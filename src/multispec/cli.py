@@ -12,13 +12,13 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .deformation import (deformation, point, rank_and_normalize,
                           classify_action, bundle_decomposition, ActionClass)
 from .linear import fr
-from .monomials import render_genset, sorted_pairs
+from .monomials import read_expr, render_genset, sorted_pairs
 from .semigroup import run_pipeline
 
 if TYPE_CHECKING:
@@ -29,62 +29,71 @@ class ScenarioError(ValueError):
     pass
 
 
-def load_scenario(source: str):
-    """Scenario JSON: the action matrix (rationals as strings), optional
-    block sizes and vanishing sets, and the base-point zero pattern."""
+def _json(source: str):
+    """JSON given as a file path or as the text itself."""
     try:
         if os.path.exists(source):
             with open(source) as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"cannot parse scenario JSON: {exc}") from exc
+                return json.load(fh)
+        return json.loads(source)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot parse JSON {source!r}: {exc}") from exc
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a malformed outside value as a ScenarioError (exit status 2)."""
     try:
-        rows = [[fr(x) for x in row] for row in data["A"]]
-        d = deformation(rows,
-                        block_dims=data.get("blocks"),
-                        K_sets=data.get("K"),
-                        complement_block=frozenset(data.get("complement", ())))
-        zeros = set(data.get("zeros", ()))
-        norms = {int(k): float(fr(v)) for k, v in data.get("norms", {}).items()}
-        p = point(zero_blocks=zeros, norms=norms,
-                  normalized=bool(data.get("normalized", True)))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
-    return d, p, data
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise ScenarioError(f"invalid {what}: {exc}") from exc
+
+
+def _deformation(data: dict):
+    return deformation([[fr(x) for x in row] for row in data["A"]],
+                       block_dims=data.get("blocks"), K_sets=data.get("K"),
+                       complement_block=frozenset(data.get("complement", ())))
+
+
+def load_scenario(source: str):
+    """Scenario JSON: the action matrix (rationals as strings), optional
+    block sizes and vanishing sets, and the base-point zero pattern."""
+    data = _json(source)
+    with _reading("scenario"):
+        norms = {int(k): float(fr(v))
+                 for k, v in data.get("norms", {}).items()}
+        return _deformation(data), point(
+            zero_blocks=set(data.get("zeros", ())), norms=norms,
+            normalized=bool(data.get("normalized", True)))
 
 
 def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial:
-    """Sums of monomials over block coordinates, e.g. "z1*z2 - 2/3*z1^3"."""
-    from .polynomials import BlockPolynomial, poly_zero
+    """A polynomial in the block coordinates, e.g. "z1*z2 - 2/3*z1^3":
+    `read_expr` over z<k>_<i>, the i-th coordinate of block k, and z<k>,
+    its first coordinate; powers are natural numbers."""
+    from .polynomials import poly_const, poly_monomial
 
-    text = text.replace("-", "+-").replace("++-", "+-")
-    total = poly_zero(struct)
-    for raw in text.split("+"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        coeff = Fraction(1)
-        if raw.startswith("-"):
-            coeff = -coeff
-            raw = raw[1:].strip()
+    def leaf(name: str) -> BlockPolynomial:
+        m = re.fullmatch(r"z(\d+)(?:_(\d+))?", name, re.ASCII)
+        k, i = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+        if not (1 <= k <= struct.m and 1 <= i <= struct.dims[k - 1]):
+            raise ValueError(f"no coordinate {name} in blocks of sizes "
+                             f"{list(struct.dims)}")
         idx = [0] * struct.n
-        for factor in re.split(r"\*", raw):
-            factor = factor.strip()
-            if not factor:
-                continue
-            m = re.fullmatch(r"z(\d+)(?:_(\d+))?(?:\^(\d+))?", factor)
-            if m:
-                block = int(m.group(1))
-                offs = int(m.group(2) or 1) - 1
-                power = int(m.group(3) or 1)
-                coord = struct.coords_of(block).start + offs
-                idx[coord] += power
-            else:
-                coeff *= Fraction(factor)
-        total = total + BlockPolynomial.from_dict(struct, {tuple(idx): coeff})
-    return total
+        idx[struct.coords_of(k).start + i - 1] = 1
+        return poly_monomial(struct, idx)
+
+    return read_expr(text, leaf, lambda c: poly_const(struct, c))
+
+
+def _orders(text: str, ell: int) -> tuple[int, ...]:
+    """The --N orders: one natural number per action."""
+    with _reading("--N"):
+        N = tuple(int(x) for x in text.split(","))
+        if len(N) != ell or min(N) < 0:
+            raise ValueError(f"need {ell} natural orders, one per action")
+    return N
 
 
 def _emit(args, payload: dict, text_lines: list[str], latex_lines=None):
@@ -100,7 +109,7 @@ def _emit(args, payload: dict, text_lines: list[str], latex_lines=None):
 
 
 def _scenario_pipeline(args):
-    d, p, _ = load_scenario(args.scenario)
+    d, p = load_scenario(args.scenario)
     return run_pipeline(d, None, p)
 
 
@@ -195,9 +204,12 @@ def cmd_project(args):
 def cmd_restrict(args):
     from .restriction import check_restriction
 
-    d, p, _ = load_scenario(args.scenario)
-    beta = [fr(x) for x in args.beta.split(",")]
-    verdict = check_restriction(d, p, beta)
+    pl = _scenario_pipeline(args)
+    with _reading("--beta"):
+        beta = [fr(x) for x in args.beta.split(",")]
+        if len(beta) != pl.d.m:
+            raise ValueError(f"need {pl.d.m} entries, one per block")
+    verdict = check_restriction(pl, beta)
     lines = [f"case: {verdict.case.value}",
              f"holds: {verdict.holds}"]
     for w in verdict.witnesses:
@@ -241,19 +253,19 @@ def cmd_probe(args):
     from .asymptotics import structure_of
     from .multicone import normal_cone_probe
 
-    d, p, _ = load_scenario(args.scenario)
-    struct = structure_of(d)
+    pl = _scenario_pipeline(args)
+    struct = structure_of(pl.d)
     equations = []
     for spec in args.zset:
-        lhs, rhs = spec.split("=", 1)
-        m = re.fullmatch(r"\s*z(\d+)\s*", lhs)
-        if not m:
-            raise ScenarioError("graph equations must have a bare block "
-                                "coordinate on the left")
-        equations.append((int(m.group(1)), parse_block_polynomial(rhs, struct)))
-    pl = run_pipeline(d, None, p)
+        with _reading("--zset"):
+            lhs, eq, rhs = spec.partition("=")
+            m = re.fullmatch(r"\s*z(\d+)\s*", lhs)
+            if not (eq and m and 1 <= int(m[1]) <= struct.m):
+                raise ValueError(f"{spec!r} is not z<k>=<polynomial> with k "
+                                 f"a block of the scenario")
+            equations.append((int(m[1]), parse_block_polynomial(rhs, struct)))
     zset = _GraphSet(struct, equations)
-    result = normal_cone_probe(pl, p, zset, samples=args.samples,
+    result = normal_cone_probe(pl, pl.p, zset, samples=args.samples,
                                seed=args.seed)
     payload = {"outcome": result.outcome.value, "eps": result.eps,
                "radius": result.radius,
@@ -269,7 +281,7 @@ def cmd_expand(args):
 
     pl = _scenario_pipeline(args)
     d, r = pl.d, pl.r
-    N = tuple(int(x) for x in args.N.split(","))
+    N = _orders(args.N, d.ell)
     lines = []
     payload = {"J_terms": []}
     for J in subsets_of_actions(d.ell):
@@ -296,16 +308,13 @@ def cmd_expand(args):
 def cmd_map_check(args):
     from .asymptotics import PolyMapSpec, check_map, structure_of
 
-    with open(args.spec_file) as fh:
-        data = json.load(fh)
-    src = deformation([[fr(x) for x in row] for row in data["source"]["A"]],
-                      block_dims=data["source"].get("blocks"))
-    tgt = deformation([[fr(x) for x in row] for row in data["target"]["A"]],
-                      block_dims=data["target"].get("blocks"))
-    s_struct = structure_of(src)
-    comps = tuple(parse_block_polynomial(c, s_struct)
-                  for c in data["components"])
-    res = check_map(PolyMapSpec(src, tgt, comps))
+    data = _json(args.spec_file)
+    with _reading("map spec"):
+        src = _deformation(data["source"])
+        comps = tuple(parse_block_polynomial(c, structure_of(src))
+                      for c in data["components"])
+        spec = PolyMapSpec(src, _deformation(data["target"]), comps)
+    res = check_map(spec)
     if res.ok:
         lines = ["ok"] + [f"y{i + 1} = {t}" for i, t in enumerate(res.induced)]
         payload = {"ok": True, "induced": [str(t) for t in res.induced]}
@@ -319,8 +328,10 @@ def cmd_map_check(args):
 def cmd_classify2(args):
     from .asymptotics import classify_two_manifolds
 
-    rows = json.loads(args.matrix)
-    case = classify_two_manifolds([[fr(x) for x in row] for row in rows])
+    rows = _json(args.matrix)
+    with _reading("matrix"):
+        rows = [[fr(x) for x in row] for row in rows]
+    case = classify_two_manifolds(rows)
     lines = [f"case: {case.label}",
              f"remainder: {case.remainder_text()}"]
     for key, txt in case.constraints.items():
@@ -335,12 +346,12 @@ def cmd_classify2(args):
 def cmd_verify(args):
     from .asymptotics import structure_of, verify_estimate
 
-    d, p, _ = load_scenario(args.scenario)
-    r = rank_and_normalize(d, p)
-    struct = structure_of(d)
-    f = parse_block_polynomial(args.function, struct)
-    N = tuple(int(x) for x in args.N.split(","))
-    rep = verify_estimate(d, r, p, f, N, samples=args.samples, seed=args.seed)
+    d, p = load_scenario(args.scenario)
+    with _reading("--function"):
+        f = parse_block_polynomial(args.function, structure_of(d))
+    N = _orders(args.N, d.ell)
+    rep = verify_estimate(d, rank_and_normalize(d, p), p, f, N,
+                          samples=args.samples, seed=args.seed)
     lines = [f"C = {rep.C_fit:.6g}", f"C at eps/2 = {rep.C_half:.6g}",
              f"PASS: {rep.passed}"]
     payload = {"C": rep.C_fit, "C_half": rep.C_half, "passed": rep.passed,

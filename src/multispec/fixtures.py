@@ -160,8 +160,7 @@ def _verdict_check(label, verdict, want_holds, want_witnesses=()):
 @fixture("restriction-three-flags-center", "restriction")
 def _fx_241():
     d = deformation([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    p = point()
-    v = check_same_rank(d, rank_and_normalize(d, p), p, [1, 1, 1])
+    v = check_same_rank(run_pipeline(d, None, point()), [1, 1, 1])
     return [
         _verdict_check("same-rank holds", v, True),
         CheckResult("non-negative combination", bool(v.sufficient_nonneg_combination)),
@@ -181,7 +180,7 @@ def _fx_242():
     out = []
     for zeros, want, wits in cases:
         p = point(zero_blocks=zeros)
-        v = check_same_rank(d, rank_and_normalize(d, p), p, beta)
+        v = check_same_rank(run_pipeline(d, None, p), beta)
         out.append(_verdict_check(f"zeros={sorted(zeros)}", v, want, wits))
         if wits:
             d_b = extended_matrix(d, beta)
@@ -206,8 +205,7 @@ def _fx_248():
     out = []
     p = point(zero_blocks={3})
     for label, rows, beta in cases:
-        d = deformation(rows)
-        v = check_rank_plus_one(d, rank_and_normalize(d, p), p, beta)
+        v = check_rank_plus_one(run_pipeline(deformation(rows), None, p), beta)
         out.append(_verdict_check(label, v, True))
     return out
 
@@ -241,7 +239,7 @@ def _fx_249_restrict():
         beta, zeros, want, wits = bullet[:4]
         probes = list(wits) + list(bullet[4:])
         p = point(zero_blocks=zeros)
-        v = check_rank_plus_one(d, rank_and_normalize(d, p), p, beta)
+        v = check_rank_plus_one(run_pipeline(d, None, p), beta)
         out.append(_verdict_check(f"beta={beta} zeros={sorted(zeros)}",
                                   v, want, wits))
         if probes:
@@ -259,15 +257,15 @@ def _fx_249_restrict():
 def _fx_250():
     d = deformation([[1, 1, 0, 1], [0, 1, 1, 0]])
     p = point(zero_blocks={3})
-    r = rank_and_normalize(d, p)
+    pl = run_pipeline(d, None, p)
     out = []
-    v = check_rank_plus_one(d, r, p, [0, 1, 0, 0])
+    v = check_rank_plus_one(pl, [0, 1, 0, 0])
     out.append(_verdict_check("beta=0100", v, False, ("t1*t3/t2",)))
-    v = check_rank_plus_one(d, r, p, [0, 1, 0, 1])
+    v = check_rank_plus_one(pl, [0, 1, 0, 1])
     out.append(_verdict_check("beta=0101", v, False, ("t1/t4",)))
-    v = check_rank_plus_one(d, r, p, [1, 1, 1, 0])
+    v = check_rank_plus_one(pl, [1, 1, 1, 0])
     out.append(_verdict_check("beta=1110", v, False, ("t1/t4",)))
-    v = check_rank_plus_one(d, r, p, [1, 1, 1, 1])
+    v = check_rank_plus_one(pl, [1, 1, 1, 1])
     out.append(_verdict_check("beta=1111", v, True))
 
     # The documented confirmations: against beta = (0,1,0,1) the quotient

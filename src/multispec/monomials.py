@@ -10,6 +10,8 @@ arithmetic is exact; floats appear only in `evaluate`.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -208,86 +210,70 @@ class Monomial:
 ONE = Monomial(())
 
 
-_TOKEN = re.compile(r"\s*([tlx]\d+|\d+|[()*/^]|\S)")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def read_expr(text: str, leaf, const):
+    """Read an arithmetic expression, e.g. "t3/(t1*t2)" or "z1 - 2/3*z1^3".
+
+    The text is a Python expression with "^" for "**".  A name becomes
+    leaf(name) and an int or float constant const(Fraction); "+ - * /" act
+    on those values, unary minus is a product with const(-1), and an
+    exponent must be a rational constant: "t1^2", "t1^-1", "t1^(3/2)".  Any
+    other syntax, and any operation the values do not support, raises
+    ValueError.
+    """
+    try:
+        return _read(ast.parse(text.replace("^", "**"), mode="eval").body,
+                     leaf, const)
+    except (SyntaxError, TypeError, ValueError, ZeroDivisionError,
+            RecursionError) as exc:
+        raise ValueError(f"cannot read {text!r}: {exc}") from exc
+
+
+def _read(node, leaf, const, powers: bool = True):
+    if isinstance(node, ast.Name):
+        return leaf(node.id)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return const(Fraction(repr(node.value)))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        v = _read(node.operand, leaf, const, powers)
+        return const(Fraction(-1)) * v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_read(node.left, leaf, const, powers),
+                                      _read(node.right, leaf, const, powers))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and powers:
+        return _read(node.left, leaf, const) ** \
+            _read(node.right, _not_constant, Fraction, powers=False)
+    raise ValueError("unsupported syntax" if powers else
+                     "an exponent must be a rational constant")
+
+
+def _not_constant(name: str):
+    raise ValueError(f"the exponent {name} is not a rational constant")
+
+
+def _mono_leaf(name: str) -> Monomial:
+    m = re.fullmatch(r"([tlx])(\d+)", name, re.ASCII)
+    if not m:
+        raise ValueError(f"unknown variable {name}")
+    return Monomial(((Var(_LETTER_KIND[m[1]], int(m[2])), Fraction(1)),))
+
+
+def _mono_const(c: Fraction) -> Monomial:
+    if c != 1:
+        raise ValueError(f"the only constant of a monomial is 1, not {c}")
+    return ONE
 
 
 def mono(text: str) -> Monomial:
-    """Parse a compact monomial string, e.g. "t3/(t1*t2)" or "t1^(3/2)".
-
-    Grammar: product of factors separated by "*" (or juxtaposition), with
-    "/" inverting the factor or parenthesised group that follows.  A bare
-    "1" is the unit.  Exponents follow "^"; fractional exponents need
-    parentheses: "t1^(2/3)".
+    """Parse a monomial string, e.g. "t3/(t1*t2)", "x4^(-1)" or
+    "(t1/t2)^(2/3)": `read_expr` over the variables t<k>, l<j> and x<k>,
+    with 1 as the only constant.  Factors need an explicit "*"; writing
+    them side by side ("t1 t2") is not a product.
     """
-    tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    def parse_exponent() -> Fraction:
-        t = take()
-        if t == "(":
-            sign = 1
-            t = take()
-            if t == "-":
-                sign = -1
-                t = take()
-            num = int(t)
-            if peek() == "/":
-                take()
-                den = int(take())
-            else:
-                den = 1
-            if take() != ")":
-                raise ValueError(f"bad exponent in {text!r}")
-            return Fraction(sign * num, den)
-        if t == "-":
-            return -Fraction(int(take()))
-        return Fraction(int(t))
-
-    def parse_factor() -> Monomial:
-        t = take()
-        if t == "(":
-            m = parse_product()
-            if take() != ")":
-                raise ValueError(f"unbalanced parens in {text!r}")
-        elif t == "1":
-            m = ONE
-        elif re.fullmatch(r"[tlx]\d+", t):
-            m = Monomial.from_dict({Var(_LETTER_KIND[t[0]], int(t[1:])): Fraction(1)})
-        else:
-            raise ValueError(f"unexpected token {t!r} in {text!r}")
-        if peek() == "^":
-            take()
-            m = m ** parse_exponent()
-        return m
-
-    def parse_product() -> Monomial:
-        m = parse_factor()
-        while True:
-            t = peek()
-            if t == "*":
-                take()
-                m = m * parse_factor()
-            elif t == "/":
-                take()
-                m = m * parse_factor().inv()
-            elif t is not None and t not in ")":
-                m = m * parse_factor()
-            else:
-                return m
-
-    result = parse_product()
-    if pos != len(tokens):
-        raise ValueError(f"trailing input in {text!r}")
-    return result
+    return read_expr(text, _mono_leaf, _mono_const)
 
 
 @dataclass(frozen=True)

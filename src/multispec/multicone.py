@@ -361,6 +361,8 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
     """
     if not system.one_sided:
         raise ValueError("projection needs a fraction-closed one-sided system")
+    if k not in system.blocks:
+        raise ValueError(f"block {k} is not a block of the system")
     if k_in_JZ is None:
         k_in_JZ = k in system.zero_blocks
     v = tau(k)

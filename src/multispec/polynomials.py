@@ -96,6 +96,20 @@ class BlockPolynomial:
                 d[k] = d.get(k, Fraction(0)) + c * e
         return BlockPolynomial.from_dict(self.struct, d)
 
+    def __truediv__(self, other: "BlockPolynomial") -> "BlockPolynomial":
+        """Division by a nonzero constant."""
+        if [i for i, _ in other.terms] != [self.struct.zero_index()]:
+            raise ValueError("a polynomial divides only by a nonzero constant")
+        return self.scale(1 / other.terms[0][1])
+
+    def __pow__(self, n) -> "BlockPolynomial":
+        if n.denominator != 1 or n < 0:
+            raise ValueError(f"a polynomial power must be natural, not {n}")
+        out = poly_const(self.struct, 1)
+        for _ in range(n.numerator):
+            out = out * self
+        return out
+
     def diff(self, coord: int, times: int = 1) -> "BlockPolynomial":
         out = self
         for _ in range(times):

@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .deformation import (DeformationData, PointPattern, RankData, deformation,
+from .deformation import (DeformationData, PointPattern, deformation,
                           build_from_index_family, rank_and_normalize,
                           derive_monomials)
 from .linear import fr, mat, rank, solve_unique
 from .monomials import Monomial, Pair, TAU
-from .semigroup import run_pipeline
+from .semigroup import PipelineResult, norm_value
 
 
 def log_at_exp_beta(f: Monomial, beta) -> Fraction:
@@ -73,16 +73,14 @@ def extended_matrix(d: DeformationData, beta) -> DeformationData:
                            complement_block=d.complement_block)
 
 
-def check_same_rank(d_A: DeformationData, r_A: RankData, p: PointPattern,
-                    beta) -> RestrictionVerdict:
+def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """The rank-preserving case: zero-valued stage pairs must pair
     non-negatively with the new row."""
+    d_A, r_A = pipeline.d, pipeline.r
     beta = [fr(x) for x in beta]
-    d_B = extended_matrix(d_A, beta)
-    if rank(mat(d_B.A)) != r_A.L:
+    if rank(mat(extended_matrix(d_A, beta).A)) != r_A.L:
         raise ValueError("the added row increases the rank; use the "
                          "rank-plus-one check instead")
-    pipeline = run_pipeline(d_A, r_A, p)
     b_values = {j: log_at_exp_beta(pipeline.derived.phi_inv[j], beta)
                 for j in r_A.sel_rows}
     witnesses = []
@@ -94,7 +92,6 @@ def check_same_rank(d_A: DeformationData, r_A: RankData, p: PointPattern,
 
     # Sufficient condition: the new row is a non-negative combination of the
     # selected rows (then nothing can fail).
-    suff = None
     minor_t = [[d_A.entry(j, k) for j in r_A.sel_rows] for k in r_A.sel_cols]
     try:
         coeffs = solve_unique(minor_t, [beta[k - 1] for k in r_A.sel_cols])
@@ -112,17 +109,14 @@ def check_same_rank(d_A: DeformationData, r_A: RankData, p: PointPattern,
         sufficient_nonneg_combination=suff)
 
 
-def check_rank_plus_one(d_A: DeformationData, r_A: RankData, p: PointPattern,
-                        beta) -> RestrictionVerdict:
+def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """The rank-increasing case: three conditions over the final stage plus
     the pivot bookkeeping for the transformed monomials."""
+    d_A, r_A, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
     beta = [fr(x) for x in beta]
-    d_B = extended_matrix(d_A, beta)
-    if rank(mat(d_B.A)) != r_A.L + 1:
+    if rank(mat(extended_matrix(d_A, beta).A)) != r_A.L + 1:
         raise ValueError("the added row does not increase the rank; use the "
                          "same-rank check instead")
-    pipeline = run_pipeline(d_A, r_A, p)
-    derived = pipeline.derived
     b_values: dict[int, Fraction] = {}
     for j in r_A.sel_rows:
         b_values[j] = log_at_exp_beta(derived.phi_inv[j], beta)
@@ -147,7 +141,6 @@ def check_rank_plus_one(d_A: DeformationData, r_A: RankData, p: PointPattern,
             has_nonzero = True
             if lv != 0:
                 witnesses.append(Witness(pr, "nonzero-value log == 0", lv))
-    from .semigroup import norm_value
     for k in unsel_cols:
         if k == pivot or k in p.zero_blocks:
             continue
@@ -173,14 +166,11 @@ def check_rank_plus_one(d_A: DeformationData, r_A: RankData, p: PointPattern,
         transformed=transformed, no_nonzero_value_pairs=not has_nonzero)
 
 
-def check_restriction(d_A: DeformationData, p: PointPattern, beta,
-                      r_A: RankData | None = None) -> RestrictionVerdict:
+def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """Dispatch on the rank of the extended matrix."""
-    r_A = r_A or rank_and_normalize(d_A, p)
-    d_B = extended_matrix(d_A, beta)
-    if rank(mat(d_B.A)) == r_A.L:
-        return check_same_rank(d_A, r_A, p, beta)
-    return check_rank_plus_one(d_A, r_A, p, beta)
+    if rank(mat(extended_matrix(pipeline.d, beta).A)) == pipeline.r.L:
+        return check_same_rank(pipeline, beta)
+    return check_rank_plus_one(pipeline, beta)
 
 
 @dataclass(frozen=True)

@@ -254,3 +254,44 @@ def test_scenario_with_k_sets_and_blocks():
     bad = json.dumps({"A": [["1", "1"], ["0", "1"]], "K": [[1], [2]]})
     res = run("pipeline", bad)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["classify2", "--matrix", '[["1/0","1"],["0","1"]]'], "invalid matrix"),
+    (["map-check", "NO_TARGET"], "invalid map spec: 'target'"),
+    (["map-check", "MISSING"], "cannot parse"),
+    (["verify", SC_PLANE, "--function", "z9", "--N", "1,1"],
+     "no coordinate z9"),
+    (["verify", SC_PLANE, "--function", "z1_2", "--N", "1,1"],
+     "no coordinate z1_2"),
+    (["verify", SC_PLANE, "--function", "z1*", "--N", "1,1"],
+     "invalid --function"),
+    (["verify", SC_PLANE, "--function", "z1", "--N", "1"], "one per action"),
+    (["expand", SC_PLANE, "--N", "1"], "one per action"),
+    (["expand", SC_PLANE, "--N", "1,x"], "invalid --N"),
+    (["probe", SC_RUNNING, "--zset", "z9=z1"], "invalid --zset"),
+    (["probe", SC_RUNNING, "--zset", "z1"], "invalid --zset"),
+    (["restrict", "--matrix", SC_RUNNING, "--beta", "1/0,1,1"],
+     "invalid --beta"),
+    (["restrict", "--matrix", SC_RUNNING, "--beta", "1,1"], "one per block"),
+], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
+        "function-block", "function-offset", "function-syntax",
+        "verify-orders", "expand-orders", "expand-order-syntax",
+        "zset-block", "zset-form", "beta-zero-denominator", "beta-length"])
+def test_malformed_input_exits_2(args, message, tmp_path):
+    spec = tmp_path / "map.json"
+    spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()
+                                if k != "target"}))
+    names = {"NO_TARGET": str(spec), "MISSING": str(tmp_path / "none.json")}
+    res = run(*[names.get(a, a) for a in args])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_project_rejects_a_block_it_does_not_have():
+    for drop in ("7", "1 1"):
+        res = run("project", SC_PLANE, "--drop", *drop.split())
+        assert res.returncode == 1
+        assert res.stderr == \
+            f"error: block {drop[-1]} is not a block of the system\n"

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import (deformation, is_fixed_point, point,
                                    rank_and_normalize)
@@ -20,7 +20,7 @@ from multispec.levels import (build_levels, build_generalized_levels,
 from multispec.linear import rank
 from multispec.monomials import lam, mono, tau
 from multispec.semigroup import run_pipeline
-from test_semigroup import _pipeline_or_none, scenarios
+from test_semigroup import _pipeline_or_none, moving_scenarios, scenarios
 
 
 def fam_for(rows, zeros=frozenset()):
@@ -504,21 +504,25 @@ def check_levels_against_oracles(pl, fam):
         assert fam.strict[j] is (want > 0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(scenarios(max_rows=5, max_cols=4))
-def test_restriction_matches_sequential_substitution(sc):
+def _moving_pipeline(sc):
     pl = _pipeline_or_none(*sc)
-    assume(pl is not None and not is_fixed_point(pl.d, pl.p))
+    assert pl is not None and not is_fixed_point(pl.d, pl.p)
+    return pl
+
+
+@settings(max_examples=40, deadline=None)
+@given(moving_scenarios(max_rows=5, max_cols=4))
+def test_restriction_matches_sequential_substitution(sc):
+    pl = _moving_pipeline(sc)
     check_levels_against_oracles(pl, build_levels(pl))
 
 
 @settings(max_examples=40, deadline=None)
-@given(scenarios(max_rows=5, max_cols=4),
+@given(moving_scenarios(max_rows=5, max_cols=4),
        st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 3]),
                 min_size=4, max_size=4))
 def test_effective_exponent_matches_per_node_oracle(sc, s):
-    pl = _pipeline_or_none(*sc)
-    assume(pl is not None and not is_fixed_point(pl.d, pl.p))
+    pl = _moving_pipeline(sc)
     fam = build_levels(pl)
     scaling = dict(enumerate(s, start=1))
     plain, with_params = _trees()

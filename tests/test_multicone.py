@@ -61,9 +61,10 @@ def test_projection_examples():
     assert [str(i.f) for i in paired.inequalities] == ["t2"]
     assert paired.member({2: 0.1 * 0.1 * 0.9}, 0.1)
     assert not paired.member({2: 0.1 * 0.1 * 1.1}, 0.1)
-    # a system without the block is unchanged
-    again = project(dropped, 2, k_in_JZ=True)
-    assert again.inequalities == dropped.inequalities
+    # a block the system does not have cannot be dropped
+    for system, k in ((dropped, 2), (tak, 3)):
+        with pytest.raises(ValueError, match=f"block {k} is not a block"):
+            project(system, k)
 
 
 def test_projection_fiber_agreement():

@@ -57,48 +57,48 @@ def test_value_log_dichotomy():
 def test_same_rank_examples():
     d = deformation([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     p = point()
-    v = check_same_rank(d, rank_and_normalize(d, p), p, [1, 1, 1])
+    v = check_same_rank(run_pipeline(d, None, p), [1, 1, 1])
     assert v.holds and v.sufficient_nonneg_combination
     assert v.case is RestrictionCase.SAME_RANK
 
     d242 = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     p = point()
-    v = check_same_rank(d242, rank_and_normalize(d242, p), p, [1, 1, 1])
+    v = check_same_rank(run_pipeline(d242, None, p), [1, 1, 1])
     assert not v.holds
     assert any(str(w.pair.f) == "t1^(-1)*t2^(-1)*t3" for w in v.witnesses)
     p = point(zero_blocks={2})
-    v = check_same_rank(d242, rank_and_normalize(d242, p), p, [1, 1, 1])
+    v = check_same_rank(run_pipeline(d242, None, p), [1, 1, 1])
     assert v.holds
 
     d_low = deformation([[1, 1, 0], [0, 1, 1]])
     p3 = point(zero_blocks={3})
     with pytest.raises(ValueError):
-        check_same_rank(d_low, rank_and_normalize(d_low, p3), p3, [1, 0, 0])
+        check_same_rank(run_pipeline(d_low, None, p3), [1, 0, 0])
 
 
 def test_rank_plus_one_examples():
     dM = deformation([[1, 0, 0], [0, 1, 0]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(dM, rank_and_normalize(dM, p), p, [0, 0, 1])
+    v = check_rank_plus_one(run_pipeline(dM, None, p), [0, 0, 1])
     assert v.holds and v.pivot == 3
 
     d250 = deformation([[1, 1, 0, 1], [0, 1, 1, 0]])
     p = point(zero_blocks={3})
-    r = rank_and_normalize(d250, p)
-    v = check_rank_plus_one(d250, r, p, [1, 1, 1, 0])
+    pl = run_pipeline(d250, None, p)
+    v = check_rank_plus_one(pl, [1, 1, 1, 0])
     assert not v.holds
     assert any(str(w.pair.f) == "t1*t4^(-1)" and "nonzero" in w.condition
                for w in v.witnesses)
-    v = check_rank_plus_one(d250, r, p, [1, 1, 1, 1])
+    v = check_rank_plus_one(pl, [1, 1, 1, 1])
     assert v.holds
     with pytest.raises(ValueError):
-        check_rank_plus_one(d250, r, p, [1, 1, 0, 1])  # in the row space
+        check_rank_plus_one(pl, [1, 1, 0, 1])  # in the row space
 
 
 def test_transformed_monomials():
     dM = deformation([[1, 0, 0], [0, 1, 0]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(dM, rank_and_normalize(dM, p), p, [0, 0, 1])
+    v = check_rank_plus_one(run_pipeline(dM, None, p), [0, 0, 1])
     assert v.transformed["phi_inv"][1] == mono("t1")
     assert v.transformed["phi_inv_new"][3] == mono("t3")
 
@@ -106,7 +106,7 @@ def test_transformed_monomials():
 def test_dispatch():
     d = deformation([[1, 1, 0], [0, 1, 1]])
     p = point(zero_blocks={3})
-    v = check_restriction(d, p, [1, 1, 1])
+    v = check_restriction(run_pipeline(d, None, p), [1, 1, 1])
     assert v.case is RestrictionCase.RANK_PLUS_ONE and v.holds
 
 
@@ -114,7 +114,7 @@ def test_restriction_verdicts_match_membership():
     # a failing verdict's witness has no power in the extended stage
     d = deformation([[1, 1, 0], [0, 1, 1]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(d, rank_and_normalize(d, p), p, [1, 0, 0])
+    v = check_rank_plus_one(run_pipeline(d, None, p), [1, 0, 0])
     assert not v.holds
     d_b = extended_matrix(d, [1, 0, 0])
     pl_b = run_pipeline(d_b, None, p)

@@ -14,7 +14,7 @@ from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  MembershipResult, NotRepresentable, _balanced,
                                  _dfs, _exponent_vectors, _semigroup_probes)
 import multispec.semigroup
-from multispec.linear import cone_feasible, nonneg_solution
+from multispec.linear import cone_feasible, nonneg_solution, rank
 from multispec.multicone import build_multicone
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
@@ -401,6 +401,26 @@ def scenarios(draw, max_rows=4, max_cols=4):
     rows = draw(st.lists(st.lists(st.sampled_from(HALVES), min_size=m,
                                   max_size=m), min_size=ell, max_size=ell))
     zeros = draw(st.sets(st.integers(1, m)))
+    return rows, zeros
+
+
+@st.composite
+def moving_scenarios(draw, max_rows=4, max_cols=4):
+    """Scenarios off the fixed points by construction: no row is zero, and
+    the zero set is drawn only outside a column basis, so the live columns
+    keep the rank of the matrix."""
+    ell = draw(st.integers(2, max_rows))
+    m = draw(st.integers(2, max_cols))
+    rows = draw(st.lists(st.lists(st.sampled_from(HALVES), min_size=m,
+                                  max_size=m).filter(any),
+                         min_size=ell, max_size=ell))
+    basis = []
+    for k in draw(st.permutations(range(1, m + 1))):
+        if rank([[row[c - 1] for c in basis + [k]] for row in rows]) > \
+                len(basis):
+            basis.append(k)
+    zeros = {k for k in range(1, m + 1)
+             if k not in basis and draw(st.booleans())}
     return rows, zeros
 
 
