@@ -11,7 +11,7 @@ harnesses.
 
 from .monomials import (Var, Monomial, Value, Pair, ONE, ZERO, UNIT_VALUE,
                         tau, lam, xi, mono, pair, xival,
-                        fraction_closure, sorted_pairs, render_genset, evaluate)
+                        fraction_closure, sorted_pairs, render_genset)
 from .deformation import (DeformationData, PointPattern, RankData,
                           DerivedMonomials, ActionClass, deformation, point,
                           build_from_index_family, classify_action,

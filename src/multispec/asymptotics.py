@@ -78,9 +78,7 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
     N = tuple(int(n) for n in N)
     struct = structure_of(d)
     sigma = r.sigma_A
-    K_J = set()
-    for j in J:
-        K_J |= set(d.k_set(j))
+    K_J = d.k_union(J)
     coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
     # The weights of the actions in J (see weight_vector), and what one more
     # unit in each coordinate adds to them.
@@ -127,9 +125,7 @@ def canonical_family(f: BlockPolynomial, d: DeformationData) -> CoefficientFamil
     struct = f.struct
     fam: CoefficientFamily = {}
     for J in subsets_of_actions(d.ell):
-        K_J = set()
-        for j in J:
-            K_J |= set(d.k_set(j))
+        K_J = d.k_union(J)
         acting = [struct.block_of(c) in K_J for c in range(struct.n)]
         groups: dict[tuple[int, ...], dict] = {}
         for idx, c in f.terms:
@@ -227,10 +223,7 @@ def family_shift(fam: CoefficientFamily, d: DeformationData,
     k = struct.block_of(coord)
     out: CoefficientFamily = {}
     for J, entries in fam.items():
-        K_J = set()
-        for j in J:
-            K_J |= set(d.k_set(j))
-        if k not in K_J:
+        if k not in d.k_union(J):
             out[J] = {alpha: poly.diff(coord)
                       for alpha, poly in entries.items()}
         else:
@@ -271,16 +264,9 @@ def consistency_C1(family: CoefficientFamily, d: DeformationData,
     struct = struct or structure_of(d)
     mismatches = []
     subsets = subsets_of_actions(d.ell)
-
-    def kset(J):
-        out = set()
-        for j in J:
-            out |= set(d.k_set(j))
-        return frozenset(out)
-
     for i, J in enumerate(subsets):
         for Jp in subsets[i + 1:]:
-            if kset(J) != kset(Jp):
+            if d.k_union(J) != d.k_union(Jp):
                 continue
             keys = set(family.get(J, {})) | set(family.get(Jp, {}))
             for alpha in keys:
@@ -294,7 +280,7 @@ def consistency_C1(family: CoefficientFamily, d: DeformationData,
         for R in subsets:
             if not (J < R):
                 continue
-            kj, kr = kset(J), kset(R)
+            kj, kr = d.k_union(J), d.k_union(R)
             j_coords = [c for c in range(struct.n) if struct.block_of(c) in kj]
             keys = set(family.get(R, {}))
             for alpha, poly in family.get(J, {}).items():

@@ -496,10 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The least value of each count option; a smaller one is malformed input.
+_LEAST = {"samples": 1, "seed": 0, "rounds": 0}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, least in _LEAST.items():
+            if getattr(args, name, least) < least:
+                raise ScenarioError(f"invalid --{name}: need at least "
+                                    f"{least}, got {getattr(args, name)}")
         result = args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

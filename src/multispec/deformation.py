@@ -54,6 +54,10 @@ class DeformationData:
     def k_set(self, j: int) -> frozenset[int]:
         return self.K_sets[j - 1] if self.K_sets else self.support(j)
 
+    def k_union(self, J) -> frozenset[int]:
+        """K_J: the blocks that vanish on some manifold of J."""
+        return frozenset().union(*(self.k_set(j) for j in J))
+
     def json(self) -> dict:
         out = {
             "ell": self.ell,
@@ -185,21 +189,13 @@ class RankData:
     """Rank, the chosen invertible minor, and the integrality scale.
 
     sel_rows/sel_cols list the L rows and columns of the minor in increasing
-    order; row_perm/col_perm are full permutations (selected first, rest in
-    increasing order) so the minor sits top-left after relabelling.
+    order.
     """
 
     L: int
     sel_rows: tuple[int, ...]
     sel_cols: tuple[int, ...]
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
     sigma_A: Fraction
-
-    @property
-    def needs_permutation(self) -> bool:
-        return self.row_perm != tuple(range(1, len(self.row_perm) + 1)) or \
-            self.col_perm != tuple(range(1, len(self.col_perm) + 1))
 
 
 def _minor_invertible(d: DeformationData, rows, cols) -> bool:
@@ -208,16 +204,12 @@ def _minor_invertible(d: DeformationData, rows, cols) -> bool:
 
 
 def rank_and_normalize(d: DeformationData, p: PointPattern,
-                       avoid_zero_blocks: bool = False,
                        fixed_rows: tuple[int, ...] | None = None) -> RankData:
     """Choose an invertible L x L minor deterministically.
 
     Columns: the lexicographically smallest L-subset giving an invertible
-    minor.  With avoid_zero_blocks (possible exactly when the point is not
-    fixed) the subset is additionally restricted to nonzero directions, so
-    the zero-pattern eliminations become vacuous.  Rows: fixed_rows when
-    given, else the lexicographically smallest L-subset making the minor
-    invertible.
+    minor.  Rows: fixed_rows when given, else the lexicographically
+    smallest L-subset making the minor invertible.
     """
     check_point(d, p)
     L = rank(mat(d.A))
@@ -233,30 +225,11 @@ def rank_and_normalize(d: DeformationData, p: PointPattern,
     if fixed_rows is not None and len(fixed_rows) != L:
         raise ValueError("fixed_rows must select exactly rank-many rows")
 
-    if avoid_zero_blocks:
-        candidates = [k for k in range(1, d.m + 1) if k not in p.zero_blocks]
-    else:
-        candidates = list(range(1, d.m + 1))
-    chosen = None
-    for cols in combinations(candidates, L):
+    for cols in combinations(range(1, d.m + 1), L):
         rows = pick_rows(cols)
         if rows is not None:
-            chosen = (rows, cols)
-            break
-    if chosen is None:
-        if avoid_zero_blocks:
-            if is_fixed_point(d, p):
-                raise ValueError(
-                    "the point is fixed, so no minor avoids its zero pattern")
-            raise RuntimeError(
-                "no invertible minor avoids the zero pattern although the "
-                "point is not fixed; inconsistent rank data")
-        raise RuntimeError("matrix has no invertible minor of its own rank")
-
-    rows, cols = chosen
-    row_perm = tuple(list(rows) + [j for j in range(1, d.ell + 1) if j not in rows])
-    col_perm = tuple(list(cols) + [k for k in range(1, d.m + 1) if k not in cols])
-    return RankData(L, tuple(rows), tuple(cols), row_perm, col_perm, sigma_for(d.A))
+            return RankData(L, tuple(rows), cols, sigma_for(d.A))
+    raise RuntimeError("matrix has no invertible minor of its own rank")
 
 
 @dataclass(frozen=True)
@@ -350,17 +323,16 @@ def bundle_decomposition(d: DeformationData) -> list[BundleSummand]:
             f"{cls.value}, not transitive (cf. the clean two-plane family "
             "where the zero section is not a bundle)")
     all_rows = frozenset(range(1, d.ell + 1))
+    full_union = d.k_union(all_rows)
     out = []
     for k in range(1, d.m + 1):
         bk = frozenset(j for j in all_rows if d.entry(j, k) != 0)
+        ambient_zero = d.k_union(all_rows - bk)
         if bk == all_rows:
             ambient = "X"
-            ambient_zero: frozenset[int] = frozenset()
         else:
-            names = [_manifold_name(j) for j in sorted(all_rows - bk)]
-            ambient = " ∩ ".join(names)
-            ambient_zero = frozenset().union(*(d.k_set(j) for j in all_rows - bk))
-        full_union = frozenset().union(*(d.k_set(j) for j in all_rows))
+            ambient = " ∩ ".join(_manifold_name(j)
+                                 for j in sorted(all_rows - bk))
         terms = []
         for j in sorted(bk):
             inter_zero = d.k_set(j) | ambient_zero

@@ -153,7 +153,7 @@ def _canonical(e: LevelExpr) -> LevelExpr:
     if e.kind == MONO:
         return e
     if e.kind == POW:
-        return canonical(_pow(canonical(e.children[0]), e.exp))
+        return canonical(_combine(ONE, canonical(e.children[0]), e.exp))
     if e.kind == PROD:
         mono_part = ONE
         nodes = []
@@ -185,15 +185,6 @@ def _canonical(e: LevelExpr) -> LevelExpr:
     return LevelExpr(e.kind, children=tuple(uniq))
 
 
-def _pow(c: LevelExpr, r: Fraction) -> LevelExpr:
-    if r == 0:
-        return LEVEL_ONE
-    if c.kind == MONO:
-        return lmono(c.mono ** r)
-    kind = c.kind if r > 0 else _FLIP[c.kind]
-    return LevelExpr(kind, children=tuple(_pow(ch, r) for ch in c.children))
-
-
 def _cross(a: LevelExpr, b: LevelExpr) -> LevelExpr:
     """Product of two canonical lattice trees, distributing a over b."""
     if a.kind == MONO:
@@ -205,21 +196,6 @@ def _cross(a: LevelExpr, b: LevelExpr) -> LevelExpr:
 
 def level_eq(a: LevelExpr, b: LevelExpr) -> bool:
     return canonical(a) == canonical(b)
-
-
-def subst_lambda(e: LevelExpr, j: int, replacement: LevelExpr) -> LevelExpr:
-    """Substitute a parameter inside a monomial-leaf tree, branching the
-    leaf when the replacement is itself a lattice node."""
-    v = lam(j)
-    if e.kind == MONO:
-        exp = e.mono.exponent(v)
-        if exp == 0:
-            return e
-        return _combine(_drop(e.mono, v), replacement, exp)
-    if e.kind in (MAX, MIN):
-        return LevelExpr(e.kind, children=tuple(subst_lambda(c, j, replacement)
-                                                for c in e.children))
-    raise ValueError("substitution expects a lattice tree")
 
 
 def sol_lambda(f, j: int) -> Monomial:

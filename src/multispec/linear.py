@@ -92,10 +92,6 @@ def solve_unique(a: Matrix, b: Vector) -> Vector:
     return [sum(inv[i][j] * b[j] for j in range(len(b))) for i in range(len(inv))]
 
 
-def in_row_space(rows: Matrix, v: Vector) -> bool:
-    return rank(rows + [list(v)]) == rank(rows)
-
-
 def sigma_for(entries) -> Fraction:
     """Smallest positive rational s with s*a integral for all a and gcd 1.
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .linear import fr
+
 TAU = "tau"
 LAM = "lam"
 XI = "xi"
@@ -79,10 +81,6 @@ def xi(k: int) -> Var:
 _NO_EXPONENT = Fraction(0)
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True, slots=True)
 class Monomial:
     """Product of rational powers of variables; the empty product is 1.
@@ -110,12 +108,9 @@ class Monomial:
     @staticmethod
     def from_dict(d: Mapping[Var, Fraction | int]) -> "Monomial":
         items = tuple(
-            sorted(((v, _fr(e)) for v, e in d.items() if e != 0), key=lambda p: p[0].key())
+            sorted(((v, fr(e)) for v, e in d.items() if e != 0), key=lambda p: p[0].key())
         )
         return Monomial(items)
-
-    def as_dict(self) -> dict[Var, Fraction]:
-        return dict(self.exps)
 
     def exponent(self, var: Var) -> Fraction:
         key = var._key
@@ -157,7 +152,7 @@ class Monomial:
 
     def __pow__(self, r) -> "Monomial":
         # a nonzero power keeps the support and the variable order
-        r = _fr(r)
+        r = fr(r)
         if r == 1:
             return self
         if r == 0:
@@ -296,7 +291,7 @@ class Value:
         return Value(self.mono * other.mono)
 
     def __pow__(self, r) -> "Value":
-        r = _fr(r)
+        r = fr(r)
         if r == 0:
             return UNIT_VALUE
         if self.is_zero:
@@ -351,7 +346,7 @@ class Pair:
         return Pair(self.f * other.f, self.v * other.v)
 
     def __pow__(self, n) -> "Pair":
-        n = _fr(n)
+        n = fr(n)
         if n < 0:
             raise ValueError("pair powers must be non-negative")
         return Pair(self.f ** n, self.v ** n)
@@ -390,25 +385,6 @@ def fraction_closure(gs: Iterable[Pair]) -> frozenset[Pair]:
         if not p.v.is_zero:
             out.add(p.inv())
     return frozenset(out)
-
-
-def evaluate(p: Pair, tau_norms: Mapping[int, float], xi_norms: Mapping[int, float],
-             lam_values: Mapping[int, float] | None = None) -> tuple[float, float]:
-    """Numeric (f, v) at strictly positive inputs; the zero value gives 0.0."""
-    assign: dict[Var, float] = {}
-    for k, val in tau_norms.items():
-        if val <= 0:
-            raise ValueError("tau inputs must be strictly positive")
-        assign[Var(TAU, k)] = float(val)
-    for k, val in xi_norms.items():
-        if val <= 0:
-            raise ValueError("norm inputs must be strictly positive")
-        assign[Var(XI, k)] = float(val)
-    for j, val in (lam_values or {}).items():
-        if val <= 0:
-            raise ValueError("lambda inputs must be strictly positive")
-        assign[Var(LAM, j)] = float(val)
-    return p.f.evaluate(assign), p.v.evaluate(xi_norms)
 
 
 def render_genset(gs: Iterable[Pair]) -> str:

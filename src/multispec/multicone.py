@@ -25,10 +25,10 @@ class BoundFactors:
 
     factors: tuple[tuple[Value, Fraction], ...]
 
-    def describe(self, eps_symbol: str = "eps") -> str:
+    def describe(self) -> str:
         parts = []
         for v, a in self.factors:
-            core = f"{eps_symbol}" if v.is_zero else f"({v}+{eps_symbol})"
+            core = "eps" if v.is_zero else f"({v}+eps)"
             if a == 1:
                 parts.append(core)
             else:
@@ -66,14 +66,14 @@ class Inequality:
         return (self.f.sort_key(), self.value.sort_key(),
                 tuple((v.sort_key(), a) for v, a in self.bound.factors))
 
-    def text(self, eps_symbol: str = "eps", strict: bool = True) -> str:
+    def text(self, strict: bool = True) -> str:
         num, den = self.split()
         lt = "<" if strict else "<="
         den_txt = "" if den.is_one else f"*{_norm_text(den)}"
-        rhs = self.bound.describe(eps_symbol) + den_txt
+        rhs = self.bound.describe() + den_txt
         if self.value.is_zero:
             return f"{_norm_text(num)} {lt} {rhs}"
-        lower = f"({self.value}-{eps_symbol})" + den_txt
+        lower = f"({self.value}-eps)" + den_txt
         return f"{lower} {lt} {_norm_text(num)} {lt} {rhs}"
 
 
@@ -101,7 +101,6 @@ class MulticoneSystem:
     inequalities: tuple[Inequality, ...]
     zero_blocks: frozenset[int]
     blocks: tuple[int, ...]
-    block_dims: dict[int, int]
     norms: dict[int, float]
     action_rows: tuple[tuple[Fraction, ...], ...]
     one_sided: bool
@@ -208,16 +207,16 @@ class MulticoneSystem:
                       tuple(float(row[k - 1]) for row in self.action_rows))
                      for k in self.blocks)
 
-    def text(self, eps_symbol: str = "eps") -> list[str]:
+    def text(self) -> list[str]:
         lines = []
         for k in self.blocks:
             if k not in self.zero_blocks:
                 lines.append(f"z{k} in W{k}")
         if self.has_x0:
-            lines.append(f"|z0| < {eps_symbol}")
+            lines.append("|z0| < eps")
         strict = self.kind is SystemKind.OPEN
         for ineq in self.inequalities:
-            lines.append(ineq.text(eps_symbol, strict=strict))
+            lines.append(ineq.text(strict=strict))
         return lines
 
     def json(self) -> dict:
@@ -258,7 +257,6 @@ def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
         inequalities=ineqs,
         zero_blocks=frozenset(p.zero_blocks),
         blocks=tuple(range(1, d.m + 1)),
-        block_dims={k: d.block_dims[k - 1] for k in range(1, d.m + 1)},
         norms=dict(p.norms),
         action_rows=d.A,
         one_sided=one_sided,
@@ -392,7 +390,6 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
         inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),
         zero_blocks=system.zero_blocks - {k},
         blocks=tuple(b for b in system.blocks if b != k),
-        block_dims={b: d for b, d in system.block_dims.items() if b != k},
         norms={b: n for b, n in system.norms.items() if b != k},
         action_rows=system.action_rows,
         one_sided=True,
@@ -402,25 +399,23 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
 
 
 def sample_members(system: MulticoneSystem, n: int, eps: float,
-                   rng: np.random.Generator, margin: float = 0.05,
-                   max_tries: int | None = None) -> list[dict[int, float]]:
+                   rng: np.random.Generator) -> list[dict[int, float]]:
     """Rejection-sample member points via the contraction parametrisation.
 
     Base norms follow the stored block norms (tiny log-uniform values on the
     zero pattern), pushed through random contractions with log-uniform
     parameters below eps and a multiplicative jitter; candidates are
-    accepted when they satisfy the system at a slightly shrunken eps, so the
-    samples sit strictly inside."""
+    accepted when they satisfy the system at eps shrunk by 5%, so the
+    samples sit strictly inside.  At most 200 * n candidates are drawn."""
     import numpy as np
 
     ell = len(system.action_rows)
     out: list[dict[int, float]] = []
     tries = 0
-    max_tries = max_tries or 200 * n
-    shrunk = eps * (1.0 - margin)
+    shrunk = eps * (1.0 - 0.05)
     lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
     zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
-    while len(out) < n and tries < max_tries:
+    while len(out) < n and tries < 200 * n:
         tries += 1
         lams = np.exp(rng.uniform(lam_lo, lam_hi, ell)).tolist()
         jitter = rng.uniform(0.9, 1.1, len(system.blocks)).tolist()
@@ -492,27 +487,28 @@ class ProbeResult:
 
 
 def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
-                      eps_schedule=(0.5, 0.2, 0.1, 0.05),
-                      ball_schedule=None, samples: int = 4000,
-                      seed: int = 0, directions=None,
+                      samples: int = 4000, seed: int = 0, directions=None,
                       aperture: float = 0.5) -> ProbeResult:
     """Numerical oracle for the normal-cone membership characterisation.
 
     Z provides `sample(rng, scale)` a candidate generator and `contains`
     a predicate; membership of the base point in the cone of Z is probed
-    by intersecting sampled Z points with multicones at shrinking scales.
-    Not a decision procedure: a clean miss at one scale reports not-in-cone,
-    hits at every scale report in-cone, anything else is inconclusive.
+    by intersecting up to `samples` Z points per scale with multicones at
+    shrinking scales.  Not a decision procedure: a clean miss at one scale
+    reports not-in-cone, hits at every scale report in-cone, anything else
+    is inconclusive.
     """
     import numpy as np
 
+    if samples < 1:
+        raise ValueError(f"need at least one sample per scale, got {samples}")
     system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
-    if ball_schedule is None:
-        ball_schedule = tuple(4.0 * e for e in eps_schedule)
     directions = directions or {}
+    scales = (0.5, 0.2, 0.1, 0.05)  # eps, largest first; ball radius 4 * eps
     hits = {}
-    for eps, radius in zip(eps_schedule, ball_schedule):
+    for eps in scales:
+        radius = 4.0 * eps
         found = 0
         for _ in range(samples):
             z = Z.sample(rng, eps)
@@ -538,9 +534,8 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
         hits[eps] = found
     if all(v > 0 for v in hits.values()):
         return ProbeResult(ProbeOutcome.IN_CONE, hits=hits)
-    for (eps, radius) in zip(eps_schedule, ball_schedule):
-        if hits[eps] == 0:
-            if all(hits[e] == 0 for e in eps_schedule if e <= eps):
-                return ProbeResult(ProbeOutcome.NOT_IN_CONE, eps=eps,
-                                   radius=radius, hits=hits)
+    for eps in scales:
+        if all(hits[e] == 0 for e in scales if e <= eps):
+            return ProbeResult(ProbeOutcome.NOT_IN_CONE, eps=eps,
+                               radius=4.0 * eps, hits=hits)
     return ProbeResult(ProbeOutcome.INCONCLUSIVE, hits=hits)

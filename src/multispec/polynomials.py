@@ -105,9 +105,13 @@ class BlockPolynomial:
     def __pow__(self, n) -> "BlockPolynomial":
         if n.denominator != 1 or n < 0:
             raise ValueError(f"a polynomial power must be natural, not {n}")
-        out = poly_const(self.struct, 1)
-        for _ in range(n.numerator):
-            out = out * self
+        out, base, n = poly_const(self.struct, 1), self, n.numerator
+        while n:  # repeated squaring
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def diff(self, coord: int, times: int = 1) -> "BlockPolynomial":

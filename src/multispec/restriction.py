@@ -45,11 +45,9 @@ class RestrictionVerdict:
     holds: bool
     b_values: dict[int, Fraction]
     witnesses: tuple[Witness, ...]
-    citations: tuple[str, ...]
     sufficient_nonneg_combination: bool | None = None
     pivot: int | None = None
     transformed: dict[str, dict[int, Monomial]] = field(default_factory=dict)
-    no_nonzero_value_pairs: bool = False
 
     def json(self):
         return {
@@ -104,9 +102,7 @@ def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
 
     return RestrictionVerdict(
         RestrictionCase.SAME_RANK, holds=not witnesses, b_values=b_values,
-        witnesses=tuple(witnesses),
-        citations=("zero-value log condition",) if witnesses else (),
-        sufficient_nonneg_combination=suff)
+        witnesses=tuple(witnesses), sufficient_nonneg_combination=suff)
 
 
 def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
@@ -131,16 +127,13 @@ def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
             "inconsistent with the rank increase")
 
     witnesses = []
-    has_nonzero = False
     for pr in sorted(pipeline.Fq, key=lambda x: x.sort_key()):
         lv = log_at_exp_beta(pr.f, beta)
         if pr.v.is_zero:
             if lv < 0:
                 witnesses.append(Witness(pr, "zero-value log >= 0", lv))
-        else:
-            has_nonzero = True
-            if lv != 0:
-                witnesses.append(Witness(pr, "nonzero-value log == 0", lv))
+        elif lv != 0:
+            witnesses.append(Witness(pr, "nonzero-value log == 0", lv))
     for k in unsel_cols:
         if k == pivot or k in p.zero_blocks:
             continue
@@ -159,11 +152,9 @@ def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
         "psi": {k: derived.psi[k] * (psi_p ** (-b_values[k] / bp))
                 for k in unsel_cols if k != pivot},
     }
-    citations = tuple(sorted({w.condition for w in witnesses}))
     return RestrictionVerdict(
         RestrictionCase.RANK_PLUS_ONE, holds=not witnesses, b_values=b_values,
-        witnesses=tuple(witnesses), citations=citations, pivot=pivot,
-        transformed=transformed, no_nonzero_value_pairs=not has_nonzero)
+        witnesses=tuple(witnesses), pivot=pivot, transformed=transformed)
 
 
 def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:

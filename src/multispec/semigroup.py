@@ -68,12 +68,11 @@ def norm_value(psi_k: Monomial, k: int, d: DeformationData, r: RankData,
 
 
 def build_G(d: DeformationData, r: RankData, p: PointPattern,
-            derived: DerivedMonomials | None = None) -> frozenset[Pair]:
+            derived: DerivedMonomials) -> frozenset[Pair]:
     """The fraction-closed initial generator set: solved inverses with value
     zero, the psi quotients tagged with their norm values, and the leftover
     action parameters."""
     check_point(d, p)
-    derived = derived or derive_monomials(d, r)
     pairs = [Pair(derived.phi_inv[j], ZERO) for j in r.sel_rows]
     for k, psi_k in derived.psi.items():
         pairs.append(Pair(psi_k, norm_value(psi_k, k, d, r, p)))
@@ -83,15 +82,15 @@ def build_G(d: DeformationData, r: RankData, p: PointPattern,
     return fraction_closure(pairs)
 
 
-def build_G_hat(d: DeformationData, r: RankData, p: PointPattern,
-                derived: DerivedMonomials | None = None) -> frozenset[Pair]:
+def build_G_hat(d: DeformationData, r: RankData,
+                p: PointPattern) -> frozenset[Pair]:
     """The graph variant: t_k over the full action monomial, tagged with the
     block norm symbol (zero on the zero pattern), plus every parameter."""
     check_point(d, p)
-    derived = derived or derive_monomials(d, r)
+    phi = derive_monomials(d, r).phi
     pairs = []
     for k in range(1, d.m + 1):
-        f = Monomial.from_dict({tau(k): 1}) * derived.phi[k].inv()
+        f = Monomial.from_dict({tau(k): 1}) * phi[k].inv()
         v = ZERO if k in p.zero_blocks else Value(Monomial.from_dict({xi(k): 1}))
         pairs.append(Pair(f, v))
     for j in range(1, d.ell + 1):

@@ -274,10 +274,22 @@ def test_scenario_with_k_sets_and_blocks():
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1/0,1,1"],
      "invalid --beta"),
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1,1"], "one per block"),
+    (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--samples", "0"],
+     "invalid --samples: need at least 1, got 0"),
+    (["verify", SC_PLANE, "--function", "z1", "--N", "1,1", "--samples", "0"],
+     "invalid --samples: need at least 1, got 0"),
+    (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--seed", "-1"],
+     "invalid --seed: need at least 0, got -1"),
+    (["verify", SC_PLANE, "--function", "z1", "--N", "1,1", "--seed", "-1"],
+     "invalid --seed: need at least 0, got -1"),
+    (["closure", SC_RUNNING, "--rounds", "-2"],
+     "invalid --rounds: need at least 0, got -2"),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
-        "zset-block", "zset-form", "beta-zero-denominator", "beta-length"])
+        "zset-block", "zset-form", "beta-zero-denominator", "beta-length",
+        "probe-samples", "verify-samples", "probe-seed", "verify-seed",
+        "closure-rounds"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()

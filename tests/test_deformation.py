@@ -85,20 +85,10 @@ def test_rank_and_normalize():
     d = deformation([[3, 2], [1, 1]])
     r = rank_and_normalize(d, point())
     assert r.L == 2 and r.sigma_A == 1
-    assert not r.needs_permutation
 
     d3 = deformation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     r3 = rank_and_normalize(d3, point(zero_blocks={3}))
     assert r3.L == 3 and r3.sel_cols == (1, 2, 3)
-    assert not r3.needs_permutation
-
-    # avoiding the zero pattern is possible exactly outside fixed points
-    d249 = deformation([[1, 1, 0], [0, 1, 1]])
-    r_avoid = rank_and_normalize(d249, point(zero_blocks={1}),
-                                 avoid_zero_blocks=True)
-    assert 1 not in r_avoid.sel_cols
-    with pytest.raises(ValueError):
-        rank_and_normalize(d3, point(zero_blocks={3}), avoid_zero_blocks=True)
 
 
 def test_derive_monomials_examples():

@@ -1,6 +1,6 @@
 """Byte-for-byte golden outputs: `multispec fixtures` and the text and json
-stdout of the deterministic subcommands on the README worked examples
-(`probe` and `verify` sample, so they are left out).
+stdout of the subcommands on the README worked examples. `probe` and
+`verify` sample from a seeded generator, so their outputs are fixed too.
 
 To rewrite the files in `tests/golden/` from the code on the path:
 
@@ -39,6 +39,12 @@ CALLS = {
     "analyze-free": ["analyze", FREE, "--generalized"],
     "map-check": ["map-check", "MAP_SPEC"],
     "classify2": ["classify2", "--matrix", "[[1,2],[0,1]]"],
+    "probe": ["probe", RUNNING, "--zset", "z3=z1*z2", "--samples", "400"],
+    "probe-free": ["probe", FREE, "--zset", "z3=z1*z2", "--samples", "400"],
+    "verify": ["verify", FREE, "--function", "z1*z2 - 2/3*z1^3",
+               "--N", "2,1", "--samples", "300"],
+    "verify-low": ["verify", FREE, "--function", "z1*z2 - 2/3*z1^3",
+                   "--N", "1,0", "--samples", "300"],
 }
 CASES = [("fixtures", "text", ["fixtures"])] + [
     (name, fmt, ["--format", fmt, *args])

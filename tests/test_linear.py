@@ -10,7 +10,7 @@ import multispec.semigroup
 from multispec.deformation import deformation, point
 from multispec.fixtures import run_fixtures
 from multispec.linear import (mat, rank, inverse, solve_unique, sigma_for,
-                              nonneg_solution, cone_feasible, in_row_space)
+                              nonneg_solution, cone_feasible)
 from multispec.semigroup import Verdict, equivalent, run_pipeline
 
 
@@ -204,10 +204,6 @@ def test_rank_and_inverse():
         [Fraction(1), Fraction(-1)]
 
 
-def test_in_row_space():
-    rows = mat([[1, 1, 0], [0, 1, 1]])
-    assert in_row_space(rows, [Fraction(1), Fraction(2), Fraction(1)])
-    assert not in_row_space(rows, [Fraction(1), Fraction(0), Fraction(0)])
 
 
 def test_sigma_examples():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from multispec.monomials import (Monomial, ONE, Pair, Var, ZERO, UNIT_VALUE,
                                  tau, lam, xi, mono, pair, xival,
-                                 fraction_closure, evaluate, sorted_pairs)
+                                 fraction_closure, sorted_pairs)
 
 
 def test_parser_roundtrip():
@@ -59,15 +59,16 @@ def test_fraction_closure():
 
 
 def test_evaluate_examples():
-    f, v = evaluate(pair("t1*t2/t3"), {1: 2, 2: 3, 3: 6}, {})
-    assert math.isclose(f, 1.0)
-    assert v == 0.0
-    f, v = evaluate(pair("t3/(t1*t2)", "x3"), {1: 1, 2: 1, 3: 5}, {3: 5})
+    p = pair("t1*t2/t3")
+    assert math.isclose(p.f.evaluate({tau(1): 2, tau(2): 3, tau(3): 6}), 1.0)
+    assert p.v.evaluate({}) == 0.0
+    p = pair("t3/(t1*t2)", "x3")
+    f = p.f.evaluate({tau(1): 1, tau(2): 1, tau(3): 5})
+    v = p.v.evaluate({3: 5})
     assert math.isclose(f, 5.0) and math.isclose(v, 5.0)
-    f, v = evaluate(Pair(ONE, UNIT_VALUE), {1: 7}, {})
-    assert f == 1.0 and v == 1.0
+    assert ONE.evaluate({tau(1): 7}) == 1.0 and UNIT_VALUE.evaluate({}) == 1.0
     with pytest.raises(ValueError):
-        evaluate(pair("t1"), {1: 0.0}, {})
+        pair("t1").f.evaluate({tau(1): 0.0})
 
 
 def test_value_algebra():
@@ -134,7 +135,7 @@ def test_closure_never_inverts_zero(items):
 
 def _dict_mul(a, b):
     """Oracle: the product through an exponent dict and a re-sort."""
-    d = a.as_dict()
+    d = dict(a.exps)
     for v, e in b.exps:
         d[v] = d.get(v, Fraction(0)) + e
     return Monomial.from_dict(d)

@@ -13,7 +13,7 @@ from multispec.multicone import (build_multicone, closure, project,
                                  ClosureCapExceeded, ClosureEntry,
                                  ContractionReport, SystemKind)
 from multispec.semigroup import _balanced, run_pipeline
-from test_semigroup import _pipeline_or_none, scenarios
+from strategies import pipeline_of, scenarios
 
 
 def system_for(rows, zeros=frozenset(), **kw):
@@ -153,8 +153,7 @@ def _closure_entries_oracle(pl, rounds):
 @settings(max_examples=40, deadline=None)
 @given(scenarios(max_rows=3, max_cols=3), st.sampled_from([1, 2]))
 def test_closure_matches_literal_rule(sc, rounds):
-    pl = _pipeline_or_none(*sc)
-    assume(pl is not None)
+    pl = pipeline_of(*sc)
     assert closure(pl, rounds=rounds).entries == \
         _closure_entries_oracle(pl, rounds)
 
@@ -163,7 +162,7 @@ def test_closure_matches_literal_rule_on_examples():
     for rows, zeros in (([[1, 0, 1], [0, 1, 1], [1, 1, 1]], ()),
                         ([[1, 0, 1], [0, 1, 1]], (1, 2)),
                         ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], ())):
-        pl = _pipeline_or_none(rows, zeros)
+        pl = pipeline_of(rows, zeros)
         for rounds in (1, 2, 3):
             assert closure(pl, rounds=rounds).entries == \
                 _closure_entries_oracle(pl, rounds)
@@ -248,6 +247,9 @@ def test_normal_cone_probe():
         ProbeOutcome.NOT_IN_CONE
     assert normal_cone_probe(pl, p, _Empty(), samples=50).outcome is \
         ProbeOutcome.NOT_IN_CONE
+    # a verdict needs at least one sample per scale
+    with pytest.raises(ValueError, match="at least one sample"):
+        normal_cone_probe(pl, p, _Graph(), samples=0)
 
 
 def test_probe_directions():
@@ -410,8 +412,7 @@ _EPS_SIDE = st.floats(0.01, 0.3)
 
 @st.composite
 def _systems(draw):
-    pl = _pipeline_or_none(*draw(scenarios(max_rows=3, max_cols=3)))
-    assume(pl is not None)
+    pl = pipeline_of(*draw(scenarios(max_rows=3, max_cols=3)))
     system = build_multicone(pl, check_equivalence=False)
     form = draw(st.sampled_from(["open", "closed", "project",
                                  "closed-project"]))

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from multispec.cli import parse_block_polynomial
 from multispec.monomials import (LAM, ONE, TAU, XI, Monomial, Var, mono,
                                  read_expr)
-from multispec.polynomials import BlockPolynomial, BlockStructure, poly_zero
+from multispec.polynomials import (BlockPolynomial, BlockStructure, poly_const,
+                                  poly_zero)
 
 _LETTER_KIND = {"t": TAU, "l": LAM, "x": XI}
 _TOKEN = re.compile(r"\s*([tlx]\d+|\d+|[()*/^]|\S)")
@@ -264,6 +265,26 @@ def test_block_polynomial_agrees_with_the_split_parser(drawn):
     else:
         with pytest.raises(ValueError, match="no coordinate"):
             parse_block_polynomial(text, struct)
+
+
+@st.composite
+def _polynomials(draw):
+    struct = BlockStructure(tuple(draw(st.lists(st.integers(1, 2), min_size=1,
+                                                max_size=2))))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * struct.n),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=3))
+    return BlockPolynomial.from_dict(struct, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomials(), st.integers(0, 12))
+def test_power_by_squaring_equals_repeated_multiplication(f, n):
+    want = poly_const(f.struct, 1)
+    for _ in range(n):
+        want = want * f
+    assert f ** Fraction(n) == want
 
 
 def test_block_polynomial_examples():

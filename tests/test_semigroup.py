@@ -1,9 +1,8 @@
-import warnings
 from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import deformation, point, rank_and_normalize
 from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
@@ -14,8 +13,9 @@ from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  MembershipResult, NotRepresentable, _balanced,
                                  _dfs, _exponent_vectors, _semigroup_probes)
 import multispec.semigroup
-from multispec.linear import cone_feasible, nonneg_solution, rank
+from multispec.linear import cone_feasible, nonneg_solution
 from multispec.multicone import build_multicone
+from strategies import pipeline_of, scenarios
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
@@ -391,65 +391,17 @@ def test_two_by_four_case_with_lineality():
     assert build_multicone(pl).inequalities
 
 
-HALVES = [Fraction(x) for x in ("0", "1/2", "1", "3/2", "2", "3")]
-
-
-@st.composite
-def scenarios(draw, max_rows=4, max_cols=4):
-    ell = draw(st.integers(2, max_rows))
-    m = draw(st.integers(2, max_cols))
-    rows = draw(st.lists(st.lists(st.sampled_from(HALVES), min_size=m,
-                                  max_size=m), min_size=ell, max_size=ell))
-    zeros = draw(st.sets(st.integers(1, m)))
-    return rows, zeros
-
-
-@st.composite
-def moving_scenarios(draw, max_rows=4, max_cols=4):
-    """Scenarios off the fixed points by construction: no row is zero, and
-    the zero set is drawn only outside a column basis, so the live columns
-    keep the rank of the matrix."""
-    ell = draw(st.integers(2, max_rows))
-    m = draw(st.integers(2, max_cols))
-    rows = draw(st.lists(st.lists(st.sampled_from(HALVES), min_size=m,
-                                  max_size=m).filter(any),
-                         min_size=ell, max_size=ell))
-    basis = []
-    for k in draw(st.permutations(range(1, m + 1))):
-        if rank([[row[c - 1] for c in basis + [k]] for row in rows]) > \
-                len(basis):
-            basis.append(k)
-    zeros = {k for k in range(1, m + 1)
-             if k not in basis and draw(st.booleans())}
-    return rows, zeros
-
-
-def _pipeline_or_none(rows, zeros):
-    """The pipeline of a drawn scenario, None where it is rejected (an
-    identity action, a fixed point); zero columns always vanish."""
-    zeros = set(zeros) | {k for k in range(1, len(rows[0]) + 1)
-                          if all(row[k - 1] == 0 for row in rows)}
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return run_pipeline(deformation(rows), None, point(zero_blocks=zeros))
-    except ValueError:
-        return None
-
-
 @settings(max_examples=40, deadline=None)
 @given(scenarios())
 def test_final_stage_radical_is_the_semigroup(sc):
-    pl = _pipeline_or_none(*sc)
-    assume(pl is not None)
+    pl = pipeline_of(*sc)
     assert equivalent(pl.Fq, pl.G, zero_slack=pl.zero_cols_L) is Verdict.YES
 
 
 @settings(max_examples=60, deadline=None)
 @given(scenarios(max_rows=3, max_cols=3), st.data())
 def test_lp_radical_member_agrees_with_search(sc, data):
-    pl = _pipeline_or_none(*sc)
-    assume(pl is not None)
+    pl = pipeline_of(*sc)
     slack = pl.zero_cols_L
     free_G = eliminate_lambda(pl.G)
     H = data.draw(st.sampled_from([pl.Fq, free_G]))
@@ -545,8 +497,7 @@ def _outside_generator(pl):
 @settings(max_examples=40, deadline=None)
 @given(scenarios())
 def test_equivalent_agrees_with_an_lp_on_every_probe(sc):
-    pl = _pipeline_or_none(*sc)
-    assume(pl is not None)
+    pl = pipeline_of(*sc)
     slack = pl.zero_cols_L
     assert equivalent(pl.Fq, pl.G, zero_slack=slack) \
         is _oracle_equivalent(pl.Fq, pl.G, zero_slack=slack) is Verdict.YES
