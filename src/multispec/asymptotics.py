@@ -436,18 +436,17 @@ class FlatnessReport:
     witness: tuple | None = None
 
 
-def flatness_check(f: BlockPolynomial, d: DeformationData,
-                   degrees: int = 6) -> FlatnessReport:
+def flatness_check(f: BlockPolynomial, d: DeformationData) -> FlatnessReport:
     """Developability to the zero total family.
 
     For polynomials the canonical coefficients decide it exactly: any
-    nonzero coefficient witnesses a failing order, and an all-zero family
-    forces the zero polynomial.
+    nonzero coefficient of total order at most 6 witnesses a failing order,
+    and an all-zero family forces the zero polynomial.
     """
     fam = canonical_family(f, d)
     for J in sorted(fam, key=lambda s: (len(s), sorted(s))):
         for alpha, poly in sorted(fam[J].items()):
-            if not poly.is_zero and sum(alpha) <= degrees:
+            if not poly.is_zero and sum(alpha) <= 6:
                 return FlatnessReport(False, witness=(tuple(sorted(J)), alpha))
     return FlatnessReport(f.is_zero, None if f.is_zero else ((), None))
 

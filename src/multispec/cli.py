@@ -471,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--zset", action="append", required=True,
                    help="graph equation like z3=z1*z2")
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--samples", type=int, default=4000,
+                   help="most points tried per scale; a scale stops at its "
+                        "first member, so its hits are 1 or 0")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("expand", cmd_expand, help="expansion template and remainder")

@@ -200,11 +200,13 @@ class MulticoneSystem:
     @cached_property
     def _columns(self) -> tuple:
         """Per block, for the samplers: its index, its float base norm
-        (None on the zero pattern, where a base norm is drawn) and its float
-        column of action exponents."""
+        (None on the zero pattern, where a base norm is drawn) and the
+        (action, exponent) pairs of its nonzero float action exponents."""
         return tuple((k, None if k in self.zero_blocks
                       else float(self.norms.get(k, 1.0)),
-                      tuple(float(row[k - 1]) for row in self.action_rows))
+                      tuple((j, float(row[k - 1]))
+                            for j, row in enumerate(self.action_rows)
+                            if row[k - 1]))
                      for k in self.blocks)
 
     def text(self) -> list[str]:
@@ -398,6 +400,10 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
     )
 
 
+# Candidates drawn per RNG call by sample_members.
+_BATCH = 64
+
+
 def sample_members(system: MulticoneSystem, n: int, eps: float,
                    rng: np.random.Generator) -> list[dict[int, float]]:
     """Rejection-sample member points via the contraction parametrisation.
@@ -406,34 +412,63 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     zero pattern), pushed through random contractions with log-uniform
     parameters below eps and a multiplicative jitter; candidates are
     accepted when they satisfy the system at eps shrunk by 5%, so the
-    samples sit strictly inside.  At most 200 * n candidates are drawn."""
+    samples sit strictly inside.  At most 200 * n candidates are drawn.
+
+    Candidates are drawn in batches, one `rng.random` call per batch, and
+    each is checked with `member`.  The points and the generator's final
+    position are those of drawing one candidate at a time: per candidate,
+    `uniform` over the log parameters, then over the jitters, then one
+    draw per zero-pattern block; the doubles of a batch's unused rows are
+    given back."""
     import numpy as np
 
     ell = len(system.action_rows)
+    cols = system._columns
+    nzero = sum(base is None for _, base, _ in cols)
+    # a row holds the parameters, the jitters, then the zero-pattern bases
+    bases = ell + len(cols)
+    width = bases + nzero
+    lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
+    zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
+    # uniform(low, high) is low + (high - low) * u, column by column
+    low = np.array([lam_lo] * ell + [0.9] * len(cols) + [zero_lo] * nzero)
+    span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * len(cols)
+                    + [zero_hi - zero_lo] * nzero)
     out: list[dict[int, float]] = []
     tries = 0
     shrunk = eps * (1.0 - 0.05)
-    lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
-    zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
     while len(out) < n and tries < 200 * n:
-        tries += 1
-        lams = np.exp(rng.uniform(lam_lo, lam_hi, ell)).tolist()
-        jitter = rng.uniform(0.9, 1.1, len(system.blocks)).tolist()
-        norms = {}
-        for (k, base, col), jit in zip(system._columns, jitter):
-            if base is None:
-                base = float(np.exp(rng.uniform(zero_lo, zero_hi)))
-            norms[k] = base * _contraction(lams, col) * jit
-        if system.member(norms, shrunk):
-            out.append(norms)
+        state = rng.bit_generator.state
+        draws = low + span * rng.random((min(_BATCH, 200 * n - tries), width))
+        exps = np.exp(draws)
+        exps[:, ell:bases] = draws[:, ell:bases]
+        rows = exps.tolist()
+        for used, row in enumerate(rows, start=1):
+            lams = row[:ell]
+            z = bases
+            norms = {}
+            for pos, (k, base, col) in enumerate(cols, start=ell):
+                if base is None:
+                    base = row[z]
+                    z += 1
+                norms[k] = base * _contraction(lams, col) * row[pos]
+            if system.member(norms, shrunk):
+                out.append(norms)
+                if len(out) == n:
+                    break
+        tries += used
+        if used < len(rows):
+            rng.bit_generator.state = state
+            rng.random(used * width)
     return out
 
 
-def _contraction(lams: list[float], col: tuple[float, ...]) -> float:
+def _contraction(lams: list[float],
+                 col: tuple[tuple[int, float], ...]) -> float:
     """The factor prod_j lam_j^(a_jk) by which the actions scale one block."""
     scale = 1.0
-    for lam, a in zip(lams, col):
-        scale *= lam ** a
+    for j, a in col:
+        scale *= lams[j] ** a
     return scale
 
 
@@ -458,12 +493,10 @@ def contraction_stable_check(system: MulticoneSystem, samples: int,
 
     rng = np.random.default_rng(rng_seed)
     pts = sample_members(system, samples, eps, rng)
-    ell = len(system.action_rows)
+    lam_rows = rng.uniform(0.05, 1.0, (len(pts), len(system.action_rows)))
     failures = []
     checked = 0
-    for norms in pts:
-        lam_vec = rng.uniform(0.05, 1.0, ell)
-        lams = lam_vec.tolist()
+    for norms, lams, lam_vec in zip(pts, lam_rows.tolist(), lam_rows):
         moved = {k: norms[k] * _contraction(lams, col)
                  for k, _, col in system._columns}
         checked += 1
@@ -493,10 +526,11 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
 
     Z provides `sample(rng, scale)` a candidate generator and `contains`
     a predicate; membership of the base point in the cone of Z is probed
-    by intersecting up to `samples` Z points per scale with multicones at
-    shrinking scales.  Not a decision procedure: a clean miss at one scale
-    reports not-in-cone, hits at every scale report in-cone, anything else
-    is inconclusive.
+    by intersecting Z points with multicones at shrinking scales.  Each
+    scale tries at most `samples` points and stops at its first member, so
+    `hits` maps every scale to 1 (a member found) or 0.  Not a decision
+    procedure: a clean miss at one scale reports not-in-cone, hits at
+    every scale report in-cone, anything else is inconclusive.
     """
     import numpy as np
 
@@ -514,7 +548,8 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
             z = Z.sample(rng, eps)
             if z is None or not Z.contains(z):
                 continue
-            norms = {k: float(np.max(np.abs(np.atleast_1d(v))))
+            norms = {k: abs(float(v)) if isinstance(v, float)
+                     else float(np.max(np.abs(np.atleast_1d(v))))
                      for k, v in z.items()}
             if any(norms[k] > radius for k in norms):
                 continue

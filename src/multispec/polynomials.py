@@ -200,12 +200,3 @@ def exp_truncation(struct: BlockStructure, max_total_degree: int) -> BlockPolyno
         if sum(idx) <= max_total_degree:
             d[idx] = Fraction(1, factorial_multi(idx))
     return BlockPolynomial.from_dict(struct, d)
-
-
-def random_polynomial(struct: BlockStructure, rng, max_degree: int = 3,
-                      terms: int = 5) -> BlockPolynomial:
-    d = {}
-    for _ in range(terms):
-        idx = tuple(int(rng.integers(0, max_degree + 1)) for _ in range(struct.n))
-        d[idx] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
-    return BlockPolynomial.from_dict(struct, d)

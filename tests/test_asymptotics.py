@@ -22,13 +22,22 @@ from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    classify_two_manifolds, verify_estimate,
                                    flatness_check, subsets_of_actions,
                                    weight_vector)
-from multispec.polynomials import (BlockStructure,
+from multispec.polynomials import (BlockPolynomial, BlockStructure,
                                    poly_monomial, poly_zero, poly_const,
-                                   random_polynomial, exp_truncation)
+                                   exp_truncation)
 
 from test_levels import check_levels_against_oracles
 
 P0 = point()
+
+
+def random_polynomial(struct: BlockStructure, rng, max_degree: int = 3,
+                      terms: int = 5) -> BlockPolynomial:
+    d = {}
+    for _ in range(terms):
+        idx = tuple(int(rng.integers(0, max_degree + 1)) for _ in range(struct.n))
+        d[idx] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return BlockPolynomial.from_dict(struct, d)
 
 
 def rigs():

@@ -11,7 +11,8 @@ from multispec.multicone import (build_multicone, closure, project,
                                  contraction_stable_check, sample_members,
                                  normal_cone_probe, ProbeOutcome,
                                  ClosureCapExceeded, ClosureEntry,
-                                 ContractionReport, SystemKind)
+                                 ContractionReport, MulticoneSystem,
+                                 SystemKind)
 from multispec.semigroup import _balanced, run_pipeline
 from strategies import pipeline_of, scenarios
 
@@ -180,13 +181,16 @@ def test_contraction_stability():
         assert report.passed
 
 
+# Exponents in the hundreds underflow every inequality of its multicone to
+# 0 < 0, so the sampler accepts no point.
+UNDERFLOW_8X3 = [["1/2", "3", "3"], ["0", "2", "1/2"], ["2", "0", "3"],
+                 ["1", "2", "1"], ["2", "3", "3/2"], ["3/2", "0", "1"],
+                 ["1", "2", "2"], ["0", "3/2", "3"]]
+
+
 def test_starved_contraction_check_fails():
-    # exponents in the hundreds underflow every inequality to 0 < 0, so the
-    # sampler accepts no point; that must not read as a pass
-    _, system = system_for([["1/2", "3", "3"], ["0", "2", "1/2"],
-                            ["2", "0", "3"], ["1", "2", "1"],
-                            ["2", "3", "3/2"], ["3/2", "0", "1"],
-                            ["1", "2", "2"], ["0", "3/2", "3"]])
+    # a sampler that accepts no point must not read as a pass
+    _, system = system_for(UNDERFLOW_8X3)
     report = contraction_stable_check(system, 5, rng_seed=1)
     assert (report.requested, report.sampled, report.violations) == (5, 0, 0)
     assert not report.passed
@@ -262,6 +266,56 @@ def test_probe_directions():
     res = normal_cone_probe(pl, p, _Graph(), samples=400,
                             directions={3: [-1.0]}, aperture=0.5)
     assert res.outcome is ProbeOutcome.NOT_IN_CONE
+
+
+class _MixedGraph:
+    """The graph |z3| = |z1|*|z2| with z1 a float of the given sign and z3
+    a 2-element array; z3_scale = 0 puts z3 at the origin."""
+
+    def __init__(self, z1_sign, z3_scale):
+        self.z1_sign = z1_sign
+        self.z3_scale = z3_scale
+
+    def sample(self, rng, scale):
+        t = float(np.exp(rng.uniform(np.log(scale * 1e-3), np.log(scale))))
+        s = float(np.exp(rng.uniform(np.log(scale * 1e-3), np.log(scale))))
+        return {1: self.z1_sign * t, 2: s,
+                3: self.z3_scale * t * s * np.array([-0.5, 1.0])}
+
+    def contains(self, z):
+        return True
+
+
+class _AsArrays:
+    """The points of another set, every block sample a numpy array."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, rng, scale):
+        return {k: np.atleast_1d(np.asarray(v, dtype=float))
+                for k, v in self.inner.sample(rng, scale).items()}
+
+    def contains(self, z):
+        return True
+
+
+def test_probe_reads_float_and_array_samples_alike():
+    d = deformation([[1, 0, 1], [0, 1, 1]])
+    p = point(norms={3: 1.0})
+    pl = run_pipeline(d, None, p)
+    for z1_sign, z3_scale, directions, want in (
+            (-1.0, 1.0, None, ProbeOutcome.IN_CONE),
+            (1.0, 0.0, None, ProbeOutcome.NOT_IN_CONE),
+            (-1.0, 1.0, {1: [-1.0]}, ProbeOutcome.IN_CONE),
+            (-1.0, 1.0, {1: [1.0]}, ProbeOutcome.NOT_IN_CONE)):
+        for seed in (0, 1, 2):
+            Z = _MixedGraph(z1_sign, z3_scale)
+            got = normal_cone_probe(pl, p, Z, samples=300, seed=seed,
+                                    directions=directions)
+            assert got == normal_cone_probe(pl, p, _AsArrays(Z), samples=300,
+                                            seed=seed, directions=directions)
+            assert got.outcome is want
 
 
 def test_system_text_mentions_key_inequality():
@@ -501,3 +555,47 @@ def test_contraction_check_replays_scalar_check():
     got = contraction_stable_check(moved, 50, rng_seed=7)
     assert got == _scalar_contraction_check(moved, 50, rng_seed=7)
     assert got.violations > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems(), st.integers(0, 2 ** 32 - 1), st.integers(1, 40), _EPS_SIDE)
+def test_batched_draws_leave_the_generator_where_scalar_draws_do(
+        system, seed, n, eps):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample_members(system, n, eps, rng) == \
+        _scalar_sample_members(system, n, eps, oracle)
+    assert rng.random() == oracle.random()
+    # contraction_stable_check seeds its own generator: record it
+    made = []
+
+    def recording(seed_):
+        made.append(np.random.Generator(np.random.PCG64(seed_)))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording)
+        got = contraction_stable_check(system, n, rng_seed=seed, eps=eps)
+        want = _scalar_contraction_check(system, n, rng_seed=seed, eps=eps)
+    assert got == want
+    assert made[0].random() == made[1].random()
+
+
+def test_starved_sampler_stops_after_200_n_tries(monkeypatch):
+    _, system = system_for(UNDERFLOW_8X3)
+    calls = []
+    member = MulticoneSystem.member
+
+    def counting(self, *args, **kw):
+        calls.append(None)
+        return member(self, *args, **kw)
+
+    monkeypatch.setattr(MulticoneSystem, "member", counting)
+    rng = np.random.default_rng(1)
+    assert sample_members(system, 20, 0.1, rng) == []
+    assert len(calls) == 4000
+    # 8 parameters and 3 jitters per candidate, no zero-pattern block
+    skipped = np.random.default_rng(1)
+    skipped.random(4000 * 11)
+    oracle = np.random.default_rng(1)
+    assert _scalar_sample_members(system, 20, 0.1, oracle) == []
+    assert rng.random() == oracle.random() == skipped.random()
