@@ -256,12 +256,12 @@ class ConsistencyReport:
     mismatches: tuple[str, ...]
 
 
-def consistency_C1(family: CoefficientFamily, d: DeformationData,
-                   struct: BlockStructure | None = None) -> ConsistencyReport:
+def consistency_C1(family: CoefficientFamily,
+                   d: DeformationData) -> ConsistencyReport:
     """Families attached to subsets with the same vanishing locus must agree;
     for polynomial data the recursive condition reduces to the restriction/
     differentiation compatibility across nested subsets, checked too."""
-    struct = struct or structure_of(d)
+    struct = structure_of(d)
     mismatches = []
     subsets = subsets_of_actions(d.ell)
     for i, J in enumerate(subsets):
@@ -393,6 +393,12 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     diffp = f - app
     system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
+    # Per level, its power n_j / sigma_A in the remainder bound (levels of
+    # order zero drop out), and per coordinate, its block.
+    powers = [(e, float(N[j - 1]) / float(r.sigma_A))
+              for j, e in family.rho_Lambda.items() if float(N[j - 1])]
+    struct = structure_of(d)
+    coord_blocks = [struct.block_of(c) for c in range(struct.n)]
 
     def fit(scale: float, n: int) -> float:
         pts = sample_members(system, n, scale, rng)
@@ -402,13 +408,11 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
                 f"scale {scale}")
         worst = 0.0
         for norms in pts:
-            coords = _coords_from_norms(d, norms)
-            val = abs(diffp.evaluate(coords))
+            val = abs(diffp.evaluate([float(norms.get(k, 0.0))
+                                      for k in coord_blocks]))
             rem = 1.0
-            for j, e in family.rho_Lambda.items():
-                nj = float(N[j - 1])
-                if nj:
-                    rem *= evaluate_level(e, norms) ** (nj / float(r.sigma_A))
+            for e, power in powers:
+                rem *= evaluate_level(e, norms) ** power
             if rem == 0.0:
                 continue
             worst = max(worst, val / rem)
@@ -419,15 +423,6 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     passed = c_half <= 2.0 * c_full + 1e-12
     return EstimateReport(c_full, c_half, samples, passed,
                           max_violation=max(0.0, c_half - 2.0 * c_full))
-
-
-def _coords_from_norms(d: DeformationData, norms) -> list[float]:
-    struct = structure_of(d)
-    coords = [0.0] * struct.n
-    for k in range(1, d.m + 1):
-        for c in struct.coords_of(k):
-            coords[c] = float(norms.get(k, 0.0))
-    return coords
 
 
 @dataclass(frozen=True)

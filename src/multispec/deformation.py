@@ -240,8 +240,6 @@ class DerivedMonomials:
     phi: dict[int, Monomial]
     phi_inv: dict[int, Monomial]
     psi: dict[int, Monomial]
-    sel_rows: tuple[int, ...]
-    sel_cols: tuple[int, ...]
 
 
 def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
@@ -294,7 +292,7 @@ def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
             raise AssertionError("psi acquired a lambda variable")
         psi[k] = mono_k
 
-    return DerivedMonomials(phi, phi_inv, psi, sel_rows, sel_cols)
+    return DerivedMonomials(phi, phi_inv, psi)
 
 
 @dataclass(frozen=True)

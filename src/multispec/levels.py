@@ -215,7 +215,6 @@ class LevelFamily:
     rho_Lambda: dict[int, LevelExpr]     # per action, scale variables only
     rho_stages: dict[int, LevelExpr]     # pre-restriction, per leftover action
     strict: dict[int, bool]
-    sel_cols: tuple[int, ...]
     elim_order: tuple[int, ...]
 
     def json(self):
@@ -231,15 +230,12 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     scales stage by stage; restriction substitutes them back in elimination
     order (so scale factors cancel exactly as in the worked examples); the
     selected actions restrict their solved inverses."""
-    d, r, p = pipeline.d, pipeline.r, pipeline.p
+    d, p = pipeline.d, pipeline.p
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
     rho_lambda, rho_raw = _level_trees(pipeline)
-    family = LevelFamily(rho_lambda, rho_raw, {}, r.sel_cols,
-                         pipeline.elim_order)
-    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_lambda, rho_raw, strict, r.sel_cols,
-                       pipeline.elim_order)
+    strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
+    return LevelFamily(rho_lambda, rho_raw, strict, pipeline.elim_order)
 
 
 def _level_trees(pipeline: PipelineResult):
@@ -339,11 +335,11 @@ def effective_exponent(e: LevelExpr, scaling) -> Fraction:
     return walk(e)
 
 
-def is_strict(family: LevelFamily, d: DeformationData, j: int) -> bool:
-    """Generic-coefficient limit criterion: the level of action j decays
+def is_strict(e: LevelExpr, d: DeformationData, j: int) -> bool:
+    """Generic-coefficient limit criterion: the level e of action j decays
     along that action's own contraction orbit."""
     scaling = {k: d.entry(j, k) for k in range(1, d.m + 1)}
-    return effective_exponent(family.rho_Lambda[j], scaling) > 0
+    return effective_exponent(e, scaling) > 0
 
 
 def evaluate_level(e: LevelExpr, tau_values) -> float:
@@ -395,8 +391,11 @@ class PermutationBudgetExceeded(RuntimeError):
     pass
 
 
-def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
-                             max_perms: int = 5040) -> LevelFamily:
+MAX_ORDERINGS = 5040
+
+
+def build_generalized_levels(d: DeformationData, r: RankData,
+                             p: PointPattern) -> LevelFamily:
     """Minimum of the level families over all admissible action orderings.
 
     Orderings whose leading rows are linearly independent each give a
@@ -404,19 +403,20 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
     acts only through its set of leading rows and the order of the rest:
     the pipeline is run once per set of leading rows, and each order of
     the rest rebuilds only its elimination stages.  Every action is strict
-    with respect to the result, which is asserted.
+    with respect to the result, which is asserted.  More than MAX_ORDERINGS
+    orderings (ell!) raise PermutationBudgetExceeded before any pipeline
+    is built.
     """
     total = 1
     for i in range(2, d.ell + 1):
         total *= i
-    if total > max_perms:
+    if total > MAX_ORDERINGS:
         raise PermutationBudgetExceeded(
-            f"{total} orderings exceed the budget of {max_perms}")
+            f"{total} orderings exceed the budget of {MAX_ORDERINGS}")
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
 
     families: list[dict[int, LevelExpr]] = []
-    sel_cols: set[int] = set()
     seen: set[tuple] = set()
     for lead in combinations(range(1, d.ell + 1), r.L):
         if rank([list(d.row(j)) for j in lead]) < r.L:
@@ -430,17 +430,14 @@ def build_generalized_levels(d: DeformationData, r: RankData, p: PointPattern,
             if key not in seen:
                 seen.add(key)
                 families.append(rho)
-                sel_cols.update(rr.sel_cols)
     if not families:
         raise ValueError("no admissible ordering: the rank data is inconsistent")
 
     rho_hat: dict[int, LevelExpr] = {}
     for j in range(1, d.ell + 1):
         rho_hat[j] = canonical(lmin([rho[j] for rho in families]))
-    sel_cols = tuple(sorted(sel_cols))
-    family = LevelFamily(rho_hat, {}, {}, sel_cols, ())
-    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
+    strict = {j: is_strict(rho_hat[j], d, j) for j in range(1, d.ell + 1)}
     if not all(strict.values()):
         raise AssertionError("an action is not strict for the generalized "
                              "family; this contradicts its construction")
-    return LevelFamily(rho_hat, {}, strict, sel_cols, ())
+    return LevelFamily(rho_hat, {}, strict, ())

@@ -96,7 +96,11 @@ class SystemKind(Enum):
 @dataclass(frozen=True)
 class MulticoneSystem:
     """The region where each generator monomial stays eps-close to its value,
-    intersected with directional cones on the nonzero blocks."""
+    intersected with directional cones on the nonzero blocks.
+
+    `text()` renders the cones as "z_k in W_k"; `member` tests block norms
+    only, and `normal_cone_probe` tests sample directions against given
+    cone axes."""
 
     inequalities: tuple[Inequality, ...]
     zero_blocks: frozenset[int]
@@ -107,42 +111,18 @@ class MulticoneSystem:
     has_x0: bool
     kind: SystemKind = SystemKind.OPEN
 
-    def member(self, norms, eps, cone_ok=None, x0_norm: float | None = None) -> bool:
+    def member(self, norms, eps: float) -> bool:
         """All inequalities hold at the given block norms (max-norm per
-        block); zero norms are only legal on the zero pattern, and a block
-        missing from norms has norm zero.
-
-        eps is a single number, or a mapping from inequality position to a
-        (minus, plus) pair with an optional "x0" entry for the base bound.
-        """
-        if cone_ok is not None and not all(cone_ok.get(k, True)
-                                           for k in self.blocks
-                                           if k not in self.zero_blocks):
-            return False
+        block) and eps; zero norms are only legal on the zero pattern, and a
+        block missing from norms has norm zero."""
         open_kind = self.kind is SystemKind.OPEN
-        per_pair = None
-        if isinstance(eps, (int, float)):
-            eps0 = float(eps)
-        else:
-            per_pair = dict(eps)
-            sides = [b for key, pair_ in per_pair.items() if key != "x0"
-                     for b in pair_]
-            eps0 = float(per_pair.get("x0", max(sides)))
         vals = {}
         for k in self.blocks:
             val = float(norms.get(k, 0.0))
             if val < 0 or (open_kind and val == 0.0 and k not in self.zero_blocks):
                 return False
             vals[k] = val
-        if self.has_x0 and x0_norm is not None and not _cmp(x0_norm, eps0, self.kind):
-            return False
-        rows = self._rows
-        if per_pair is None:
-            bounds = self._bounds(eps0, eps0)
-        else:
-            bounds = [self._bounds(*(float(x) for x in per_pair[pos]))[pos]
-                      for pos in range(len(rows))]
-        for (num, den, _), (lo, hi) in zip(rows, bounds):
+        for (num, den, _), (lo, hi) in zip(self._rows, self._bounds(float(eps))):
             # Denominator-cleared comparison: valid at vanishing norms too.
             nv = dv = 1.0
             for k, e in num:
@@ -175,26 +155,26 @@ class MulticoneSystem:
     def _bound_tables(self) -> dict:
         return {}
 
-    def _bounds(self, e_minus: float, e_plus: float) -> tuple:
-        """(lo, hi) of every inequality's bound, computed once per pair of
-        eps values.  A factor whose lower base is not positive sends lo to
-        -inf, or to 0 in a closed system."""
-        table = self._bound_tables.get((e_minus, e_plus))
+    def _bounds(self, eps: float) -> tuple:
+        """(lo, hi) of every inequality's bound, computed once per eps.  A
+        factor whose lower base is not positive sends lo to -inf, or to 0 in
+        a closed system."""
+        table = self._bound_tables.get(eps)
         if table is None:
             clamp = self.kind is not SystemKind.OPEN
             table = []
             for _, _, factors in self._rows:
                 hi = lo = 1.0
                 for v, a in factors:
-                    hi *= (v + e_plus) ** a
+                    hi *= (v + eps) ** a
                 for v, a in factors:
-                    base = v - e_minus
+                    base = v - eps
                     if base <= 0:
                         lo = 0.0 if clamp else -math.inf
                         break
                     lo *= base ** a
                 table.append((lo, hi))
-            table = self._bound_tables[(e_minus, e_plus)] = tuple(table)
+            table = self._bound_tables[eps] = tuple(table)
         return table
 
     @cached_property
@@ -232,10 +212,6 @@ class MulticoneSystem:
         }
 
 
-def _cmp(a, b, kind: SystemKind) -> bool:
-    return a < b if kind is SystemKind.OPEN else a <= b
-
-
 def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
                     check_equivalence: bool = True) -> MulticoneSystem:
     """Inequality system over the pipeline's final stage.
@@ -270,6 +246,9 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
+CLOSURE_CAP = 10000
+
+
 @dataclass(frozen=True)
 class ClosureEntry:
     pair: Pair
@@ -286,14 +265,14 @@ class ClosureSystem:
         return frozenset(e.pair for e in self.entries)
 
 
-def closure(pipeline: PipelineResult, rounds: int | None = 1,
-            cap: int = 10000) -> ClosureSystem:
+def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
     """Close the final stage under the balanced-product operation and emit
     the denominator-cleared non-strict system describing the closure.
 
-    A single round (products of stage pairs) is the default; rounds=None
-    iterates to a fixpoint under the element cap, which need not terminate
-    for systems with opposite-sign cycles.
+    rounds counts the product rounds: the first multiplies stage pairs,
+    each later one multiplies the previous round's new entries with the
+    stage pairs, and the closure stops early once a round adds nothing.
+    More than CLOSURE_CAP entries raise ClosureCapExceeded.
     """
     base = [ClosureEntry(pr, ((pr, 1),)) for pr in sorted_pairs(pipeline.Fq)]
     entries = {e.pair: e for e in base}
@@ -322,9 +301,8 @@ def closure(pipeline: PipelineResult, rounds: int | None = 1,
         return new
 
     frontier = base
-    round_no = 0
-    while frontier:
-        if rounds is not None and round_no >= rounds:
+    for _ in range(rounds):
+        if not frontier:
             break
         fresh = []
         made = products(frontier, base)
@@ -334,12 +312,11 @@ def closure(pipeline: PipelineResult, rounds: int | None = 1,
             if e.pair not in entries:
                 entries[e.pair] = e
                 fresh.append(e)
-                if len(entries) > cap:
+                if len(entries) > CLOSURE_CAP:
                     raise ClosureCapExceeded(
-                        f"closure exceeded {cap} elements; the balanced "
-                        "products do not stabilise")
+                        f"closure exceeded {CLOSURE_CAP} elements; the "
+                        "balanced products do not stabilise")
         frontier = fresh
-        round_no += 1
 
     ordered = tuple(sorted(entries.values(), key=lambda e: e.pair.sort_key()))
     ineqs = tuple(Inequality(e.pair.f,
@@ -519,9 +496,12 @@ class ProbeResult:
     hits: dict = field(default_factory=dict)
 
 
+_APERTURE = 0.5  # radians
+
+
 def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
-                      samples: int = 4000, seed: int = 0, directions=None,
-                      aperture: float = 0.5) -> ProbeResult:
+                      samples: int = 4000, seed: int = 0,
+                      directions=None) -> ProbeResult:
     """Numerical oracle for the normal-cone membership characterisation.
 
     Z provides `sample(rng, scale)` a candidate generator and `contains`
@@ -531,6 +511,11 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
     `hits` maps every scale to 1 (a member found) or 0.  Not a decision
     procedure: a clean miss at one scale reports not-in-cone, hits at
     every scale report in-cone, anything else is inconclusive.
+
+    directions maps blocks to cone axes, the numeric form of the cones
+    W_k: a sample counts only when each such block off the zero pattern is
+    nonzero and within 0.5 radians of its axis.  Directions on zero-pattern
+    blocks are ignored.
     """
     import numpy as np
 
@@ -538,7 +523,9 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
         raise ValueError(f"need at least one sample per scale, got {samples}")
     system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
-    directions = directions or {}
+    axes = [(k, np.atleast_1d(np.asarray(direction, dtype=float)))
+            for k, direction in (directions or {}).items()
+            if k in system.blocks and k not in system.zero_blocks]
     scales = (0.5, 0.2, 0.1, 0.05)  # eps, largest first; ball radius 4 * eps
     hits = {}
     for eps in scales:
@@ -553,17 +540,8 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
                      for k, v in z.items()}
             if any(norms[k] > radius for k in norms):
                 continue
-            cone_ok = {}
-            for k, direction in directions.items():
-                vec = np.atleast_1d(np.asarray(z[k], dtype=float))
-                dvec = np.atleast_1d(np.asarray(direction, dtype=float))
-                nv, nd = np.linalg.norm(vec), np.linalg.norm(dvec)
-                if nv == 0 or nd == 0:
-                    cone_ok[k] = k in system.zero_blocks
-                    continue
-                cosang = float(np.dot(vec, dvec) / (nv * nd))
-                cone_ok[k] = math.acos(max(-1.0, min(1.0, cosang))) <= aperture
-            if system.member(norms, eps, cone_ok=cone_ok):
+            if all(_within(z[k], axis) for k, axis in axes) and \
+                    system.member(norms, eps):
                 found += 1
                 break
         hits[eps] = found
@@ -574,3 +552,15 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
             return ProbeResult(ProbeOutcome.NOT_IN_CONE, eps=eps,
                                radius=4.0 * eps, hits=hits)
     return ProbeResult(ProbeOutcome.INCONCLUSIVE, hits=hits)
+
+
+def _within(v, axis) -> bool:
+    """v is nonzero and within the aperture of a nonzero axis."""
+    import numpy as np
+
+    vec = np.atleast_1d(np.asarray(v, dtype=float))
+    nv, nd = np.linalg.norm(vec), np.linalg.norm(axis)
+    if nv == 0 or nd == 0:
+        return False
+    cosang = float(np.dot(vec, axis) / (nv * nd))
+    return math.acos(max(-1.0, min(1.0, cosang))) <= _APERTURE

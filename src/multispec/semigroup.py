@@ -128,29 +128,29 @@ class PipelineResult:
             prev = stage
         raise KeyError(j)
 
-    def reordered(self, elim_order: tuple[int, ...]) -> "PipelineResult":
+    def reordered(self, order: tuple[int, ...]) -> "PipelineResult":
         """The same pipeline with the parameters eliminated in another
         order: only the parameter and zero-pattern stages are rebuilt."""
-        elim_order = tuple(elim_order)
-        if elim_order == self.elim_order:
+        order = tuple(order)
+        if order == self.elim_order:
             return self
         f0_stages, f_stages, fq = _stages(self.G, self.d, self.r, self.p,
-                                          elim_order, self.zero_cols_L)
+                                          order, self.zero_cols_L)
         return replace(self, F0_stages=f0_stages, F_stages=f_stages, Fq=fq,
-                       elim_order=elim_order)
+                       elim_order=order)
 
 
 def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
-            elim_order: tuple[int, ...], zero_cols: tuple[int, ...]):
-    """The elimination stages from G, each unselected parameter in
-    elim_order and then each zero-pattern column of the minor, and the
+            order: tuple[int, ...], zero_cols: tuple[int, ...]):
+    """The elimination stages from G, each unselected parameter in the
+    given order and then each zero-pattern column of the minor, and the
     final stage."""
     unselected = tuple(j for j in range(1, d.ell + 1) if j not in r.sel_rows)
-    if tuple(sorted(elim_order)) != unselected:
+    if tuple(sorted(order)) != unselected:
         raise ValueError("elimination order must list the unselected rows")
     stage = G
     f0_stages = []
-    for j in elim_order:
+    for j in order:
         stage = eliminate(stage, lam(j))
         f0_stages.append((j, stage))
     if any(v.kind == LAM for pr in stage for v, _ in pr.f.exps):
@@ -173,15 +173,14 @@ def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
 
 
 def run_pipeline(d: DeformationData, r: RankData | None = None,
-                 p: PointPattern | None = None,
-                 elim_order: tuple[int, ...] | None = None) -> PipelineResult:
+                 p: PointPattern | None = None) -> PipelineResult:
+    """The pipeline eliminating the unselected parameters in increasing
+    order; `PipelineResult.reordered` gives any other order."""
     p = p if p is not None else PointPattern(frozenset())
     r = r or rank_and_normalize(d, p)
     derived = derive_monomials(d, r)
     G = build_G(d, r, p, derived)
-    if elim_order is None:
-        elim_order = [j for j in range(1, d.ell + 1) if j not in r.sel_rows]
-    elim_order = tuple(elim_order)
+    elim_order = tuple(j for j in range(1, d.ell + 1) if j not in r.sel_rows)
     zero_cols = tuple(sorted(k for k in r.sel_cols if k in p.zero_blocks))
     f0_stages, f_stages, fq = _stages(G, d, r, p, elim_order, zero_cols)
 
@@ -245,11 +244,16 @@ def _dfs(cols, target, budget, check_leaf, idx=0, partial=None):
     return None
 
 
-def mono_membership(f: Monomial, H, bound: int = 200) -> MembershipResult:
+SEARCH_BOUND = 200
+
+
+def mono_membership(f: Monomial, H) -> MembershipResult:
     """Is f a non-negative-integer combination of the monomials of H?
 
     Depth-first search over exponent vectors with exact rational-cone
     pruning; the first witness found is the lexicographically smallest.
+    Unknown when no witness uses at most SEARCH_BOUND generators, counted
+    with multiplicity.
     """
     ordered = sorted(H, key=lambda p: p.sort_key())
     cols, target = _exponent_vectors([p.f for p in ordered], f)
@@ -259,7 +263,7 @@ def mono_membership(f: Monomial, H, bound: int = 200) -> MembershipResult:
     def leaf(alpha):
         return tuple((p, a) for p, a in zip(ordered, alpha))
 
-    found = _dfs(cols, target, bound, leaf)
+    found = _dfs(cols, target, SEARCH_BOUND, leaf)
     if found is not None:
         return MembershipResult(Verdict.YES, witness=found)
     return MembershipResult(Verdict.UNKNOWN)

@@ -11,6 +11,7 @@ from multispec.deformation import deformation, point, rank_and_normalize
 from multispec.levels import (build_levels, canonical, evaluate_level,
                               level_eq, lmono, lpow, lprod)
 from multispec.monomials import mono
+from multispec.multicone import build_multicone, sample_members
 from multispec.semigroup import run_pipeline
 from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    structure_of, canonical_family,
@@ -20,6 +21,7 @@ from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    derivative_identity_holds, consistency_C1,
                                    check_map, PolyMapSpec,
                                    classify_two_manifolds, verify_estimate,
+                                   EstimateReport,
                                    flatness_check, subsets_of_actions,
                                    weight_vector)
 from multispec.polynomials import (BlockPolynomial, BlockStructure,
@@ -412,6 +414,58 @@ def test_verify_estimate_positive():
     rep = verify_estimate(d, r, P0, poly_monomial(s, (1, 1)), (6, 3),
                           samples=100)
     assert rep.passed and rep.C_fit == 0.0
+
+
+def _per_point_verify_estimate(d, r, p, f, N, samples, eps, seed):
+    """verify_estimate as written per point: the orders and sigma_A
+    converted to float, and the coordinates rebuilt from the block
+    structure, at every sampled point and level."""
+    pipeline = run_pipeline(d, r, p)
+    family = build_levels(pipeline)
+    diffp = f - app_template(d, r, N, canonical_family(f, d))
+    system = build_multicone(pipeline, p, check_equivalence=False)
+    rng = np.random.default_rng(seed)
+
+    def fit(scale, n):
+        worst = 0.0
+        for norms in sample_members(system, n, scale, rng):
+            struct = structure_of(d)
+            coords = [0.0] * struct.n
+            for k in range(1, d.m + 1):
+                for c in struct.coords_of(k):
+                    coords[c] = float(norms.get(k, 0.0))
+            val = abs(diffp.evaluate(coords))
+            rem = 1.0
+            for j, e in family.rho_Lambda.items():
+                nj = float(N[j - 1])
+                if nj:
+                    rem *= evaluate_level(e, norms) ** (nj / float(r.sigma_A))
+            if rem == 0.0:
+                continue
+            worst = max(worst, val / rem)
+        return worst
+
+    c_full = fit(eps, samples)
+    c_half = fit(eps / 2.0, samples)
+    return EstimateReport(c_full, c_half, samples,
+                          c_half <= 2.0 * c_full + 1e-12,
+                          max_violation=max(0.0, c_half - 2.0 * c_full))
+
+
+def test_verify_estimate_matches_per_point_oracle():
+    wide = deformation([[1, 1, 0], [0, 1, 1]], block_dims=(2, 1, 2))
+    cases = [(RIGS["cusp"], (1, 1)), (RIGS["rational"], (2, 3)),
+             (RIGS["staircase2"], (0, 2)), (RIGS["clean2"], (3, 1)),
+             ((wide, rank_and_normalize(wide, P0)), (2, 2))]
+    rng = np.random.default_rng(4)
+    for seed, ((d, r), N) in enumerate(cases, start=30):
+        s = structure_of(d)
+        for f in (random_polynomial(s, rng), exp_truncation(s, 4)):
+            for eps in (0.1, 0.05):
+                got = verify_estimate(d, r, P0, f, N, samples=80, eps=eps,
+                                      seed=seed)
+                assert got == _per_point_verify_estimate(
+                    d, r, P0, f, N, 80, eps, seed)
 
 
 def test_flatness_examples():

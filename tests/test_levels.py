@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multispec import levels
 from multispec.deformation import (deformation, is_fixed_point, point,
                                    rank_and_normalize)
 from multispec.levels import (build_levels, build_generalized_levels,
@@ -19,7 +20,7 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               PermutationBudgetExceeded, _combine, _drop)
 from multispec.linear import rank
 from multispec.monomials import lam, mono, tau
-from multispec.semigroup import run_pipeline
+from multispec.semigroup import eliminate, run_pipeline
 from strategies import moving_scenarios, pipeline_of, scenarios
 
 
@@ -125,8 +126,22 @@ def test_generalized_levels():
     for j in range(1, 4):
         assert level_eq(g.rho_Lambda[j], f.rho_Lambda[j])
 
-    with pytest.raises(PermutationBudgetExceeded):
-        build_generalized_levels(d, rank_and_normalize(d, p), p, max_perms=3)
+
+def test_generalized_levels_refuse_more_orderings_than_the_budget(
+        monkeypatch):
+    # 8 actions have 8! = 40,320 orderings, over MAX_ORDERINGS = 5040: the
+    # budget raises before any pipeline is built
+    d = deformation([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2], [3, 1], [1, 3],
+                     [2, 3]])
+    p = point()
+    r = rank_and_normalize(d, p)
+
+    def no_pipeline(*args):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(levels, "run_pipeline", no_pipeline)
+    with pytest.raises(PermutationBudgetExceeded, match="40320 orderings"):
+        build_generalized_levels(d, r, p)
 
 
 def test_generalized_levels_match_every_ordering():
@@ -141,7 +156,7 @@ def test_generalized_levels_match_every_ordering():
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
         rr = rank_and_normalize(d, p, fixed_rows=lead)
-        fam = build_levels(run_pipeline(d, rr, p, elim_order=theta[r.L:]))
+        fam = build_levels(run_pipeline(d, rr, p).reordered(theta[r.L:]))
         for j in branches:
             branches[j].append(fam.rho_Lambda[j])
     ghat = build_generalized_levels(d, r, p)
@@ -363,7 +378,7 @@ def _per_ordering_generalized_levels(d, r, p):
         rr = rank_and_normalize(d, p, fixed_rows=lead)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
-            fam = build_levels(run_pipeline(d, rr, p, elim_order=order))
+            fam = build_levels(run_pipeline(d, rr, p).reordered(order))
             key = tuple(canonical(fam.rho_Lambda[j])
                         for j in range(1, d.ell + 1))
             if key not in seen:
@@ -371,10 +386,8 @@ def _per_ordering_generalized_levels(d, r, p):
                 families.append(fam)
     rho_hat = {j: canonical(lmin([fam.rho_Lambda[j] for fam in families]))
                for j in range(1, d.ell + 1)}
-    sel_cols = tuple(sorted({k for fam in families for k in fam.sel_cols}))
-    family = LevelFamily(rho_hat, {}, {}, sel_cols, ())
-    strict = {j: is_strict(family, d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_hat, {}, strict, sel_cols, ())
+    strict = {j: is_strict(rho_hat[j], d, j) for j in range(1, d.ell + 1)}
+    return LevelFamily(rho_hat, {}, strict, ())
 
 
 def _check_generalized_against_oracle(d, p):
@@ -383,8 +396,7 @@ def _check_generalized_against_oracle(d, p):
     want = _per_ordering_generalized_levels(d, r, p)
     assert got.rho_Lambda == want.rho_Lambda
     assert got.strict == want.strict
-    assert got.sel_cols == want.sel_cols
-    # every reordered pipeline equals the pipeline run in that order
+    # every reordered pipeline eliminates the parameters in that order
     for lead in combinations(range(1, d.ell + 1), r.L):
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
@@ -392,10 +404,25 @@ def _check_generalized_against_oracle(d, p):
         base = run_pipeline(d, rr, p)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
-            fresh = run_pipeline(d, rr, p, elim_order=order)
             moved = base.reordered(order)
-            for f in fields(fresh):
-                assert getattr(moved, f.name) == getattr(fresh, f.name), f.name
+            want = _stages_in_order(base, order)
+            for f in fields(moved):
+                assert getattr(moved, f.name) == \
+                    want.get(f.name, getattr(base, f.name)), f.name
+
+
+def _stages_in_order(pl, order):
+    """The elimination stages of pl redone step by step from G: the
+    parameters in the given order, then the zero-pattern columns."""
+    stage, f0_stages, f_stages = pl.G, [], []
+    for j in order:
+        stage = eliminate(stage, lam(j))
+        f0_stages.append((j, stage))
+    for k in pl.zero_cols_L:
+        stage = eliminate(stage, tau(k))
+        f_stages.append((k, stage))
+    return {"F0_stages": tuple(f0_stages), "F_stages": tuple(f_stages),
+            "Fq": stage, "elim_order": tuple(order)}
 
 
 @pytest.mark.parametrize("rows, zeros", [
