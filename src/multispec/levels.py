@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           is_fixed_point, rank_and_normalize)
 from .linear import rank
-from .monomials import Monomial, ONE, Pair, Var, TAU, lam
+from .monomials import Monomial, ONE, Var, TAU, lam, tau
 from .semigroup import PipelineResult, run_pipeline
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
@@ -198,18 +199,6 @@ def level_eq(a: LevelExpr, b: LevelExpr) -> bool:
     return canonical(a) == canonical(b)
 
 
-def sol_lambda(f, j: int) -> Monomial:
-    """The parameter level solved from a negative-exponent monomial:
-    lam_j * f^{1/|a|}, which no longer involves lam_j."""
-    m = f.f if isinstance(f, Pair) else f
-    a = m.exponent(lam(j))
-    if a >= 0:
-        raise ValueError("solving requires a negative parameter exponent")
-    out = Monomial.from_dict({lam(j): 1}) * (m ** (Fraction(1) / -a))
-    assert out.exponent(lam(j)) == 0
-    return out
-
-
 @dataclass(frozen=True)
 class LevelFamily:
     rho_Lambda: dict[int, LevelExpr]     # per action, scale variables only
@@ -233,75 +222,145 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     d, p = pipeline.d, pipeline.p
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
-    rho_lambda, rho_raw = _level_trees(pipeline)
+    rho_lambda, variables, steps = _level_trees(pipeline)
+    rho_raw = {j: lmax([lmono(_monomial(b, variables)) for b in branches])
+               if branches else LEVEL_ONE
+               for j, (_, branches) in zip(pipeline.elim_order, steps)}
     strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
     return LevelFamily(rho_lambda, rho_raw, strict, pipeline.elim_order)
 
 
-def _level_trees(pipeline: PipelineResult):
-    """The canonical restricted level of every action, and the unrestricted
-    level of every eliminated one.
+# An exponent vector (numerators, denominator) over a fixed list of
+# variables: the monomial whose exponent of variables[i] is
+# numerators[i] / denominator.  The denominator is positive and its gcd
+# with all the numerators is 1, so equal monomials have equal vectors.
+Vector = tuple[tuple[int, ...], int]
 
-    Restriction substitutes the eliminated parameters in elimination order,
-    one monomial leaf at a time.  The restricted form of a leaf from a
-    position of the order is memoised for this call: a leaf without the
-    parameter at that position moves on to the next one, and any other is
-    combined once with that parameter's level, whose leaves are restricted
-    from the next position.  As canonical forms of max and min nodes depend
-    only on the canonical forms of their children, the result equals the
-    canonical form of the whole tree substituted parameter by parameter.
+
+def _reduced(nums, den: int) -> Vector:
+    g = gcd(*nums, den)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
+
+
+def _vector(m: Monomial, index: dict[Var, int]) -> Vector:
+    den = lcm(*(e.denominator for _, e in m.exps))
+    nums = [0] * len(index)
+    for v, e in m.exps:
+        nums[index[v]] = e.numerator * (den // e.denominator)
+    return tuple(nums), den
+
+
+def _monomial(vec: Vector, variables: tuple[Var, ...]) -> Monomial:
+    nums, den = vec
+    return Monomial(tuple((v, Fraction(n, den))
+                          for v, n in zip(variables, nums) if n))
+
+
+def _vector_key(vec: Vector, variables: tuple[Var, ...]) -> tuple:
+    """Monomial.sort_key of the vector's monomial."""
+    nums, den = vec
+    out = []
+    for v, n in zip(variables, nums):
+        if n:
+            g = gcd(n, den)
+            out += (*v._key, n // g, den // g)
+    return tuple(out)
+
+
+def _level_trees(pipeline: PipelineResult):
+    """The canonical restricted level of every action; the variables of
+    the exponent vectors; and per eliminated parameter, in elimination
+    order, its coordinate and the branches of its unrestricted level.
+
+    The level of parameter j is the max of its branches lam_j * f^(1/|a|),
+    one for each pair of the stage j is eliminated from whose monomial f
+    has exponent a < 0 in lam_j.  Restriction substitutes the eliminated
+    parameters in elimination order, one monomial leaf at a time, on exact
+    integer exponent vectors over the tau's and the eliminated lam's; only
+    the final leaves become Monomials.  The restricted form of a leaf from
+    a position of the order is memoised for this call: a leaf without the
+    parameter at that position moves on to the next one, and any other
+    becomes a max (a min for a negative exponent) over that parameter's
+    branches, each restricted from the next position.  As canonical forms
+    of max and min nodes depend only on the canonical forms of their
+    children, the result equals the canonical form of the whole tree
+    substituted parameter by parameter.
     """
-    r = pipeline.r
+    d, r = pipeline.d, pipeline.r
     elim = pipeline.elim_order
-    rho_raw: dict[int, LevelExpr] = {}
-    steps: list[tuple[Var, LevelExpr]] = []
+    variables = (tuple(tau(k) for k in range(1, d.m + 1))
+                 + tuple(lam(j) for j in sorted(elim)))
+    index = {v: i for i, v in enumerate(variables)}
+    kept = [v.kind == TAU and v.index in r.sel_cols for v in variables]
+
+    steps: list[tuple[int, list[Vector]]] = []
     for j in elim:
         v = lam(j)
-        branches = sorted({sol_lambda(pr, j)
-                           for pr in pipeline.stage_before_lambda(j)
-                           if pr.f.exponent(v) < 0},
-                          key=lambda m: m.sort_key())
-        rho_raw[j] = lmax([lmono(b) for b in branches]) if branches else LEVEL_ONE
-        steps.append((v, rho_raw[j]))
+        i = index[v]
+        branches = set()
+        for pr in pipeline.stage_before_lambda(j):
+            if pr.f.exponent(v) < 0:
+                nums = list(_vector(pr.f, index)[0])
+                a = nums[i]
+                nums[i] = 0
+                branches.add(_reduced(nums, -a))
+        steps.append((i, sorted(branches,
+                                key=lambda b: _vector_key(b, variables))))
 
-    memo: dict[tuple[Monomial, int], LevelExpr] = {}
+    memo: dict[tuple[Vector, int], LevelExpr] = {}
     action = 0
 
-    def leaf(m: Monomial, pos: int) -> LevelExpr:
-        key = (m, pos)
+    def leaf(vec: Vector, pos: int) -> LevelExpr:
+        key = (vec, pos)
         out = memo.get(key)
         if out is None:
+            nums, den = vec
             if pos == len(steps):
-                bad = [v for v, _ in m.exps
-                       if v.kind != TAU or v.index not in r.sel_cols]
+                bad = [v for v, n, ok in zip(variables, nums, kept)
+                       if n and not ok]
                 if bad:
                     raise AssertionError(
                         f"level for action {action} involves {bad}")
-                out = lmono(m)
+                out = lmono(_monomial(vec, variables))
+            elif not nums[steps[pos][0]]:
+                out = leaf(vec, pos + 1)
             else:
-                v, repl = steps[pos]
-                x = m.exponent(v)
-                out = (leaf(m, pos + 1) if x == 0 else
-                       restrict(_combine(_drop(m, v), repl, x), pos + 1))
+                out = substitute(nums, den, pos)
             memo[key] = out
         return out
 
-    def restrict(e: LevelExpr, pos: int) -> LevelExpr:
-        if e.kind == MONO:
-            return leaf(e.mono, pos)
-        return canonical(LevelExpr(e.kind, children=tuple(
-            restrict(c, pos) for c in e.children)))
+    def substitute(nums, den: int, pos: int) -> LevelExpr:
+        # m * b^x over the branches b of the parameter, where x is m's
+        # exponent of it: m's numerators times b's denominator plus x's
+        # numerator times b's numerators, over both denominators.
+        i, branches = steps[pos]
+        x = nums[i]
+        rest = list(nums)
+        rest[i] = 0
+        if not branches:
+            return leaf(_reduced(rest, den), pos + 1)
+        kids = [leaf(_reduced([n * bd + x * b for n, b in zip(rest, bn)],
+                              den * bd), pos + 1)
+                for bn, bd in branches]
+        return _lattice(MAX if x > 0 else MIN, kids)
 
     rho_lambda: dict[int, LevelExpr] = {}
     for action in r.sel_rows:
-        rho_lambda[action] = leaf(pipeline.derived.phi_inv[action], 0)
-    for action in elim:
-        rho_lambda[action] = restrict(rho_raw[action], 0)
-    return rho_lambda, rho_raw
+        rho_lambda[action] = leaf(
+            _vector(pipeline.derived.phi_inv[action], index), 0)
+    for action, (_, branches) in zip(elim, steps):
+        rho_lambda[action] = (_lattice(MAX, [leaf(b, 0) for b in branches])
+                              if branches else LEVEL_ONE)
+    return rho_lambda, variables, steps
 
 
-def _drop(m: Monomial, v: Var) -> Monomial:
-    return Monomial(tuple((w, x) for w, x in m.exps if w != v))
+def _lattice(kind: str, kids: list[LevelExpr]) -> LevelExpr:
+    """The canonical max or min of canonical trees; one tree is itself."""
+    if len(kids) == 1:
+        return kids[0]
+    return canonical(LevelExpr(kind, children=tuple(kids)))
 
 
 def effective_exponent(e: LevelExpr, scaling) -> Fraction:

@@ -1,14 +1,15 @@
 import copy
 import math
 import pickle
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multispec import levels
 from multispec.deformation import (deformation, is_fixed_point, point,
@@ -16,10 +17,10 @@ from multispec.deformation import (deformation, is_fixed_point, point,
 from multispec.levels import (build_levels, build_generalized_levels,
                               canonical, effective_exponent, evaluate_level,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
-                              lprod, sol_lambda, LevelExpr, LevelFamily,
-                              PermutationBudgetExceeded, _combine, _drop)
+                              lprod, LevelExpr, LevelFamily,
+                              PermutationBudgetExceeded, _combine)
 from multispec.linear import rank
-from multispec.monomials import lam, mono, tau
+from multispec.monomials import Monomial, Pair, lam, mono, tau
 from multispec.semigroup import eliminate, run_pipeline
 from strategies import moving_scenarios, pipeline_of, scenarios
 
@@ -28,14 +29,6 @@ def fam_for(rows, zeros=frozenset()):
     d = deformation(rows)
     pl = run_pipeline(d, None, point(zero_blocks=zeros))
     return d, build_levels(pl)
-
-
-def test_sol_lambda_examples():
-    assert sol_lambda(mono("t1/l4"), 4) == mono("t1")
-    assert sol_lambda(mono("t3/(l4*l5)"), 4) == mono("t3/l5")
-    assert sol_lambda(mono("l4^(-1)"), 4) == mono("1")
-    with pytest.raises(ValueError):
-        sol_lambda(mono("t1*l4"), 4)
 
 
 def test_levels_normal_type():
@@ -467,6 +460,30 @@ def test_generalized_levels_reject_a_fixed_point():
 # parameter by parameter over the whole tree, and strictness evaluated
 # afresh at every node.
 
+def sol_lambda(f, j: int) -> Monomial:
+    """The parameter level solved from a negative-exponent monomial:
+    lam_j * f^{1/|a|}, which no longer involves lam_j."""
+    m = f.f if isinstance(f, Pair) else f
+    a = m.exponent(lam(j))
+    if a >= 0:
+        raise ValueError("solving requires a negative parameter exponent")
+    out = Monomial.from_dict({lam(j): 1}) * (m ** (Fraction(1) / -a))
+    assert out.exponent(lam(j)) == 0
+    return out
+
+
+def _drop(m: Monomial, v) -> Monomial:
+    return Monomial(tuple((w, x) for w, x in m.exps if w != v))
+
+
+def test_sol_lambda_examples():
+    assert sol_lambda(mono("t1/l4"), 4) == mono("t1")
+    assert sol_lambda(mono("t3/(l4*l5)"), 4) == mono("t3/l5")
+    assert sol_lambda(mono("l4^(-1)"), 4) == mono("1")
+    with pytest.raises(ValueError):
+        sol_lambda(mono("t1*l4"), 4)
+
+
 def subst_lambda(e, j, replacement):
     """Substitute a parameter inside a monomial-leaf tree, branching the
     leaf when the replacement is itself a lattice node."""
@@ -547,11 +564,34 @@ def _moving_pipeline(sc):
     return pl
 
 
+# Two stress matrices of the eliminate benchmark (8x3-2 and 6x4-4): longer
+# exponent vectors than the drawn scenarios, and minor inverses with
+# denominators up to 4 and 12.
+STRESS_8X3 = [[0, 0, 2], [2, 1, 0], [2, 2, 1], [1, 0, 1],
+              [2, 2, 1], [0, 1, 1], [1, 0, 1], [0, 1, 0]]
+STRESS_6X4 = [[1, 1, 2, 2], [0, 2, 2, 0], [2, 1, 2, 0],
+              [1, 2, 0, 2], [1, 2, 0, 1], [0, 0, 0, 2]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(moving_scenarios(max_rows=5, max_cols=4))
+@example((STRESS_8X3, set()))
+@example((STRESS_6X4, set()))
 def test_restriction_matches_sequential_substitution(sc):
     pl = _moving_pipeline(sc)
     check_levels_against_oracles(pl, build_levels(pl))
+
+
+def test_final_leaf_outside_the_minor_is_named():
+    # With column 2 taken out of the minor, restricting l4 = max(t1, t2)
+    # into the level t1/l4 of action 1 leaves the leaf t1/t2.
+    pl = run_pipeline(deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1],
+                                   [1, 1, 1]]), None, point())
+    assert pl.elim_order == (4,) and pl.r.sel_cols == (1, 2, 3)
+    bad = replace(pl, r=replace(pl.r, sel_cols=(1, 3)))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"level for action 1 involves {[tau(2)]}")):
+        build_levels(bad)
 
 
 @settings(max_examples=40, deadline=None)
