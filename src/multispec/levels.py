@@ -11,25 +11,38 @@ from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           is_fixed_point, rank_and_normalize)
-from .linear import rank
-from .monomials import Monomial, ONE, Var, TAU, lam, tau
+from .linear import fr, rank
+from .monomials import Monomial, ONE, Var, LAM, TAU, XI, lam, tau
 from .semigroup import PipelineResult, run_pipeline
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
 _ORDER = {MAX: 1, MIN: 2, PROD: 3, POW: 4}
-_ZERO = Fraction(0)
+# Variable kinds by the first entry of their sort key.
+_KINDS = {Var(kind, 1).key()[0]: kind for kind in (TAU, LAM, XI)}
+_TAU = tau(1).key()[0]
 
 
 @dataclass(frozen=True, slots=True)
 class LevelExpr:
+    """A level tree node.  A MONO leaf is the integer key of its monomial
+    (Monomial.sort_key), on which it compares, hashes and sorts, so a leaf
+    built from an exponent vector equals lmono of the same Monomial; `mono`
+    is made on first use.  Other nodes hold children, a POW node its
+    exponent."""
+
     kind: str
-    mono: Monomial | None = None
+    key: tuple[int, ...] = ()
     children: tuple["LevelExpr", ...] = ()
     exp: Fraction | None = None
-    # Caches filled on first use, outside every comparison: the hash, the
-    # sort key, the canonical form (see canonical) and the float tree (see
-    # evaluate_level).
+    # Caches filled on first use, outside every comparison: a leaf's
+    # Monomial and its tau exponents over one denominator (see
+    # effective_exponent); the hash, the sort key, the canonical form (see
+    # canonical) and the float tree (see evaluate_level).
+    _mono: Monomial | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _taus: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False)
     _sort_key: tuple | None = field(default=None, init=False, repr=False,
@@ -42,18 +55,30 @@ class LevelExpr:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.kind, self.mono, self.children, self.exp))
+            h = hash((self.kind, self.key, self.children, self.exp))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __reduce__(self):
-        return LevelExpr, (self.kind, self.mono, self.children, self.exp)
+        return LevelExpr, (self.kind, self.key, self.children, self.exp)
+
+    @property
+    def mono(self) -> Monomial | None:
+        """The leaf's Monomial (None for other nodes)."""
+        m = self._mono
+        if m is None and self.kind == MONO:
+            k = self.key
+            m = Monomial(tuple((Var(_KINDS[k[i]], k[i + 1]),
+                                Fraction(k[i + 2], k[i + 3]))
+                               for i in range(0, len(k), 4)))
+            object.__setattr__(self, "_mono", m)
+        return m
 
     def sort_key(self):
         k = self._sort_key
         if k is None:
             if self.kind == MONO:
-                k = (0, self.mono.sort_key())
+                k = (0, self.key)
             else:
                 k = (_ORDER[self.kind],
                      tuple(c.sort_key() for c in self.children),
@@ -83,7 +108,9 @@ def lmono(m) -> LevelExpr:
     if isinstance(m, str):
         from .monomials import mono as parse
         m = parse(m)
-    return LevelExpr(MONO, mono=m)
+    e = LevelExpr(MONO, m.sort_key())
+    object.__setattr__(e, "_mono", m)
+    return e
 
 
 LEVEL_ONE = lmono(ONE)
@@ -202,7 +229,6 @@ def level_eq(a: LevelExpr, b: LevelExpr) -> bool:
 @dataclass(frozen=True)
 class LevelFamily:
     rho_Lambda: dict[int, LevelExpr]     # per action, scale variables only
-    rho_stages: dict[int, LevelExpr]     # pre-restriction, per leftover action
     strict: dict[int, bool]
     elim_order: tuple[int, ...]
 
@@ -222,12 +248,9 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     d, p = pipeline.d, pipeline.p
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
-    rho_lambda, variables, steps = _level_trees(pipeline)
-    rho_raw = {j: lmax([lmono(_monomial(b, variables)) for b in branches])
-               if branches else LEVEL_ONE
-               for j, (_, branches) in zip(pipeline.elim_order, steps)}
+    rho_lambda = _level_trees(pipeline)[0]
     strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_lambda, rho_raw, strict, pipeline.elim_order)
+    return LevelFamily(rho_lambda, strict, pipeline.elim_order)
 
 
 # An exponent vector (numerators, denominator) over a fixed list of
@@ -252,12 +275,6 @@ def _vector(m: Monomial, index: dict[Var, int]) -> Vector:
     return tuple(nums), den
 
 
-def _monomial(vec: Vector, variables: tuple[Var, ...]) -> Monomial:
-    nums, den = vec
-    return Monomial(tuple((v, Fraction(n, den))
-                          for v, n in zip(variables, nums) if n))
-
-
 def _vector_key(vec: Vector, variables: tuple[Var, ...]) -> tuple:
     """Monomial.sort_key of the vector's monomial."""
     nums, den = vec
@@ -269,6 +286,19 @@ def _vector_key(vec: Vector, variables: tuple[Var, ...]) -> tuple:
     return tuple(out)
 
 
+def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A leaf's tau exponents as (den, ((k, numerator), ...)) over a common
+    denominator."""
+    t = e._taus
+    if t is None:
+        k = e.key
+        den = lcm(*k[3::4])
+        t = den, tuple((k[i + 1], k[i + 2] * (den // k[i + 3]))
+                       for i in range(0, len(k), 4) if k[i] == _TAU)
+        object.__setattr__(e, "_taus", t)
+    return t
+
+
 def _level_trees(pipeline: PipelineResult):
     """The canonical restricted level of every action; the variables of
     the exponent vectors; and per eliminated parameter, in elimination
@@ -278,12 +308,12 @@ def _level_trees(pipeline: PipelineResult):
     one for each pair of the stage j is eliminated from whose monomial f
     has exponent a < 0 in lam_j.  Restriction substitutes the eliminated
     parameters in elimination order, one monomial leaf at a time, on exact
-    integer exponent vectors over the tau's and the eliminated lam's; only
-    the final leaves become Monomials.  The restricted form of a leaf from
-    a position of the order is memoised for this call: a leaf without the
-    parameter at that position moves on to the next one, and any other
-    becomes a max (a min for a negative exponent) over that parameter's
-    branches, each restricted from the next position.  As canonical forms
+    integer exponent vectors over the tau's and the eliminated lam's; a
+    final leaf is keyed on its vector (see LevelExpr).  The restricted form
+    of a leaf from a position of the order is memoised for this call: a
+    leaf without the parameter at that position moves on to the next one,
+    and any other becomes a max (a min for a negative exponent) over that
+    parameter's branches, each restricted from the next position.  As canonical forms
     of max and min nodes depend only on the canonical forms of their
     children, the result equals the canonical form of the whole tree
     substituted parameter by parameter.
@@ -323,7 +353,7 @@ def _level_trees(pipeline: PipelineResult):
                 if bad:
                     raise AssertionError(
                         f"level for action {action} involves {bad}")
-                out = lmono(_monomial(vec, variables))
+                out = LevelExpr(MONO, _vector_key(vec, variables))
             elif not nums[steps[pos][0]]:
                 out = leaf(vec, pos + 1)
             else:
@@ -367,31 +397,51 @@ def effective_exponent(e: LevelExpr, scaling) -> Fraction:
     """Exponent of t in e after scaling tau_k by t^{s_k}; as t -> 0+ a max
     is dominated by its smallest exponent and a min by its largest.
 
-    One pass over the tree: shared subtrees are evaluated once (memoised by
-    identity for this call), and blocks with zero scaling are skipped.
+    One pass over the tree in integers: with the scaling over the lcm of
+    its denominators, a leaf is one dot product over the leaf's own
+    denominator, and nodes compare and add such (numerator, denominator)
+    pairs by cross-multiplication.  Shared subtrees are evaluated once
+    (memoised by identity for this call), and blocks with zero scaling are
+    skipped.
     """
-    scale = {k: s for k, s in scaling.items() if s}
-    memo: dict[int, Fraction] = {}
+    scale = {k: fr(s) for k, s in scaling.items() if s}
+    den = lcm(*(s.denominator for s in scale.values()))
+    weight = {k: s.numerator * (den // s.denominator)
+              for k, s in scale.items()}
+    memo: dict[int, tuple[int, int]] = {}
 
-    def walk(n: LevelExpr) -> Fraction:
+    def walk(n: LevelExpr) -> tuple[int, int]:
         out = memo.get(id(n))
         if out is None:
-            if n.kind == MONO:
-                out = _ZERO
-                for v, x in n.mono.exps:
-                    s = scale.get(v.index) if v.kind == TAU else None
-                    if s is not None:
-                        out += s * x
-            elif n.kind == POW:
-                out = n.exp * walk(n.children[0])
+            kind = n.kind
+            if kind == MONO:
+                q, taus = _tau_vector(n)
+                p = 0
+                for k, x in taus:
+                    w = weight.get(k)
+                    if w is not None:
+                        p += w * x
+                out = p, q
+            elif kind == POW:
+                p, q = walk(n.children[0])
+                out = n.exp.numerator * p, n.exp.denominator * q
+            elif kind == PROD:
+                p, q = 0, 1
+                for c in n.children:
+                    cp, cq = walk(c)
+                    p, q = p * cq + cp * q, q * cq
+                out = p, q
             else:
-                vals = [walk(c) for c in n.children]
-                out = (min(vals) if n.kind == MAX else
-                       max(vals) if n.kind == MIN else sum(vals, _ZERO))
+                sign = 1 if kind == MAX else -1
+                for c in n.children:
+                    p, q = walk(c)
+                    if out is None or sign * (p * out[1] - out[0] * q) < 0:
+                        out = p, q
             memo[id(n)] = out
         return out
 
-    return walk(e)
+    p, q = walk(e)
+    return Fraction(p, q * den)
 
 
 def is_strict(e: LevelExpr, d: DeformationData, j: int) -> bool:
@@ -414,10 +464,13 @@ def _compile(e: LevelExpr) -> tuple:
     """The tree as nested tuples: (MONO, ((block, float exponent), ...)),
     (POW, child, float exponent), or (kind, children)."""
     if e.kind == MONO:
-        for v, _ in e.mono.exps:
-            if v.kind != TAU:
-                raise KeyError(v)
-        return MONO, tuple((v.index, float(x)) for v, x in e.mono.exps)
+        k = e.key
+        for i in range(0, len(k), 4):
+            if k[i] != _TAU:
+                raise KeyError(Var(_KINDS[k[i]], k[i + 1]))
+        # n / d is the double nearest the exponent, as float(Fraction) is
+        return MONO, tuple((k[i + 1], k[i + 2] / k[i + 3])
+                           for i in range(0, len(k), 4))
     if e.kind == POW:
         return POW, _compile(e.children[0]), float(e.exp)
     return e.kind, tuple(_compile(c) for c in e.children)
@@ -499,4 +552,4 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     if not all(strict.values()):
         raise AssertionError("an action is not strict for the generalized "
                              "family; this contradicts its construction")
-    return LevelFamily(rho_hat, {}, strict, ())
+    return LevelFamily(rho_hat, strict, ())

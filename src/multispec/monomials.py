@@ -151,8 +151,10 @@ class Monomial:
         return Monomial(tuple(out))
 
     def __pow__(self, r) -> "Monomial":
-        # a nonzero power keeps the support and the variable order
-        r = fr(r)
+        # a nonzero power keeps the support and the variable order; an int
+        # power multiplies the Fraction exponents without a conversion
+        if type(r) is not int:
+            r = fr(r)
         if r == 1:
             return self
         if r == 0:
@@ -291,7 +293,8 @@ class Value:
         return Value(self.mono * other.mono)
 
     def __pow__(self, r) -> "Value":
-        r = fr(r)
+        if type(r) is not int:
+            r = fr(r)
         if r == 0:
             return UNIT_VALUE
         if self.is_zero:
@@ -346,7 +349,8 @@ class Pair:
         return Pair(self.f * other.f, self.v * other.v)
 
     def __pow__(self, n) -> "Pair":
-        n = fr(n)
+        if type(n) is not int:
+            n = fr(n)
         if n < 0:
             raise ValueError("pair powers must be non-negative")
         return Pair(self.f ** n, self.v ** n)

@@ -23,12 +23,23 @@ GOLDEN = Path(__file__).parent / "golden"
 RUNNING = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"]],
                       "blocks": [1, 1, 1], "zeros": [1, 2]})
 FREE = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"]]})
+# Larger level trees: two stress matrices of the eliminate benchmark
+# (8x3-2 and 6x4-4) and one of its 5x3 generalized instances.
+STRESS_8X3 = json.dumps({"A": [[0, 0, 2], [2, 1, 0], [2, 2, 1], [1, 0, 1],
+                               [2, 2, 1], [0, 1, 1], [1, 0, 1], [0, 1, 0]]})
+STRESS_6X4 = json.dumps({"A": [[1, 1, 2, 2], [0, 2, 2, 0], [2, 1, 2, 0],
+                               [1, 2, 0, 2], [1, 2, 0, 1], [0, 0, 0, 2]]})
+GENERALIZED_5X3 = json.dumps({"A": [[0, 2, 1], [2, 1, 0], [1, 0, 1],
+                                    [2, 2, 1], [2, 0, 1]]})
 MAP_SPEC = {"source": {"A": [["1", "0"], ["0", "1"]]},
             "target": {"A": [["3", "2"], ["1", "1"]]},
             "components": ["z1^3*z2", "z1^2*z2"]}
 CALLS = {
     "pipeline": ["pipeline", RUNNING],
     "levels": ["levels", FREE, "--generalized"],
+    "levels-8x3": ["levels", STRESS_8X3],
+    "levels-6x4": ["levels", STRESS_6X4],
+    "levels-5x3-generalized": ["levels", GENERALIZED_5X3, "--generalized"],
     "multicone": ["multicone", RUNNING],
     "closure": ["closure", RUNNING],
     "project": ["project", RUNNING, "--drop", "1"],
@@ -63,6 +74,9 @@ def stdout_of(argv, tmp: Path) -> str:
 
 @pytest.mark.parametrize("name, fmt, argv", CASES,
                          ids=[f"{name}-{fmt}" for name, fmt, _ in CASES])
+# the 8x3 stress matrix repeats two rows, which the loader warns about on
+# stderr; only stdout is compared
+@pytest.mark.filterwarnings("ignore:rows .* coincide:UserWarning")
 def test_output_matches_golden(name, fmt, argv, tmp_path):
     want = (GOLDEN / f"{name}.{fmt}").read_text()
     assert stdout_of(argv, tmp_path) == want

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multispec import levels
+from multispec.asymptotics import remainder_exponent
 from multispec.deformation import (deformation, is_fixed_point, point,
                                    rank_and_normalize)
 from multispec.levels import (build_levels, build_generalized_levels,
@@ -52,10 +53,18 @@ def test_levels_transitive_families():
 
 
 def test_empty_branch_set_gives_one():
-    # an action whose parameter never appears negatively yields the constant
-    d = deformation([[1, 0], [0, 1]])
-    fam = build_levels(run_pipeline(d, None, point()))
-    assert set(fam.rho_stages) == set()
+    # A parameter that no pair of its stage holds with a negative exponent
+    # has no branches: its level is the constant, and restriction sets it to
+    # 1 in the other levels.  No drawn scenario has such a stage, so the
+    # pairs with l4 in the denominator are taken out by hand.
+    pl = run_pipeline(deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1],
+                                   [1, 1, 1]]), None, point())
+    assert pl.elim_order == (4,)
+    cut = replace(pl, G=frozenset(q for q in pl.G
+                                  if q.f.exponent(lam(4)) >= 0))
+    fam = build_levels(cut)
+    assert fam.rho_Lambda == {1: lmono("t1"), 2: lmono("t2"),
+                              3: lmono("t3/(t1*t2)"), 4: lmono("1")}
 
 
 def test_levels_require_non_fixed_point():
@@ -293,8 +302,8 @@ def test_two_sided_scaling_bound():
 
 
 def _trees():
-    """Level trees built by every constructor, canonical or not; the last
-    ones still hold action parameters, so they cannot be evaluated."""
+    """Level trees built by every constructor, canonical or not; the second
+    list still holds action parameters, so it cannot be evaluated."""
     d = deformation([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
     fam = build_levels(run_pipeline(d, None, point()))
     return list(fam.rho_Lambda.values()) + [
@@ -302,7 +311,8 @@ def _trees():
               lmin("t1*t3", "t2^(1/2)"), "t3^(2/3)"),
         lmin(lmax("t1", lmax("t2", "t1")), "t3"),
         lpow(lmin("1", "t1/t2"), 0),
-        lmono("t1/t2")], list(fam.rho_stages.values())
+        lmono("t1/t2")], [
+        lmax("t1*l5/t3", lmin("t2/t3", "l4^(1/2)*t1"))]
 
 
 TAUS = {1: 2.0, 2: 3.0, 3: 5.0}
@@ -380,7 +390,7 @@ def _per_ordering_generalized_levels(d, r, p):
     rho_hat = {j: canonical(lmin([fam.rho_Lambda[j] for fam in families]))
                for j in range(1, d.ell + 1)}
     strict = {j: is_strict(rho_hat[j], d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_hat, {}, strict, ())
+    return LevelFamily(rho_hat, strict, ())
 
 
 def _check_generalized_against_oracle(d, p):
@@ -544,12 +554,38 @@ def _nested_key(e):
             (e.exp.numerator, e.exp.denominator) if e.exp else ())
 
 
+def _branch_monomial(vec, variables) -> Monomial:
+    nums, den = vec
+    return Monomial(tuple((v, Fraction(n, den))
+                          for v, n in zip(variables, nums) if n))
+
+
+def _leaves(e):
+    return [n for n in _nodes(e) if n.kind == "mono"]
+
+
+def _same_leaf(a, b):
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.sort_key() == b.sort_key()
+    assert str(a) == str(b)
+    assert a.json() == b.json()
+
+
 def check_levels_against_oracles(pl, fam):
-    """The family equals the sequential restriction, and its strictness the
-    per-node exponent along each action's own orbit."""
+    """The family equals the sequential restriction, leaf for leaf, and its
+    strictness the per-node exponent along each action's own orbit; the
+    branches of each step are those of the sequential route."""
     rho, rho_raw = _sequential_level_trees(pl)
     assert fam.rho_Lambda == rho
-    assert fam.rho_stages == rho_raw
+    for j, e in fam.rho_Lambda.items():
+        # vector leaves against leaves built from Monomials
+        for a, b in zip(_leaves(e), _leaves(rho[j]), strict=True):
+            _same_leaf(a, b)
+    _, variables, steps = levels._level_trees(pl)
+    assert {j: lmax([lmono(_branch_monomial(b, variables))
+                     for b in branches]) if branches else lmono("1")
+            for j, (_, branches) in zip(pl.elim_order, steps)} == rho_raw
     d = pl.d
     for j, e in fam.rho_Lambda.items():
         orbit = {k: d.entry(j, k) for k in range(1, d.m + 1)}
@@ -616,7 +652,7 @@ def test_sort_key_is_the_nested_key():
             assert n.sort_key() == want  # the cached key
 
 
-CACHES = ("_hash", "_sort_key", "_canonical", "_tree")
+CACHES = ("_hash", "_sort_key", "_canonical", "_tree", "_mono", "_taus")
 
 
 def test_pickle_drops_every_cache():
@@ -633,3 +669,48 @@ def test_pickle_drops_every_cache():
             for n in _nodes(back):
                 assert all(getattr(n, name) is None for name in CACHES)
             assert back == e
+
+
+@settings(max_examples=40, deadline=None)
+@given(moving_scenarios(max_rows=5, max_cols=4))
+@example((STRESS_6X4, set()))
+def test_vector_leaves_match_their_monomials(sc):
+    # every final leaf, against lmono of its Monomial and of its printed
+    # form, and against a copy without caches
+    pl = _moving_pipeline(sc)
+    for e in build_levels(pl).rho_Lambda.values():
+        for leaf in _leaves(e):
+            _same_leaf(leaf, lmono(leaf.mono))
+            _same_leaf(leaf, lmono(mono(str(leaf))))
+            _same_leaf(leaf, pickle.loads(pickle.dumps(leaf)))
+
+
+def test_leaves_from_monomials_keep_them():
+    m = mono("t1^(3/2)*l2/x3")
+    assert lmono(m).mono is m
+    assert lmono(m).key == m.sort_key()
+    assert lmono("1").key == () and lmono("1").mono.is_one
+    assert LevelExpr("max", children=(lmono(m),)).mono is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(moving_scenarios(max_rows=4, max_cols=3),
+       st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 3]),
+                min_size=3, max_size=3),
+       st.lists(st.integers(0, 1), min_size=4, max_size=4))
+def test_integer_exponent_matches_fraction_oracle(sc, s, orders):
+    # generalized levels, and remainders factored (vector leaves under POW
+    # and PROD nodes) and multiplied out (leaves built from Monomials)
+    pl = _moving_pipeline(sc)
+    d = pl.d
+    ghat = build_generalized_levels(d, pl.r, pl.p)
+    fam = build_levels(pl)
+    rem = remainder_exponent(fam, orders[:d.ell], pl.r.sigma_A)
+    trees = list(ghat.rho_Lambda.values()) + [rem, canonical(rem)]
+    scalings = [dict(enumerate(s, start=1))] + [
+        {k: d.entry(j, k) for k in range(1, d.m + 1)}
+        for j in range(1, d.ell + 1)]
+    for e in trees:
+        for scaling in scalings:
+            assert effective_exponent(e, scaling) == \
+                _tree_exponent(e, scaling)

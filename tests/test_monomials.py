@@ -125,12 +125,12 @@ def test_pow_scales_exponents(m, n):
 
 
 @given(st.sets(st.tuples(_monos(), st.booleans()), max_size=5))
+# both f and 1/f with value zero: the inverse is an input, not a closure step
+@example({(mono("t1"), False), (mono("t1^-1"), False)})
 def test_closure_never_inverts_zero(items):
     gens = {Pair(m, xival("x1") if nz else ZERO) for m, nz in items}
-    q = fraction_closure(gens)
-    for p in gens:
-        if p.v.is_zero and not p.f.is_one:
-            assert Pair(p.f.inv(), p.v) not in q or p.f.inv() == p.f
+    assert fraction_closure(gens) == gens | {p.inv() for p in gens
+                                             if not p.v.is_zero}
 
 
 def _dict_mul(a, b):
@@ -191,6 +191,17 @@ def test_scaled_pow_matches_dict_oracle(m, r):
     _same_exps(m ** r, _dict_pow(m, r))
     if r == 1:
         assert m ** r is m
+
+
+@given(_mixed_monos(), st.booleans(), st.integers(0, 4))
+def test_int_pair_power_matches_fraction_power(m, nonzero, n):
+    # the int route skips the Fraction conversion, not the Fraction exponents
+    p = Pair(m, xival("x1/x2^(1/2)") if nonzero else ZERO)
+    got, want = p ** n, p ** Fraction(n)
+    assert got == want
+    _same_exps(got.f, want.f)
+    if nonzero:
+        _same_exps(got.v.mono, want.v.mono)
 
 
 def test_equal_monomials_hash_alike():
