@@ -511,6 +511,12 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"invalid --{name}: need at least "
                                     f"{least}, got {getattr(args, name)}")
         result = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone (`multispec ... | head`): send Python's
+        # flush at exit to devnull, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

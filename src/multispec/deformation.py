@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .linear import mat, rank, inverse, sigma_for
-from .monomials import Monomial, Var, LAM, tau, lam
+from .linear import adjugate, fr, mat, rank, sigma_for
+from .monomials import Monomial, tau, lam
 
 
 class ActionClass(Enum):
@@ -243,54 +244,48 @@ class DerivedMonomials:
 
 
 def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
-    phi = {k: Monomial.from_dict({lam(j): d.entry(j, k) for j in range(1, d.ell + 1)})
+    """phi_k, the solved inverses and the quotients, in integers: with the
+    matrix over the lcm of its denominators and the minor's inverse as
+    adj / det (`adjugate`), every exponent is an integer over one
+    denominator.  Each column, solved on the selected rows, must give back
+    its other rows: a selected column as a unit vector, which is the round
+    trip (2.9), and any other as the span of the selected columns.  Both
+    are checked as integer identities."""
+    taus = [tau(k) for k in range(1, d.m + 1)]
+    lams = [lam(j) for j in range(1, d.ell + 1)]
+    phi = {k: Monomial(tuple((v, fr(row[k - 1])) for v, row in zip(lams, d.A)
+                             if row[k - 1]))
            for k in range(1, d.m + 1)}
 
     sel_rows, sel_cols = r.sel_rows, r.sel_cols
-    minor = [[d.entry(j, k) for k in sel_cols] for j in sel_rows]
-    minor_inv = inverse(minor)  # raises if the contract is violated
     unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
-    lower = [[d.entry(j, k) for k in sel_cols] for j in unsel_rows]
+    scale = lcm(*(x.denominator for row in d.A for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in d.A]
+    adj, det = adjugate([[d.entry(j, k) for k in sel_cols] for j in sel_rows])
+    den = scale * det  # of every exponent below
 
-    phi_inv: dict[int, Monomial] = {}
-    for jpos, j in enumerate(sel_rows):
-        exps: dict[Var, Fraction] = {}
-        for kpos, k in enumerate(sel_cols):
-            exps[tau(k)] = minor_inv[kpos][jpos]
-        for ipos, i in enumerate(unsel_rows):
-            coeff = -sum(lower[ipos][kpos] * minor_inv[kpos][jpos]
-                         for kpos in range(r.L))
-            exps[lam(i)] = coeff
-        phi_inv[j] = Monomial.from_dict(exps)
+    def mono(exps) -> Monomial:
+        return Monomial(tuple((v, Fraction(n, den)) for v, n in exps if n))
 
-    # Round trip (2.9): substituting phi^{-1} into phi_k returns tau_k.
-    for kpos, k in enumerate(sel_cols):
-        acc = Monomial.from_dict({lam(i): d.entry(i, k) for i in unsel_rows})
-        for j in sel_rows:
-            acc = acc * (phi_inv[j] ** d.entry(j, k))
-        if acc != Monomial.from_dict({tau(k): 1}):
-            raise AssertionError("round-trip identity failed; singular data")
+    def lower(i, col):  # row i over the selected columns, times col
+        return sum(a[i - 1][k - 1] * x for k, x in zip(sel_cols, col))
 
+    phi_inv = {j: mono([(taus[k - 1], x * scale) for k, x in zip(sel_cols, col)]
+                       + [(lams[i - 1], -lower(i, col)) for i in unsel_rows])
+               for j, col in zip(sel_rows, zip(*adj))}
     psi: dict[int, Monomial] = {}
     for k in range(1, d.m + 1):
-        if k in sel_cols:
-            continue
-        top = [d.entry(j, k) for j in sel_rows]
-        alpha = [sum(minor_inv[i][jpos] * top[jpos] for jpos in range(r.L))
-                 for i in range(r.L)]
-        # Columns outside the minor must be combinations of the selected ones.
-        for ipos, i in enumerate(unsel_rows):
-            if d.entry(i, k) != sum(lower[ipos][kpos] * alpha[kpos]
-                                    for kpos in range(r.L)):
-                raise AssertionError(
-                    f"column {k} is not spanned by the selected columns")
-        exps = {tau(k): Fraction(1)}
-        for kpos, kk in enumerate(sel_cols):
-            exps[tau(kk)] = exps.get(tau(kk), Fraction(0)) - alpha[kpos]
-        mono_k = Monomial.from_dict(exps)
-        if mono_k.has_kind(LAM):
-            raise AssertionError("psi acquired a lambda variable")
-        psi[k] = mono_k
+        alpha = [sum(x * a[j - 1][k - 1] for x, j in zip(row, sel_rows))
+                 for row in adj]
+        unit = [den * (kk == k) for kk in sel_cols]
+        if k in sel_cols and alpha != unit or any(
+                a[i - 1][k - 1] * den != lower(i, alpha) for i in unsel_rows):
+            raise AssertionError("round-trip identity failed; singular data"
+                                 if k in sel_cols else f"column {k} is not "
+                                 "spanned by the selected columns")
+        if k not in sel_cols:
+            psi[k] = mono(sorted([(taus[k - 1], den)] + [
+                (taus[kk - 1], -x) for kk, x in zip(sel_cols, alpha)]))
 
     return DerivedMonomials(phi, phi_inv, psi)
 

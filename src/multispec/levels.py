@@ -10,10 +10,10 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData,
-                          is_fixed_point, rank_and_normalize)
+                          derive_monomials, is_fixed_point, rank_and_normalize)
 from .linear import fr, rank
-from .monomials import Monomial, ONE, Var, LAM, TAU, XI, lam, tau
-from .semigroup import PipelineResult, run_pipeline
+from .monomials import Monomial, ONE, Var, LAM, TAU, XI, ZERO, lam, tau
+from .semigroup import PipelineResult, build_G, eliminate_rows, row_of
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
@@ -148,12 +148,41 @@ def _spread(es) -> list[LevelExpr]:
     return out
 
 
-def _combine(base: Monomial, node: LevelExpr, e: Fraction) -> LevelExpr:
-    """base * node^e for a canonical max/min tree with monomial leaves."""
+def _times(a: tuple, b: tuple, p: int, q: int) -> tuple:
+    """The key of the monomial a * b^(p/q), q > 0, from the keys a and b
+    (see Monomial.sort_key): a merge of two sorted sparse integer vectors,
+    each exponent it changes reduced by one gcd."""
+    out = []
+    i, la = 0, len(a)
+    for j in range(0, len(b), 4):
+        kind, index = b[j], b[j + 1]
+        while i < la and (a[i] < kind or a[i] == kind and a[i + 1] < index):
+            out += a[i:i + 4]
+            i += 4
+        n, d = b[j + 2], b[j + 3]
+        if p != q:
+            n, d = n * p, d * q
+        if i < la and a[i] == kind and a[i + 1] == index:
+            n, d = a[i + 2] * d + n * a[i + 3], a[i + 3] * d
+            i += 4
+        elif p == q:
+            out += b[j:j + 4]  # reduced already
+            continue
+        if n:
+            g = gcd(n, d)
+            out += (kind, index, n // g, d // g)
+    out += a[i:]
+    return tuple(out)
+
+
+def _combine(base: tuple, node: LevelExpr, e: Fraction | int) -> LevelExpr:
+    """base * node^e for a canonical max/min tree with monomial leaves and
+    the key of a monomial base."""
     if e == 0:
-        return lmono(base)
+        return LevelExpr(MONO, base)
     if node.kind == MONO:
-        return lmono(base * (node.mono ** e))
+        return LevelExpr(MONO, _times(base, node.key, e.numerator,
+                                      e.denominator))
     kind = node.kind if e > 0 else _FLIP[node.kind]
     return LevelExpr(kind, children=tuple(_combine(base, c, e)
                                           for c in node.children))
@@ -181,22 +210,22 @@ def _canonical(e: LevelExpr) -> LevelExpr:
     if e.kind == MONO:
         return e
     if e.kind == POW:
-        return canonical(_combine(ONE, canonical(e.children[0]), e.exp))
+        return canonical(_combine((), canonical(e.children[0]), e.exp))
     if e.kind == PROD:
-        mono_part = ONE
+        mono_part = ()  # the key of the product of the monomial factors
         nodes = []
         for c in e.children:
             c = canonical(c)
             if c.kind == MONO:
-                mono_part = mono_part * c.mono
+                mono_part = _times(mono_part, c.key, 1, 1)
             else:
                 nodes.append(c)
         if not nodes:
-            return lmono(mono_part)
+            return LevelExpr(MONO, mono_part)
         nodes.sort(key=lambda n: n.sort_key())
         acc = nodes[0]
-        if not mono_part.is_one:
-            acc = _combine(mono_part, acc, Fraction(1))
+        if mono_part:
+            acc = _combine(mono_part, acc, 1)
         for n in nodes[1:]:
             acc = _cross(acc, n)
         return canonical(acc)
@@ -216,9 +245,9 @@ def _canonical(e: LevelExpr) -> LevelExpr:
 def _cross(a: LevelExpr, b: LevelExpr) -> LevelExpr:
     """Product of two canonical lattice trees, distributing a over b."""
     if a.kind == MONO:
-        return _combine(a.mono, b, Fraction(1))
+        return _combine(a.key, b, 1)
     if b.kind == MONO:
-        return _combine(b.mono, a, Fraction(1))
+        return _combine(b.key, a, 1)
     return LevelExpr(a.kind, children=tuple(_cross(ch, b) for ch in a.children))
 
 
@@ -242,13 +271,15 @@ class LevelFamily:
 
 def build_levels(pipeline: PipelineResult) -> LevelFamily:
     """Per-action levels: the leftover actions get the max of their solved
-    scales stage by stage; restriction substitutes them back in elimination
+    scales stage by stage (the parameter stages eliminated again from G,
+    as rows of monomials); restriction substitutes them back in elimination
     order (so scale factors cancel exactly as in the worked examples); the
     selected actions restrict their solved inverses."""
     d, p = pipeline.d, pipeline.p
     if is_fixed_point(d, p):
         raise ValueError("level functions need a point outside fixed points")
-    rho_lambda = _level_trees(pipeline)[0]
+    rho_lambda, _, _ = next(_level_families(
+        d, pipeline.r, pipeline.derived, pipeline.G, [pipeline.elim_order]))
     strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
     return LevelFamily(rho_lambda, strict, pipeline.elim_order)
 
@@ -265,14 +296,6 @@ def _reduced(nums, den: int) -> Vector:
     if g == 1:
         return tuple(nums), den
     return tuple(n // g for n in nums), den // g
-
-
-def _vector(m: Monomial, index: dict[Var, int]) -> Vector:
-    den = lcm(*(e.denominator for _, e in m.exps))
-    nums = [0] * len(index)
-    for v, e in m.exps:
-        nums[index[v]] = e.numerator * (den // e.denominator)
-    return tuple(nums), den
 
 
 def _vector_key(vec: Vector, variables: tuple[Var, ...]) -> tuple:
@@ -299,41 +322,56 @@ def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
     return t
 
 
-def _level_trees(pipeline: PipelineResult):
+def _level_families(d: DeformationData, r: RankData, derived, G, orders):
+    """_level_trees for each order of eliminating the unselected parameters
+    from G, in rows of the monomials over every tau and the eliminated lams;
+    each prefix of an order is eliminated once."""
+    index = {v: i for i, v in enumerate([tau(k) for k in range(1, d.m + 1)]
+                                        + [lam(j) for j in sorted(orders[0])])}
+    after = {(): {row_of(pr.f, ZERO, index) for pr in G}}
+    for order in orders:
+        for n in range(1, len(order)):
+            if order[:n] not in after:
+                after[order[:n]] = eliminate_rows(
+                    after[order[:n - 1]], index[lam(order[n - 1])],
+                    len(index), False)
+        yield _level_trees(d, r, derived, index, [
+            (j, after[order[:n]]) for n, j in enumerate(order)])
+
+
+def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
     """The canonical restricted level of every action; the variables of
     the exponent vectors; and per eliminated parameter, in elimination
     order, its coordinate and the branches of its unrestricted level.
 
-    The level of parameter j is the max of its branches lam_j * f^(1/|a|),
-    one for each pair of the stage j is eliminated from whose monomial f
-    has exponent a < 0 in lam_j.  Restriction substitutes the eliminated
-    parameters in elimination order, one monomial leaf at a time, on exact
-    integer exponent vectors over the tau's and the eliminated lam's; a
-    final leaf is keyed on its vector (see LevelExpr).  The restricted form
-    of a leaf from a position of the order is memoised for this call: a
-    leaf without the parameter at that position moves on to the next one,
-    and any other becomes a max (a min for a negative exponent) over that
-    parameter's branches, each restricted from the next position.  As canonical forms
-    of max and min nodes depend only on the canonical forms of their
-    children, the result equals the canonical form of the whole tree
-    substituted parameter by parameter.
+    stages lists, in elimination order, each eliminated parameter j and
+    the stage it is eliminated from, as rows over index (`row_of`).  The
+    level of j is the max of its branches lam_j * f^(1/|a|), one for each
+    row f with exponent a < 0 in lam_j.  Restriction substitutes the
+    eliminated parameters in elimination order, one monomial leaf at a
+    time, on exact integer exponent vectors over the tau's and the
+    eliminated lam's; a final leaf is keyed on its vector (see LevelExpr).
+    The restricted form of a leaf from a position of the order is
+    memoised for this call: a leaf without the parameter at that position
+    moves on to the next one, and any other becomes a max (a min for a
+    negative exponent) over that parameter's branches, each restricted
+    from the next position.  As canonical forms of max and min nodes
+    depend only on the canonical forms of their children, the result
+    equals the canonical form of the whole tree substituted parameter by
+    parameter.
     """
-    d, r = pipeline.d, pipeline.r
-    elim = pipeline.elim_order
-    variables = (tuple(tau(k) for k in range(1, d.m + 1))
-                 + tuple(lam(j) for j in sorted(elim)))
-    index = {v: i for i, v in enumerate(variables)}
+    variables = tuple(index)
     kept = [v.kind == TAU and v.index in r.sel_cols for v in variables]
+    elim = [j for j, _ in stages]
 
     steps: list[tuple[int, list[Vector]]] = []
-    for j in elim:
-        v = lam(j)
-        i = index[v]
+    for j, rows in stages:
+        i = index[lam(j)]
         branches = set()
-        for pr in pipeline.stage_before_lambda(j):
-            if pr.f.exponent(v) < 0:
-                nums = list(_vector(pr.f, index)[0])
-                a = nums[i]
+        for nums, _, _ in rows:
+            a = nums[i]
+            if a < 0:
+                nums = list(nums)
                 nums[i] = 0
                 branches.add(_reduced(nums, -a))
         steps.append((i, sorted(branches,
@@ -379,7 +417,7 @@ def _level_trees(pipeline: PipelineResult):
     rho_lambda: dict[int, LevelExpr] = {}
     for action in r.sel_rows:
         rho_lambda[action] = leaf(
-            _vector(pipeline.derived.phi_inv[action], index), 0)
+            row_of(derived.phi_inv[action], ZERO, index)[:2], 0)
     for action, (_, branches) in zip(elim, steps):
         rho_lambda[action] = (_lattice(MAX, [leaf(b, 0) for b in branches])
                               if branches else LEVEL_ONE)
@@ -513,11 +551,11 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     Orderings whose leading rows are linearly independent each give a
     family; duplicates collapse before the pointwise minimum.  An ordering
     acts only through its set of leading rows and the order of the rest:
-    the pipeline is run once per set of leading rows, and each order of
-    the rest rebuilds only its elimination stages.  Every action is strict
-    with respect to the result, which is asserted.  More than MAX_ORDERINGS
-    orderings (ell!) raise PermutationBudgetExceeded before any pipeline
-    is built.
+    G is built once per set of leading rows, and the orders of the rest
+    share the stages of their common prefixes, in rows.  Every action is
+    strict with respect to the result, which is asserted.  More than
+    MAX_ORDERINGS orderings (ell!) raise PermutationBudgetExceeded before
+    any G is built.
     """
     total = 1
     for i in range(2, d.ell + 1):
@@ -534,10 +572,11 @@ def build_generalized_levels(d: DeformationData, r: RankData,
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
         rr = rank_and_normalize(d, p, fixed_rows=lead)
-        pipeline = run_pipeline(d, rr, p)
+        derived = derive_monomials(d, rr)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
-        for order in permutations(rest):
-            rho = _level_trees(pipeline.reordered(order))[0]
+        for rho, _, _ in _level_families(d, rr, derived,
+                                         build_G(d, rr, p, derived),
+                                         list(permutations(rest))):
             key = tuple(rho[j] for j in range(1, d.ell + 1))
             if key not in seen:
                 seen.add(key)

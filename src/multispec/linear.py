@@ -58,8 +58,9 @@ def rank(a: Matrix) -> int:
     return r
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError if singular.
+def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
+    """The inverse of a square matrix over one integer d, inverse(a) =
+    adj / d; raises ValueError if singular.
 
     Fraction-free Gauss-Jordan elimination on [a | I] with each row made
     integral (which leaves the inverse unchanged): each step divides
@@ -83,7 +84,13 @@ def inverse(a: Matrix) -> Matrix:
 
         m = [row if i == c else eliminated(row) for i, row in enumerate(m)]
         d = p
-    return [[Fraction(x, d) for x in row[n:]] for row in m]
+    return [row[n:] for row in m], d
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Inverse of a square matrix; raises ValueError if singular."""
+    adj, d = adjugate(a)
+    return [[Fraction(x, d) for x in row] for row in adj]
 
 
 def solve_unique(a: Matrix, b: Vector) -> Vector:

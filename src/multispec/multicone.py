@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING
 
 from .monomials import Monomial, Pair, Value, tau, sorted_pairs
 from .deformation import PointPattern
-from .semigroup import (PipelineResult, Verdict, equivalent, fraction_closure,
-                        _balanced)
+from .semigroup import (PipelineResult, Verdict, balance, equivalent,
+                        fraction_closure, layout, pair_of, row_of)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -274,31 +274,20 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
     stage pairs, and the closure stops early once a round adds nothing.
     More than CLOSURE_CAP entries raise ClosureCapExceeded.
     """
-    base = [ClosureEntry(pr, ((pr, 1),)) for pr in sorted_pairs(pipeline.Fq)]
-    entries = {e.pair: e for e in base}
-    taus = [tau(k) for k in pipeline.r.sel_cols]
+    stage = sorted_pairs(pipeline.Fq)
+    columns, width, index = layout(stage)
+    cols = [index[tau(k)] for k in pipeline.r.sel_cols if tau(k) in index]
+    base = [(row_of(pr.f, pr.v, index), ClosureEntry(pr, ((pr, 1),)))
+            for pr in stage]
+    entries = dict(base)
 
     def products(pool_a, pool_b):
-        # each entry's exponents on the selected columns, read once per call
-        exps_b = [(eb, [eb.pair.f.exponent(t) for t in taus]) for eb in pool_b]
-        new = []
-        for ea in pool_a:
-            exps_a = [ea.pair.f.exponent(t) for t in taus]
-            for eb, exps in exps_b:
-                for ef, eg in zip(exps_a, exps):
-                    if ef > 0 and eg < 0:
-                        a, b = _balanced(ef, eg)
-                        prod = (ea.pair ** a) * (eb.pair ** b)
-                        if prod not in entries:
-                            fac: dict[Pair, int] = {}
-                            for q, n in ea.factors:
-                                fac[q] = fac.get(q, 0) + n * a
-                            for q, n in eb.factors:
-                                fac[q] = fac.get(q, 0) + n * b
-                            new.append(ClosureEntry(
-                                prod, tuple(sorted(fac.items(),
-                                                   key=lambda t: t[0].sort_key()))))
-        return new
+        # the row of ea^a * eb^b, a, ea, b and eb for each couple and
+        # selected column of opposite signs, unless already an entry
+        return [(row, a, ea, b, eb) for ra, ea in pool_a for rb, eb in pool_b
+                for i in cols if ra[0][i] > 0 and rb[0][i] < 0
+                for a, b, row in [balance(ra, rb, i, width)]
+                if row not in entries]
 
     frontier = base
     for _ in range(rounds):
@@ -308,10 +297,18 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
         made = products(frontier, base)
         if frontier is not base:
             made += products(base, frontier)
-        for e in made:
-            if e.pair not in entries:
-                entries[e.pair] = e
-                fresh.append(e)
+        for row, a, ea, b, eb in made:
+            if row not in entries:
+                fac: dict[Pair, int] = {}
+                for q, n in ea.factors:
+                    fac[q] = fac.get(q, 0) + n * a
+                for q, n in eb.factors:
+                    fac[q] = fac.get(q, 0) + n * b
+                e = ClosureEntry(pair_of(row, columns, width),
+                                 tuple(sorted(fac.items(),
+                                              key=lambda t: t[0].sort_key())))
+                entries[row] = e
+                fresh.append((row, e))
                 if len(entries) > CLOSURE_CAP:
                     raise ClosureCapExceeded(
                         f"closure exceeded {CLOSURE_CAP} elements; the "
@@ -349,22 +346,24 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
         if e == 0:
             keep.append(ineq)
         elif e > 0:
-            pos.append((ineq, e))
+            pos.append(ineq)
         else:
-            neg.append((ineq, e))
+            neg.append(ineq)
     if k_in_JZ:
         if neg:
             raise ValueError("negative exponents on a vanishing block")
         new = keep
     else:
         new = list(keep)
-        for gneg, en in neg:
-            for gpos, ep in pos:
-                a, b = _balanced(ep, en)
-                f = (gpos.f ** a) * (gneg.f ** b)
+        pairs = [Pair(ineq.f, ineq.value) for ineq in pos + neg]
+        columns, width, index = layout(pairs)
+        rows = [row_of(pr.f, pr.v, index) for pr in pairs]
+        for gneg, rn in zip(neg, rows[len(pos):]):
+            for gpos, rp in zip(pos, rows):
+                a, b, row = balance(rp, rn, index[v], width)
+                pr = pair_of(row, columns, width)
                 bound = _merge(gpos.bound, Fraction(a), gneg.bound, Fraction(b))
-                value = (gpos.value ** a) * (gneg.value ** b)
-                new.append(Inequality(f, bound, value))
+                new.append(Inequality(pr.f, bound, pr.v))
     return MulticoneSystem(
         inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),
         zero_blocks=system.zero_blocks - {k},

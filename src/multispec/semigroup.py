@@ -4,10 +4,10 @@ a pair is a member (hence equivalence) by exact rational-cone LPs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
                           derive_monomials, rank_and_normalize,
@@ -17,10 +17,88 @@ from .monomials import (Monomial, Pair, Value, Var, ONE, ZERO, UNIT_VALUE,
                         TAU, LAM, XI, tau, lam, xi, fraction_closure)
 
 
-def _balanced(e_pos: Fraction, e_neg: Fraction) -> tuple[int, int]:
-    """Coprime naturals a, b with a*e_pos = b*|e_neg|."""
-    ratio = -e_neg / e_pos
-    return ratio.numerator, ratio.denominator
+# A row: a pair (f, v) as integer exponent numerators over one positive
+# denominator, gcd-reduced with it, over the columns of `layout`, and whether
+# v is zero (its columns are then zero); equal pairs have equal rows.
+Row = tuple[tuple[int, ...], int, bool]
+
+
+def layout(pairs) -> tuple[tuple[Var, ...], int, dict[Var, int]]:
+    """Row columns for the pairs: their monomials' variables in Var key
+    order (taus, then lams), then their values' norm symbols; the number of
+    monomial columns; and each column's position."""
+    f = sorted({v for p in pairs for v, _ in p.f.exps})
+    x = sorted({v for p in pairs if not p.v.is_zero for v, _ in p.v.mono.exps})
+    return tuple(f + x), len(f), {v: i for i, v in enumerate(f + x)}
+
+
+def row_of(f: Monomial, v: Value, index: dict[Var, int]) -> Row:
+    """The row of the pair (f, v); index maps their variables to columns."""
+    exps = f.exps + (() if v.is_zero else v.mono.exps)
+    den = lcm(*(e.denominator for _, e in exps))
+    nums = [0] * len(index)
+    for x, e in exps:
+        nums[index[x]] = e.numerator * (den // e.denominator)
+    return tuple(nums), den, v.is_zero
+
+
+def pair_of(row: Row, columns, width: int) -> Pair:
+    """The pair of a row over the columns, the first width the monomial's."""
+    nums, den, zero = row
+
+    def mono(cols: slice) -> Monomial:
+        return Monomial(tuple((v, Fraction(n, den))
+                              for v, n in zip(columns[cols], nums[cols]) if n))
+
+    return Pair(mono(slice(width)),
+                ZERO if zero else Value(mono(slice(width, None))))
+
+
+def balance(p: Row, q: Row, i: int, width: int) -> tuple[int, int, Row]:
+    """The one Fourier-Motzkin step of elimination, closure and projection:
+    for rows p positive and q negative in column i, coprime naturals a, b
+    and the row of p^a * q^b, which is free of column i.  The first width
+    columns are the monomial's."""
+    (pn, pd, pz), (qn, qd, qz) = p, q
+    x, y = pn[i], -qn[i]
+    den = gcd(y * pd, x * qd)
+    nums = [y * s + x * t for s, t in zip(pn, qn)]
+    if pz or qz:
+        nums[width:] = [0] * (len(nums) - width)
+    g = gcd(den, *nums)
+    return y * pd // den, x * qd // den, (tuple(n // g for n in nums),
+                                          den // g, pz or qz)
+
+
+def eliminate_rows(rows, i: int, width: int, zero_positive: bool) -> set[Row]:
+    """One elimination step in column i: the rows free of it and the
+    balanced product of each positive row with each negative one; with
+    zero_positive (a block scale), the positive rows too, with value zero."""
+    out = {row for row in rows if not row[0][i]}
+    pos = [row for row in rows if row[0][i] > 0]
+    neg = [row for row in rows if row[0][i] < 0]
+    if zero_positive:
+        for nums, den, _ in pos:
+            nums = nums[:width] + (0,) * (len(nums) - width)
+            g = gcd(den, *nums)
+            out.add((tuple(n // g for n in nums), den // g, True))
+    out.update(balance(p, q, i, width)[2] for p in pos for q in neg)
+    return out
+
+
+def _eliminations(F, variables):
+    """The stages of F after an elimination step (see `eliminate`) in each
+    variable in turn.  The steps run on rows; each distinct row becomes one
+    Pair, shared by every stage that holds it, and F keeps its own."""
+    columns, width, index = layout(F)
+    pairs = {row_of(p.f, p.v, index): p for p in F}
+    rows, stage = set(pairs), frozenset(F)
+    for v in variables:
+        if v in index:
+            rows = eliminate_rows(rows, index[v], width, v.kind == TAU)
+            stage = frozenset(pairs.get(row) or pairs.setdefault(
+                row, pair_of(row, columns, width)) for row in rows)
+        yield stage
 
 
 def eliminate(F, v: Var) -> frozenset[Pair]:
@@ -28,23 +106,7 @@ def eliminate(F, v: Var) -> frozenset[Pair]:
     balance opposite signs.  A block scale (kind TAU) also keeps its
     positive pairs with value zero; an action parameter is eliminated
     completely."""
-    out: set[Pair] = set()
-    pos, neg = [], []
-    for p in F:
-        e = p.f.exponent(v)
-        if e == 0:
-            out.add(p)
-        elif e > 0:
-            if v.kind == TAU:
-                out.add(Pair(p.f, ZERO))
-            pos.append((p, e))
-        else:
-            neg.append((p, e))
-    for p, ep in pos:
-        for q, eq in neg:
-            a, b = _balanced(ep, eq)
-            out.add((p ** a) * (q ** b))
-    return frozenset(out)
+    return next(_eliminations(F, [v]))
 
 
 def norm_value(psi_k: Monomial, k: int, d: DeformationData, r: RankData,
@@ -119,26 +181,6 @@ class PipelineResult:
     def F0(self) -> frozenset[Pair]:
         return self.F0_stages[-1][1] if self.F0_stages else self.G
 
-    def stage_before_lambda(self, j: int) -> frozenset[Pair]:
-        """The set the elimination of parameter j was applied to."""
-        prev = self.G
-        for jj, stage in self.F0_stages:
-            if jj == j:
-                return prev
-            prev = stage
-        raise KeyError(j)
-
-    def reordered(self, order: tuple[int, ...]) -> "PipelineResult":
-        """The same pipeline with the parameters eliminated in another
-        order: only the parameter and zero-pattern stages are rebuilt."""
-        order = tuple(order)
-        if order == self.elim_order:
-            return self
-        f0_stages, f_stages, fq = _stages(self.G, self.d, self.r, self.p,
-                                          order, self.zero_cols_L)
-        return replace(self, F0_stages=f0_stages, F_stages=f_stages, Fq=fq,
-                       elim_order=order)
-
 
 def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
             order: tuple[int, ...], zero_cols: tuple[int, ...]):
@@ -148,20 +190,12 @@ def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
     unselected = tuple(j for j in range(1, d.ell + 1) if j not in r.sel_rows)
     if tuple(sorted(order)) != unselected:
         raise ValueError("elimination order must list the unselected rows")
-    stage = G
-    f0_stages = []
-    for j in order:
-        stage = eliminate(stage, lam(j))
-        f0_stages.append((j, stage))
-    if any(v.kind == LAM for pr in stage for v, _ in pr.f.exps):
+    stages = [G, *_eliminations(G, [lam(j) for j in order]
+                                + [tau(k) for k in zero_cols])]
+    if any(v.kind == LAM for pr in stages[len(order)] for v, _ in pr.f.exps):
         raise AssertionError("lambda variables survived the elimination")
 
-    f_stages = []
-    for k in zero_cols:
-        stage = eliminate(stage, tau(k))
-        f_stages.append((k, stage))
-
-    for pr in stage:
+    for pr in stages[-1]:
         for k in p.zero_blocks:
             e = pr.f.exponent(tau(k))
             if e < 0:
@@ -169,13 +203,14 @@ def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
             if e > 0 and not pr.v.is_zero:
                 raise AssertionError("nonzero value with positive zero-pattern "
                                      "exponent in F^q")
-    return tuple(f0_stages), tuple(f_stages), stage
+    return (tuple(zip(order, stages[1:])),
+            tuple(zip(zero_cols, stages[len(order) + 1:])), stages[-1])
 
 
 def run_pipeline(d: DeformationData, r: RankData | None = None,
                  p: PointPattern | None = None) -> PipelineResult:
     """The pipeline eliminating the unselected parameters in increasing
-    order; `PipelineResult.reordered` gives any other order."""
+    order."""
     p = p if p is not None else PointPattern(frozenset())
     r = r or rank_and_normalize(d, p)
     derived = derive_monomials(d, r)
@@ -332,10 +367,8 @@ def eliminate_lambda(F) -> frozenset[Pair]:
     """Fraction-close, then eliminate every action parameter present,
     in increasing index order."""
     out = fraction_closure(F)
-    js = sorted({v.index for pr in out for v, _ in pr.f.exps if v.kind == LAM})
-    for j in js:
-        out = eliminate(out, lam(j))
-    return out
+    lams = sorted({v for pr in out for v, _ in pr.f.exps if v.kind == LAM})
+    return [out, *_eliminations(out, lams)][-1]
 
 
 def _semigroup_probes(free, zero_slack) -> list[Pair]:

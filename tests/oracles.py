@@ -1,0 +1,183 @@
+"""Oracles: the Fraction bodies that the integer elimination kernel
+(`semigroup.balance` and its callers) and the integer `derive_monomials`
+replaced, kept to check them against."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+from multispec.deformation import DerivedMonomials
+from multispec.linear import inverse
+from multispec.monomials import (LAM, TAU, ZERO, Monomial, Pair,
+                                 fraction_closure, lam, tau)
+from multispec.multicone import (ClosureEntry, Inequality, MulticoneSystem,
+                                 _merge)
+
+
+def balanced(e_pos: Fraction, e_neg: Fraction) -> tuple[int, int]:
+    """Coprime naturals a, b with a*e_pos = b*|e_neg|."""
+    ratio = -e_neg / e_pos
+    return ratio.numerator, ratio.denominator
+
+
+def eliminate(F, v) -> frozenset[Pair]:
+    """One elimination step on Pairs: keep the pairs free of v and balance
+    opposite signs; a block scale also keeps its positive pairs with value
+    zero."""
+    out: set[Pair] = set()
+    pos, neg = [], []
+    for p in F:
+        e = p.f.exponent(v)
+        if e == 0:
+            out.add(p)
+        elif e > 0:
+            if v.kind == TAU:
+                out.add(Pair(p.f, ZERO))
+            pos.append((p, e))
+        else:
+            neg.append((p, e))
+    for p, ep in pos:
+        for q, eq in neg:
+            a, b = balanced(ep, eq)
+            out.add((p ** a) * (q ** b))
+    return frozenset(out)
+
+
+def stages(pl, order):
+    """The elimination stages of pl redone step by step from G with the
+    oracle step: the parameters in the given order, then the zero-pattern
+    columns; as the fields of a PipelineResult."""
+    stage, f0_stages, f_stages = pl.G, [], []
+    for j in order:
+        stage = eliminate(stage, lam(j))
+        f0_stages.append((j, stage))
+    for k in pl.zero_cols_L:
+        stage = eliminate(stage, tau(k))
+        f_stages.append((k, stage))
+    return {"F0_stages": tuple(f0_stages), "F_stages": tuple(f_stages),
+            "Fq": stage, "elim_order": tuple(order)}
+
+
+def reordered(pl, order):
+    """pl with its parameters eliminated in another order."""
+    return replace(pl, **stages(pl, order))
+
+
+def eliminate_lambda(F) -> frozenset[Pair]:
+    out = fraction_closure(F)
+    for j in sorted({v.index for pr in out for v, _ in pr.f.exps
+                     if v.kind == LAM}):
+        out = eliminate(out, lam(j))
+    return out
+
+
+def closure_entries(pl, rounds):
+    """The closure entries of pl by the product loop on Pairs: each round
+    balances the frontier against the stage and then the stage against the
+    frontier, on every selected column of opposite signs; a product met
+    again keeps its first factors."""
+    base = [ClosureEntry(pr, ((pr, 1),))
+            for pr in sorted(pl.Fq, key=Pair.sort_key)]
+    entries = {e.pair: e for e in base}
+    taus = [tau(k) for k in pl.r.sel_cols]
+
+    def products(pool_a, pool_b):
+        exps_b = [(eb, [eb.pair.f.exponent(t) for t in taus]) for eb in pool_b]
+        new = []
+        for ea in pool_a:
+            exps_a = [ea.pair.f.exponent(t) for t in taus]
+            for eb, exps in exps_b:
+                for ef, eg in zip(exps_a, exps):
+                    if ef > 0 and eg < 0:
+                        a, b = balanced(ef, eg)
+                        prod = (ea.pair ** a) * (eb.pair ** b)
+                        if prod not in entries:
+                            fac: dict[Pair, int] = {}
+                            for q, n in ea.factors:
+                                fac[q] = fac.get(q, 0) + n * a
+                            for q, n in eb.factors:
+                                fac[q] = fac.get(q, 0) + n * b
+                            new.append(ClosureEntry(
+                                prod, tuple(sorted(fac.items(),
+                                                   key=lambda t: t[0].sort_key()))))
+        return new
+
+    frontier = base
+    for _ in range(rounds):
+        if not frontier:
+            break
+        fresh = []
+        made = products(frontier, base)
+        if frontier is not base:
+            made += products(base, frontier)
+        for e in made:
+            if e.pair not in entries:
+                entries[e.pair] = e
+                fresh.append(e)
+        frontier = fresh
+    return tuple(sorted(entries.values(), key=lambda e: e.pair.sort_key()))
+
+
+def project(system: MulticoneSystem, k: int) -> tuple[Inequality, ...]:
+    """The inequalities of the projection of a one-sided system along a
+    block that cannot vanish, by pairing opposite-sign inequalities on
+    Fractions."""
+    v = tau(k)
+    keep, pos, neg = [], [], []
+    for ineq in system.inequalities:
+        e = ineq.f.exponent(v)
+        if e == 0:
+            keep.append(ineq)
+        elif e > 0:
+            pos.append((ineq, e))
+        else:
+            neg.append((ineq, e))
+    new = list(keep)
+    for gneg, en in neg:
+        for gpos, ep in pos:
+            a, b = balanced(ep, en)
+            f = (gpos.f ** a) * (gneg.f ** b)
+            bound = _merge(gpos.bound, Fraction(a), gneg.bound, Fraction(b))
+            value = (gpos.value ** a) * (gneg.value ** b)
+            new.append(Inequality(f, bound, value))
+    return tuple(sorted(set(new), key=Inequality.sort_key))
+
+
+def derive_monomials(d, r) -> DerivedMonomials:
+    """phi, the solved inverses and the quotients in Fraction arithmetic,
+    from the inverse of the minor."""
+    phi = {k: Monomial.from_dict({lam(j): d.entry(j, k)
+                                  for j in range(1, d.ell + 1)})
+           for k in range(1, d.m + 1)}
+    sel_rows, sel_cols = r.sel_rows, r.sel_cols
+    minor_inv = inverse([[d.entry(j, k) for k in sel_cols] for j in sel_rows])
+    unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
+    lower = [[d.entry(j, k) for k in sel_cols] for j in unsel_rows]
+
+    phi_inv = {}
+    for jpos, j in enumerate(sel_rows):
+        exps = {}
+        for kpos, k in enumerate(sel_cols):
+            exps[tau(k)] = minor_inv[kpos][jpos]
+        for ipos, i in enumerate(unsel_rows):
+            exps[lam(i)] = -sum(lower[ipos][kpos] * minor_inv[kpos][jpos]
+                                for kpos in range(r.L))
+        phi_inv[j] = Monomial.from_dict(exps)
+
+    for k in sel_cols:
+        acc = Monomial.from_dict({lam(i): d.entry(i, k) for i in unsel_rows})
+        for j in sel_rows:
+            acc = acc * (phi_inv[j] ** d.entry(j, k))
+        assert acc == Monomial.from_dict({tau(k): 1}), "round trip failed"
+
+    psi = {}
+    for k in range(1, d.m + 1):
+        if k in sel_cols:
+            continue
+        top = [d.entry(j, k) for j in sel_rows]
+        alpha = [sum(minor_inv[i][jpos] * top[jpos] for jpos in range(r.L))
+                 for i in range(r.L)]
+        exps = {tau(k): Fraction(1)}
+        for kpos, kk in enumerate(sel_cols):
+            exps[tau(kk)] = exps.get(tau(kk), Fraction(0)) - alpha[kpos]
+        psi[k] = Monomial.from_dict(exps)
+    return DerivedMonomials(phi, phi_inv, psi)

@@ -162,6 +162,41 @@ def test_closure_subcommand():
     assert len(payload["inequalities"]) == len(one)
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: a write (or, for a buffered stream,
+    only the flush) raises BrokenPipeError."""
+
+    def __init__(self, fd, buffered):
+        self.fd, self.buffered = fd, buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys, buffered):
+    # `multispec closure ... | head -1`: no traceback, status 1, and stdout
+    # pointed at devnull for Python's flush at exit
+    from multispec.cli import main
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, buffered))
+        assert main(["closure", SC_RUNNING]) == 1
+        assert capsys.readouterr().err == ""
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_restrict_subcommand():
     sc = json.dumps({"A": [["1", "1", "0"], ["0", "1", "1"]], "zeros": [2]})
     res = run("restrict", "--matrix", sc, "--beta", "1,0,0")

@@ -3,7 +3,7 @@ import math
 import pickle
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -19,10 +19,12 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               canonical, effective_exponent, evaluate_level,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
                               lprod, LevelExpr, LevelFamily,
-                              PermutationBudgetExceeded, _combine)
+                              PermutationBudgetExceeded)
 from multispec.linear import rank
 from multispec.monomials import Monomial, Pair, lam, mono, tau
-from multispec.semigroup import eliminate, run_pipeline
+from multispec.semigroup import _stages, run_pipeline
+import oracles
+from oracles import reordered
 from strategies import moving_scenarios, pipeline_of, scenarios
 
 
@@ -132,16 +134,17 @@ def test_generalized_levels():
 def test_generalized_levels_refuse_more_orderings_than_the_budget(
         monkeypatch):
     # 8 actions have 8! = 40,320 orderings, over MAX_ORDERINGS = 5040: the
-    # budget raises before any pipeline is built
+    # budget raises before any generator set is built
     d = deformation([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2], [3, 1], [1, 3],
                      [2, 3]])
     p = point()
     r = rank_and_normalize(d, p)
 
     def no_pipeline(*args):
-        raise AssertionError("a pipeline was built")
+        raise AssertionError("a generator set was built")
 
-    monkeypatch.setattr(levels, "run_pipeline", no_pipeline)
+    monkeypatch.setattr(levels, "derive_monomials", no_pipeline)
+    monkeypatch.setattr(levels, "build_G", no_pipeline)
     with pytest.raises(PermutationBudgetExceeded, match="40320 orderings"):
         build_generalized_levels(d, r, p)
 
@@ -158,7 +161,7 @@ def test_generalized_levels_match_every_ordering():
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
         rr = rank_and_normalize(d, p, fixed_rows=lead)
-        fam = build_levels(run_pipeline(d, rr, p).reordered(theta[r.L:]))
+        fam = build_levels(reordered(run_pipeline(d, rr, p), theta[r.L:]))
         for j in branches:
             branches[j].append(fam.rho_Lambda[j])
     ghat = build_generalized_levels(d, r, p)
@@ -381,7 +384,7 @@ def _per_ordering_generalized_levels(d, r, p):
         rr = rank_and_normalize(d, p, fixed_rows=lead)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
-            fam = build_levels(run_pipeline(d, rr, p).reordered(order))
+            fam = build_levels(reordered(run_pipeline(d, rr, p), order))
             key = tuple(canonical(fam.rho_Lambda[j])
                         for j in range(1, d.ell + 1))
             if key not in seen:
@@ -399,7 +402,7 @@ def _check_generalized_against_oracle(d, p):
     want = _per_ordering_generalized_levels(d, r, p)
     assert got.rho_Lambda == want.rho_Lambda
     assert got.strict == want.strict
-    # every reordered pipeline eliminates the parameters in that order
+    # the stages of every order are those of the oracle step
     for lead in combinations(range(1, d.ell + 1), r.L):
         if rank([list(d.row(j)) for j in lead]) < r.L:
             continue
@@ -407,25 +410,9 @@ def _check_generalized_against_oracle(d, p):
         base = run_pipeline(d, rr, p)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
-            moved = base.reordered(order)
-            want = _stages_in_order(base, order)
-            for f in fields(moved):
-                assert getattr(moved, f.name) == \
-                    want.get(f.name, getattr(base, f.name)), f.name
-
-
-def _stages_in_order(pl, order):
-    """The elimination stages of pl redone step by step from G: the
-    parameters in the given order, then the zero-pattern columns."""
-    stage, f0_stages, f_stages = pl.G, [], []
-    for j in order:
-        stage = eliminate(stage, lam(j))
-        f0_stages.append((j, stage))
-    for k in pl.zero_cols_L:
-        stage = eliminate(stage, tau(k))
-        f_stages.append((k, stage))
-    return {"F0_stages": tuple(f0_stages), "F_stages": tuple(f_stages),
-            "Fq": stage, "elim_order": tuple(order)}
+            want = oracles.stages(base, order)
+            got = _stages(base.G, d, rr, p, order, base.zero_cols_L)
+            assert got == (want["F0_stages"], want["F_stages"], want["Fq"])
 
 
 @pytest.mark.parametrize("rows, zeros", [
@@ -436,6 +423,8 @@ def _stages_in_order(pl, order):
     ([[1, 0, 1], [2, 0, 2], [1, 1, 2], [0, 1, 1]], {2}),
     ([[0, 2, 0], [2, 1, 2], [0, 1, 0], [1, 0, 1]], {1}),
     ([[1, 1]], ()),
+    # three parameters left: orders share stages of prefixes of length 2
+    ([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2]], ()),
 ])
 def test_generalized_levels_match_per_ordering_route(rows, zeros):
     _check_generalized_against_oracle(deformation(rows),
@@ -494,6 +483,57 @@ def test_sol_lambda_examples():
         sol_lambda(mono("t1*l4"), 4)
 
 
+def _monomial_combine(base: Monomial, node, e: Fraction):
+    """Oracle: base * node^e for a canonical lattice tree, multiplying
+    Monomials leaf by leaf."""
+    if e == 0:
+        return lmono(base)
+    if node.kind == "mono":
+        return lmono(base * (node.mono ** e))
+    kind = node.kind if e > 0 else {"max": "min", "min": "max"}[node.kind]
+    return LevelExpr(kind, children=tuple(_monomial_combine(base, c, e)
+                                          for c in node.children))
+
+
+def _monomial_canonical(e):
+    """Oracle: canonical with the monomial arithmetic on Monomials, nothing
+    cached."""
+    if e.kind == "mono":
+        return lmono(e.mono)
+    if e.kind == "pow":
+        return _monomial_canonical(_monomial_combine(
+            mono("1"), _monomial_canonical(e.children[0]), e.exp))
+    if e.kind == "prod":
+        mono_part, nodes = mono("1"), []
+        for c in map(_monomial_canonical, e.children):
+            if c.kind == "mono":
+                mono_part = mono_part * c.mono
+            else:
+                nodes.append(c)
+        if not nodes:
+            return lmono(mono_part)
+        nodes.sort(key=_nested_key)
+        acc = _monomial_combine(mono_part, nodes[0], Fraction(1))
+        for n in nodes[1:]:
+            acc = _monomial_cross(acc, n)
+        return _monomial_canonical(acc)
+    children = []
+    for c in map(_monomial_canonical, e.children):
+        children.extend(c.children if c.kind == e.kind else [c])
+    uniq = sorted(set(children), key=_nested_key)
+    return uniq[0] if len(uniq) == 1 else LevelExpr(e.kind,
+                                                    children=tuple(uniq))
+
+
+def _monomial_cross(a, b):
+    if a.kind == "mono":
+        return _monomial_combine(a.mono, b, Fraction(1))
+    if b.kind == "mono":
+        return _monomial_combine(b.mono, a, Fraction(1))
+    return LevelExpr(a.kind, children=tuple(_monomial_cross(c, b)
+                                            for c in a.children))
+
+
 def subst_lambda(e, j, replacement):
     """Substitute a parameter inside a monomial-leaf tree, branching the
     leaf when the replacement is itself a lattice node."""
@@ -502,11 +542,17 @@ def subst_lambda(e, j, replacement):
         exp = e.mono.exponent(v)
         if exp == 0:
             return e
-        return _combine(_drop(e.mono, v), replacement, exp)
+        return _monomial_combine(_drop(e.mono, v), replacement, exp)
     if e.kind in ("max", "min"):
         return LevelExpr(e.kind, children=tuple(subst_lambda(c, j, replacement)
                                                 for c in e.children))
     raise ValueError("substitution expects a lattice tree")
+
+
+def _stage_before(pl, j):
+    """The stage the elimination of parameter j was applied to."""
+    stages = [pl.G] + [stage for _, stage in pl.F0_stages]
+    return stages[pl.elim_order.index(j)]
 
 
 def _sequential_level_trees(pl):
@@ -514,8 +560,7 @@ def _sequential_level_trees(pl):
     whole tree, then canonicalised."""
     rho_raw = {}
     for j in pl.elim_order:
-        branches = sorted({sol_lambda(pr, j)
-                           for pr in pl.stage_before_lambda(j)
+        branches = sorted({sol_lambda(pr, j) for pr in _stage_before(pl, j)
                            if pr.f.exponent(lam(j)) < 0},
                           key=lambda m: m.sort_key())
         rho_raw[j] = (lmax([lmono(b) for b in branches]) if branches
@@ -582,7 +627,8 @@ def check_levels_against_oracles(pl, fam):
         # vector leaves against leaves built from Monomials
         for a, b in zip(_leaves(e), _leaves(rho[j]), strict=True):
             _same_leaf(a, b)
-    _, variables, steps = levels._level_trees(pl)
+    _, variables, steps = next(levels._level_families(
+        pl.d, pl.r, pl.derived, pl.G, [pl.elim_order]))
     assert {j: lmax([lmono(_branch_monomial(b, variables))
                      for b in branches]) if branches else lmono("1")
             for j, (_, branches) in zip(pl.elim_order, steps)} == rho_raw
@@ -714,3 +760,34 @@ def test_integer_exponent_matches_fraction_oracle(sc, s, orders):
         for scaling in scalings:
             assert effective_exponent(e, scaling) == \
                 _tree_exponent(e, scaling)
+
+
+def _same_tree(a, b):
+    assert a == b and str(a) == str(b) and a.json() == b.json()
+    for x, y in zip(_leaves(a), _leaves(b), strict=True):
+        _same_leaf(x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moving_scenarios(max_rows=4, max_cols=3),
+       st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@example(([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]], set()), [1, 2, 0, 1])
+def test_canonical_on_keys_matches_the_monomial_oracle(sc, orders):
+    # remainders multiply level trees out: leaf times power of leaf
+    pl = _moving_pipeline(sc)
+    fam = build_levels(pl)
+    rem = remainder_exponent(fam, orders[:pl.d.ell], pl.r.sigma_A)
+    for e in [rem] + sum(_trees(), []):
+        _same_tree(canonical(e), _monomial_canonical(e))
+
+
+def test_key_products_reduce_and_cancel():
+    e = lprod(lpow(lmax("t1^(1/2)*l2", "t2"), Fraction(-2, 3)),
+              "t1^(1/3)*x1^(1/6)", lmin("t1^(-1/2)", "t3*t1^(1/2)"))
+    assert str(canonical(e)) == (
+        "min(t1^(-1/2)*l2^(-2/3)*x1^(1/6), t1^(-1/6)*t2^(-2/3)*x1^(1/6), "
+        "t1^(1/2)*t3*l2^(-2/3)*x1^(1/6), t1^(5/6)*t2^(-2/3)*t3*x1^(1/6))")
+    _same_tree(canonical(e), _monomial_canonical(e))
+    # a cancelled variable leaves the key
+    one = canonical(lprod(lmax("t1", "t2"), "t1^-1")).children[0]
+    assert one.key == () and str(one) == "1"

@@ -14,7 +14,8 @@ from multispec.multicone import (build_multicone, closure, project,
                                  ClosureEntry,
                                  ContractionReport, MulticoneSystem,
                                  SystemKind)
-from multispec.semigroup import _balanced, run_pipeline
+from multispec.semigroup import run_pipeline
+from oracles import balanced
 from strategies import pipeline_of, scenarios
 
 
@@ -132,7 +133,7 @@ def _closure_entries_oracle(pl, rounds):
                         eg = eb.pair.f.exponent(tau(k))
                         if not (ef > 0 and eg < 0):
                             continue
-                        a, b = _balanced(ef, eg)
+                        a, b = balanced(ef, eg)
                         prod = (ea.pair ** a) * (eb.pair ** b)
                         if prod in entries:
                             continue

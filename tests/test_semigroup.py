@@ -10,11 +10,12 @@ from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
 from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  mono_membership, radical_member, equivalent,
                                  value_of, eliminate_lambda, Verdict,
-                                 MembershipResult, NotRepresentable, _balanced,
+                                 MembershipResult, NotRepresentable,
                                  _dfs, _exponent_vectors, _semigroup_probes)
 import multispec.semigroup
 from multispec.linear import cone_feasible, nonneg_solution
 from multispec.multicone import build_multicone
+from oracles import balanced
 from strategies import pipeline_of, scenarios
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
@@ -211,15 +212,15 @@ def _modified_Lk(F, k: int) -> frozenset[Pair]:
         out.add(Pair(p.f.inv(), ZERO))
     for p in f0p + fxp:
         for q in f0n + fxn:
-            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
+            a, b = balanced(p.f.exponent(v), q.f.exponent(v))
             out.add((p ** a) * (q ** b))
     for p in f0p + fxp:
         for q in fxp:
-            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
+            a, b = balanced(p.f.exponent(v), -q.f.exponent(v))
             out.add((p ** a) * (q.inv() ** b))
     for p in f0n + fxn:
         for q in fxn:
-            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
+            a, b = balanced(-p.f.exponent(v), q.f.exponent(v))
             out.add((p ** a) * (q.inv() ** b))
     return frozenset(out)
 
@@ -245,15 +246,15 @@ def _modified_Lj_lambda(F, j: int) -> frozenset[Pair]:
         lam_balance(p.inv())
     for p in f0p + fxp:
         for q in f0n + fxn:
-            a, b = _balanced(p.f.exponent(v), q.f.exponent(v))
+            a, b = balanced(p.f.exponent(v), q.f.exponent(v))
             out.add((p ** a) * (q ** b))
     for p in f0p + fxp:
         for q in fxp:
-            a, b = _balanced(p.f.exponent(v), -q.f.exponent(v))
+            a, b = balanced(p.f.exponent(v), -q.f.exponent(v))
             out.add((p ** a) * (q.inv() ** b))
     for p in f0n + fxn:
         for q in fxn:
-            a, b = _balanced(-p.f.exponent(v), q.f.exponent(v))
+            a, b = balanced(-p.f.exponent(v), q.f.exponent(v))
             out.add((p ** a) * (q.inv() ** b))
     return frozenset(out)
 

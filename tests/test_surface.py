@@ -78,3 +78,43 @@ def test_every_default_is_passed_by_the_library_or_the_benchmark():
     assert unpassed - ALLOWED == set(), \
         "defaulted parameters no library or benchmark call passes"
     assert ALLOWED <= unpassed, "allowlist entries that are passed now"
+
+
+def _private_imports(path: Path):
+    """(module, imported module, name) of each `_`-prefixed name one library
+    module takes from another: by `from .x import _name`, or as
+    `x._name` of a sibling module it imported."""
+    siblings = {p.stem for p in LIBRARY}
+    modules = {}  # local name -> sibling module
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = (node.module or "").split(".")[-1] if node.level else (
+            node.module or "").removeprefix("multispec.")
+        for alias in node.names:
+            if source in siblings and alias.name.startswith("_"):
+                found.append((path.stem, source, alias.name))
+            if alias.name in siblings and (node.level or source == "multispec"):
+                modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_"):
+            found.append((path.stem, modules[node.value.id], node.attr))
+    return found
+
+
+def test_no_library_module_imports_a_private_name_of_another():
+    assert [f for path in LIBRARY for f in _private_imports(path)] == []
+
+
+def test_private_imports_are_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .semigroup import run_pipeline, _stages\n"
+                    "from multispec.levels import _reduced\n"
+                    "from . import linear\n"
+                    "from __future__ import annotations\n"
+                    "x = linear._whole_row([1])\n")
+    assert _private_imports(path) == [("mod", "semigroup", "_stages"),
+                                      ("mod", "levels", "_reduced"),
+                                      ("mod", "linear", "_whole_row")]
