@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .deformation import DeformationData, PointPattern, RankData
-from .linear import rank, mat
+from .linear import mat, pivots
 from .monomials import Monomial, tau
 from .polynomials import (BlockStructure, BlockPolynomial, poly_zero,
                           poly_monomial, factorial_multi)
@@ -503,7 +503,7 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
     m = len(a[0])
     if m not in (2, 3):
         raise ValueError("the catalogue covers two or three blocks")
-    if rank(a) < 2:
+    if len(pivots(a)) < 2:
         raise ValueError("degenerate action: reduces to the one-manifold case")
     if any(all(a[j][k] == 0 for j in range(2)) for k in range(m)):
         raise ValueError("a zero column reduces to fewer blocks")

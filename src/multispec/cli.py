@@ -202,13 +202,14 @@ def cmd_project(args):
 
 
 def cmd_restrict(args):
-    from .restriction import check_restriction
+    from .restriction import check_restriction, extended_matrix
 
     pl = _scenario_pipeline(args)
     with _reading("--beta"):
         beta = [fr(x) for x in args.beta.split(",")]
         if len(beta) != pl.d.m:
             raise ValueError(f"need {pl.d.m} entries, one per block")
+        extended_matrix(pl.d, beta)  # a negative or zero row is malformed
     verdict = check_restriction(pl, beta)
     lines = [f"case: {verdict.case.value}",
              f"holds: {verdict.holds}"]

@@ -7,10 +7,9 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
-from .linear import adjugate, fr, mat, rank, sigma_for
+from .linear import adjugate, fr, mat, pivots, sigma_for
 from .monomials import Monomial, tau, lam
 
 
@@ -168,7 +167,7 @@ def check_point(d: DeformationData, p: PointPattern) -> None:
 
 
 def classify_action(d: DeformationData) -> ActionClass:
-    r = rank(mat(d.A))
+    r = len(pivots(d.A))
     if r == d.ell == d.m:
         return ActionClass.NORMAL
     if r == d.ell < d.m:
@@ -182,7 +181,7 @@ def is_fixed_point(d: DeformationData, p: PointPattern) -> bool:
     check_point(d, p)
     live = [k for k in range(1, d.m + 1) if k not in p.zero_blocks]
     restricted = [[d.entry(j, k) for k in live] for j in range(1, d.ell + 1)]
-    return rank(restricted) < rank(mat(d.A))
+    return len(pivots(restricted)) < len(pivots(d.A))
 
 
 @dataclass(frozen=True)
@@ -199,38 +198,21 @@ class RankData:
     sigma_A: Fraction
 
 
-def _minor_invertible(d: DeformationData, rows, cols) -> bool:
-    sub = [[d.entry(j, k) for k in cols] for j in rows]
-    return rank(sub) == len(rows)
+def minor_columns(d: DeformationData, rows) -> tuple[int, ...]:
+    """The pivot columns of the given rows: the lexicographically first
+    columns that make an invertible minor with them, when there are as many
+    as rows."""
+    return tuple(k + 1 for k in pivots([d.A[j - 1] for j in rows]))
 
 
-def rank_and_normalize(d: DeformationData, p: PointPattern,
-                       fixed_rows: tuple[int, ...] | None = None) -> RankData:
-    """Choose an invertible L x L minor deterministically.
-
-    Columns: the lexicographically smallest L-subset giving an invertible
-    minor.  Rows: fixed_rows when given, else the lexicographically
-    smallest L-subset making the minor invertible.
-    """
+def rank_and_normalize(d: DeformationData, p: PointPattern) -> RankData:
+    """The invertible L x L minor on the pivot rows of the matrix (those of
+    its transpose) and their pivot columns.  Greedy bases of a matroid are
+    its lexicographically first (Edmonds), so these are the first L rows
+    and, on them, the first L columns that give an invertible minor."""
     check_point(d, p)
-    L = rank(mat(d.A))
-
-    def pick_rows(cols) -> tuple[int, ...] | None:
-        if fixed_rows is not None:
-            return fixed_rows if _minor_invertible(d, fixed_rows, cols) else None
-        for rows in combinations(range(1, d.ell + 1), L):
-            if _minor_invertible(d, rows, cols):
-                return rows
-        return None
-
-    if fixed_rows is not None and len(fixed_rows) != L:
-        raise ValueError("fixed_rows must select exactly rank-many rows")
-
-    for cols in combinations(range(1, d.m + 1), L):
-        rows = pick_rows(cols)
-        if rows is not None:
-            return RankData(L, tuple(rows), cols, sigma_for(d.A))
-    raise RuntimeError("matrix has no invertible minor of its own rank")
+    rows = tuple(j + 1 for j in pivots(list(zip(*d.A))))
+    return RankData(len(rows), rows, minor_columns(d, rows), sigma_for(d.A))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,14 @@ minimised generalised family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData,
-                          derive_monomials, is_fixed_point, rank_and_normalize)
-from .linear import fr, rank
+                          derive_monomials, is_fixed_point, minor_columns)
+from .linear import fr
 from .monomials import Monomial, ONE, Var, LAM, TAU, XI, ZERO, lam, tau
 from .semigroup import PipelineResult, build_G, eliminate_rows, row_of
 
@@ -569,9 +569,10 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     families: list[dict[int, LevelExpr]] = []
     seen: set[tuple] = set()
     for lead in combinations(range(1, d.ell + 1), r.L):
-        if rank([list(d.row(j)) for j in lead]) < r.L:
+        cols = minor_columns(d, lead)
+        if len(cols) < r.L:
             continue
-        rr = rank_and_normalize(d, p, fixed_rows=lead)
+        rr = replace(r, sel_rows=lead, sel_cols=cols)
         derived = derive_monomials(d, rr)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for rho, _, _ in _level_families(d, rr, derived,

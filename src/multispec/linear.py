@@ -1,10 +1,13 @@
-"""Exact rational linear algebra: rank, inverse, solving, cone feasibility.
+"""Exact rational linear algebra: pivots, adjugate, cone feasibility.
 
-Everything takes Fraction input; rank, inverse and the cone feasibility
-solver eliminate on integers scaled from it, dividing exactly by the
-previous pivot (Bareiss; Edmonds), and build Fractions only for the
-answer.  The cone feasibility solver is an integer phase-one simplex,
-Bland's rule.  It decides radical membership, and with it equivalence of
+Everything takes Fraction input and eliminates on integers scaled from
+it.  One fraction-free Gauss-Jordan step, `_pivot`, divides exactly by
+the previous pivot (Bareiss), so every entry stays a minor of the scaled
+start, and serves three routines: `pivots` (the pivot columns, whose
+number is the rank), `adjugate` (the inverse over one integer) and the
+phase-one simplex of `nonneg_solution` (Bland's rule), which pivots its
+objective row as one more row.  Fractions are built only for the answer.
+The simplex decides radical membership, and with it equivalence of
 generating sets, and prunes the integer membership search.
 """
 
@@ -32,30 +35,36 @@ def _whole_row(row) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def rank(a: Matrix) -> int:
-    """Fraction-free elimination (Bareiss) on the rows made integral: each
-    step divides exactly by the previous pivot."""
-    if not a or not a[0]:
-        return 0
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step: every row but rows[r] loses its
+    column c, dividing exactly by d, the previous pivot (Bareiss).  Returns
+    the new pivot, the next step's d."""
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+    return p
+
+
+def pivots(a: Matrix) -> list[int]:
+    """The pivot columns of a in order, 0-based: the lexicographically first
+    column basis; their number is the rank.  A pivot row is dropped once it
+    has cleared its column from the rows left (Bareiss's forward
+    elimination)."""
     m = [_whole_row(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
+    found: list[int] = []
     d = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i, row in enumerate(m) if row[c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
-        d = p
-        r += 1
-        if r == rows:
-            break
-    return r
+        m[0], m[piv] = m[piv], m[0]
+        d = _pivot(m, 0, c, d)
+        found.append(c)
+        m = m[1:]
+    return found
 
 
 def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
@@ -63,9 +72,8 @@ def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
     adj / d; raises ValueError if singular.
 
     Fraction-free Gauss-Jordan elimination on [a | I] with each row made
-    integral (which leaves the inverse unchanged): each step divides
-    exactly by the previous pivot, so the left block ends as d*I, d the
-    last pivot, and the right block as d times the inverse."""
+    integral (which leaves the inverse unchanged): the left block ends as
+    d*I, d the last pivot, and the right block as d times the inverse."""
     n = len(a)
     m = [_whole_row(list(row) + [int(i == j) for j in range(n)])
          for i, row in enumerate(a)]
@@ -75,28 +83,8 @@ def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
         if piv is None:
             raise ValueError("singular matrix")
         m[c], m[piv] = m[piv], m[c]
-        top = m[c]
-        p = top[c]
-
-        def eliminated(row):
-            f = row[c]
-            return [(p * x - f * y) // d for x, y in zip(row, top)]
-
-        m = [row if i == c else eliminated(row) for i, row in enumerate(m)]
-        d = p
+        d = _pivot(m, c, c, d)
     return [row[n:] for row in m], d
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError if singular."""
-    adj, d = adjugate(a)
-    return [[Fraction(x, d) for x in row] for row in adj]
-
-
-def solve_unique(a: Matrix, b: Vector) -> Vector:
-    """Solve a*x = b for square invertible a."""
-    inv = inverse(a)
-    return [sum(inv[i][j] * b[j] for j in range(len(b))) for i in range(len(inv))]
 
 
 def sigma_for(entries) -> Fraction:
@@ -141,35 +129,25 @@ def nonneg_solution(columns: list[Vector], target: Vector) -> list[Fraction] | N
         rows.append([sign * whole(col[i]) for col in columns]
                     + [int(k == i) for k in range(m)] + [sign * whole(t)])
     basis = [n + i for i in range(m)]
-    # Reduced costs of minimising the sum of artificials, times d; the last
-    # entry is minus the objective value.
-    reduced = [int(n <= k < total) - sum(row[k] for row in rows)
-               for k in range(total + 1)]
+    # Last row: the reduced costs of minimising the sum of artificials,
+    # times d, pivoted as one more row; its last entry is minus the
+    # objective value.
+    rows.append([int(n <= k < total) - sum(row[k] for row in rows)
+                 for k in range(total + 1)])
     d = 1
     while True:
-        enter = next((j for j in range(total) if reduced[j] < 0), None)
+        enter = next((j for j in range(total) if rows[m][j] < 0), None)
         if enter is None:
             break
         # Bland: least ratio rhs/entry over positive entries, ties to the
         # least basic column.  Phase one is bounded below, so an entering
         # column has a positive entry.
-        leave = min((i for i, row in enumerate(rows) if row[enter] > 0),
+        leave = min((i for i in range(m) if rows[i][enter] > 0),
                     key=lambda i: (Fraction(rows[i][total], rows[i][enter]),
                                    basis[i]))
-        pivot_row = rows[leave]
-        p = pivot_row[enter]
-
-        # exact: every entry stays a minor of the scaled starting tableau
-        def eliminated(row):
-            f = row[enter]
-            return [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
-
-        rows = [row if i == leave else eliminated(row)
-                for i, row in enumerate(rows)]
-        reduced = eliminated(reduced)
+        d = _pivot(rows, leave, enter, d)
         basis[leave] = enter
-        d = p
-    if reduced[total]:
+    if rows[m][total]:
         return None
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):

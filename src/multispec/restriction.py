@@ -11,7 +11,7 @@ from fractions import Fraction
 from .deformation import (DeformationData, PointPattern, deformation,
                           build_from_index_family, rank_and_normalize,
                           derive_monomials)
-from .linear import fr, mat, rank, solve_unique
+from .linear import adjugate, fr, pivots
 from .monomials import Monomial, Pair, TAU
 from .semigroup import PipelineResult, norm_value
 
@@ -76,7 +76,7 @@ def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     non-negatively with the new row."""
     d_A, r_A = pipeline.d, pipeline.r
     beta = [fr(x) for x in beta]
-    if rank(mat(extended_matrix(d_A, beta).A)) != r_A.L:
+    if len(pivots(extended_matrix(d_A, beta).A)) != r_A.L:
         raise ValueError("the added row increases the rank; use the "
                          "rank-plus-one check instead")
     b_values = {j: log_at_exp_beta(pipeline.derived.phi_inv[j], beta)
@@ -89,16 +89,16 @@ def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
                 witnesses.append(Witness(pr, "zero-value log >= 0", lv))
 
     # Sufficient condition: the new row is a non-negative combination of the
-    # selected rows (then nothing can fail).
-    minor_t = [[d_A.entry(j, k) for j in r_A.sel_rows] for k in r_A.sel_cols]
-    try:
-        coeffs = solve_unique(minor_t, [beta[k - 1] for k in r_A.sel_cols])
-        reconstructed = [sum(coeffs[jpos] * d_A.entry(j, k)
-                             for jpos, j in enumerate(r_A.sel_rows))
-                         for k in range(1, d_A.m + 1)]
-        suff = (reconstructed == beta) and all(c >= 0 for c in coeffs)
-    except ValueError:
-        suff = False
+    # selected rows (then nothing can fail).  The minor is invertible: the
+    # pipeline solved it.
+    adj, det = adjugate([[d_A.entry(j, k) for j in r_A.sel_rows]
+                         for k in r_A.sel_cols])
+    coeffs = [sum(x * beta[k - 1] for x, k in zip(row, r_A.sel_cols)) / det
+              for row in adj]
+    reconstructed = [sum(c * d_A.entry(j, k)
+                         for c, j in zip(coeffs, r_A.sel_rows))
+                     for k in range(1, d_A.m + 1)]
+    suff = reconstructed == beta and all(c >= 0 for c in coeffs)
 
     return RestrictionVerdict(
         RestrictionCase.SAME_RANK, holds=not witnesses, b_values=b_values,
@@ -110,7 +110,7 @@ def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     the pivot bookkeeping for the transformed monomials."""
     d_A, r_A, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
     beta = [fr(x) for x in beta]
-    if rank(mat(extended_matrix(d_A, beta).A)) != r_A.L + 1:
+    if len(pivots(extended_matrix(d_A, beta).A)) != r_A.L + 1:
         raise ValueError("the added row does not increase the rank; use the "
                          "same-rank check instead")
     b_values: dict[int, Fraction] = {}
@@ -159,7 +159,7 @@ def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
 
 def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """Dispatch on the rank of the extended matrix."""
-    if rank(mat(extended_matrix(pipeline.d, beta).A)) == pipeline.r.L:
+    if len(pivots(extended_matrix(pipeline.d, beta).A)) == pipeline.r.L:
         return check_same_rank(pipeline, beta)
     return check_rank_plus_one(pipeline, beta)
 

@@ -10,8 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
-                          derive_monomials, rank_and_normalize,
-                          classify_action, ActionClass, check_point)
+                          derive_monomials, rank_and_normalize, check_point)
 from .linear import cone_feasible, nonneg_solution
 from .monomials import (Monomial, Pair, Value, Var, ONE, ZERO, UNIT_VALUE,
                         TAU, LAM, XI, tau, lam, xi, fraction_closure)
@@ -219,10 +218,10 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
     zero_cols = tuple(sorted(k for k in r.sel_cols if k in p.zero_blocks))
     f0_stages, f_stages, fq = _stages(G, d, r, p, elim_order, zero_cols)
 
-    # Shortcut cross-check: a non-degenerate action has no parameters left
-    # to eliminate, and an empty zero pattern on the minor leaves G as is.
-    if classify_action(d) in (ActionClass.NON_DEGENERATE, ActionClass.NORMAL) \
-            and not zero_cols:
+    # Shortcut cross-check: an action of full row rank (non-degenerate or
+    # normal, L = ell) has no parameters left to eliminate, and an empty
+    # zero pattern on the minor leaves G as is.
+    if r.L == d.ell and not zero_cols:
         if fq != G:
             raise AssertionError("shortcut failed: F^q should equal G for a "
                                  "non-degenerate action with no zero-pattern "

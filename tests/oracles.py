@@ -1,16 +1,80 @@
 """Oracles: the Fraction bodies that the integer elimination kernel
-(`semigroup.balance` and its callers) and the integer `derive_monomials`
-replaced, kept to check them against."""
+(`semigroup.balance` and its callers), the integer `derive_monomials`, the
+fraction-free `pivots` and `adjugate` and the pivot minor replaced, kept to
+check them against."""
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
-from multispec.deformation import DerivedMonomials
-from multispec.linear import inverse
+from multispec.deformation import DerivedMonomials, RankData
+from multispec.linear import sigma_for
 from multispec.monomials import (LAM, TAU, ZERO, Monomial, Pair,
                                  fraction_closure, lam, tau)
 from multispec.multicone import (ClosureEntry, Inequality, MulticoneSystem,
                                  _merge)
+
+
+def rank(a) -> int:
+    """Gauss-Jordan elimination over Fractions."""
+    if not a or not a[0]:
+        return 0
+    m = [list(row) for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def inverse(a):
+    """Gauss-Jordan elimination over Fractions on [a | I]; raises
+    ValueError if a is singular."""
+    n = len(a)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def rank_data(d, fixed_rows=None) -> RankData | None:
+    """The minor by search, as rank_and_normalize chose it before the pivot
+    minor: the lexicographically first L columns that give an invertible
+    L x L minor on fixed_rows, or else on the lexicographically first L
+    rows that give one; None when fixed_rows give none."""
+    L = rank(d.A)
+
+    def invertible(rows, cols):
+        return rank([[d.entry(j, k) for k in cols] for j in rows]) == L
+
+    for cols in combinations(range(1, d.m + 1), L):
+        for rows in ([tuple(fixed_rows)] if fixed_rows is not None
+                     else combinations(range(1, d.ell + 1), L)):
+            if invertible(rows, cols):
+                return RankData(L, rows, cols, sigma_for(d.A))
+    return None
 
 
 def balanced(e_pos: Fraction, e_neg: Fraction) -> tuple[int, int]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from multispec.deformation import deformation, point
-from multispec.linear import rank
+from multispec.linear import pivots
 from multispec.semigroup import run_pipeline
 
 HALVES = [Fraction(x) for x in ("0", "1/2", "1", "3/2", "2", "3")]
@@ -46,8 +46,8 @@ def moving_scenarios(draw, max_rows=4, max_cols=4):
     rows = draw(_rows(ell, m))
     basis = []
     for k in draw(st.permutations(range(1, m + 1))):
-        if rank([[row[c - 1] for c in basis + [k]] for row in rows]) > \
-                len(basis):
+        live = [[row[c - 1] for c in basis + [k]] for row in rows]
+        if len(pivots(live)) > len(basis):
             basis.append(k)
     zeros = {k for k in range(1, m + 1)
              if k not in basis and draw(st.booleans())}

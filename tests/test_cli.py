@@ -309,6 +309,10 @@ def test_scenario_with_k_sets_and_blocks():
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1/0,1,1"],
      "invalid --beta"),
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1,1"], "one per block"),
+    (["restrict", "--matrix", SC_RUNNING, "--beta=-1,1,1"],
+     "invalid --beta: action exponents must be non-negative"),
+    (["restrict", "--matrix", SC_RUNNING, "--beta", "0,0,0"],
+     "invalid --beta: row 3 is zero"),
     (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--samples", "0"],
      "invalid --samples: need at least 1, got 0"),
     (["verify", SC_PLANE, "--function", "z1", "--N", "1,1", "--samples", "0"],
@@ -323,6 +327,7 @@ def test_scenario_with_k_sets_and_blocks():
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
         "zset-block", "zset-form", "beta-zero-denominator", "beta-length",
+        "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds"])
 def test_malformed_input_exits_2(args, message, tmp_path):

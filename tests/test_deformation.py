@@ -1,14 +1,20 @@
+import warnings
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
 
+import oracles
 from multispec.deformation import (deformation, point, build_from_index_family,
                                    classify_action, is_fixed_point,
-                                   rank_and_normalize, derive_monomials,
-                                   bundle_decomposition, ActionClass,
-                                   IdentityActionError)
-from multispec.linear import sigma_for, rank, mat, nonneg_solution
+                                   minor_columns, rank_and_normalize,
+                                   derive_monomials, bundle_decomposition,
+                                   ActionClass, IdentityActionError)
+from multispec.linear import sigma_for, pivots, mat, nonneg_solution
 from multispec.monomials import mono, tau, lam
+from strategies import scenarios
 
 
 def test_build_from_index_family_examples():
@@ -91,6 +97,30 @@ def test_rank_and_normalize():
     assert r3.L == 3 and r3.sel_cols == (1, 2, 3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenarios(max_rows=5, max_cols=5))
+@example(([[0, 1, 1], [0, 2, 2], [1, 0, 0]], {1}))
+@example(([[1, 1, 0], [2, 2, 0], [0, 0, 1], [1, 1, 1]], set()))
+def test_pivot_minor_matches_the_search(sc):
+    # the rows of the minor are the pivot rows and its columns their pivot
+    # columns; for every set of rank-many lead rows, their pivot columns
+    # are the search's minor on those rows, and there are fewer exactly
+    # where the search finds none
+    rows, zeros = sc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        d = deformation(rows)
+    r = rank_and_normalize(d, point(zero_blocks=zeros))
+    assert r == oracles.rank_data(d)
+    for lead in combinations(range(1, d.ell + 1), r.L):
+        want = oracles.rank_data(d, lead)
+        cols = minor_columns(d, lead)
+        if want is None:
+            assert len(cols) < r.L
+        else:
+            assert replace(r, sel_rows=lead, sel_cols=cols) == want
+
+
 def test_derive_monomials_examples():
     d324 = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     der = derive_monomials(d324, rank_and_normalize(d324, point()))
@@ -151,4 +181,4 @@ def test_nonneg_solution():
     assert x is not None
     assert x[0] * 1 + x[1] * 1 == 3 and x[1] == 2
     assert nonneg_solution(cols, [Fraction(-1), Fraction(0)]) is None
-    assert rank(mat([[1, 2], [2, 4]])) == 1
+    assert pivots(mat([[1, 2], [2, 4]])) == [0]

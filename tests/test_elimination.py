@@ -16,7 +16,6 @@ import oracles
 from multispec import multicone
 from multispec.deformation import (RankData, deformation, derive_monomials,
                                    point, rank_and_normalize)
-from multispec.linear import rank
 from multispec.monomials import lam, pair, tau
 from multispec.multicone import (ClosureCapExceeded, build_multicone, closure,
                                  project)
@@ -142,8 +141,8 @@ def test_derive_monomials_matches_the_oracle(sc):
     p = point(zero_blocks=zeros)
     r = rank_and_normalize(d, p)
     for lead in combinations(range(1, d.ell + 1), r.L):
-        if rank([list(d.row(j)) for j in lead]) == r.L:
-            rr = rank_and_normalize(d, p, fixed_rows=lead)
+        rr = oracles.rank_data(d, lead)
+        if rr is not None:
             assert derive_monomials(d, rr) == oracles.derive_monomials(d, rr)
 
 

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs: `multispec fixtures` and the text and json
 stdout of the subcommands on the README worked examples. `probe` and
 `verify` sample from a seeded generator, so their outputs are fixed too.
+The demos' stdout is compared in `tests/test_demos.py`.
 
-To rewrite the files in `tests/golden/` from the code on the path:
+To rewrite the files in `tests/golden/`, the demos' too, from the code on
+the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from multispec.cli import main
+from test_demos import DEMOS, golden_of, run_demo
 
 GOLDEN = Path(__file__).parent / "golden"
 # The README scenario (a fixed point) and the same matrix off the zero
@@ -87,3 +90,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, fmt, argv in CASES:
             (GOLDEN / f"{name}.{fmt}").write_text(stdout_of(argv, Path(tmp)))
+        for demo in DEMOS:
+            res = run_demo(demo, Path(tmp))
+            assert res.returncode == 0, res.stderr[-2000:]
+            golden_of(demo).write_text(res.stdout)

@@ -20,7 +20,6 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
                               lprod, LevelExpr, LevelFamily,
                               PermutationBudgetExceeded)
-from multispec.linear import rank
 from multispec.monomials import Monomial, Pair, lam, mono, tau
 from multispec.semigroup import _stages, run_pipeline
 import oracles
@@ -158,9 +157,9 @@ def test_generalized_levels_match_every_ordering():
     branches = {j: [] for j in range(1, d.ell + 1)}
     for theta in permutations(range(1, d.ell + 1)):
         lead = theta[:r.L]
-        if rank([list(d.row(j)) for j in lead]) < r.L:
+        rr = oracles.rank_data(d, lead)
+        if rr is None:
             continue
-        rr = rank_and_normalize(d, p, fixed_rows=lead)
         fam = build_levels(reordered(run_pipeline(d, rr, p), theta[r.L:]))
         for j in branches:
             branches[j].append(fam.rho_Lambda[j])
@@ -379,9 +378,9 @@ def _per_ordering_generalized_levels(d, r, p):
     families = []
     seen = set()
     for lead in combinations(range(1, d.ell + 1), r.L):
-        if rank([list(d.row(j)) for j in lead]) < r.L:
+        rr = oracles.rank_data(d, lead)
+        if rr is None:
             continue
-        rr = rank_and_normalize(d, p, fixed_rows=lead)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):
             fam = build_levels(reordered(run_pipeline(d, rr, p), order))
@@ -404,9 +403,9 @@ def _check_generalized_against_oracle(d, p):
     assert got.strict == want.strict
     # the stages of every order are those of the oracle step
     for lead in combinations(range(1, d.ell + 1), r.L):
-        if rank([list(d.row(j)) for j in lead]) < r.L:
+        rr = oracles.rank_data(d, lead)
+        if rr is None:
             continue
-        rr = rank_and_normalize(d, p, fixed_rows=lead)
         base = run_pipeline(d, rr, p)
         rest = [j for j in range(1, d.ell + 1) if j not in lead]
         for order in permutations(rest):

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import multispec.linear
 import multispec.semigroup
+import oracles
 from multispec.deformation import deformation, point
 from multispec.fixtures import run_fixtures
-from multispec.linear import (mat, rank, inverse, solve_unique, sigma_for,
+from multispec.linear import (mat, pivots, adjugate, sigma_for,
                               nonneg_solution, cone_feasible)
 from multispec.semigroup import Verdict, equivalent, run_pipeline
 
@@ -72,30 +73,6 @@ def _fraction_nonneg_solution(columns, target):
     return x
 
 
-def _fraction_rank(a):
-    """Oracle: Gauss-Jordan elimination over Fractions, which rank replaced."""
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 _RANK_ENTRIES = st.sampled_from(
     [Fraction(x) for x in ("0", "0", "0", "1/3", "-1/2", "1", "-1", "3/2",
                            "2", "-3", "5/7", "-12/5")])
@@ -133,31 +110,18 @@ def _rank_matrices(draw):
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)],
           [Fraction(0), Fraction(5, 7)]])
 def test_integer_rank_matches_fraction_oracle(a):
-    assert rank(a) == _fraction_rank(a)
+    # the pivot columns are the lexicographically first independent ones
+    cols = pivots(a)
+    assert len(cols) == oracles.rank(a)
+    assert cols == sorted(cols)
+    for c in range(len(a[0]) if a else 0):
+        prefix = [row[:c + 1] for row in a]
+        assert (c in cols) == \
+            (oracles.rank(prefix) > oracles.rank([row[:c] for row in a]))
     t = [list(col) for col in zip(*a)]
-    assert rank(t) == _fraction_rank(t)
+    assert len(pivots(t)) == oracles.rank(t)
     if a and a[0]:
-        assert rank(t) == rank(a)
-
-
-def _fraction_inverse(a):
-    """Oracle: Gauss-Jordan elimination over Fractions, which inverse
-    replaced."""
-    n = len(a)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+        assert len(pivots(t)) == len(cols)
 
 
 @st.composite
@@ -181,29 +145,38 @@ def _square_matrices(draw):
 @example([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]])
 def test_fraction_free_inverse_matches_fraction_oracle(a):
     try:
-        want = _fraction_inverse(a)
+        want = oracles.inverse(a)
     except ValueError:
         with pytest.raises(ValueError):
-            inverse(a)
+            adjugate(a)
         return
-    got = inverse(a)
-    assert got == want
-    assert all(type(x) is Fraction for row in got for x in row)
+    adj, d = adjugate(a)
+    assert [[Fraction(x, d) for x in row] for row in adj] == want
+    n = len(a)
+    assert [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[d * (i == j) for j in range(n)]
+                                   for i in range(n)]
 
 
 def test_rank_and_inverse():
-    assert rank(mat([[1, 2], [2, 4]])) == 1
-    assert rank(mat([[1, 0], [0, 1]])) == 2
-    assert rank([]) == 0
+    assert pivots(mat([[1, 2], [2, 4]])) == [0]
+    assert pivots(mat([[1, 0], [0, 1]])) == [0, 1]
+    # an empty matrix, zero-width rows, a zero column
+    assert pivots([]) == []
+    assert pivots([[], []]) == []
+    assert pivots(mat([[0, 1], [0, 2], [0, 3]])) == [1]
+    # a rank-deficient rectangular matrix: the third row is the sum of the
+    # first two, and column 2 is twice column 1
+    assert pivots(mat([[1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1]])) == [0, 2]
     m = mat([[3, 2], [1, 1]])
-    inv = inverse(m)
-    assert inv == mat([[1, -2], [-1, 3]])
+    adj, d = adjugate(m)
+    assert [[Fraction(x, d) for x in row] for row in adj] == \
+        mat([[1, -2], [-1, 3]])
     with pytest.raises(ValueError):
-        inverse(mat([[1, 1], [1, 1]]))
-    assert solve_unique(m, [Fraction(1), Fraction(0)]) == \
-        [Fraction(1), Fraction(-1)]
-
-
+        adjugate(mat([[1, 1], [1, 1]]))
+    # the solve of m x = (1, 0)
+    assert [Fraction(sum(x * b for x, b in zip(row, [1, 0])), d)
+            for row in adj] == [Fraction(1), Fraction(-1)]
 
 
 def test_sigma_examples():
