@@ -177,11 +177,13 @@ def classify_action(d: DeformationData) -> ActionClass:
     return ActionClass.DEGENERATE
 
 
-def is_fixed_point(d: DeformationData, p: PointPattern) -> bool:
+def is_fixed_point(d: DeformationData, p: PointPattern, r: RankData) -> bool:
+    """Does the action lose rank on the point's live blocks?  r is the rank
+    data of d (`rank_and_normalize`), whose L is the rank of d.A."""
     check_point(d, p)
     live = [k for k in range(1, d.m + 1) if k not in p.zero_blocks]
     restricted = [[d.entry(j, k) for k in live] for j in range(1, d.ell + 1)]
-    return len(pivots(restricted)) < len(pivots(d.A))
+    return len(pivots(restricted)) < r.L
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from .deformation import (DeformationData, PointPattern, RankData,
                           derive_monomials, is_fixed_point, minor_columns)
 from .linear import fr
 from .monomials import Monomial, ONE, Var, LAM, TAU, XI, ZERO, lam, tau
-from .semigroup import PipelineResult, build_G, eliminate_rows, row_of
+from .semigroup import (PipelineResult, Vector, build_G, eliminate_rows,
+                        reduced, row_of, vector_key)
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
@@ -276,37 +277,12 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     order (so scale factors cancel exactly as in the worked examples); the
     selected actions restrict their solved inverses."""
     d, p = pipeline.d, pipeline.p
-    if is_fixed_point(d, p):
+    if is_fixed_point(d, p, pipeline.r):
         raise ValueError("level functions need a point outside fixed points")
     rho_lambda, _, _ = next(_level_families(
         d, pipeline.r, pipeline.derived, pipeline.G, [pipeline.elim_order]))
     strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
     return LevelFamily(rho_lambda, strict, pipeline.elim_order)
-
-
-# An exponent vector (numerators, denominator) over a fixed list of
-# variables: the monomial whose exponent of variables[i] is
-# numerators[i] / denominator.  The denominator is positive and its gcd
-# with all the numerators is 1, so equal monomials have equal vectors.
-Vector = tuple[tuple[int, ...], int]
-
-
-def _reduced(nums, den: int) -> Vector:
-    g = gcd(*nums, den)
-    if g == 1:
-        return tuple(nums), den
-    return tuple(n // g for n in nums), den // g
-
-
-def _vector_key(vec: Vector, variables: tuple[Var, ...]) -> tuple:
-    """Monomial.sort_key of the vector's monomial."""
-    nums, den = vec
-    out = []
-    for v, n in zip(variables, nums):
-        if n:
-            g = gcd(n, den)
-            out += (*v._key, n // g, den // g)
-    return tuple(out)
 
 
 def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -373,9 +349,9 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
             if a < 0:
                 nums = list(nums)
                 nums[i] = 0
-                branches.add(_reduced(nums, -a))
+                branches.add(reduced(nums, -a))
         steps.append((i, sorted(branches,
-                                key=lambda b: _vector_key(b, variables))))
+                                key=lambda b: vector_key(b, variables))))
 
     memo: dict[tuple[Vector, int], LevelExpr] = {}
     action = 0
@@ -391,7 +367,7 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
                 if bad:
                     raise AssertionError(
                         f"level for action {action} involves {bad}")
-                out = LevelExpr(MONO, _vector_key(vec, variables))
+                out = LevelExpr(MONO, vector_key(vec, variables))
             elif not nums[steps[pos][0]]:
                 out = leaf(vec, pos + 1)
             else:
@@ -408,8 +384,8 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
         rest = list(nums)
         rest[i] = 0
         if not branches:
-            return leaf(_reduced(rest, den), pos + 1)
-        kids = [leaf(_reduced([n * bd + x * b for n, b in zip(rest, bn)],
+            return leaf(reduced(rest, den), pos + 1)
+        kids = [leaf(reduced([n * bd + x * b for n, b in zip(rest, bn)],
                               den * bd), pos + 1)
                 for bn, bd in branches]
         return _lattice(MAX if x > 0 else MIN, kids)
@@ -563,7 +539,7 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     if total > MAX_ORDERINGS:
         raise PermutationBudgetExceeded(
             f"{total} orderings exceed the budget of {MAX_ORDERINGS}")
-    if is_fixed_point(d, p):
+    if is_fixed_point(d, p, r):
         raise ValueError("level functions need a point outside fixed points")
 
     families: list[dict[int, LevelExpr]] = []

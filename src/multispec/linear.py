@@ -1,14 +1,14 @@
 """Exact rational linear algebra: pivots, adjugate, cone feasibility.
 
-Everything takes Fraction input and eliminates on integers scaled from
-it.  One fraction-free Gauss-Jordan step, `_pivot`, divides exactly by
-the previous pivot (Bareiss), so every entry stays a minor of the scaled
-start, and serves three routines: `pivots` (the pivot columns, whose
-number is the rank), `adjugate` (the inverse over one integer) and the
-phase-one simplex of `nonneg_solution` (Bland's rule), which pivots its
-objective row as one more row.  Fractions are built only for the answer.
-The simplex decides radical membership, and with it equivalence of
-generating sets, and prunes the integer membership search.
+Everything eliminates on integers.  One fraction-free Gauss-Jordan step,
+`_pivot`, divides exactly by the previous pivot (Bareiss), so every entry
+stays a minor of the integer start, and serves three routines: `pivots`
+(the pivot columns, whose number is the rank) and `adjugate` (the inverse
+over one integer), which scale their Fraction rows to integers, and the
+phase-one simplex of `nonneg_solution` (Bland's rule), which takes integer
+columns and pivots its objective row as one more row.  The simplex decides
+radical membership, and with it equivalence of generating sets, and
+prunes the integer membership search (`cone_feasible`).
 """
 
 from __future__ import annotations
@@ -104,30 +104,27 @@ def sigma_for(entries) -> Fraction:
     return Fraction(d, g)
 
 
-def nonneg_solution(columns: list[Vector], target: Vector) -> list[Fraction] | None:
-    """Find rational x >= 0 with sum x_i * columns[i] = target, or None.
+def nonneg_solution(columns: list[list[int]],
+                    target: list[int]) -> tuple[list[int], int] | None:
+    """Rational x >= 0 with sum x_i * columns[i] = target, for integer
+    columns and target: integer numerators over one positive denominator,
+    or None.
 
     Phase-one simplex with Bland's rule (always terminates) on an integer
-    tableau: columns and target are scaled by the lcm of their
-    denominators, and fraction-free pivoting (Bareiss; Edmonds) keeps every
-    entry an integer over one common divisor d, the determinant of the
-    current basis.  Returns one feasible point, not a canonical one.
-    """
+    tableau: fraction-free pivoting (Bareiss; Edmonds) keeps every entry an
+    integer over one divisor d > 0, the current basis's determinant, and
+    the ratio test compares cross products.  Positive scalings of columns
+    or target keep Bland's path and scale x, so rational callers scale
+    first.  Returns one feasible point, not a canonical one."""
     m = len(target)
     n = len(columns)
     total = n + m
-    scale = lcm(*(x.denominator for col in columns for x in col),
-                *(t.denominator for t in target))
-
-    def whole(x) -> int:
-        return x.numerator * (scale // x.denominator)
-
     # Tableau rows: [A | I | b] with b >= 0 after sign flips.
     rows = []
     for i, t in enumerate(target):
         sign = -1 if t < 0 else 1
-        rows.append([sign * whole(col[i]) for col in columns]
-                    + [int(k == i) for k in range(m)] + [sign * whole(t)])
+        rows.append([sign * col[i] for col in columns]
+                    + [int(k == i) for k in range(m)] + [sign * t])
     basis = [n + i for i in range(m)]
     # Last row: the reduced costs of minimising the sum of artificials,
     # times d, pivoted as one more row; its last entry is minus the
@@ -142,19 +139,25 @@ def nonneg_solution(columns: list[Vector], target: Vector) -> list[Fraction] | N
         # Bland: least ratio rhs/entry over positive entries, ties to the
         # least basic column.  Phase one is bounded below, so an entering
         # column has a positive entry.
-        leave = min((i for i in range(m) if rows[i][enter] > 0),
-                    key=lambda i: (Fraction(rows[i][total], rows[i][enter]),
-                                   basis[i]))
+        leave = None
+        for i in range(m):
+            if rows[i][enter] > 0 and (leave is None or (
+                    rows[i][total] * rows[leave][enter], basis[i])
+                    < (rows[leave][total] * rows[i][enter], basis[leave])):
+                leave = i
         d = _pivot(rows, leave, enter, d)
         basis[leave] = enter
     if rows[m][total]:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(rows[i][total], d)
-    return x
+            x[j] = rows[i][total]
+    return x, d
 
 
 def cone_feasible(columns: list[Vector], target: Vector) -> bool:
-    return nonneg_solution(columns, target) is not None
+    """Is target a non-negative combination of the rational columns?
+    Scaling each column and the target to integers keeps the answer."""
+    return nonneg_solution([_whole_row(c) for c in columns],
+                           _whole_row(target)) is not None

@@ -63,7 +63,11 @@ class RestrictionVerdict:
 
 def extended_matrix(d: DeformationData, beta) -> DeformationData:
     """The action matrix with beta appended as a new last row."""
-    rows = [list(row) for row in d.A] + [[fr(x) for x in beta]]
+    beta = [fr(x) for x in beta]
+    if not any(beta):
+        raise ValueError("the added row is zero, so the new action would be "
+                         "the identity")
+    rows = [list(row) for row in d.A] + [beta]
     with warnings.catch_warnings():
         # adding an existing manifold again is a legitimate probe here
         warnings.simplefilter("ignore")

@@ -1,25 +1,49 @@
 """Generator sets, the elimination pipeline, and exact decision procedures:
 integer semigroup membership by a pruned search, and whether some power of
-a pair is a member (hence equivalence) by exact rational-cone LPs."""
+a pair is a member (hence equivalence) by exact rational-cone LPs.  The
+pipeline, radical membership and equivalence run on integer rows (`Row`),
+with one elimination step (`balance`) and integer LPs (`_radical`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
                           derive_monomials, rank_and_normalize, check_point)
 from .linear import cone_feasible, nonneg_solution
-from .monomials import (Monomial, Pair, Value, Var, ONE, ZERO, UNIT_VALUE,
+from .monomials import (Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
                         TAU, LAM, XI, tau, lam, xi, fraction_closure)
 
 
-# A row: a pair (f, v) as integer exponent numerators over one positive
-# denominator, gcd-reduced with it, over the columns of `layout`, and whether
-# v is zero (its columns are then zero); equal pairs have equal rows.
+# An exponent vector (numerators, denominator) over a fixed list of
+# variables: the monomial whose exponent of variables[i] is
+# numerators[i] / denominator.  The denominator is positive and its gcd
+# with all the numerators is 1, so equal monomials have equal vectors.
+Vector = tuple[tuple[int, ...], int]
+# A row: a pair (f, v) as one vector over the columns of `layout`, and
+# whether v is zero (its columns are then zero); equal pairs have equal rows.
 Row = tuple[tuple[int, ...], int, bool]
+
+
+def reduced(nums, den: int) -> Vector:
+    g = gcd(*nums, den)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
+
+
+def vector_key(vec: Vector, variables) -> tuple:
+    """Monomial.sort_key of the vector's monomial."""
+    nums, den = vec
+    out = []
+    for v, n in zip(variables, nums):
+        if n:
+            g = gcd(n, den)
+            out += (*v._key, n // g, den // g)
+    return tuple(out)
 
 
 def layout(pairs) -> tuple[tuple[Var, ...], int, dict[Var, int]]:
@@ -64,9 +88,13 @@ def balance(p: Row, q: Row, i: int, width: int) -> tuple[int, int, Row]:
     nums = [y * s + x * t for s, t in zip(pn, qn)]
     if pz or qz:
         nums[width:] = [0] * (len(nums) - width)
-    g = gcd(den, *nums)
-    return y * pd // den, x * qd // den, (tuple(n // g for n in nums),
-                                          den // g, pz or qz)
+    return y * pd // den, x * qd // den, (*reduced(nums, den), pz or qz)
+
+
+def _valued_zero(row: Row, width: int) -> Row:
+    """The row with its value forced to zero."""
+    nums, den, _ = row
+    return *reduced(nums[:width] + (0,) * (len(nums) - width), den), True
 
 
 def eliminate_rows(rows, i: int, width: int, zero_positive: bool) -> set[Row]:
@@ -77,12 +105,17 @@ def eliminate_rows(rows, i: int, width: int, zero_positive: bool) -> set[Row]:
     pos = [row for row in rows if row[0][i] > 0]
     neg = [row for row in rows if row[0][i] < 0]
     if zero_positive:
-        for nums, den, _ in pos:
-            nums = nums[:width] + (0,) * (len(nums) - width)
-            g = gcd(den, *nums)
-            out.add((tuple(n // g for n in nums), den // g, True))
+        out.update(_valued_zero(row, width) for row in pos)
     out.update(balance(p, q, i, width)[2] for p in pos for q in neg)
     return out
+
+
+def _row_key(row: Row, columns, width: int) -> tuple:
+    """The row's `Pair.sort_key` over the columns."""
+    nums, den, zero = row
+    return (vector_key((nums[:width], den), columns[:width]),
+            (0,) if zero else (1, *vector_key((nums[width:], den),
+                                              columns[width:])))
 
 
 def _eliminations(F, variables):
@@ -247,14 +280,6 @@ class MembershipResult:
         return self.verdict is Verdict.YES
 
 
-def _exponent_vectors(monos, extra: Monomial):
-    all_vars = sorted({v for f in monos for v, _ in f.exps}
-                      | {v for v, _ in extra.exps}, key=lambda v: v.key())
-    cols = [[f.exponent(v) for v in all_vars] for f in monos]
-    target = [extra.exponent(v) for v in all_vars]
-    return cols, target
-
-
 def _dfs(cols, target, budget, check_leaf, idx=0, partial=None):
     partial = partial or []
     if all(x == 0 for x in target):
@@ -290,7 +315,12 @@ def mono_membership(f: Monomial, H) -> MembershipResult:
     with multiplicity.
     """
     ordered = sorted(H, key=lambda p: p.sort_key())
-    cols, target = _exponent_vectors([p.f for p in ordered], f)
+    _, width, index = layout([*H, Pair(f, ZERO)])
+    rows = [row_of(g, ZERO, index) for g in [p.f for p in ordered] + [f]]
+    # one scale for all: the search subtracts columns from the target
+    S = lcm(*(den for _, den, _ in rows))
+    *cols, target = [[n * (S // den) for n in nums[:width]]
+                     for nums, den, _ in rows]
     if not cone_feasible(cols, target):
         return MembershipResult(Verdict.NO)
 
@@ -303,100 +333,126 @@ def mono_membership(f: Monomial, H) -> MembershipResult:
     return MembershipResult(Verdict.UNKNOWN)
 
 
-def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
-    """A power N with probe^N in the bracket of H, values included, decided
-    by exact LPs: a rational x >= 0 combining H into probe, times the lcm N
-    of its denominators, combines H into probe^N.  A nonzero value stacks
-    norm-symbol exponents under the scale exponents and excludes zero-valued
-    pairs; a zero value needs some zero-valued pair.  zero_slack lists
-    zero-pattern blocks: a zero-valued probe positive in one of them matches
-    whatever the combination's value (the value-zeroing branch of the
-    generated semigroup).
+def _radical(rows, columns, width: int, live):
+    """Radical membership in the rows H (`radical_member`) on the live
+    columns, as a function of a probe row and the slack columns: None, or
+    the witness (H in sort_key order, with coefficients) and the power.  H
+    is sorted and scaled to integers once, by the lcm S of its denominators;
+    positive scalings keep Bland's path, so with the probe's numerators
+    over pd as targets a solution y maps back to x = S*y/pd."""
+    ordered = sorted(rows, key=lambda row: _row_key(row, columns, width))
+    S = lcm(*(den for _, den, _ in ordered))
+    w = sum(i < width for i in live)
+    # monomial and value columns, and a last row counting zero values
+    cols = [[nums[i] * (S // den) for i in live] + [S * zero]
+            for nums, den, zero in ordered]
 
-    LPs whose answer is known are skipped.  A probe that is a pair of H
-    gets power 1 and the unit witness (1 on the probe, 0 elsewhere) with
-    no LP.  A zero-valued probe whose first solution already uses a
-    zero-valued pair keeps that solution, times N, as its witness: zero
-    absorbs in products, so the homogenised second LP is not posed.  The
-    witness is checked exactly before Yes."""
-    ordered = sorted(H, key=lambda p: p.sort_key())
-    slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
-                                      for k in zero_slack)
-    if probe in H:
-        x = [Fraction(p == probe) for p in ordered]
-    elif not probe.v.is_zero:
-        cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
-        # the last row sums the use of zero-valued pairs and must be zero
-        vcols, vtarget = _exponent_vectors(
-            [p.v.mono or ONE for p in ordered], probe.v.mono)
-        x = nonneg_solution([c + vc + [Fraction(p.v.is_zero)] for c, vc, p
-                             in zip(cols, vcols, ordered)],
-                            target + vtarget + [Fraction(0)])
-    else:
-        cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
-        x = nonneg_solution(cols, target)
-        if x is not None and not slacked and not any(
-                a and p.v.is_zero for a, p in zip(x, ordered)):
+    def member(probe: Row, slack):
+        pn, pd, pz = probe
+        t = [pn[i] for i in live] + [0]
+        slacked = pz and any(pn[i] > 0 for i in slack)
+        if probe in rows:
+            x = [pd * (row == probe) for row in ordered], S
+        elif not pz:
+            x = nonneg_solution(cols, t)
+        elif (x := nonneg_solution([c[:w] for c in cols], t[:w])) and not (
+                slacked or any(a and c[-1] for a, c in zip(x[0], cols))):
             # homogenised: A y = s*probe, zero-valued part of y summing to
             # one; s = 0 leaves a recession direction to add to x
-            y = nonneg_solution(
-                [c + [Fraction(p.v.is_zero)] for c, p in zip(cols, ordered)]
-                + [[-t for t in target] + [Fraction(0)]],
-                [Fraction(0)] * len(target) + [Fraction(1)])
+            y = nonneg_solution([c[:w] + c[-1:] for c in cols]
+                                + [[-e for e in t[:w]] + [0]], [0] * w + [1])
             if y is None:
                 x = None
-            elif y[-1]:
-                x = [a / y[-1] for a in y[:-1]]
+            elif y[0][-1]:
+                x = y[0][:-1], y[0][-1]
             else:
-                x = [a + b for a, b in zip(x, y[:-1])]
-    if x is None:
+                (xn, xd), (yn, yd) = x, y
+                x = [a * yd + b * xd * pd for a, b in zip(xn, yn)], xd * yd
+        if x is None:
+            return None
+        witness, power = reduced([S * a for a in x[0]], pd * x[1])
+        used = [(a, c) for a, c in zip(witness, cols) if a]
+        got = [pd * sum(a * c[k] for a, c in used) for k in range(len(t))]
+        want = [power * S * e for e in t]
+        if got[:w] != want[:w] or not slacked and (
+                not got[-1] if pz else got[w:] != want[w:]):
+            raise AssertionError(f"radical witness fails at power {power}")
+        return list(zip(ordered, witness)), power
+
+    return member
+
+
+def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
+    """A power N with probe^N in the bracket of H, values included, decided
+    by exact LPs on the rows of H and the probe (`_radical`): x >= 0
+    combining H into probe, times the lcm N of its denominators, combines
+    H into probe^N.  A nonzero value stacks norm-symbol exponents under the
+    scale exponents and excludes zero-valued pairs; a zero value needs some
+    zero-valued pair.  zero_slack lists zero-pattern blocks: a zero-valued
+    probe positive in one of them matches whatever the combination's value
+    (the value-zeroing branch of the generated semigroup).  A probe in H
+    gets power 1 and the unit witness with no LP; a zero-valued probe whose
+    first solution uses a zero-valued pair keeps it (zero absorbs), with no
+    second LP.  The witness, H in sort_key order, is checked before Yes."""
+    columns, width, index = layout([*H, probe])
+    pairs = {row_of(p.f, p.v, index): p for p in H}
+    found = _radical(pairs, columns, width, range(len(columns)))(
+        row_of(probe.f, probe.v, index),
+        [index[tau(k)] for k in zero_slack if tau(k) in index])
+    if found is None:
         return MembershipResult(Verdict.NO)
-    power = lcm(*(a.denominator for a in x))
-    witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
-    # pairs used zero times contribute the identity
-    got = prod((p ** a for p, a in witness if a),
-               start=Pair(ONE, UNIT_VALUE))
-    want = probe ** power
-    if got.f != want.f or not (slacked or got.v == want.v):
-        raise AssertionError(f"radical witness does not reproduce {probe}^{power}")
-    return MembershipResult(Verdict.YES, witness=witness, power=power)
+    return MembershipResult(Verdict.YES, tuple(
+        (pairs[row], a) for row, a in found[0]), found[1])
+
+
+def _free_rows(F, width: int, index: dict[Var, int]) -> set[Row]:
+    """The rows of F fraction-closed (each nonzero-valued row negated as
+    well), then freed of every action parameter in increasing index order."""
+    rows = {row_of(p.f, p.v, index) for p in F}
+    rows |= {(tuple(-n for n in nums), den, False)
+             for nums, den, zero in rows if not zero}
+    for v, i in index.items():
+        if v.kind == LAM:
+            rows = eliminate_rows(rows, i, width, False)
+    return rows
 
 
 def eliminate_lambda(F) -> frozenset[Pair]:
     """Fraction-close, then eliminate every action parameter present,
-    in increasing index order."""
-    out = fraction_closure(F)
-    lams = sorted({v for pr in out for v, _ in pr.f.exps if v.kind == LAM})
-    return [out, *_eliminations(out, lams)][-1]
+    in increasing index order (`_free_rows`)."""
+    columns, width, index = layout(F)
+    return frozenset(pair_of(row, columns, width)
+                     for row in _free_rows(F, width, index))
 
 
-def _semigroup_probes(free, zero_slack) -> list[Pair]:
-    """Parameter-free pairs as elements of the generated semigroup: drop
-    the ones that are undefined on the zero pattern and force the value of
-    the ones the zero pattern annihilates."""
-    probes = []
-    for p in free:
-        if any(p.f.exponent(tau(k)) < 0 for k in zero_slack):
-            continue
-        if not p.v.is_zero and any(p.f.exponent(tau(k)) > 0 for k in zero_slack):
-            p = Pair(p.f, ZERO)
-        probes.append(p)
-    return sorted(set(probes), key=lambda p: p.sort_key())
+def _answers(A, B, zero_slack):
+    """(probe row, `_radical` answer) for each probe of A in B, then of B
+    in A, on one layout of both, each side fraction-closed and freed of
+    parameters (`_free_rows`).  A side's probes, in sort_key order, are its rows in the
+    generated semigroup: none negative on a zero-pattern block, and value
+    zero where positive on one."""
+    columns, width, index = layout([*A, *B])
+    slack = [index[tau(k)] for k in zero_slack if tau(k) in index]
+    sides = [_free_rows(F, width, index) for F in (A, B)]
+    live = [i for i, v in enumerate(columns) if v.kind != LAM]
+    for probes, H in (sides, sides[::-1]):
+        member = _radical(H, columns, width, live)
+        probes = {row if row[2] or not any(row[0][i] > 0 for i in slack)
+                  else _valued_zero(row, width) for row in probes
+                  if not any(row[0][i] < 0 for i in slack)}
+        for probe in sorted(probes,
+                            key=lambda row: _row_key(row, columns, width)):
+            yield probe, member(probe, slack)
 
 
 def equivalent(A, B, zero_slack=()) -> Verdict:
     """Mutual radical membership of the parameter-free parts of two
-    generating sets; parameters are eliminated first, so the comparison is
-    between the induced scale-only semigroups.  zero_slack carries the
-    shared zero pattern restricted to the chosen minor columns."""
-    slack = tuple(zero_slack)
-    a_free = eliminate_lambda(A)
-    b_free = eliminate_lambda(B)
-    for probes, H in ((a_free, b_free), (b_free, a_free)):
-        for probe in _semigroup_probes(probes, slack):
-            if not radical_member(probe, H, zero_slack=slack):
-                return Verdict.NO
-    return Verdict.YES
+    generating sets, on integer rows (`_answers`); parameters are
+    eliminated first, so the comparison is between the induced scale-only
+    semigroups.  zero_slack carries the shared zero pattern restricted to
+    the chosen minor columns."""
+    return Verdict.YES if all(found for _, found in _answers(
+        A, B, zero_slack)) else Verdict.NO
 
 
 class NotRepresentable(ValueError):

@@ -1,18 +1,21 @@
 """Oracles: the Fraction bodies that the integer elimination kernel
 (`semigroup.balance` and its callers), the integer `derive_monomials`, the
-fraction-free `pivots` and `adjugate` and the pivot minor replaced, kept to
-check them against."""
+fraction-free `pivots` and `adjugate`, the pivot minor, the integer
+simplex and the row-level radical membership and equivalence replaced,
+kept to check them against."""
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from multispec.deformation import DerivedMonomials, RankData
 from multispec.linear import sigma_for
-from multispec.monomials import (LAM, TAU, ZERO, Monomial, Pair,
-                                 fraction_closure, lam, tau)
+from multispec.monomials import (LAM, ONE, TAU, UNIT_VALUE, ZERO, Monomial,
+                                 Pair, fraction_closure, lam, tau)
 from multispec.multicone import (ClosureEntry, Inequality, MulticoneSystem,
                                  _merge)
+from multispec.semigroup import MembershipResult, Verdict
 
 
 def rank(a) -> int:
@@ -245,3 +248,153 @@ def derive_monomials(d, r) -> DerivedMonomials:
             exps[tau(kk)] = exps.get(tau(kk), Fraction(0)) - alpha[kpos]
         psi[k] = Monomial.from_dict(exps)
     return DerivedMonomials(phi, phi_inv, psi)
+
+
+def nonneg_solution(columns, target):
+    """The phase-one simplex over Fractions (Bland's rule, ratios as
+    Fractions, ties to the least basic column) that the integer tableau of
+    `linear.nonneg_solution` must pivot identically to: rational x >= 0
+    with sum x_i * columns[i] = target, or None."""
+    m = len(target)
+    n = len(columns)
+    # Tableau rows: [A | I | b] with b >= 0 after sign flips.
+    a = [[Fraction(columns[j][i]) for j in range(n)] for i in range(m)]
+    b = [Fraction(t) for t in target]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    total = n + m
+    rows = [a[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]]
+            for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # Objective: minimise the sum of artificials.
+    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    z = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for k in range(total + 1):
+            z[k] += rows[i][k]
+    # reduced costs: cost - z for structural part; objective value = z[-1]
+    while True:
+        enter = None
+        for j in range(total):
+            if cost[j] - z[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        ratios = [(rows[i][total] / rows[i][enter], basis[i], i)
+                  for i in range(m) if rows[i][enter] > 0]
+        if not ratios:
+            break  # unbounded: cannot happen for phase one
+        _, _, leave = min(ratios)
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        basis[leave] = enter
+        z = [Fraction(0)] * (total + 1)
+        for i in range(m):
+            if cost[basis[i]] != 0:
+                for k in range(total + 1):
+                    z[k] += cost[basis[i]] * rows[i][k]
+    if z[total] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][total]
+        elif rows[i][total] != 0:
+            return None  # artificial stuck at a nonzero level
+    return x
+
+
+def exponent_vectors(monos, extra):
+    """The Fraction exponent vectors of monos and of extra over their
+    variables."""
+    all_vars = sorted({v for f in monos for v, _ in f.exps}
+                      | {v for v, _ in extra.exps}, key=lambda v: v.key())
+    return ([[f.exponent(v) for v in all_vars] for f in monos],
+            [extra.exponent(v) for v in all_vars])
+
+
+def radical_member(probe, H, zero_slack=(),
+                   shortcuts=True) -> MembershipResult:
+    """radical_member on Pairs and Fractions, as it was before it ran on
+    integer rows: Fraction columns per probe, the Fraction simplex, and
+    the witness checked by Pair products.  Without shortcuts, as it was
+    before it skipped LPs whose answer is known: one LP for every probe,
+    and the homogenised second LP for every zero-valued probe outside the
+    slack."""
+    ordered = sorted(H, key=lambda p: p.sort_key())
+    slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
+                                      for k in zero_slack)
+    if shortcuts and probe in H:
+        x = [Fraction(p == probe) for p in ordered]
+    elif not probe.v.is_zero:
+        cols, target = exponent_vectors([p.f for p in ordered], probe.f)
+        # the last row sums the use of zero-valued pairs and must be zero
+        vcols, vtarget = exponent_vectors(
+            [p.v.mono or ONE for p in ordered], probe.v.mono)
+        x = nonneg_solution([c + vc + [Fraction(p.v.is_zero)] for c, vc, p
+                             in zip(cols, vcols, ordered)],
+                            target + vtarget + [Fraction(0)])
+    else:
+        cols, target = exponent_vectors([p.f for p in ordered], probe.f)
+        x = nonneg_solution(cols, target)
+        if x is not None and not slacked and not (shortcuts and any(
+                a and p.v.is_zero for a, p in zip(x, ordered))):
+            # homogenised: A y = s*probe, zero-valued part of y summing to
+            # one; s = 0 leaves a recession direction to add to x
+            y = nonneg_solution(
+                [c + [Fraction(p.v.is_zero)] for c, p in zip(cols, ordered)]
+                + [[-t for t in target] + [Fraction(0)]],
+                [Fraction(0)] * len(target) + [Fraction(1)])
+            if y is None:
+                x = None
+            elif y[-1]:
+                x = [a / y[-1] for a in y[:-1]]
+            else:
+                x = [a + b for a, b in zip(x, y[:-1])]
+    if x is None:
+        return MembershipResult(Verdict.NO)
+    power = lcm(*(a.denominator for a in x))
+    witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
+    # pairs used zero times contribute the identity
+    got = prod((p ** a for p, a in witness if a),
+               start=Pair(ONE, UNIT_VALUE))
+    want = probe ** power
+    if got.f != want.f or not (slacked or got.v == want.v):
+        raise AssertionError(f"radical witness does not reproduce {probe}^{power}")
+    return MembershipResult(Verdict.YES, witness=witness, power=power)
+
+
+def semigroup_probes(free, zero_slack) -> list[Pair]:
+    """Parameter-free pairs as elements of the generated semigroup: drop
+    the ones that are undefined on the zero pattern and force the value of
+    the ones the zero pattern annihilates."""
+    probes = []
+    for p in free:
+        if any(p.f.exponent(tau(k)) < 0 for k in zero_slack):
+            continue
+        if not p.v.is_zero and any(p.f.exponent(tau(k)) > 0 for k in zero_slack):
+            p = Pair(p.f, ZERO)
+        probes.append(p)
+    return sorted(set(probes), key=lambda p: p.sort_key())
+
+
+def answers(A, B, zero_slack=()):
+    """(probe, radical_member answer) for each probe of A in B, then of B
+    in A, on Pairs; equivalent is Yes when every answer is."""
+    a_free, b_free = eliminate_lambda(A), eliminate_lambda(B)
+    return [(probe, radical_member(probe, H, zero_slack))
+            for probes, H in ((a_free, b_free), (b_free, a_free))
+            for probe in semigroup_probes(probes, zero_slack)]
+
+
+def equivalent(A, B, zero_slack=()) -> Verdict:
+    """equivalent on Pairs: mutual radical membership of every probe."""
+    return Verdict.YES if all(res for _, res in answers(A, B, zero_slack)) \
+        else Verdict.NO

@@ -14,9 +14,9 @@ from multispec.multicone import (build_multicone, closure,
                                  contraction_stable_check, sample_members)
 from multispec.polynomials import poly_monomial, exp_truncation
 from multispec.semigroup import (run_pipeline, equivalent, radical_member,
-                                 eliminate_lambda, Verdict,
-                                 _semigroup_probes)
+                                 eliminate_lambda, Verdict)
 from multispec.asymptotics import structure_of, verify_estimate
+from oracles import semigroup_probes
 
 
 def _report(n, label, ok, elapsed, budget=None):
@@ -240,7 +240,7 @@ def test_criterion_8_radical_property():
             ok = False
             details.append(f"{name}: equivalence {verdict.value}")
             continue
-        probes = _semigroup_probes(eliminate_lambda(pl.G), pl.zero_cols_L)
+        probes = semigroup_probes(eliminate_lambda(pl.G), pl.zero_cols_L)
         for probe in probes:
             res = radical_member(probe, pl.Fq, zero_slack=pl.zero_cols_L)
             if res.verdict is not Verdict.YES or res.power > 64:

@@ -312,7 +312,8 @@ def test_scenario_with_k_sets_and_blocks():
     (["restrict", "--matrix", SC_RUNNING, "--beta=-1,1,1"],
      "invalid --beta: action exponents must be non-negative"),
     (["restrict", "--matrix", SC_RUNNING, "--beta", "0,0,0"],
-     "invalid --beta: row 3 is zero"),
+     "invalid --beta: the added row is zero, so the new action would be the "
+     "identity"),
     (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--samples", "0"],
      "invalid --samples: need at least 1, got 0"),
     (["verify", SC_PLANE, "--function", "z1", "--N", "1,1", "--samples", "0"],

@@ -68,17 +68,19 @@ def test_classify_invariant_under_row_scaling():
 
 def test_fixed_point_examples():
     d = deformation([[1, 1, 0], [0, 1, 1]])
-    assert is_fixed_point(d, point(zero_blocks={1, 3}))
-    assert not is_fixed_point(d, point(zero_blocks={3}))
-    assert not is_fixed_point(d, point())
+    r = rank_and_normalize(d, point())
+    assert is_fixed_point(d, point(zero_blocks={1, 3}), r)
+    assert not is_fixed_point(d, point(zero_blocks={3}), r)
+    assert not is_fixed_point(d, point(), r)
 
 
 def test_fixed_point_permutation_invariant():
     d = deformation([[1, 1, 0], [0, 1, 1]])
     d_perm = deformation([[0, 1, 1], [1, 1, 0]])  # rows swapped
+    r, r_perm = (rank_and_normalize(e, point()) for e in (d, d_perm))
     for zeros in [set(), {1}, {3}, {1, 3}]:
-        assert is_fixed_point(d, point(zero_blocks=zeros)) == \
-            is_fixed_point(d_perm, point(zero_blocks=zeros))
+        assert is_fixed_point(d, point(zero_blocks=zeros), r) == \
+            is_fixed_point(d_perm, point(zero_blocks=zeros), r_perm)
 
 
 def test_sigma_examples():
@@ -176,9 +178,8 @@ def test_bundle_decomposition_examples():
 
 
 def test_nonneg_solution():
-    cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    x = nonneg_solution(cols, [Fraction(3), Fraction(2)])
-    assert x is not None
-    assert x[0] * 1 + x[1] * 1 == 3 and x[1] == 2
-    assert nonneg_solution(cols, [Fraction(-1), Fraction(0)]) is None
+    cols = [[1, 0], [1, 1]]
+    x, d = nonneg_solution(cols, [3, 2])
+    assert d > 0 and x[0] + x[1] == 3 * d and x[1] == 2 * d
+    assert nonneg_solution(cols, [-1, 0]) is None
     assert pivots(mat([[1, 2], [2, 4]])) == [0]

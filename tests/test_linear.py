@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -15,62 +16,14 @@ from multispec.linear import (mat, pivots, adjugate, sigma_for,
 from multispec.semigroup import Verdict, equivalent, run_pipeline
 
 
-def _fraction_nonneg_solution(columns, target):
-    """Oracle: the phase-one simplex over Fractions (Bland's rule) that
-    nonneg_solution replaced; the integer tableau must pivot identically."""
-    m = len(target)
-    n = len(columns)
-    # Tableau rows: [A | I | b] with b >= 0 after sign flips.
-    a = [[columns[j][i] for j in range(n)] for i in range(m)]
-    b = list(target)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    total = n + m
-    rows = [a[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # Objective: minimise the sum of artificials.
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    z = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for k in range(total + 1):
-            z[k] += rows[i][k]
-    # reduced costs: cost - z for structural part; objective value = z[-1]
-    while True:
-        enter = None
-        for j in range(total):
-            if cost[j] - z[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        ratios = [(rows[i][total] / rows[i][enter], basis[i], i)
-                  for i in range(m) if rows[i][enter] > 0]
-        if not ratios:
-            break  # unbounded: cannot happen for phase one
-        _, _, leave = min(ratios)
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        basis[leave] = enter
-        z = [Fraction(0)] * (total + 1)
-        for i in range(m):
-            if cost[basis[i]] != 0:
-                for k in range(total + 1):
-                    z[k] += cost[basis[i]] * rows[i][k]
-    if z[total] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][total]
-        elif rows[i][total] != 0:
-            return None  # artificial stuck at a nonzero level
-    return x
+def _solve(cols, target):
+    """nonneg_solution on a rational system scaled to integers by one lcm,
+    with its answer as Fractions: a uniform positive scale keeps x."""
+    scale = lcm(*(Fraction(x).denominator for c in (*cols, target) for x in c))
+    found = nonneg_solution([[int(x * scale) for x in c] for c in cols],
+                            [int(t * scale) for t in target])
+    return None if found is None else [Fraction(a, found[1])
+                                       for a in found[0]]
 
 
 _RANK_ENTRIES = st.sampled_from(
@@ -190,7 +143,7 @@ def test_nonneg_solution_exactness():
     cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)],
             [Fraction(-1), Fraction(2)]]
     target = [Fraction(1), Fraction(5)]
-    x = nonneg_solution(cols, target)
+    x = _solve(cols, target)
     assert x is not None and all(xi >= 0 for xi in x)
     for i in range(2):
         assert sum(x[j] * cols[j][i] for j in range(3)) == target[i]
@@ -205,7 +158,7 @@ def test_nonneg_solution_against_float_lp():
         cols = [[Fraction(int(rng.integers(-3, 4))) for _ in range(dim)]
                 for _ in range(n_cols)]
         target = [Fraction(int(rng.integers(-4, 5))) for _ in range(dim)]
-        exact = nonneg_solution(cols, target)
+        exact = _solve(cols, target)
         a_eq = np.array([[float(cols[j][i]) for j in range(n_cols)]
                          for i in range(dim)])
         res = scipy.optimize.linprog(
@@ -283,17 +236,29 @@ TIE = ([[Fraction(3, 2), Fraction(-1, 3), Fraction(2)],
 @example(TIE)
 def test_integer_simplex_matches_fraction_oracle(system):
     cols, target = system
-    got = nonneg_solution(cols, target)
-    assert got == _fraction_nonneg_solution(cols, target)
+    got = _solve(cols, target)
+    assert got == oracles.nonneg_solution(cols, target)
     if got is not None:
         assert all(x >= 0 for x in got)
         assert all(sum(x * c[i] for x, c in zip(got, cols)) == target[i]
                    for i in range(len(target)))
 
 
+def test_ratio_tie_goes_to_the_least_basic_column():
+    # Pivots: column 1 enters (ratios 1 and 0, no tie), then column 3 with
+    # rows 0 and 2 tied at ratio 0 (degenerate), holding basic columns 4
+    # (an artificial) and 1.  The integer cross products must see the tie
+    # and give row 2 the pivot, as the Fraction-keyed rule does; row 0
+    # would end at x = (0, 2/3, 1, 1/3).
+    cols = [[-1, 0, 0], [-1, 1, 1], [0, 0, -1], [2, 1, 1]]
+    x, d = nonneg_solution(cols, [0, 1, 0])
+    assert [Fraction(a, d) for a in x] == \
+        oracles.nonneg_solution(cols, [0, 1, 0]) == [2, 0, 1, 1]
+
+
 def test_replayed_calls_match_fraction_oracle(monkeypatch):
-    """Every LP that the fixtures and the 2x4 lineality case pose gets the
-    same point from both simplexes."""
+    """Every LP that the fixtures and the 2x4 lineality case pose, on
+    integer columns, gets the same point from both simplexes."""
     calls = []
     real = nonneg_solution
 
@@ -309,5 +274,6 @@ def test_replayed_calls_match_fraction_oracle(monkeypatch):
     assert equivalent(pl.Fq, pl.G, zero_slack=pl.zero_cols_L) is Verdict.YES
     assert len(calls) > 20
     for columns, target in calls:
-        assert real(columns, target) == \
-            _fraction_nonneg_solution(columns, target), (columns, target)
+        found = real(columns, target)
+        assert (found and [Fraction(a, found[1]) for a in found[0]]) == \
+            oracles.nonneg_solution(columns, target), (columns, target)

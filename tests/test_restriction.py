@@ -153,3 +153,10 @@ def test_h2_step_rule_is_zero_or_one_for_every_log():
             seen_failing_step |= not step["ok"]
         assert rep.holds == all(step["ok"] for step in rep.steps)
     assert seen_psi_one and seen_failing_step
+
+
+def test_a_zero_row_is_rejected_as_the_identity():
+    d = deformation([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="the added row is zero, so the new "
+                       "action would be the identity"):
+        extended_matrix(d, [0, 0])

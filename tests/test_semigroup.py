@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +9,13 @@ from multispec.monomials import (Monomial, Pair, ONE, UNIT_VALUE, ZERO, mono,
 from multispec.semigroup import (build_G_hat, eliminate, run_pipeline,
                                  mono_membership, radical_member, equivalent,
                                  value_of, eliminate_lambda, Verdict,
-                                 MembershipResult, NotRepresentable,
-                                 _dfs, _exponent_vectors, _semigroup_probes)
+                                 MembershipResult, NotRepresentable, layout,
+                                 pair_of, _answers, _dfs)
 import multispec.semigroup
+import oracles
 from multispec.linear import cone_feasible, nonneg_solution
 from multispec.multicone import build_multicone
-from oracles import balanced
+from oracles import balanced, exponent_vectors
 from strategies import pipeline_of, scenarios
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
@@ -160,9 +160,8 @@ def test_scale_powers_reach_zero_values(running):
 
 
 def test_radical_member_examples(running):
-    from multispec.semigroup import _semigroup_probes
     _, _, pl = running
-    probes = _semigroup_probes(eliminate_lambda(pl.G), pl.zero_cols_L)
+    probes = oracles.semigroup_probes(eliminate_lambda(pl.G), pl.zero_cols_L)
     assert probes  # the well-defined semigroup elements of the generator set
     for probe in probes:
         res = radical_member(probe, pl.Fq, zero_slack=pl.zero_cols_L)
@@ -265,14 +264,14 @@ def _searched_radical_member(probe: Pair, H, max_N: int = 64,
     """Oracle: smallest N <= max_N with probe^N in the bracket of H, by a
     depth-first search with a step budget; Unknown when the caps run out."""
     ordered = sorted(H, key=lambda p: p.sort_key())
-    cols, target1 = _exponent_vectors([p.f for p in ordered], probe.f)
+    cols, target1 = exponent_vectors([p.f for p in ordered], probe.f)
     if not cone_feasible(cols, target1):
         return MembershipResult(Verdict.NO)
     slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
                                       for k in zero_slack)
     for n in range(1, max_N + 1):
         powered = probe ** n
-        cols, target = _exponent_vectors([p.f for p in ordered], powered.f)
+        cols, target = exponent_vectors([p.f for p in ordered], powered.f)
 
         def leaf(alpha, _target_v=powered.v):
             witness = tuple((p, a) for p, a in zip(ordered, alpha))
@@ -431,54 +430,6 @@ def test_lp_radical_member_agrees_with_search(sc, data):
         assert got.f == want.f and (slacked or got.v == want.v)
 
 
-def _lp_radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
-    """Oracle: radical_member before it skipped known answers, posing one
-    LP for every probe and the homogenised second LP for every zero-valued
-    probe outside the slack."""
-    ordered = sorted(H, key=lambda p: p.sort_key())
-    slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
-                                      for k in zero_slack)
-    cols, target = _exponent_vectors([p.f for p in ordered], probe.f)
-    if not probe.v.is_zero:
-        vcols, vtarget = _exponent_vectors(
-            [p.v.mono or ONE for p in ordered], probe.v.mono)
-        x = nonneg_solution([c + vc + [Fraction(p.v.is_zero)] for c, vc, p
-                             in zip(cols, vcols, ordered)],
-                            target + vtarget + [Fraction(0)])
-    else:
-        x = nonneg_solution(cols, target)
-        if x is not None and not slacked:
-            y = nonneg_solution(
-                [c + [Fraction(p.v.is_zero)] for c, p in zip(cols, ordered)]
-                + [[-t for t in target] + [Fraction(0)]],
-                [Fraction(0)] * len(target) + [Fraction(1)])
-            if y is None:
-                x = None
-            elif y[-1]:
-                x = [a / y[-1] for a in y[:-1]]
-            else:
-                x = [a + b for a, b in zip(x, y[:-1])]
-    if x is None:
-        return MembershipResult(Verdict.NO)
-    power = lcm(*(a.denominator for a in x))
-    witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
-    got = prod((p ** a for p, a in witness), start=UNIT_ONE)
-    want = probe ** power
-    assert got.f == want.f and (slacked or got.v == want.v)
-    return MembershipResult(Verdict.YES, witness=witness, power=power)
-
-
-def _oracle_equivalent(A, B, zero_slack=()) -> Verdict:
-    """Oracle: equivalent with every probe decided by _lp_radical_member."""
-    slack = tuple(zero_slack)
-    a_free, b_free = eliminate_lambda(A), eliminate_lambda(B)
-    for probes, H in ((a_free, b_free), (b_free, a_free)):
-        for probe in _semigroup_probes(probes, slack):
-            if not _lp_radical_member(probe, H, zero_slack=slack):
-                return Verdict.NO
-    return Verdict.YES
-
-
 def _outside_generator(pl):
     """A zero-valued unit scale monomial outside the rational cone of the
     parameter-free part of G that stays a probe under the zero pattern, or
@@ -489,26 +440,53 @@ def _outside_generator(pl):
             if sign < 0 and k in pl.zero_cols_L:
                 continue
             g = Pair(Monomial.from_dict({tau(k): sign}), ZERO)
-            cols, target = _exponent_vectors([q.f for q in free], g.f)
+            cols, target = exponent_vectors([q.f for q in free], g.f)
             if not cone_feasible(cols, target):
                 return g
     return None
 
 
+def _row_answers(A, B, zero_slack):
+    """equivalent's answers on every probe of both directions, its rows
+    read back as Pairs, in the oracle's form."""
+    columns, width, _ = layout([*A, *B])
+
+    def back(row):
+        return pair_of(row, columns, width)
+
+    return [(back(probe), None if found is None else (
+        tuple((back(row), a) for row, a in found[0]), found[1]))
+        for probe, found in _answers(A, B, zero_slack)]
+
+
+def _oracle_answers(A, B, zero_slack):
+    return [(probe, (res.witness, res.power) if res else None)
+            for probe, res in oracles.answers(A, B, zero_slack)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(scenarios())
 def test_equivalent_agrees_with_an_lp_on_every_probe(sc):
+    # verdict, witness and power of every probe, both directions, from the
+    # row-level equivalent and from radical_member, against the Fraction
+    # bodies they replaced
     pl = pipeline_of(*sc)
     slack = pl.zero_cols_L
     assert equivalent(pl.Fq, pl.G, zero_slack=slack) \
-        is _oracle_equivalent(pl.Fq, pl.G, zero_slack=slack) is Verdict.YES
+        is oracles.equivalent(pl.Fq, pl.G, zero_slack=slack) is Verdict.YES
+    assert _row_answers(pl.Fq, pl.G, slack) == \
+        _oracle_answers(pl.Fq, pl.G, slack)
     free_G = eliminate_lambda(pl.G)
     for probes, H in ((eliminate_lambda(pl.Fq), free_G),
                       (free_G, pl.Fq)):
-        for probe in _semigroup_probes(probes, slack):
+        for probe in oracles.semigroup_probes(probes, slack):
             res = radical_member(probe, H, zero_slack=slack)
-            ref = _lp_radical_member(probe, H, zero_slack=slack)
-            assert res.verdict is ref.verdict
+            ref = oracles.radical_member(probe, H, zero_slack=slack)
+            assert (res.verdict, res.witness, res.power) == \
+                (ref.verdict, ref.witness, ref.power)
+            # the skipped LPs would give the same verdict
+            assert res.verdict is oracles.radical_member(
+                probe, H, zero_slack=slack, shortcuts=False).verdict
             if probe in H:
                 assert res.power == 1
     # negative control: a unit generator outside the cone
@@ -516,7 +494,8 @@ def test_equivalent_agrees_with_an_lp_on_every_probe(sc):
     if g is not None:
         a = pl.Fq | {g}
         assert equivalent(a, pl.G, zero_slack=slack) \
-            is _oracle_equivalent(a, pl.G, zero_slack=slack) is Verdict.NO
+            is oracles.equivalent(a, pl.G, zero_slack=slack) is Verdict.NO
+        assert _row_answers(a, pl.G, slack) == _oracle_answers(a, pl.G, slack)
 
 
 def _counting_lps(monkeypatch):
@@ -539,6 +518,26 @@ def test_generator_probe_needs_no_lp(monkeypatch, running):
         assert res.verdict is Verdict.YES and res.power == 1
         assert res.witness == tuple((q, int(q == probe)) for q in ordered)
     assert calls == []
+
+
+def test_witness_check_compares_every_part(monkeypatch):
+    # a solver that answers every LP with the first pair alone: each
+    # probe is wrong in one part only, the monomial, the value, the zero
+    # flag of a nonzero-valued probe and that of a zero-valued one
+    monkeypatch.setattr(multispec.semigroup, "nonneg_solution",
+                        lambda columns, target:
+                        ([1] + [0] * (len(columns) - 1), 1))
+    for probe, H in ((pair("t1*t2"), gs("t1", "t2")),
+                     (pair("t1", "x2^2"), gs(("t1", "x1"), ("t1", "x2"))),
+                     (Pair(mono("t1"), UNIT_VALUE), gs("t1")),
+                     (pair("t1^2"), gs(("t1", "x1")))):
+        with pytest.raises(AssertionError, match="radical witness"):
+            radical_member(probe, H)
+    with pytest.raises(AssertionError, match="radical witness"):
+        equivalent(gs(("t1", "x2^2")), gs(("t1", "x1"), ("t1", "x2")))
+    # in the slack a zero-valued probe takes any value
+    res = radical_member(pair("t1"), gs(("t1", "x1")), zero_slack=(1,))
+    assert res.verdict is Verdict.YES and res.power == 1
 
 
 def test_zero_valued_support_skips_the_homogenised_lp(monkeypatch):
