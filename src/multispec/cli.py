@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .deformation import (deformation, point, rank_and_normalize,
-                          classify_action, bundle_decomposition, ActionClass)
+                          check_point, classify_action, bundle_decomposition,
+                          ActionClass)
 from .linear import fr
 from .monomials import read_expr, render_genset, sorted_pairs
 from .semigroup import run_pipeline
@@ -58,14 +59,17 @@ def _deformation(data: dict):
 
 def load_scenario(source: str):
     """Scenario JSON: the action matrix (rationals as strings), optional
-    block sizes and vanishing sets, and the base-point zero pattern."""
+    block sizes and vanishing sets, and the base point's zero pattern and
+    norms, which must fit the matrix (`check_point`)."""
     data = _json(source)
     with _reading("scenario"):
         norms = {int(k): float(fr(v))
                  for k, v in data.get("norms", {}).items()}
-        return _deformation(data), point(
+        d, p = _deformation(data), point(
             zero_blocks=set(data.get("zeros", ())), norms=norms,
             normalized=bool(data.get("normalized", True)))
+        check_point(d, p)
+    return d, p
 
 
 def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial:

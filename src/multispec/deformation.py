@@ -9,8 +9,8 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .linear import adjugate, fr, mat, pivots, sigma_for
-from .monomials import Monomial, tau, lam
+from .linear import adjugate, mat, pivots, sigma_for
+from .monomials import Monomial, lam, tau, vector_key
 
 
 class ActionClass(Enum):
@@ -157,13 +157,21 @@ def point(zero_blocks=(), norms=None, normalized=True) -> PointPattern:
 
 
 def check_point(d: DeformationData, p: PointPattern) -> None:
+    """The point fits the matrix: a block with a zero column vanishes,
+    and every zero block and every norm names a block of the matrix, with
+    a positive norm."""
     for k in range(1, d.m + 1):
         if all(x == 0 for x in d.column(k)) and k not in p.zero_blocks:
             raise ValueError(
                 f"block {k} has a zero column, so its direction must vanish")
     for k in p.zero_blocks:
+        if type(k) is not int or not 1 <= k <= d.m:
+            raise ValueError(f"zero block {k!r} out of range")
+    for k, norm in p.norms.items():
         if not 1 <= k <= d.m:
-            raise ValueError(f"zero block {k} out of range")
+            raise ValueError(f"norm of block {k} out of range")
+        if not norm > 0:
+            raise ValueError(f"norm of block {k} is {norm}, not positive")
 
 
 def classify_action(d: DeformationData) -> ActionClass:
@@ -234,22 +242,25 @@ def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
     denominator.  Each column, solved on the selected rows, must give back
     its other rows: a selected column as a unit vector, which is the round
     trip (2.9), and any other as the span of the selected columns.  Both
-    are checked as integer identities."""
-    taus = [tau(k) for k in range(1, d.m + 1)]
-    lams = [lam(j) for j in range(1, d.ell + 1)]
-    phi = {k: Monomial(tuple((v, fr(row[k - 1])) for v, row in zip(lams, d.A)
-                             if row[k - 1]))
+    are checked as integer identities.  Each monomial is built from its
+    integer exponents as its key (`vector_key`)."""
+    taus = [tau(k).key() for k in range(1, d.m + 1)]
+    lams = [lam(j).key() for j in range(1, d.ell + 1)]
+    scale = lcm(*(x.denominator for row in d.A for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in d.A]
+    phi = {k: Monomial(vector_key(([row[k - 1] for row in a], scale), lams))
            for k in range(1, d.m + 1)}
 
     sel_rows, sel_cols = r.sel_rows, r.sel_cols
     unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
-    scale = lcm(*(x.denominator for row in d.A for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in d.A]
     adj, det = adjugate([[d.entry(j, k) for k in sel_cols] for j in sel_rows])
+    if det < 0:  # a key's denominators are positive
+        adj, det = [[-x for x in row] for row in adj], -det
     den = scale * det  # of every exponent below
 
-    def mono(exps) -> Monomial:
-        return Monomial(tuple((v, Fraction(n, den)) for v, n in exps if n))
+    def mono(exps) -> Monomial:  # (variable key, numerator) in key order
+        return Monomial(vector_key(([n for _, n in exps], den),
+                                   [v for v, _ in exps]))
 
     def lower(i, col):  # row i over the selected columns, times col
         return sum(a[i - 1][k - 1] * x for k, x in zip(sel_cols, col))

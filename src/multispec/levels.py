@@ -7,41 +7,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import lcm
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           derive_monomials, is_fixed_point, minor_columns)
 from .linear import fr
-from .monomials import Monomial, ONE, Var, LAM, TAU, XI, ZERO, lam, tau
+from .monomials import (KINDS, Monomial, ONE, TAU, ZERO, key_text, key_var,
+                        lam, tau, times, vector_key)
 from .semigroup import (PipelineResult, Vector, build_G, eliminate_rows,
-                        reduced, row_of, vector_key)
+                        reduced, row_of)
 
 MONO, MAX, MIN, PROD, POW = "mono", "max", "min", "prod", "pow"
 _FLIP = {MAX: MIN, MIN: MAX}
 _ORDER = {MAX: 1, MIN: 2, PROD: 3, POW: 4}
-# Variable kinds by the first entry of their sort key.
-_KINDS = {Var(kind, 1).key()[0]: kind for kind in (TAU, LAM, XI)}
-_TAU = tau(1).key()[0]
+_TAU = KINDS.index(TAU)
 
 
 @dataclass(frozen=True, slots=True)
 class LevelExpr:
-    """A level tree node.  A MONO leaf is the integer key of its monomial
-    (Monomial.sort_key), on which it compares, hashes and sorts, so a leaf
-    built from an exponent vector equals lmono of the same Monomial; `mono`
-    is made on first use.  Other nodes hold children, a POW node its
-    exponent."""
+    """A level tree node.  A MONO leaf is the key of its monomial
+    (`Monomial.key`), on which it compares, hashes, sorts and prints, so a
+    leaf built from an exponent vector equals lmono of the same Monomial.
+    Other nodes hold children, a POW node its exponent."""
 
     kind: str
     key: tuple[int, ...] = ()
     children: tuple["LevelExpr", ...] = ()
     exp: Fraction | None = None
-    # Caches filled on first use, outside every comparison: a leaf's
-    # Monomial and its tau exponents over one denominator (see
-    # effective_exponent); the hash, the sort key, the canonical form (see
-    # canonical) and the float tree (see evaluate_level).
-    _mono: Monomial | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # Caches filled on first use, outside every comparison: a leaf's tau
+    # exponents over one denominator (see effective_exponent); the hash,
+    # the sort key, the canonical form (see canonical) and the float tree
+    # (see evaluate_level).
     _taus: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
     _hash: int | None = field(default=None, init=False, repr=False,
@@ -66,14 +62,7 @@ class LevelExpr:
     @property
     def mono(self) -> Monomial | None:
         """The leaf's Monomial (None for other nodes)."""
-        m = self._mono
-        if m is None and self.kind == MONO:
-            k = self.key
-            m = Monomial(tuple((Var(_KINDS[k[i]], k[i + 1]),
-                                Fraction(k[i + 2], k[i + 3]))
-                               for i in range(0, len(k), 4)))
-            object.__setattr__(self, "_mono", m)
-        return m
+        return Monomial(self.key) if self.kind == MONO else None
 
     def sort_key(self):
         k = self._sort_key
@@ -90,7 +79,7 @@ class LevelExpr:
 
     def __str__(self) -> str:
         if self.kind == MONO:
-            return str(self.mono)
+            return key_text(self.key)
         if self.kind in (MAX, MIN):
             return f"{self.kind}({', '.join(str(c) for c in self.children)})"
         if self.kind == PROD:
@@ -109,9 +98,7 @@ def lmono(m) -> LevelExpr:
     if isinstance(m, str):
         from .monomials import mono as parse
         m = parse(m)
-    e = LevelExpr(MONO, m.sort_key())
-    object.__setattr__(e, "_mono", m)
-    return e
+    return LevelExpr(MONO, m.key)
 
 
 LEVEL_ONE = lmono(ONE)
@@ -149,41 +136,14 @@ def _spread(es) -> list[LevelExpr]:
     return out
 
 
-def _times(a: tuple, b: tuple, p: int, q: int) -> tuple:
-    """The key of the monomial a * b^(p/q), q > 0, from the keys a and b
-    (see Monomial.sort_key): a merge of two sorted sparse integer vectors,
-    each exponent it changes reduced by one gcd."""
-    out = []
-    i, la = 0, len(a)
-    for j in range(0, len(b), 4):
-        kind, index = b[j], b[j + 1]
-        while i < la and (a[i] < kind or a[i] == kind and a[i + 1] < index):
-            out += a[i:i + 4]
-            i += 4
-        n, d = b[j + 2], b[j + 3]
-        if p != q:
-            n, d = n * p, d * q
-        if i < la and a[i] == kind and a[i + 1] == index:
-            n, d = a[i + 2] * d + n * a[i + 3], a[i + 3] * d
-            i += 4
-        elif p == q:
-            out += b[j:j + 4]  # reduced already
-            continue
-        if n:
-            g = gcd(n, d)
-            out += (kind, index, n // g, d // g)
-    out += a[i:]
-    return tuple(out)
-
-
 def _combine(base: tuple, node: LevelExpr, e: Fraction | int) -> LevelExpr:
     """base * node^e for a canonical max/min tree with monomial leaves and
     the key of a monomial base."""
     if e == 0:
         return LevelExpr(MONO, base)
     if node.kind == MONO:
-        return LevelExpr(MONO, _times(base, node.key, e.numerator,
-                                      e.denominator))
+        return LevelExpr(MONO, times(base, node.key, e.numerator,
+                                     e.denominator))
     kind = node.kind if e > 0 else _FLIP[node.kind]
     return LevelExpr(kind, children=tuple(_combine(base, c, e)
                                           for c in node.children))
@@ -218,7 +178,7 @@ def _canonical(e: LevelExpr) -> LevelExpr:
         for c in e.children:
             c = canonical(c)
             if c.kind == MONO:
-                mono_part = _times(mono_part, c.key, 1, 1)
+                mono_part = times(mono_part, c.key, 1, 1)
             else:
                 nodes.append(c)
         if not nodes:
@@ -230,17 +190,27 @@ def _canonical(e: LevelExpr) -> LevelExpr:
         for n in nodes[1:]:
             acc = _cross(acc, n)
         return canonical(acc)
-    children = []
-    for c in e.children:
-        c = canonical(c)
-        if c.kind == e.kind:
-            children.extend(c.children)
+    return _lattice(e.kind, [canonical(c) for c in e.children])
+
+
+def _lattice(kind: str, kids: list[LevelExpr]) -> LevelExpr:
+    """The canonical max or min of canonical trees, built once: children
+    of the same kind flatten, duplicates collapse, children sort; one tree
+    is itself."""
+    if len(kids) == 1:
+        return kids[0]
+    children = set()
+    for c in kids:
+        if c.kind == kind:
+            children.update(c.children)
         else:
-            children.append(c)
-    uniq = sorted(set(children), key=lambda c: c.sort_key())
-    if len(uniq) == 1:
-        return uniq[0]
-    return LevelExpr(e.kind, children=tuple(uniq))
+            children.add(c)
+    if len(children) == 1:
+        return children.pop()
+    out = LevelExpr(kind, children=tuple(sorted(children,
+                                                key=LevelExpr.sort_key)))
+    object.__setattr__(out, "_canonical", out)
+    return out
 
 
 def _cross(a: LevelExpr, b: LevelExpr) -> LevelExpr:
@@ -302,14 +272,15 @@ def _level_families(d: DeformationData, r: RankData, derived, G, orders):
     """_level_trees for each order of eliminating the unselected parameters
     from G, in rows of the monomials over every tau and the eliminated lams;
     each prefix of an order is eliminated once."""
-    index = {v: i for i, v in enumerate([tau(k) for k in range(1, d.m + 1)]
-                                        + [lam(j) for j in sorted(orders[0])])}
+    index = {v.key(): i for i, v in enumerate(
+        [tau(k) for k in range(1, d.m + 1)]
+        + [lam(j) for j in sorted(orders[0])])}
     after = {(): {row_of(pr.f, ZERO, index) for pr in G}}
     for order in orders:
         for n in range(1, len(order)):
             if order[:n] not in after:
                 after[order[:n]] = eliminate_rows(
-                    after[order[:n - 1]], index[lam(order[n - 1])],
+                    after[order[:n - 1]], index[lam(order[n - 1]).key()],
                     len(index), False)
         yield _level_trees(d, r, derived, index, [
             (j, after[order[:n]]) for n, j in enumerate(order)])
@@ -327,22 +298,22 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
     eliminated parameters in elimination order, one monomial leaf at a
     time, on exact integer exponent vectors over the tau's and the
     eliminated lam's; a final leaf is keyed on its vector (see LevelExpr).
-    The restricted form of a leaf from a position of the order is
-    memoised for this call: a leaf without the parameter at that position
-    moves on to the next one, and any other becomes a max (a min for a
-    negative exponent) over that parameter's branches, each restricted
-    from the next position.  As canonical forms of max and min nodes
-    depend only on the canonical forms of their children, the result
-    equals the canonical form of the whole tree substituted parameter by
-    parameter.
+    A leaf skips the positions of the order whose parameter it lacks; its
+    restricted form from the next position it has is memoised for this
+    call, and is a max (a min for a negative exponent) over that
+    parameter's branches, each restricted from the position after.  Each
+    max and min node is built in canonical form (`_lattice`).  As
+    canonical forms of max and min nodes depend only on the canonical forms
+    of their children, the result equals the canonical form of the whole
+    tree substituted parameter by parameter.
     """
     variables = tuple(index)
-    kept = [v.kind == TAU and v.index in r.sel_cols for v in variables]
+    kept = [v[0] == _TAU and v[1] in r.sel_cols for v in variables]
     elim = [j for j, _ in stages]
 
     steps: list[tuple[int, list[Vector]]] = []
     for j, rows in stages:
-        i = index[lam(j)]
+        i = index[lam(j).key()]
         branches = set()
         for nums, _, _ in rows:
             a = nums[i]
@@ -353,23 +324,25 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
         steps.append((i, sorted(branches,
                                 key=lambda b: vector_key(b, variables))))
 
+    columns = [i for i, _ in steps]
+    last = len(steps)
     memo: dict[tuple[Vector, int], LevelExpr] = {}
     action = 0
 
     def leaf(vec: Vector, pos: int) -> LevelExpr:
+        nums, den = vec
+        while pos < last and not nums[columns[pos]]:
+            pos += 1
         key = (vec, pos)
         out = memo.get(key)
         if out is None:
-            nums, den = vec
-            if pos == len(steps):
-                bad = [v for v, n, ok in zip(variables, nums, kept)
+            if pos == last:
+                bad = [key_var(*v) for v, n, ok in zip(variables, nums, kept)
                        if n and not ok]
                 if bad:
                     raise AssertionError(
                         f"level for action {action} involves {bad}")
                 out = LevelExpr(MONO, vector_key(vec, variables))
-            elif not nums[steps[pos][0]]:
-                out = leaf(vec, pos + 1)
             else:
                 out = substitute(nums, den, pos)
             memo[key] = out
@@ -398,13 +371,6 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
         rho_lambda[action] = (_lattice(MAX, [leaf(b, 0) for b in branches])
                               if branches else LEVEL_ONE)
     return rho_lambda, variables, steps
-
-
-def _lattice(kind: str, kids: list[LevelExpr]) -> LevelExpr:
-    """The canonical max or min of canonical trees; one tree is itself."""
-    if len(kids) == 1:
-        return kids[0]
-    return canonical(LevelExpr(kind, children=tuple(kids)))
 
 
 def effective_exponent(e: LevelExpr, scaling) -> Fraction:
@@ -481,7 +447,7 @@ def _compile(e: LevelExpr) -> tuple:
         k = e.key
         for i in range(0, len(k), 4):
             if k[i] != _TAU:
-                raise KeyError(Var(_KINDS[k[i]], k[i + 1]))
+                raise KeyError(key_var(k[i], k[i + 1]))
         # n / d is the double nearest the exponent, as float(Fraction) is
         return MONO, tuple((k[i + 1], k[i + 2] / k[i + 3])
                            for i in range(0, len(k), 4))
@@ -497,7 +463,7 @@ def _run(node: tuple, tau_values) -> float:
         for k, x in node[1]:
             base = float(tau_values[k])
             if base <= 0:
-                raise ValueError(f"nonpositive value for {Var(TAU, k)}")
+                raise ValueError(f"nonpositive value for {tau(k)}")
             out *= base ** x
         return out
     if kind == POW:

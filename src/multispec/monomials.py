@@ -3,9 +3,10 @@
 Variables come in three families: deformation scales t1..tm (one per
 coordinate block), action parameters l1..l_ell, and block norms x1..xm
 (the norm of the k-th block direction, treated as a formal symbol).
-A monomial is a finite map variable -> rational exponent; a value tag is
-either the formal zero or a monomial in the norm symbols only.  All
-arithmetic is exact; floats appear only in `evaluate`.
+A monomial is a finite map variable -> rational exponent, held as one flat
+integer key (see `Monomial`); a value tag is either the formal zero or a
+monomial in the norm symbols only.  All arithmetic is exact; floats appear
+only in `evaluate`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Iterable, Mapping
 
 from .linear import fr
@@ -23,9 +26,12 @@ TAU = "tau"
 LAM = "lam"
 XI = "xi"
 
-_KIND_ORDER = {TAU: 0, LAM: 1, XI: 2}
+# A variable's key (`Var.key`) is its kind's position here and its index.
+KINDS = (TAU, LAM, XI)
+_KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
 _KIND_LETTER = {TAU: "t", LAM: "l", XI: "x"}
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
+_LETTERS = tuple(_KIND_LETTER[kind] for kind in KINDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,109 +72,165 @@ class Var:
         return f"{self.kind}:{self.index}"
 
 
+@cache
 def tau(k: int) -> Var:
+    """The scale t_k; one shared Var per index."""
     return Var(TAU, k)
 
 
+@cache
 def lam(j: int) -> Var:
+    """The action parameter l_j; one shared Var per index."""
     return Var(LAM, j)
 
 
+@cache
 def xi(k: int) -> Var:
+    """The norm symbol x_k; one shared Var per index."""
     return Var(XI, k)
+
+
+def key_var(kind: int, index: int) -> Var:
+    """The shared Var of the variable key (kind, index)."""
+    return (tau, lam, xi)[kind](index)
+
+
+def times(a: tuple, b: tuple, p: int, q: int) -> tuple:
+    """The key of the monomial a * b^(p/q), q > 0, from the keys a and b: a
+    merge of two sorted sparse integer vectors, each exponent it changes
+    reduced by one gcd."""
+    out = []
+    i, la = 0, len(a)
+    for j in range(0, len(b), 4):
+        kind, index = b[j], b[j + 1]
+        while i < la and (a[i] < kind or a[i] == kind and a[i + 1] < index):
+            out += a[i:i + 4]
+            i += 4
+        n, d = b[j + 2], b[j + 3]
+        if p != q:
+            n, d = n * p, d * q
+        if i < la and a[i] == kind and a[i + 1] == index:
+            n, d = a[i + 2] * d + n * a[i + 3], a[i + 3] * d
+            i += 4
+        elif p == q:
+            out += b[j:j + 4]  # reduced already
+            continue
+        if n:
+            g = gcd(n, d)
+            out += (kind, index, n // g, d // g)
+    out += a[i:]
+    return tuple(out)
+
+
+def vector_key(vec: tuple[tuple[int, ...], int], variables) -> tuple:
+    """The key of the monomial whose exponent of variables[i], a variable
+    key, is nums[i] / den, for vec = (nums, den) with den > 0; variables
+    are in key order, and zip stops at the shorter of the two."""
+    nums, den = vec
+    out = []
+    for (kind, index), n in zip(variables, nums):
+        if n:
+            g = gcd(n, den)
+            out += (kind, index, n // g, den // g)
+    return tuple(out)
+
+
+def key_text(key: tuple) -> str:
+    """The monomial of a key as text, e.g. "t1^(3/2)*t3^(-1)", or "1"."""
+    parts = []
+    for i in range(0, len(key), 4):
+        v = f"{_LETTERS[key[i]]}{key[i + 1]}"
+        n, d = key[i + 2], key[i + 3]
+        if n == d:
+            parts.append(v)
+        elif d == 1:
+            parts.append(f"{v}^{n}" if n > 0 else f"{v}^({n})")
+        else:
+            parts.append(f"{v}^({n}/{d})")
+    return "*".join(parts) or "1"
 
 
 _NO_EXPONENT = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Monomial:
     """Product of rational powers of variables; the empty product is 1.
 
-    exps lists (variable, nonzero exponent) in increasing variable order.
+    A monomial is its key: the flat integer tuple (kind, index, numerator,
+    denominator) for each variable with a nonzero exponent, in increasing
+    variable order (`Var.key`), each exponent in lowest terms over a
+    positive denominator.  It compares and hashes on the key, and sorts by
+    it (`Pair.sort_key`); a product is one merge of keys and a power scales
+    the key (`times`).  `exps` and `exponent` build Fractions only when
+    read.
     """
 
-    exps: tuple[tuple[Var, Fraction], ...]
-    # The hash and the sort key, computed on first use.
-    _hash: int | None = field(default=None, init=False, repr=False,
-                              compare=False)
-    _sort_key: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    key: tuple[int, ...]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Monomial:
+            return NotImplemented
+        return self.key == other.key
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.exps,))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return Monomial, (self.exps,)
+        return hash(self.key)
 
     @staticmethod
     def from_dict(d: Mapping[Var, Fraction | int]) -> "Monomial":
-        items = tuple(
-            sorted(((v, fr(e)) for v, e in d.items() if e != 0), key=lambda p: p[0].key())
-        )
-        return Monomial(items)
+        key = []
+        for v, e in sorted(d.items(), key=lambda p: p[0].key()):
+            if e != 0:
+                e = fr(e)
+                key += (*v.key(), e.numerator, e.denominator)
+        return Monomial(tuple(key))
+
+    @property
+    def exps(self) -> tuple[tuple[Var, Fraction], ...]:
+        """(variable, nonzero exponent) in increasing variable order."""
+        k = self.key
+        return tuple((key_var(k[i], k[i + 1]), Fraction(k[i + 2], k[i + 3]))
+                     for i in range(0, len(k), 4))
 
     def exponent(self, var: Var) -> Fraction:
-        key = var._key
-        for v, e in self.exps:
-            if v._key == key:
-                return e
+        kind, index = var.key()
+        k = self.key
+        for i in range(0, len(k), 4):
+            if k[i] == kind and k[i + 1] == index:
+                return Fraction(k[i + 2], k[i + 3])
         return _NO_EXPONENT
 
     @property
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        # merge the two sorted exponent lists, dropping cancelled variables
-        a, b = self.exps, other.exps
-        if not b:
+        if not other.key:
             return self
-        if not a:
+        if not self.key:
             return other
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (va, ea), (vb, eb) = a[i], b[j]
-            if va._key < vb._key:
-                out.append(a[i])
-                i += 1
-            elif vb._key < va._key:
-                out.append(b[j])
-                j += 1
-            else:
-                e = ea + eb
-                if e:
-                    out.append((va, e))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial(tuple(out))
+        return Monomial(times(self.key, other.key, 1, 1))
 
     def __pow__(self, r) -> "Monomial":
-        # a nonzero power keeps the support and the variable order; an int
-        # power multiplies the Fraction exponents without a conversion
+        # a nonzero power keeps the support and the variable order
         if type(r) is not int:
             r = fr(r)
         if r == 1:
             return self
         if r == 0:
             return ONE
-        return Monomial(tuple((v, e * r) for v, e in self.exps))
+        return Monomial(times((), self.key, r.numerator, r.denominator))
 
     def inv(self) -> "Monomial":
-        return self ** Fraction(-1)
+        key = list(self.key)
+        key[2::4] = [-n for n in key[2::4]]
+        return Monomial(tuple(key))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        return self * other.inv()
+        return Monomial(times(self.key, other.key, -1, 1))
 
     def has_kind(self, kind: str) -> bool:
-        return any(v.kind == kind for v, _ in self.exps)
+        return _KIND_ORDER[kind] in self.key[::4]
 
     def evaluate(self, assign: Mapping[Var, float]) -> float:
         out = 1.0
@@ -179,26 +241,8 @@ class Monomial:
             out *= float(base) ** float(e)
         return out
 
-    def sort_key(self):
-        k = self._sort_key
-        if k is None:
-            k = tuple(x for v, e in self.exps
-                      for x in (*v._key, e.numerator, e.denominator))
-            object.__setattr__(self, "_sort_key", k)
-        return k
-
     def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            if e == 1:
-                parts.append(str(v))
-            elif e.denominator == 1:
-                parts.append(f"{v}^{e}" if e > 0 else f"{v}^({e})")
-            else:
-                parts.append(f"{v}^({e})")
-        return "*".join(parts)
+        return key_text(self.key)
 
     def json(self) -> dict:
         return {v.json_key(): str(e) for v, e in self.exps}
@@ -255,7 +299,7 @@ def _mono_leaf(name: str) -> Monomial:
     m = re.fullmatch(r"([tlx])(\d+)", name, re.ASCII)
     if not m:
         raise ValueError(f"unknown variable {name}")
-    return Monomial(((Var(_LETTER_KIND[m[1]], int(m[2])), Fraction(1)),))
+    return Monomial((*Var(_LETTER_KIND[m[1]], int(m[2])).key(), 1, 1))
 
 
 def _mono_const(c: Fraction) -> Monomial:
@@ -304,20 +348,20 @@ class Value:
         return Value(self.mono ** r)
 
     def inv(self) -> "Value":
-        return self ** Fraction(-1)
+        if self.is_zero:
+            raise ZeroDivisionError("negative power of the zero value")
+        return Value(self.mono.inv())
 
     def evaluate(self, xi_norms: Mapping[int, float]) -> float:
         if self.is_zero:
             return 0.0
-        assign = {Var(XI, k): v for k, v in xi_norms.items()}
-        for v, _ in self.mono.exps:
-            assign.setdefault(v, 1.0)
-        return self.mono.evaluate(assign)
+        return self.mono.evaluate({xi(k): xi_norms.get(k, 1.0)
+                                   for k in self.mono.key[1::4]})
 
     def sort_key(self):
         if self.is_zero:
             return (0,)
-        return (1,) + self.mono.sort_key()
+        return (1,) + self.mono.key
 
     def __str__(self) -> str:
         return "0" if self.is_zero else str(self.mono)
@@ -333,7 +377,7 @@ UNIT_VALUE = Value(ONE)
 def xival(text_or_mono) -> Value:
     """Value from a norm monomial; accepts "x3", "1/x3" style strings."""
     m = text_or_mono if isinstance(text_or_mono, Monomial) else mono(text_or_mono)
-    if any(v.kind != XI for v, _ in m.exps):
+    if m.has_kind(TAU) or m.has_kind(LAM):
         raise ValueError("value monomials may only use norm symbols")
     return Value(m)
 
@@ -361,7 +405,7 @@ class Pair:
         return Pair(self.f.inv(), self.v.inv())
 
     def sort_key(self):
-        return (self.f.sort_key(), self.v.sort_key())
+        return (self.f.key, self.v.sort_key())
 
     def __str__(self) -> str:
         return f"({self.f}, {self.v})"

@@ -21,33 +21,37 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class BoundFactors:
-    """A formal product of (value +/- eps)^a factors bounding a monomial."""
+    """A formal product of (value +/- eps)^a factors bounding a monomial.
+    Every exponent a is a positive integer: a stage pair's bound is its one
+    factor, and closure and projection take products of positive integer
+    powers."""
 
-    factors: tuple[tuple[Value, Fraction], ...]
+    factors: tuple[tuple[Value, int], ...]
 
     def describe(self) -> str:
         parts = []
         for v, a in self.factors:
             core = "eps" if v.is_zero else f"({v}+eps)"
-            if a == 1:
-                parts.append(core)
-            else:
-                exp = str(a) if a.denominator == 1 else f"({a})"
-                parts.append(f"{core}^{exp}")
+            parts.append(core if a == 1 else f"{core}^{a}")
         return "*".join(parts) if parts else "1"
 
 
 def _single(v: Value) -> BoundFactors:
-    return BoundFactors(((v, Fraction(1)),))
+    return BoundFactors(((v, 1),))
 
 
-def _merge(a: BoundFactors, na: Fraction, b: BoundFactors, nb: Fraction) -> BoundFactors:
-    acc: dict[Value, Fraction] = {}
+def _merge(a: BoundFactors, na: int, b: BoundFactors, nb: int) -> BoundFactors:
+    """The factors of a^na * b^nb: the integer exponents of each value
+    summed, keyed and ordered by the value's sort key."""
+    acc: dict[tuple, list] = {}
     for bf, n in ((a, na), (b, nb)):
         for v, e in bf.factors:
-            acc[v] = acc.get(v, Fraction(0)) + e * n
-    return BoundFactors(tuple(sorted(((v, e) for v, e in acc.items() if e != 0),
-                                     key=lambda t: t[0].sort_key())))
+            key = v.sort_key()
+            if key in acc:
+                acc[key][1] += e * n
+            else:
+                acc[key] = [v, e * n]
+    return BoundFactors(tuple((v, e) for _, (v, e) in sorted(acc.items())))
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,13 @@ class Inequality:
     value: Value  # the nominal centre (product of factor values)
 
     def split(self) -> tuple[Monomial, Monomial]:
-        num = Monomial(tuple((v, e) for v, e in self.f.exps if e > 0))
-        den = Monomial(tuple((v, -e) for v, e in self.f.exps if e < 0))
+        num = Monomial.from_dict({v: e for v, e in self.f.exps if e > 0})
+        den = Monomial.from_dict({v: -e for v, e in self.f.exps if e < 0})
         return num, den
 
     def sort_key(self):
         """Total order: monomial, then value, then bound factors."""
-        return (self.f.sort_key(), self.value.sort_key(),
+        return (self.f.key, self.value.sort_key(),
                 tuple((v.sort_key(), a) for v, a in self.bound.factors))
 
     def text(self, strict: bool = True) -> str:
@@ -276,7 +280,8 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
     """
     stage = sorted_pairs(pipeline.Fq)
     columns, width, index = layout(stage)
-    cols = [index[tau(k)] for k in pipeline.r.sel_cols if tau(k) in index]
+    cols = [index[tau(k).key()] for k in pipeline.r.sel_cols
+            if tau(k).key() in index]
     base = [(row_of(pr.f, pr.v, index), ClosureEntry(pr, ((pr, 1),)))
             for pr in stage]
     entries = dict(base)
@@ -317,8 +322,7 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
 
     ordered = tuple(sorted(entries.values(), key=lambda e: e.pair.sort_key()))
     ineqs = tuple(Inequality(e.pair.f,
-                             BoundFactors(tuple((q.v, Fraction(n))
-                                                for q, n in e.factors)),
+                             BoundFactors(tuple((q.v, n) for q, n in e.factors)),
                              e.pair.v)
                   for e in ordered)
     sys0 = build_multicone(pipeline, check_equivalence=False)
@@ -360,9 +364,9 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
         rows = [row_of(pr.f, pr.v, index) for pr in pairs]
         for gneg, rn in zip(neg, rows[len(pos):]):
             for gpos, rp in zip(pos, rows):
-                a, b, row = balance(rp, rn, index[v], width)
+                a, b, row = balance(rp, rn, index[v.key()], width)
                 pr = pair_of(row, columns, width)
-                bound = _merge(gpos.bound, Fraction(a), gneg.bound, Fraction(b))
+                bound = _merge(gpos.bound, a, gneg.bound, b)
                 new.append(Inequality(pr.f, bound, pr.v))
     return MulticoneSystem(
         inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),

@@ -14,67 +14,65 @@ from math import gcd, lcm
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
                           derive_monomials, rank_and_normalize, check_point)
 from .linear import cone_feasible, nonneg_solution
-from .monomials import (Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
-                        TAU, LAM, XI, tau, lam, xi, fraction_closure)
+from .monomials import (KINDS, Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
+                        TAU, LAM, XI, tau, lam, xi, fraction_closure,
+                        vector_key)
 
 
 # An exponent vector (numerators, denominator) over a fixed list of
-# variables: the monomial whose exponent of variables[i] is
-# numerators[i] / denominator.  The denominator is positive and its gcd
-# with all the numerators is 1, so equal monomials have equal vectors.
+# variable keys: the monomial whose exponent of variables[i] is
+# numerators[i] / denominator (`vector_key`).  The denominator is positive
+# and its gcd with all the numerators is 1, so equal monomials have equal
+# vectors.
 Vector = tuple[tuple[int, ...], int]
 # A row: a pair (f, v) as one vector over the columns of `layout`, and
 # whether v is zero (its columns are then zero); equal pairs have equal rows.
 Row = tuple[tuple[int, ...], int, bool]
+# A row column: the key (`Var.key`) of the variable it holds.
+Column = tuple[int, int]
+_XI, _LAM = KINDS.index(XI), KINDS.index(LAM)
 
 
 def reduced(nums, den: int) -> Vector:
     g = gcd(*nums, den)
     if g == 1:
         return tuple(nums), den
-    return tuple(n // g for n in nums), den // g
+    return tuple([n // g for n in nums]), den // g
 
 
-def vector_key(vec: Vector, variables) -> tuple:
-    """Monomial.sort_key of the vector's monomial."""
-    nums, den = vec
-    out = []
-    for v, n in zip(variables, nums):
-        if n:
-            g = gcd(n, den)
-            out += (*v._key, n // g, den // g)
-    return tuple(out)
+def layout(pairs) -> tuple[tuple[Column, ...], int, dict[Column, int]]:
+    """Row columns for the pairs: the variable keys of their monomials in
+    order (taus, then lams), then those of their values' norm symbols; the
+    number of monomial columns; and each column's position."""
+    f, x = set(), set()
+    for p in pairs:
+        k = p.f.key
+        f.update(zip(k[::4], k[1::4]))
+        if not p.v.is_zero:
+            k = p.v.mono.key
+            x.update(zip(k[::4], k[1::4]))
+    columns = (*sorted(f), *sorted(x))
+    return columns, len(f), {v: i for i, v in enumerate(columns)}
 
 
-def layout(pairs) -> tuple[tuple[Var, ...], int, dict[Var, int]]:
-    """Row columns for the pairs: their monomials' variables in Var key
-    order (taus, then lams), then their values' norm symbols; the number of
-    monomial columns; and each column's position."""
-    f = sorted({v for p in pairs for v, _ in p.f.exps})
-    x = sorted({v for p in pairs if not p.v.is_zero for v, _ in p.v.mono.exps})
-    return tuple(f + x), len(f), {v: i for i, v in enumerate(f + x)}
-
-
-def row_of(f: Monomial, v: Value, index: dict[Var, int]) -> Row:
-    """The row of the pair (f, v); index maps their variables to columns."""
-    exps = f.exps + (() if v.is_zero else v.mono.exps)
-    den = lcm(*(e.denominator for _, e in exps))
+def row_of(f: Monomial, v: Value, index: dict[Column, int]) -> Row:
+    """The row of the pair (f, v), read off their keys; index maps their
+    variable keys to columns."""
+    k = f.key if v.is_zero else f.key + v.mono.key
+    den = lcm(*k[3::4])
     nums = [0] * len(index)
-    for x, e in exps:
-        nums[index[x]] = e.numerator * (den // e.denominator)
+    for i in range(0, len(k), 4):
+        nums[index[k[i], k[i + 1]]] = k[i + 2] * (den // k[i + 3])
     return tuple(nums), den, v.is_zero
 
 
 def pair_of(row: Row, columns, width: int) -> Pair:
-    """The pair of a row over the columns, the first width the monomial's."""
+    """The pair of a row over the columns, the first width the monomial's,
+    with the keys of its monomials (`vector_key`)."""
     nums, den, zero = row
-
-    def mono(cols: slice) -> Monomial:
-        return Monomial(tuple((v, Fraction(n, den))
-                              for v, n in zip(columns[cols], nums[cols]) if n))
-
-    return Pair(mono(slice(width)),
-                ZERO if zero else Value(mono(slice(width, None))))
+    return Pair(Monomial(vector_key((nums[:width], den), columns)),
+                ZERO if zero else Value(Monomial(
+                    vector_key((nums[width:], den), columns[width:]))))
 
 
 def balance(p: Row, q: Row, i: int, width: int) -> tuple[int, int, Row]:
@@ -126,8 +124,8 @@ def _eliminations(F, variables):
     pairs = {row_of(p.f, p.v, index): p for p in F}
     rows, stage = set(pairs), frozenset(F)
     for v in variables:
-        if v in index:
-            rows = eliminate_rows(rows, index[v], width, v.kind == TAU)
+        if v.key() in index:
+            rows = eliminate_rows(rows, index[v.key()], width, v.kind == TAU)
             stage = frozenset(pairs.get(row) or pairs.setdefault(
                 row, pair_of(row, columns, width)) for row in rows)
         yield stage
@@ -150,15 +148,14 @@ def norm_value(psi_k: Monomial, k: int, d: DeformationData, r: RankData,
     if k in p.zero_blocks:
         return ZERO
     sel = set(r.sel_cols)
-    exps = {}
-    for v, e in psi_k.exps:
-        i = v.index
-        if i in p.zero_blocks and i in sel:
-            continue  # substituted by 1
-        if p.normalized and i in sel and i not in p.zero_blocks:
-            continue  # unit norm after normalization
-        exps[xi(i)] = e
-    return Value(Monomial.from_dict(exps))
+    key = psi_k.key  # of scales only, so the norm symbols keep its order
+    out = []
+    for i in range(0, len(key), 4):
+        b = key[i + 1]
+        if b in sel and (b in p.zero_blocks or p.normalized):
+            continue  # substituted by 1, or a unit norm after normalization
+        out += (_XI, b, key[i + 2], key[i + 3])
+    return Value(Monomial(tuple(out)))
 
 
 def build_G(d: DeformationData, r: RankData, p: PointPattern,
@@ -224,7 +221,7 @@ def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
         raise ValueError("elimination order must list the unselected rows")
     stages = [G, *_eliminations(G, [lam(j) for j in order]
                                 + [tau(k) for k in zero_cols])]
-    if any(v.kind == LAM for pr in stages[len(order)] for v, _ in pr.f.exps):
+    if any(pr.f.has_kind(LAM) for pr in stages[len(order)]):
         raise AssertionError("lambda variables survived the elimination")
 
     for pr in stages[-1]:
@@ -398,21 +395,21 @@ def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
     pairs = {row_of(p.f, p.v, index): p for p in H}
     found = _radical(pairs, columns, width, range(len(columns)))(
         row_of(probe.f, probe.v, index),
-        [index[tau(k)] for k in zero_slack if tau(k) in index])
+        [index[tau(k).key()] for k in zero_slack if tau(k).key() in index])
     if found is None:
         return MembershipResult(Verdict.NO)
     return MembershipResult(Verdict.YES, tuple(
         (pairs[row], a) for row, a in found[0]), found[1])
 
 
-def _free_rows(F, width: int, index: dict[Var, int]) -> set[Row]:
+def _free_rows(F, width: int, index: dict[Column, int]) -> set[Row]:
     """The rows of F fraction-closed (each nonzero-valued row negated as
     well), then freed of every action parameter in increasing index order."""
     rows = {row_of(p.f, p.v, index) for p in F}
     rows |= {(tuple(-n for n in nums), den, False)
              for nums, den, zero in rows if not zero}
     for v, i in index.items():
-        if v.kind == LAM:
+        if v[0] == _LAM:
             rows = eliminate_rows(rows, i, width, False)
     return rows
 
@@ -432,9 +429,9 @@ def _answers(A, B, zero_slack):
     generated semigroup: none negative on a zero-pattern block, and value
     zero where positive on one."""
     columns, width, index = layout([*A, *B])
-    slack = [index[tau(k)] for k in zero_slack if tau(k) in index]
+    slack = [index[tau(k).key()] for k in zero_slack if tau(k).key() in index]
     sides = [_free_rows(F, width, index) for F in (A, B)]
-    live = [i for i, v in enumerate(columns) if v.kind != LAM]
+    live = [i for i, v in enumerate(columns) if v[0] != _LAM]
     for probes, H in (sides, sides[::-1]):
         member = _radical(H, columns, width, live)
         probes = {row if row[2] or not any(row[0][i] > 0 for i in slack)

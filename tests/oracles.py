@@ -1,21 +1,164 @@
 """Oracles: the Fraction bodies that the integer elimination kernel
 (`semigroup.balance` and its callers), the integer `derive_monomials`, the
 fraction-free `pivots` and `adjugate`, the pivot minor, the integer
-simplex and the row-level radical membership and equivalence replaced,
-kept to check them against."""
+simplex, the row-level radical membership and equivalence, the integer
+monomial key (`Monomial`) and the integer bound exponents of `project`
+replaced, kept to check them against."""
 
-from dataclasses import replace
+import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from typing import Mapping
 
 from multispec.deformation import DerivedMonomials, RankData
-from multispec.linear import sigma_for
+from multispec.linear import fr, sigma_for
 from multispec.monomials import (LAM, ONE, TAU, UNIT_VALUE, ZERO, Monomial,
-                                 Pair, fraction_closure, lam, tau)
-from multispec.multicone import (ClosureEntry, Inequality, MulticoneSystem,
-                                 _merge)
+                                 Pair, Var, fraction_closure, lam, read_expr,
+                                 tau)
+from multispec.multicone import (BoundFactors, ClosureEntry, Inequality,
+                                 MulticoneSystem)
 from multispec.semigroup import MembershipResult, Verdict
+
+
+_NO_EXPONENT = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
+class FractionMonomial:
+    """The Fraction body of `Monomial`: exps lists (variable, nonzero
+    Fraction exponent) in increasing variable order, products merge the two
+    lists, and the sort key is built from them on first use."""
+
+    exps: tuple[tuple[Var, Fraction], ...]
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+    _sort_key: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.exps,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @staticmethod
+    def from_dict(d: Mapping[Var, Fraction | int]) -> "FractionMonomial":
+        items = tuple(sorted(((v, fr(e)) for v, e in d.items() if e != 0),
+                             key=lambda p: p[0].key()))
+        return FractionMonomial(items)
+
+    def exponent(self, var: Var) -> Fraction:
+        key = var.key()
+        for v, e in self.exps:
+            if v.key() == key:
+                return e
+        return _NO_EXPONENT
+
+    @property
+    def is_one(self) -> bool:
+        return not self.exps
+
+    def __mul__(self, other: "FractionMonomial") -> "FractionMonomial":
+        # merge the two sorted exponent lists, dropping cancelled variables
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (va, ea), (vb, eb) = a[i], b[j]
+            if va.key() < vb.key():
+                out.append(a[i])
+                i += 1
+            elif vb.key() < va.key():
+                out.append(b[j])
+                j += 1
+            else:
+                e = ea + eb
+                if e:
+                    out.append((va, e))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return FractionMonomial(tuple(out))
+
+    def __pow__(self, r) -> "FractionMonomial":
+        if type(r) is not int:
+            r = fr(r)
+        if r == 1:
+            return self
+        if r == 0:
+            return FractionMonomial(())
+        return FractionMonomial(tuple((v, e * r) for v, e in self.exps))
+
+    def inv(self) -> "FractionMonomial":
+        return self ** Fraction(-1)
+
+    def __truediv__(self, other: "FractionMonomial") -> "FractionMonomial":
+        return self * other.inv()
+
+    def sort_key(self):
+        k = self._sort_key
+        if k is None:
+            k = tuple(x for v, e in self.exps
+                      for x in (*v.key(), e.numerator, e.denominator))
+            object.__setattr__(self, "_sort_key", k)
+        return k
+
+    def __str__(self) -> str:
+        if self.is_one:
+            return "1"
+        parts = []
+        for v, e in self.exps:
+            if e == 1:
+                parts.append(str(v))
+            elif e.denominator == 1:
+                parts.append(f"{v}^{e}" if e > 0 else f"{v}^({e})")
+            else:
+                parts.append(f"{v}^({e})")
+        return "*".join(parts)
+
+    def json(self) -> dict:
+        return {v.json_key(): str(e) for v, e in self.exps}
+
+
+_LETTER_KIND = {"t": TAU, "l": LAM, "x": "xi"}
+
+
+def _fraction_leaf(name: str) -> FractionMonomial:
+    m = re.fullmatch(r"([tlx])(\d+)", name, re.ASCII)
+    if not m:
+        raise ValueError(f"unknown variable {name}")
+    return FractionMonomial(((Var(_LETTER_KIND[m[1]], int(m[2])),
+                              Fraction(1)),))
+
+
+def _fraction_const(c: Fraction) -> FractionMonomial:
+    if c != 1:
+        raise ValueError(f"the only constant of a monomial is 1, not {c}")
+    return FractionMonomial(())
+
+
+def fraction_mono(text: str) -> FractionMonomial:
+    """`monomials.mono` over FractionMonomial."""
+    return read_expr(text, _fraction_leaf, _fraction_const)
+
+
+def merge_bounds(a: BoundFactors, na, b: BoundFactors, nb) -> BoundFactors:
+    """The Fraction body of `multicone._merge`: a^na * b^nb with the
+    exponents of each value summed as Fractions."""
+    acc: dict = {}
+    for bf, n in ((a, na), (b, nb)):
+        for v, e in bf.factors:
+            acc[v] = acc.get(v, Fraction(0)) + e * Fraction(n)
+    return BoundFactors(tuple(sorted(((v, e) for v, e in acc.items() if e != 0),
+                                     key=lambda t: t[0].sort_key())))
 
 
 def rank(a) -> int:
@@ -203,7 +346,7 @@ def project(system: MulticoneSystem, k: int) -> tuple[Inequality, ...]:
         for gpos, ep in pos:
             a, b = balanced(ep, en)
             f = (gpos.f ** a) * (gneg.f ** b)
-            bound = _merge(gpos.bound, Fraction(a), gneg.bound, Fraction(b))
+            bound = merge_bounds(gpos.bound, a, gneg.bound, b)
             value = (gpos.value ** a) * (gneg.value ** b)
             new.append(Inequality(f, bound, value))
     return tuple(sorted(set(new), key=Inequality.sort_key))

@@ -324,13 +324,27 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid --seed: need at least 0, got -1"),
     (["closure", SC_RUNNING, "--rounds", "-2"],
      "invalid --rounds: need at least 0, got -2"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": [3]}'],
+     "invalid scenario: zero block 3 out of range"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": [1.5]}'],
+     "invalid scenario: zero block 1.5 out of range"),
+    (["pipeline", '{"A": [["1","0"]]}'],
+     "invalid scenario: block 2 has a zero column, so its direction must "
+     "vanish"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"1": "-2"}}'],
+     "invalid scenario: norm of block 1 is -2.0, not positive"),
+    (["multicone", '{"A": [["1","0"],["0","1"]], "norms": {"2": "0"}}'],
+     "invalid scenario: norm of block 2 is 0.0, not positive"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"9": "1"}}'],
+     "invalid scenario: norm of block 9 out of range"),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
         "zset-block", "zset-form", "beta-zero-denominator", "beta-length",
         "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
-        "closure-rounds"])
+        "closure-rounds", "zero-block-range", "zero-block-fraction",
+        "zero-column", "norm-negative", "norm-zero", "norm-block-range"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()

@@ -20,7 +20,7 @@ from multispec.levels import (build_levels, build_generalized_levels,
                               is_strict, level_eq, lmax, lmin, lmono, lpow,
                               lprod, LevelExpr, LevelFamily,
                               PermutationBudgetExceeded)
-from multispec.monomials import Monomial, Pair, lam, mono, tau
+from multispec.monomials import Monomial, Pair, key_var, lam, mono, tau
 from multispec.semigroup import _stages, run_pipeline
 import oracles
 from oracles import reordered
@@ -472,7 +472,7 @@ def sol_lambda(f, j: int) -> Monomial:
 
 
 def _drop(m: Monomial, v) -> Monomial:
-    return Monomial(tuple((w, x) for w, x in m.exps if w != v))
+    return Monomial.from_dict({w: x for w, x in m.exps if w != v})
 
 
 def test_sol_lambda_examples():
@@ -562,7 +562,7 @@ def _sequential_level_trees(pl):
     for j in pl.elim_order:
         branches = sorted({sol_lambda(pr, j) for pr in _stage_before(pl, j)
                            if pr.f.exponent(lam(j)) < 0},
-                          key=lambda m: m.sort_key())
+                          key=lambda m: m.key)
         rho_raw[j] = (lmax([lmono(b) for b in branches]) if branches
                       else lmono("1"))
 
@@ -593,16 +593,17 @@ def _tree_exponent(e, scaling):
 
 def _nested_key(e):
     if e.kind == "mono":
-        return (0, e.mono.sort_key())
+        return (0, e.mono.key)
     order = {"max": 1, "min": 2, "prod": 3, "pow": 4}[e.kind]
     return (order, tuple(_nested_key(c) for c in e.children),
             (e.exp.numerator, e.exp.denominator) if e.exp else ())
 
 
 def _branch_monomial(vec, variables) -> Monomial:
+    # variables are variable keys (kind, index)
     nums, den = vec
-    return Monomial(tuple((v, Fraction(n, den))
-                          for v, n in zip(variables, nums) if n))
+    return Monomial.from_dict({key_var(*v): Fraction(n, den)
+                               for v, n in zip(variables, nums)})
 
 
 def _leaves(e):
@@ -698,7 +699,7 @@ def test_sort_key_is_the_nested_key():
             assert n.sort_key() == want  # the cached key
 
 
-CACHES = ("_hash", "_sort_key", "_canonical", "_tree", "_mono", "_taus")
+CACHES = ("_hash", "_sort_key", "_canonical", "_tree", "_taus")
 
 
 def test_pickle_drops_every_cache():
@@ -732,9 +733,10 @@ def test_vector_leaves_match_their_monomials(sc):
 
 
 def test_leaves_from_monomials_keep_them():
+    # a leaf holds its monomial's key itself, and gives the monomial back
     m = mono("t1^(3/2)*l2/x3")
-    assert lmono(m).mono is m
-    assert lmono(m).key == m.sort_key()
+    assert lmono(m).key is m.key
+    assert lmono(m).mono == m
     assert lmono("1").key == () and lmono("1").mono.is_one
     assert LevelExpr("max", children=(lmono(m),)).mono is None
 

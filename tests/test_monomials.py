@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from multispec.monomials import (Monomial, ONE, Pair, Var, ZERO, UNIT_VALUE,
-                                 tau, lam, xi, mono, pair, xival,
+from multispec.levels import canonical, lmono, lprod
+from multispec.monomials import (Monomial, ONE, Pair, Value, Var, ZERO,
+                                 UNIT_VALUE, tau, lam, xi, mono, pair, xival,
                                  fraction_closure, sorted_pairs)
+from multispec.semigroup import layout, pair_of, row_of
+from oracles import FractionMonomial, fraction_mono
 
 
 def test_parser_roundtrip():
@@ -160,10 +163,18 @@ def _mixed_monos():
         lambda d: Monomial.from_dict({mk(i): v for (mk, i), v in d.items()}))
 
 
+def _oracle(m: Monomial) -> FractionMonomial:
+    return FractionMonomial.from_dict(dict(m.exps))
+
+
 def _same_exps(got, want):
+    # got, a Monomial, against a Monomial or the FractionMonomial oracle
     assert got.exps == want.exps
     assert all(type(e) is Fraction and e != 0 for _, e in got.exps)
     assert [v.key() for v, _ in got.exps] == sorted(v.key() for v, _ in got.exps)
+    assert got.key == (want.key if isinstance(want, Monomial)
+                       else want.sort_key())
+    assert str(got) == str(want) and got.json() == want.json()
 
 
 @given(_mixed_monos(), _mixed_monos(), st.sampled_from(("free", "cancel")))
@@ -175,9 +186,16 @@ def test_merge_mul_matches_dict_oracle(a, b, mode):
     if mode == "cancel":
         # b cancels part of a (all of it when b was the unit)
         b = _dict_mul(b, _dict_pow(a, -1))
+    fa, fb = _oracle(a), _oracle(b)
     _same_exps(a * b, _dict_mul(a, b))
     _same_exps(b * a, _dict_mul(b, a))
     _same_exps(a * _dict_pow(a, -1), ONE)
+    # the key merge against the Fraction merge it replaced
+    _same_exps(a * b, fa * fb)
+    _same_exps(b * a, fb * fa)
+    _same_exps(a / b, fa / fb)
+    for v, _ in fa.exps + fb.exps:
+        assert (a * b).exponent(v) == (fa * fb).exponent(v)
 
 
 @given(_mixed_monos(), st.one_of(_small, st.integers(-3, 3)))
@@ -191,6 +209,53 @@ def test_scaled_pow_matches_dict_oracle(m, r):
     _same_exps(m ** r, _dict_pow(m, r))
     if r == 1:
         assert m ** r is m
+    # the scaled key against the Fraction power, and every other reading
+    # and building route against the oracle
+    fm = _oracle(m)
+    _same_exps(m ** r, fm ** r)
+    _same_exps(m ** int(r), fm ** int(r))
+    _same_exps(m.inv(), fm.inv())
+    for v in [v for v, _ in fm.exps] + [tau(9), lam(9), xi(9)]:
+        assert m.exponent(v) == fm.exponent(v)
+        assert type(m.exponent(v)) is Fraction
+    _same_exps(Monomial.from_dict(dict(fm.exps)), fm)
+    _same_exps(mono(str(fm)), fraction_mono(str(fm)))
+    _same_exps(lmono(m).mono, fm)
+    assert str(lmono(m)) == str(fm) and lmono(m).json() == {"mono": fm.json()}
+    # rows and back, with the norm symbols as the monomial's or the value's
+    f = Monomial.from_dict({v: e for v, e in fm.exps if v.kind != "xi"})
+    x = Monomial.from_dict({v: e for v, e in fm.exps if v.kind == "xi"})
+    for p in (Pair(m, ZERO), Pair(f, Value(x))):
+        columns, width, index = layout([p])
+        back = pair_of(row_of(p.f, p.v, index), columns, width)
+        assert back == p
+        _same_exps(back.f, _oracle(p.f))
+        if not p.v.is_zero:
+            _same_exps(back.v.mono, _oracle(p.v.mono))
+
+
+@given(_mixed_monos())
+@example(ONE)
+@example(mono("t1^(3/2)*l2^(-1)*x3^(1/3)"))
+def test_every_route_builds_one_monomial(m):
+    fm = _oracle(m)
+    text = str(fm)
+    half = len(fm.exps) // 2
+    columns, width, index = layout([Pair(m, ZERO)])
+    routes = [m, Monomial.from_dict(dict(fm.exps)), mono(text),
+              Monomial.from_dict(dict(fm.exps[:half]))
+              * Monomial.from_dict(dict(fm.exps[half:])),
+              (m ** 3) ** Fraction(1, 3), m.inv().inv(), (m * m) / m,
+              pair_of(row_of(m, ZERO, index), columns, width).f,
+              lmono(text).mono, canonical(lprod(text, "1")).mono]
+    assert len(set(routes)) == 1
+    assert len({hash(r) for r in routes}) == 1
+    for r in routes:
+        for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert back == m and hash(back) == hash(m)
+            assert back.exps == fm.exps and str(back) == text
+    # an unpickled Var is a new object, equal to the shared one by value
+    assert pickle.loads(pickle.dumps(m.exps)) == fm.exps
 
 
 @given(_mixed_monos(), st.booleans(), st.integers(0, 4))
@@ -229,12 +294,11 @@ def test_kernel_objects_survive_pickle_and_deepcopy():
 
 
 def test_kernel_objects_have_no_instance_dict():
-    # Var and Monomial keep their caches in slots.  Cached values set with
-    # object.__setattr__ on instances that have a __dict__ break CPython's
-    # key-sharing instance dicts, which cost about 15% more peak memory on
-    # the benchmark's elimination workload.
+    # Var keeps its caches in slots, and Monomial holds only its key in a
+    # slot.  Cached values set with object.__setattr__ on instances that
+    # have a __dict__ break CPython's key-sharing instance dicts, which cost
+    # about 15% more peak memory on the benchmark's elimination workload.
     m = mono("t1/l2")
     hash(m)
-    m.sort_key()
     for obj in (tau(1), m):
         assert not hasattr(obj, "__dict__")
