@@ -2,14 +2,13 @@
 
 Three coordinate blocks, actions (l1*x1, l2*x2, l1*l2*x3), and a base point
 whose first two directions vanish.  We build the initial generator set,
-eliminate the vanishing blocks step by step, and query membership, values,
+eliminate the vanishing blocks step by step, and query radical membership
 and the radical property of the final stage.
 """
 
 from multispec import (deformation, point, rank_and_normalize, run_pipeline,
-                       eliminate, render_genset, mono, pair, tau, value_of,
-                       mono_membership, radical_member, equivalent,
-                       classify_action)
+                       eliminate, render_genset, pair, tau, radical_member,
+                       equivalent, classify_action)
 
 d = deformation([[1, 0, 1], [0, 1, 1]])
 p = point(zero_blocks={1, 2})
@@ -32,13 +31,10 @@ for k in pl.zero_cols_L:
 assert stage == pl.Fq
 
 print("\nqueries against the generated semigroup")
-f = mono("t3/(t1*t2)")
-print(f"  value of {f}:", value_of(f, pl))
-print("  value of t1:", value_of(mono("t1"), pl))
-
-res = mono_membership(mono("t3"), pl.Fq)
-print("  t3 in the final stage bracket:", res.verdict.value,
-      "via", [(str(q.f), a) for q, a in res.witness if a])
+res = radical_member(pair("t3"), pl.Fq, zero_slack=pl.zero_cols_L)
+print("  (t3, 0) in the final stage radical:", res.verdict.value,
+      "via", [(str(q.f), a) for q, a in res.witness if a],
+      "at power", res.power)
 
 res = radical_member(pair("t1*t2/t3"), pl.Fq, zero_slack=pl.zero_cols_L)
 print("  (t1*t2/t3, 0) radical power:", res.power)

@@ -7,9 +7,7 @@ extended configuration.
 """
 
 from multispec import deformation, point, run_pipeline
-from multispec.monomials import pair
-from multispec.restriction import (check_restriction, check_H2_subfamily,
-                                   extended_matrix)
+from multispec.restriction import check_restriction, extended_matrix
 from multispec.semigroup import radical_member
 
 d = deformation([[1, 1, 0], [0, 1, 1]])
@@ -38,9 +36,3 @@ for zeros in ({1}, {2}, {3}):
             pl_b = run_pipeline(d_b, None, p)
             probe = radical_member(w.pair, pl_b.Fq)
             print(f"    confirmed by probe: {probe.verdict.value}")
-
-print("\nnesting condition for ordered families")
-print("  chain {1,2,3} > {2,3} > {3}:",
-      check_H2_subfamily([{1, 2, 3}, {2, 3}, {3}], {1, 2}).holds)
-print("  partial overlap {1,2} vs {2,3}:",
-      check_H2_subfamily([{1, 2}, {2, 3}], {1}).holds)

@@ -1,5 +1,5 @@
 """Expansion templates: weighted index sets, the inclusion-exclusion sum,
-remainder exponents, the numeric estimate harness, and flatness.
+remainder exponents, and the numeric estimate harness.
 """
 
 from fractions import Fraction
@@ -8,9 +8,8 @@ from multispec import deformation, point, rank_and_normalize, run_pipeline
 from multispec.levels import build_levels, canonical
 from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    structure_of, canonical_family,
-                                   app_template, taylor_oracle, t_poly,
-                                   remainder_exponent, subsets_of_actions,
-                                   verify_estimate, flatness_check)
+                                   app_template, remainder_exponent,
+                                   subsets_of_actions, verify_estimate)
 from multispec.polynomials import poly_monomial, exp_truncation
 
 d = deformation([[3, 2], [1, 1]])
@@ -31,10 +30,6 @@ for N in [(1, 1), (6, 3), (10, 4)]:
     app = app_template(d, r, N, fam)
     print(f"  App at orders {N}: {app}")
 
-print("\nthe two truncation routes agree:",
-      t_poly(d, r, frozenset({1}), (9, 4), fam, s).terms ==
-      taylor_oracle(d, r, {1}, (9, 4), f).terms)
-
 family = build_levels(run_pipeline(d, r, p))
 for N in [(1, 1), (3, 2)]:
     print(f"remainder exponent at {N}:",
@@ -49,7 +44,3 @@ print("\ndegree-8 exponential truncation at orders (3,3)")
 rep = verify_estimate(d, r, p, exp_truncation(s, 8), (3, 3), samples=500)
 print(f"  fitted C = {rep.C_fit:.3g}, at half scale {rep.C_half:.3g}, "
       f"pass: {rep.passed}")
-
-print("\nflatness is decided exactly on polynomials")
-print("  zero polynomial:", flatness_check(poly_monomial(s, (0, 0), 0), d).flat)
-print("  z1:", flatness_check(poly_monomial(s, (1, 0)), d))

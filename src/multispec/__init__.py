@@ -18,9 +18,8 @@ from .deformation import (DeformationData, PointPattern, RankData,
                           is_fixed_point, rank_and_normalize, derive_monomials,
                           bundle_decomposition)
 from .semigroup import (PipelineResult, Verdict, MembershipResult,
-                        eliminate, build_G, build_G_hat,
-                        run_pipeline, mono_membership, radical_member,
-                        equivalent, value_of, eliminate_lambda)
+                        eliminate, build_G, run_pipeline, radical_member,
+                        equivalent, eliminate_lambda)
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Expansion index sets, inclusion-exclusion templates, remainder
-exponents, coefficient-family consistency, induced maps, the numerical
-estimate harness, and the two-manifold catalogue."""
+exponents, induced maps, the numerical estimate harness, and the
+two-manifold catalogue."""
 
 from __future__ import annotations
 
@@ -167,26 +167,6 @@ def app_template(d: DeformationData, r: RankData, N,
     return out
 
 
-def taylor_oracle(d: DeformationData, r: RankData, J, N,
-                  f: BlockPolynomial) -> BlockPolynomial:
-    """Independent route to the truncated polynomial: push the action into
-    the argument and read off parameter weights; a monomial survives when
-    every acting weight stays below its order."""
-    J = frozenset(J)
-    N = tuple(int(n) for n in N)
-    struct = f.struct
-    sigma = r.sigma_A
-    d_terms = {}
-    for idx, c in f.terms:
-        w = weight_vector(d, struct, idx, sigma)
-        for j in J:
-            if w[j - 1].denominator != 1:
-                raise AssertionError("scaled weights must be integers")
-        if all(w[j - 1] < N[j - 1] for j in J):
-            d_terms[idx] = c
-    return BlockPolynomial.from_dict(struct, d_terms)
-
-
 def remainder_exponent(family: LevelFamily, N, sigma: Fraction) -> LevelExpr:
     """The remainder's level: the product of the per-action levels, each
     raised to its order over the scale, left factored (LEVEL_ONE when every
@@ -202,103 +182,6 @@ def remainder_exponent(family: LevelFamily, N, sigma: Fraction) -> LevelExpr:
             continue
         factors.append(lpow(e, n_j / sigma))
     return lprod(factors) if factors else LEVEL_ONE
-
-
-def derivative_shift(d: DeformationData, r: RankData, N, k: int) -> tuple[int, ...]:
-    """Orders after differentiating in a coordinate of block k."""
-    if not 1 <= k <= d.m:
-        raise ValueError(f"block index {k} out of range")
-    N = tuple(int(n) for n in N)
-    shift = [r.sigma_A * d.entry(j, k) for j in range(1, d.ell + 1)]
-    if any(s.denominator != 1 for s in shift):
-        raise AssertionError("scaled column must be integral")
-    return tuple(n + int(s) for n, s in zip(N, shift))
-
-
-def family_shift(fam: CoefficientFamily, d: DeformationData,
-                 struct: BlockStructure, coord: int) -> CoefficientFamily:
-    """Re-index the family under one coordinate derivative: differentiate
-    coefficients when the block is inactive for the subset, shift the index
-    down when it is active."""
-    k = struct.block_of(coord)
-    out: CoefficientFamily = {}
-    for J, entries in fam.items():
-        if k not in d.k_union(J):
-            out[J] = {alpha: poly.diff(coord)
-                      for alpha, poly in entries.items()}
-        else:
-            new_entries = {}
-            for alpha, poly in entries.items():
-                if alpha[coord] >= 1:
-                    shifted = list(alpha)
-                    shifted[coord] -= 1
-                    new_entries[tuple(shifted)] = poly
-            out[J] = new_entries
-    return out
-
-
-def derivative_identity_holds(d: DeformationData, r: RankData,
-                              f: BlockPolynomial, N, coord: int) -> bool:
-    """d/dz_i of the template at shifted orders equals the template of the
-    shifted family at the original orders."""
-    k = f.struct.block_of(coord)
-    n_plus = derivative_shift(d, r, N, k)
-    fam = canonical_family(f, d)
-    lhs = app_template(d, r, n_plus, fam).diff(coord)
-    fam_shifted = family_shift(fam, d, f.struct, coord)
-    rhs = app_template(d, r, N, fam_shifted)
-    return lhs.terms == rhs.terms
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    holds: bool
-    mismatches: tuple[str, ...]
-
-
-def consistency_C1(family: CoefficientFamily,
-                   d: DeformationData) -> ConsistencyReport:
-    """Families attached to subsets with the same vanishing locus must agree;
-    for polynomial data the recursive condition reduces to the restriction/
-    differentiation compatibility across nested subsets, checked too."""
-    struct = structure_of(d)
-    mismatches = []
-    subsets = subsets_of_actions(d.ell)
-    for i, J in enumerate(subsets):
-        for Jp in subsets[i + 1:]:
-            if d.k_union(J) != d.k_union(Jp):
-                continue
-            keys = set(family.get(J, {})) | set(family.get(Jp, {}))
-            for alpha in keys:
-                if family_at(family, struct, J, alpha).terms != \
-                        family_at(family, struct, Jp, alpha).terms:
-                    mismatches.append(
-                        f"J={sorted(J)} vs J'={sorted(Jp)} at alpha={alpha}")
-
-    # Restriction/differentiation compatibility (polynomial route).
-    for J in subsets:
-        for R in subsets:
-            if not (J < R):
-                continue
-            kj, kr = d.k_union(J), d.k_union(R)
-            j_coords = [c for c in range(struct.n) if struct.block_of(c) in kj]
-            keys = set(family.get(R, {}))
-            for alpha, poly in family.get(J, {}).items():
-                # any gamma = alpha + beta with beta outside the J-blocks
-                for gamma in keys:
-                    if all(gamma[c] == alpha[c] for c in j_coords) and all(
-                            struct.block_of(c) in kr for c in range(struct.n)
-                            if gamma[c] != alpha[c]):
-                        beta = tuple(g - a for g, a in zip(gamma, alpha))
-                        if any(b < 0 for b in beta):
-                            continue
-                        expected = poly.diff_multi(beta).restrict_zero(kr)
-                        got = family_at(family, struct, R, gamma)
-                        if expected.terms != got.terms:
-                            mismatches.append(
-                                f"J={sorted(J)} -> R={sorted(R)} at "
-                                f"gamma={gamma}")
-    return ConsistencyReport(not mismatches, tuple(sorted(set(mismatches))))
 
 
 @dataclass(frozen=True)
@@ -423,27 +306,6 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     passed = c_half <= 2.0 * c_full + 1e-12
     return EstimateReport(c_full, c_half, samples, passed,
                           max_violation=max(0.0, c_half - 2.0 * c_full))
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    flat: bool
-    witness: tuple | None = None
-
-
-def flatness_check(f: BlockPolynomial, d: DeformationData) -> FlatnessReport:
-    """Developability to the zero total family.
-
-    For polynomials the canonical coefficients decide it exactly: any
-    nonzero coefficient of total order at most 6 witnesses a failing order,
-    and an all-zero family forces the zero polynomial.
-    """
-    fam = canonical_family(f, d)
-    for J in sorted(fam, key=lambda s: (len(s), sorted(s))):
-        for alpha, poly in sorted(fam[J].items()):
-            if not poly.is_zero and sum(alpha) <= 6:
-                return FlatnessReport(False, witness=(tuple(sorted(J)), alpha))
-    return FlatnessReport(f.is_zero, None if f.is_zero else ((), None))
 
 
 @dataclass(frozen=True)

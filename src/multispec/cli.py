@@ -59,15 +59,20 @@ def _deformation(data: dict):
 
 def load_scenario(source: str):
     """Scenario JSON: the action matrix (rationals as strings), optional
-    block sizes and vanishing sets, and the base point's zero pattern and
-    norms, which must fit the matrix (`check_point`)."""
+    block sizes and vanishing sets, and the base point's zero pattern,
+    norms and `normalized` flag (a JSON boolean), which must fit the matrix
+    (`check_point`)."""
     data = _json(source)
     with _reading("scenario"):
         norms = {int(k): float(fr(v))
                  for k, v in data.get("norms", {}).items()}
+        normalized = data.get("normalized", True)
+        if not isinstance(normalized, bool):
+            raise TypeError("normalized must be true or false, not "
+                            f"{normalized!r}")
         d, p = _deformation(data), point(
             zero_blocks=set(data.get("zeros", ())), norms=norms,
-            normalized=bool(data.get("normalized", True)))
+            normalized=normalized)
         check_point(d, p)
     return d, p
 
@@ -206,15 +211,15 @@ def cmd_project(args):
 
 
 def cmd_restrict(args):
-    from .restriction import check_restriction, extended_matrix
+    from .restriction import check_restriction
 
     pl = _scenario_pipeline(args)
     with _reading("--beta"):
         beta = [fr(x) for x in args.beta.split(",")]
         if len(beta) != pl.d.m:
             raise ValueError(f"need {pl.d.m} entries, one per block")
-        extended_matrix(pl.d, beta)  # a negative or zero row is malformed
-    verdict = check_restriction(pl, beta)
+        # a negative or zero row is malformed (`extended_matrix`)
+        verdict = check_restriction(pl, beta)
     lines = [f"case: {verdict.case.value}",
              f"holds: {verdict.holds}"]
     for w in verdict.witnesses:

@@ -23,8 +23,7 @@ from .monomials import (Pair, Monomial, ONE, UNIT_VALUE, mono, pair,
                         render_genset, tau)
 from .multicone import build_multicone, closure, project
 from .polynomials import poly_monomial
-from .restriction import (check_same_rank, check_rank_plus_one,
-                          extended_matrix)
+from .restriction import check_restriction, extended_matrix
 from .semigroup import run_pipeline, eliminate, radical_member, Verdict
 
 
@@ -160,7 +159,7 @@ def _verdict_check(label, verdict, want_holds, want_witnesses=()):
 @fixture("restriction-three-flags-center", "restriction")
 def _fx_241():
     d = deformation([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    v = check_same_rank(run_pipeline(d, None, point()), [1, 1, 1])
+    v = check_restriction(run_pipeline(d, None, point()), [1, 1, 1])
     return [
         _verdict_check("same-rank holds", v, True),
         CheckResult("non-negative combination", bool(v.sufficient_nonneg_combination)),
@@ -180,7 +179,7 @@ def _fx_242():
     out = []
     for zeros, want, wits in cases:
         p = point(zero_blocks=zeros)
-        v = check_same_rank(run_pipeline(d, None, p), beta)
+        v = check_restriction(run_pipeline(d, None, p), beta)
         out.append(_verdict_check(f"zeros={sorted(zeros)}", v, want, wits))
         if wits:
             d_b = extended_matrix(d, beta)
@@ -205,7 +204,7 @@ def _fx_248():
     out = []
     p = point(zero_blocks={3})
     for label, rows, beta in cases:
-        v = check_rank_plus_one(run_pipeline(deformation(rows), None, p), beta)
+        v = check_restriction(run_pipeline(deformation(rows), None, p), beta)
         out.append(_verdict_check(label, v, True))
     return out
 
@@ -239,7 +238,7 @@ def _fx_249_restrict():
         beta, zeros, want, wits = bullet[:4]
         probes = list(wits) + list(bullet[4:])
         p = point(zero_blocks=zeros)
-        v = check_rank_plus_one(run_pipeline(d, None, p), beta)
+        v = check_restriction(run_pipeline(d, None, p), beta)
         out.append(_verdict_check(f"beta={beta} zeros={sorted(zeros)}",
                                   v, want, wits))
         if probes:
@@ -259,13 +258,13 @@ def _fx_250():
     p = point(zero_blocks={3})
     pl = run_pipeline(d, None, p)
     out = []
-    v = check_rank_plus_one(pl, [0, 1, 0, 0])
+    v = check_restriction(pl, [0, 1, 0, 0])
     out.append(_verdict_check("beta=0100", v, False, ("t1*t3/t2",)))
-    v = check_rank_plus_one(pl, [0, 1, 0, 1])
+    v = check_restriction(pl, [0, 1, 0, 1])
     out.append(_verdict_check("beta=0101", v, False, ("t1/t4",)))
-    v = check_rank_plus_one(pl, [1, 1, 1, 0])
+    v = check_restriction(pl, [1, 1, 1, 0])
     out.append(_verdict_check("beta=1110", v, False, ("t1/t4",)))
-    v = check_rank_plus_one(pl, [1, 1, 1, 1])
+    v = check_restriction(pl, [1, 1, 1, 1])
     out.append(_verdict_check("beta=1111", v, True))
 
     # The documented confirmations: against beta = (0,1,0,1) the quotient

@@ -7,8 +7,8 @@ stays a minor of the integer start, and serves three routines: `pivots`
 over one integer), which scale their Fraction rows to integers, and the
 phase-one simplex of `nonneg_solution` (Bland's rule), which takes integer
 columns and pivots its objective row as one more row.  The simplex decides
-radical membership, and with it equivalence of generating sets, and
-prunes the integer membership search (`cone_feasible`).
+radical membership, and with it equivalence of generating sets;
+`cone_feasible` poses it on rational columns.
 """
 
 from __future__ import annotations

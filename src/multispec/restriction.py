@@ -8,9 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .deformation import (DeformationData, PointPattern, deformation,
-                          build_from_index_family, rank_and_normalize,
-                          derive_monomials)
+from .deformation import DeformationData, deformation
 from .linear import adjugate, fr, pivots
 from .monomials import Monomial, Pair, TAU
 from .semigroup import PipelineResult, norm_value
@@ -75,14 +73,10 @@ def extended_matrix(d: DeformationData, beta) -> DeformationData:
                            complement_block=d.complement_block)
 
 
-def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
+def _same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """The rank-preserving case: zero-valued stage pairs must pair
     non-negatively with the new row."""
     d_A, r_A = pipeline.d, pipeline.r
-    beta = [fr(x) for x in beta]
-    if len(pivots(extended_matrix(d_A, beta).A)) != r_A.L:
-        raise ValueError("the added row increases the rank; use the "
-                         "rank-plus-one check instead")
     b_values = {j: log_at_exp_beta(pipeline.derived.phi_inv[j], beta)
                 for j in r_A.sel_rows}
     witnesses = []
@@ -109,14 +103,10 @@ def check_same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
         witnesses=tuple(witnesses), sufficient_nonneg_combination=suff)
 
 
-def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
+def _rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     """The rank-increasing case: three conditions over the final stage plus
     the pivot bookkeeping for the transformed monomials."""
     d_A, r_A, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
-    beta = [fr(x) for x in beta]
-    if len(pivots(extended_matrix(d_A, beta).A)) != r_A.L + 1:
-        raise ValueError("the added row does not increase the rank; use the "
-                         "same-rank check instead")
     b_values: dict[int, Fraction] = {}
     for j in r_A.sel_rows:
         b_values[j] = log_at_exp_beta(derived.phi_inv[j], beta)
@@ -162,87 +152,11 @@ def check_rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
 
 
 def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:
-    """Dispatch on the rank of the extended matrix."""
+    """The verdict for adding beta as a new row: the same-rank case when the
+    extended matrix (`extended_matrix`, which rejects a zero or malformed
+    row with ValueError) keeps the pipeline's rank, else the rank-plus-one
+    case."""
+    beta = [fr(x) for x in beta]
     if len(pivots(extended_matrix(pipeline.d, beta).A)) == pipeline.r.L:
-        return check_same_rank(pipeline, beta)
-    return check_rank_plus_one(pipeline, beta)
-
-
-@dataclass(frozen=True)
-class H2Report:
-    holds: bool
-    failing_pairs: tuple[tuple[int, int], ...]
-    steps: tuple[dict, ...]
-
-
-def _h2_pairwise(sets) -> tuple[tuple[int, int], ...]:
-    bad = []
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = set(sets[i]), set(sets[j])
-            if not (a <= b or b <= a or not (a & b)):
-                bad.append((i + 1, j + 1))
-    return tuple(bad)
-
-
-def check_H2_subfamily(I_sets_B, subset) -> H2Report:
-    """Pairwise nesting-or-disjointness for the family, plus the per-removal
-    pairing conditions that make restriction to the subfamily compatible.
-
-    For each manifold outside the subfamily (removed one at a time, largest
-    index first) the removed row must pair to zero or one against every
-    solved inverse (the phi logs) and every quotient (the psi logs) of the
-    family without it.
-    """
-    sets = [frozenset(s) for s in I_sets_B]
-    bad = _h2_pairwise(sets)
-    if bad:
-        return H2Report(False, bad, ())
-
-    subset = sorted(set(subset))
-    if not set(subset) <= set(range(1, len(sets) + 1)):
-        raise ValueError("subfamily indices out of range")
-    keep = list(range(1, len(sets) + 1))
-    steps = []
-    ok = True
-    for removed in sorted(set(keep) - set(subset), reverse=True):
-        d_full = build_from_index_family([sets[i - 1] for i in keep])
-        row_pos = keep.index(removed) + 1
-        beta = list(d_full.row(row_pos))
-        rows_A = [list(d_full.row(i)) for i in range(1, d_full.ell + 1)
-                  if i != row_pos]
-        d_A = deformation(rows_A, block_dims=d_full.block_dims)
-        # The restriction locus kills the directions only the removed
-        # manifold acted on (the zero columns of the reduced matrix).
-        dead = frozenset(k for k in range(1, d_A.m + 1)
-                         if all(x == 0 for x in d_A.column(k)))
-        p0 = PointPattern(dead)
-        r_A = rank_and_normalize(d_A, p0)
-        derived = derive_monomials(d_A, r_A)
-        logs_phi = {j: log_at_exp_beta(m, beta)
-                    for j, m in derived.phi_inv.items()}
-        logs_psi = {k: log_at_exp_beta(m, beta) for k, m in derived.psi.items()}
-        step_ok = all(v in (0, 1) for v in logs_phi.values()) and \
-            all(v in (0, 1) for v in logs_psi.values())
-        closed_form = _closed_form_inverses([sets[i - 1] for i in keep])
-        steps.append({"removed": removed, "phi_logs": logs_phi,
-                      "psi_logs": logs_psi, "ok": step_ok,
-                      "closed_form": closed_form})
-        ok = ok and step_ok
-        keep.remove(removed)
-    return H2Report(ok, (), tuple(steps))
-
-
-def _closed_form_inverses(sets) -> dict[int, str]:
-    """Under the nesting condition: tau_j alone when the j-th index set is
-    maximal, else tau_j over the scale of the smallest strict superset."""
-    out = {}
-    for j, s in enumerate(sets, start=1):
-        supers = [i for i, t in enumerate(sets, start=1)
-                  if i != j and set(s) < set(t)]
-        if not supers:
-            out[j] = f"t{j}"
-        else:
-            kj = min(supers, key=lambda i: (len(sets[i - 1]), i))
-            out[j] = f"t{j}/t{kj}"
-    return out
+        return _same_rank(pipeline, beta)
+    return _rank_plus_one(pipeline, beta)

@@ -1,22 +1,21 @@
-"""Generator sets, the elimination pipeline, and exact decision procedures:
-integer semigroup membership by a pruned search, and whether some power of
-a pair is a member (hence equivalence) by exact rational-cone LPs.  The
-pipeline, radical membership and equivalence run on integer rows (`Row`),
-with one elimination step (`balance`) and integer LPs (`_radical`)."""
+"""Generator sets, the elimination pipeline, and the exact decision
+procedure: whether some power of a pair is a member of a generated
+semigroup (hence equivalence), by exact rational-cone LPs.  The pipeline,
+radical membership and equivalence run on integer rows (`Row`), with one
+elimination step (`balance`) and integer LPs (`_radical`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
                           derive_monomials, rank_and_normalize, check_point)
-from .linear import cone_feasible, nonneg_solution
-from .monomials import (KINDS, Monomial, Pair, Value, Var, ZERO, UNIT_VALUE,
-                        TAU, LAM, XI, tau, lam, xi, fraction_closure,
-                        vector_key)
+# perfbench/worker.py traces `semigroup.cone_feasible`; nothing here calls it
+from .linear import cone_feasible, nonneg_solution  # noqa: F401
+from .monomials import (KINDS, Monomial, Pair, Value, Var, ZERO, TAU, LAM, XI,
+                        tau, lam, fraction_closure, vector_key)
 
 
 # An exponent vector (numerators, denominator) over a fixed list of
@@ -173,22 +172,6 @@ def build_G(d: DeformationData, r: RankData, p: PointPattern,
     return fraction_closure(pairs)
 
 
-def build_G_hat(d: DeformationData, r: RankData,
-                p: PointPattern) -> frozenset[Pair]:
-    """The graph variant: t_k over the full action monomial, tagged with the
-    block norm symbol (zero on the zero pattern), plus every parameter."""
-    check_point(d, p)
-    phi = derive_monomials(d, r).phi
-    pairs = []
-    for k in range(1, d.m + 1):
-        f = Monomial.from_dict({tau(k): 1}) * phi[k].inv()
-        v = ZERO if k in p.zero_blocks else Value(Monomial.from_dict({xi(k): 1}))
-        pairs.append(Pair(f, v))
-    for j in range(1, d.ell + 1):
-        pairs.append(Pair(Monomial.from_dict({lam(j): 1}), ZERO))
-    return fraction_closure(pairs)
-
-
 @dataclass(frozen=True)
 class PipelineResult:
     d: DeformationData
@@ -264,7 +247,6 @@ def run_pipeline(d: DeformationData, r: RankData | None = None,
 class Verdict(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -275,59 +257,6 @@ class MembershipResult:
 
     def __bool__(self) -> bool:
         return self.verdict is Verdict.YES
-
-
-def _dfs(cols, target, budget, check_leaf, idx=0, partial=None):
-    partial = partial or []
-    if all(x == 0 for x in target):
-        done = check_leaf(partial + [0] * (len(cols) - idx))
-        if done:
-            return done
-    if idx == len(cols):
-        return None
-    if not cone_feasible(cols[idx:], target):
-        return None
-    # A zero column changes only the value tag; using it more than once is
-    # never needed.
-    cap = 1 if all(c == 0 for c in cols[idx]) else budget
-    a = 0
-    while a <= min(cap, budget):
-        residual = [t - a * c for t, c in zip(target, cols[idx])]
-        found = _dfs(cols, residual, budget - a, check_leaf, idx + 1, partial + [a])
-        if found:
-            return found
-        a += 1
-    return None
-
-
-SEARCH_BOUND = 200
-
-
-def mono_membership(f: Monomial, H) -> MembershipResult:
-    """Is f a non-negative-integer combination of the monomials of H?
-
-    Depth-first search over exponent vectors with exact rational-cone
-    pruning; the first witness found is the lexicographically smallest.
-    Unknown when no witness uses at most SEARCH_BOUND generators, counted
-    with multiplicity.
-    """
-    ordered = sorted(H, key=lambda p: p.sort_key())
-    _, width, index = layout([*H, Pair(f, ZERO)])
-    rows = [row_of(g, ZERO, index) for g in [p.f for p in ordered] + [f]]
-    # one scale for all: the search subtracts columns from the target
-    S = lcm(*(den for _, den, _ in rows))
-    *cols, target = [[n * (S // den) for n in nums[:width]]
-                     for nums, den, _ in rows]
-    if not cone_feasible(cols, target):
-        return MembershipResult(Verdict.NO)
-
-    def leaf(alpha):
-        return tuple((p, a) for p, a in zip(ordered, alpha))
-
-    found = _dfs(cols, target, SEARCH_BOUND, leaf)
-    if found is not None:
-        return MembershipResult(Verdict.YES, witness=found)
-    return MembershipResult(Verdict.UNKNOWN)
 
 
 def _radical(rows, columns, width: int, live):
@@ -450,71 +379,3 @@ def equivalent(A, B, zero_slack=()) -> Verdict:
     the chosen minor columns."""
     return Verdict.YES if all(found for _, found in _answers(
         A, B, zero_slack)) else Verdict.NO
-
-
-class NotRepresentable(ValueError):
-    pass
-
-
-def value_of(f: Monomial, pipeline: PipelineResult) -> Value:
-    """The unique value making (f, v) an element of the generated semigroup.
-
-    Uses the unique exponent form over the solved inverses, the psi
-    quotients, and the leftover parameters; integrality and the sign
-    constraints decide representability exactly.
-    """
-    d, r, p = pipeline.d, pipeline.r, pipeline.p
-    derived = pipeline.derived
-    if f.has_kind(XI):
-        raise NotRepresentable("norm symbols cannot appear in queries")
-
-    alpha_unsel: dict[int, Fraction] = {}
-    g = f
-    for k, psi_k in derived.psi.items():
-        e = f.exponent(tau(k))
-        if e != 0:
-            if e.denominator != 1:
-                raise NotRepresentable(f"fractional power of block {k} quotient")
-            if k in p.zero_blocks and e < 0:
-                raise NotRepresentable(f"negative power of zero block {k}")
-            alpha_unsel[k] = e
-            g = g * (psi_k ** (-e))
-
-    w = [g.exponent(tau(k)) for k in r.sel_cols]
-    if any(g.exponent(tau(k)) != 0 for k in range(1, d.m + 1)
-           if k not in r.sel_cols):
-        raise NotRepresentable("unreduced scale variables outside the minor")
-    minor = [[d.entry(j, k) for k in r.sel_cols] for j in r.sel_rows]
-    alpha_sel = [sum(minor[jpos][kpos] * w[kpos] for kpos in range(r.L))
-                 for jpos in range(r.L)]
-    for a in alpha_sel:
-        if a.denominator != 1 or a < 0:
-            raise NotRepresentable("selected-inverse exponents must be "
-                                   "non-negative integers")
-
-    for j in r.sel_rows:
-        if g.exponent(lam(j)) != 0:
-            raise NotRepresentable("solved parameters cannot appear in queries")
-    beta: dict[int, Fraction] = {}
-    for j in range(1, d.ell + 1):
-        if j in r.sel_rows:
-            continue
-        contrib = sum(alpha_sel[jpos] * derived.phi_inv[jj].exponent(lam(j))
-                      for jpos, jj in enumerate(r.sel_rows))
-        b = g.exponent(lam(j)) - contrib
-        if b.denominator != 1 or b < 0:
-            raise NotRepresentable("parameter exponents must be non-negative "
-                                   "integers")
-        beta[j] = b
-
-    if any(a > 0 for a in alpha_sel) or any(b > 0 for b in beta.values()):
-        return ZERO
-    if any(f.exponent(tau(k)) > 0 for k in pipeline.zero_cols_L):
-        return ZERO
-    v = UNIT_VALUE
-    for k, e in alpha_unsel.items():
-        n_k = norm_value(derived.psi[k], k, d, r, p)
-        if n_k.is_zero and e > 0:
-            return ZERO
-        v = v * (n_k ** e)
-    return v

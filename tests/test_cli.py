@@ -337,6 +337,8 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: norm of block 2 is 0.0, not positive"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"9": "1"}}'],
      "invalid scenario: norm of block 9 out of range"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "normalized": "false"}'],
+     "invalid scenario: normalized must be true or false, not 'false'"),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
@@ -344,7 +346,8 @@ def test_scenario_with_k_sets_and_blocks():
         "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",
-        "zero-column", "norm-negative", "norm-zero", "norm-block-range"])
+        "zero-column", "norm-negative", "norm-zero", "norm-block-range",
+        "normalized-string"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()

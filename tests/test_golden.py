@@ -47,6 +47,7 @@ CALLS = {
     "closure": ["closure", RUNNING],
     "project": ["project", RUNNING, "--drop", "1"],
     "restrict": ["restrict", "--matrix", RUNNING, "--beta", "1,1,1"],
+    "restrict-same-rank": ["restrict", "--matrix", RUNNING, "--beta", "1,1,2"],
     "expand": ["expand", RUNNING, "--N", "3,2"],
     "expand-free": ["expand", FREE, "--N", "3,2"],
     "analyze": ["analyze", RUNNING],

@@ -1,14 +1,95 @@
 
+from dataclasses import dataclass
+
 import pytest
 
-from multispec.deformation import (deformation, point, rank_and_normalize,
+from multispec.deformation import (PointPattern, build_from_index_family,
+                                   deformation, point, rank_and_normalize,
                                    derive_monomials)
-from multispec.monomials import mono, pair
-from multispec.restriction import (log_at_exp_beta, check_same_rank,
-                                   check_rank_plus_one, check_restriction,
-                                   check_H2_subfamily, extended_matrix,
-                                   RestrictionCase)
+from multispec.monomials import mono
+from multispec.restriction import (log_at_exp_beta, check_restriction,
+                                   extended_matrix, RestrictionCase)
 from multispec.semigroup import run_pipeline, radical_member, Verdict
+
+
+@dataclass(frozen=True)
+class H2Report:
+    holds: bool
+    failing_pairs: tuple[tuple[int, int], ...]
+    steps: tuple[dict, ...]
+
+
+def _h2_pairwise(sets) -> tuple[tuple[int, int], ...]:
+    bad = []
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            a, b = set(sets[i]), set(sets[j])
+            if not (a <= b or b <= a or not (a & b)):
+                bad.append((i + 1, j + 1))
+    return tuple(bad)
+
+
+def check_H2_subfamily(I_sets_B, subset) -> H2Report:
+    """Pairwise nesting-or-disjointness for the family, plus the per-removal
+    pairing conditions that make restriction to the subfamily compatible.
+
+    For each manifold outside the subfamily (removed one at a time, largest
+    index first) the removed row must pair to zero or one against every
+    solved inverse (the phi logs) and every quotient (the psi logs) of the
+    family without it.
+    """
+    sets = [frozenset(s) for s in I_sets_B]
+    bad = _h2_pairwise(sets)
+    if bad:
+        return H2Report(False, bad, ())
+
+    subset = sorted(set(subset))
+    if not set(subset) <= set(range(1, len(sets) + 1)):
+        raise ValueError("subfamily indices out of range")
+    keep = list(range(1, len(sets) + 1))
+    steps = []
+    ok = True
+    for removed in sorted(set(keep) - set(subset), reverse=True):
+        d_full = build_from_index_family([sets[i - 1] for i in keep])
+        row_pos = keep.index(removed) + 1
+        beta = list(d_full.row(row_pos))
+        rows_A = [list(d_full.row(i)) for i in range(1, d_full.ell + 1)
+                  if i != row_pos]
+        d_A = deformation(rows_A, block_dims=d_full.block_dims)
+        # The restriction locus kills the directions only the removed
+        # manifold acted on (the zero columns of the reduced matrix).
+        dead = frozenset(k for k in range(1, d_A.m + 1)
+                         if all(x == 0 for x in d_A.column(k)))
+        p0 = PointPattern(dead)
+        r_A = rank_and_normalize(d_A, p0)
+        derived = derive_monomials(d_A, r_A)
+        logs_phi = {j: log_at_exp_beta(m, beta)
+                    for j, m in derived.phi_inv.items()}
+        logs_psi = {k: log_at_exp_beta(m, beta) for k, m in derived.psi.items()}
+        step_ok = all(v in (0, 1) for v in logs_phi.values()) and \
+            all(v in (0, 1) for v in logs_psi.values())
+        closed_form = _closed_form_inverses([sets[i - 1] for i in keep])
+        steps.append({"removed": removed, "phi_logs": logs_phi,
+                      "psi_logs": logs_psi, "ok": step_ok,
+                      "closed_form": closed_form})
+        ok = ok and step_ok
+        keep.remove(removed)
+    return H2Report(ok, (), tuple(steps))
+
+
+def _closed_form_inverses(sets) -> dict[int, str]:
+    """Under the nesting condition: tau_j alone when the j-th index set is
+    maximal, else tau_j over the scale of the smallest strict superset."""
+    out = {}
+    for j, s in enumerate(sets, start=1):
+        supers = [i for i, t in enumerate(sets, start=1)
+                  if i != j and set(s) < set(t)]
+        if not supers:
+            out[j] = f"t{j}"
+        else:
+            kj = min(supers, key=lambda i: (len(sets[i - 1]), i))
+            out[j] = f"t{j}/t{kj}"
+    return out
 
 
 def test_log_at_exp_beta():
@@ -57,48 +138,41 @@ def test_value_log_dichotomy():
 def test_same_rank_examples():
     d = deformation([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     p = point()
-    v = check_same_rank(run_pipeline(d, None, p), [1, 1, 1])
+    v = check_restriction(run_pipeline(d, None, p), [1, 1, 1])
     assert v.holds and v.sufficient_nonneg_combination
     assert v.case is RestrictionCase.SAME_RANK
 
     d242 = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     p = point()
-    v = check_same_rank(run_pipeline(d242, None, p), [1, 1, 1])
+    v = check_restriction(run_pipeline(d242, None, p), [1, 1, 1])
     assert not v.holds
     assert any(str(w.pair.f) == "t1^(-1)*t2^(-1)*t3" for w in v.witnesses)
     p = point(zero_blocks={2})
-    v = check_same_rank(run_pipeline(d242, None, p), [1, 1, 1])
+    v = check_restriction(run_pipeline(d242, None, p), [1, 1, 1])
     assert v.holds
-
-    d_low = deformation([[1, 1, 0], [0, 1, 1]])
-    p3 = point(zero_blocks={3})
-    with pytest.raises(ValueError):
-        check_same_rank(run_pipeline(d_low, None, p3), [1, 0, 0])
 
 
 def test_rank_plus_one_examples():
     dM = deformation([[1, 0, 0], [0, 1, 0]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(run_pipeline(dM, None, p), [0, 0, 1])
+    v = check_restriction(run_pipeline(dM, None, p), [0, 0, 1])
     assert v.holds and v.pivot == 3
 
     d250 = deformation([[1, 1, 0, 1], [0, 1, 1, 0]])
     p = point(zero_blocks={3})
     pl = run_pipeline(d250, None, p)
-    v = check_rank_plus_one(pl, [1, 1, 1, 0])
+    v = check_restriction(pl, [1, 1, 1, 0])
     assert not v.holds
     assert any(str(w.pair.f) == "t1*t4^(-1)" and "nonzero" in w.condition
                for w in v.witnesses)
-    v = check_rank_plus_one(pl, [1, 1, 1, 1])
+    v = check_restriction(pl, [1, 1, 1, 1])
     assert v.holds
-    with pytest.raises(ValueError):
-        check_rank_plus_one(pl, [1, 1, 0, 1])  # in the row space
 
 
 def test_transformed_monomials():
     dM = deformation([[1, 0, 0], [0, 1, 0]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(run_pipeline(dM, None, p), [0, 0, 1])
+    v = check_restriction(run_pipeline(dM, None, p), [0, 0, 1])
     assert v.transformed["phi_inv"][1] == mono("t1")
     assert v.transformed["phi_inv_new"][3] == mono("t3")
 
@@ -106,15 +180,18 @@ def test_transformed_monomials():
 def test_dispatch():
     d = deformation([[1, 1, 0], [0, 1, 1]])
     p = point(zero_blocks={3})
-    v = check_restriction(run_pipeline(d, None, p), [1, 1, 1])
+    pl = run_pipeline(d, None, p)
+    v = check_restriction(pl, [1, 1, 1])
     assert v.case is RestrictionCase.RANK_PLUS_ONE and v.holds
+    # the sum of the two rows keeps the rank
+    assert check_restriction(pl, [1, 2, 1]).case is RestrictionCase.SAME_RANK
 
 
 def test_restriction_verdicts_match_membership():
     # a failing verdict's witness has no power in the extended stage
     d = deformation([[1, 1, 0], [0, 1, 1]])
     p = point(zero_blocks={3})
-    v = check_rank_plus_one(run_pipeline(d, None, p), [1, 0, 0])
+    v = check_restriction(run_pipeline(d, None, p), [1, 0, 0])
     assert not v.holds
     d_b = extended_matrix(d, [1, 0, 0])
     pl_b = run_pipeline(d_b, None, p)

@@ -1,4 +1,12 @@
-"""Every defaulted parameter of the library is passed somewhere in the
+"""The library keeps only what a command, a fixture, the benchmark or the
+documented API uses.
+
+Every public top-level function and class of the library is referenced
+outside its own definition, by the library or the benchmark, or exported
+by `multispec/__init__.py`: code that only tests or demos reach belongs
+with them.
+
+Every defaulted parameter of the library is passed somewhere in the
 library or the benchmark: a default that only tests or demos override is a
 test-only mode, and a default nobody overrides is a constant.
 
@@ -7,11 +15,13 @@ attribute name) and passes that parameter by keyword, reaches its position,
 or spreads `*args` or `**kwargs`."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "multispec").glob("*.py"))
-CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = LIBRARY + BENCHMARK
 
 ALLOWED = {
     # the only numeric route to the paper's cones W_k; no command sets it
@@ -78,6 +88,85 @@ def test_every_default_is_passed_by_the_library_or_the_benchmark():
     assert unpassed - ALLOWED == set(), \
         "defaulted parameters no library or benchmark call passes"
     assert ALLOWED <= unpassed, "allowlist entries that are passed now"
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(path: Path):
+    """(module, name) of each public top-level function and class."""
+    return [(path.stem, node.name) for node in ast.parse(path.read_text()).body
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+
+
+def _references(path: Path):
+    """(name, the top-level definition it sits in, or None) of each bare
+    name and attribute a module refers to."""
+    out = set()
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.add((node.attr, owner))
+    return out
+
+
+def _benchmark_names(path: Path):
+    """Every name a benchmark module refers to or imports, and every word
+    of its strings (child-process commands and traced attributes)."""
+    out = {name for name, _ in _references(path)}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _exports(init: Path):
+    return {alias.name for node in ast.walk(ast.parse(init.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _unreferenced(library, benchmark, init: Path):
+    """(module, name) of each public definition of the library that no
+    other library code references, the benchmark does not name, and the
+    package does not export."""
+    used = {name for path in library for name, owner in _references(path)
+            if name != owner}
+    used |= {name for path in benchmark for name in _benchmark_names(path)}
+    used |= _exports(init)
+    return [(module, name) for path in library
+            for module, name in _public_definitions(path) if name not in used]
+
+
+def test_every_public_name_is_used_or_exported():
+    assert _unreferenced(LIBRARY, BENCHMARK,
+                         ROOT / "src" / "multispec" / "__init__.py") == []
+
+
+def test_unreferenced_names_are_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n")
+    (tmp_path / "mod.py").write_text(
+        "def exported(): pass\n"
+        "def called(): pass\n"
+        "def benchmarked(): pass\n"
+        "def traced(): pass\n"
+        "def recursive(): return recursive()\n"
+        "def unused(): pass\n"
+        "class Report: pass\n"
+        "def build(): return Report(called())\n")
+    (tmp_path / "bench.py").write_text(
+        "from mod import benchmarked\n"
+        "import mod\n"
+        "tr.wrap(mod, 'traced')\n"
+        "benchmarked()\n")
+    library = [tmp_path / "__init__.py", tmp_path / "mod.py"]
+    assert _unreferenced(library, [tmp_path / "bench.py"],
+                         tmp_path / "__init__.py") == [
+        ("mod", "recursive"), ("mod", "unused"), ("mod", "build")]
 
 
 def _private_imports(path: Path):
