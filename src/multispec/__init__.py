@@ -4,9 +4,9 @@ The package computes, from an action matrix and a base-point zero pattern:
 generator semigroups and their elimination pipeline, multicone inequality
 systems and closures, level functions and strictness, restriction
 verdicts, asymptotic-expansion templates with remainder exponents, and
-induced maps between deformations.  Symbolic data is exact (rational
-exponents via Fraction); numeric verification lives in the sampling
-harnesses.
+induced maps between deformations.  Symbolic data is exact: the matrix is
+integer rows over one denominator, with Fractions in printing, JSON, `d.A`,
+`d.entry` and `RankData.sigma_A`; numeric checks live in the samplers.
 """
 
 from .monomials import (Var, Monomial, Value, Pair, ONE, ZERO, UNIT_VALUE,

@@ -77,13 +77,14 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
         raise ValueError("the action subset must be nonempty")
     N = tuple(int(n) for n in N)
     struct = structure_of(d)
-    sigma = r.sigma_A
     K_J = d.k_union(J)
     coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
     # The weights of the actions in J (see weight_vector), and what one more
-    # unit in each coordinate adds to them.
+    # unit in each coordinate adds to them: sigma_A * a_jk, an integer, is
+    # the integer entry over g = den / sigma_A, the gcd of the entries.
     acts = sorted(J)
-    steps = [[sigma * d.entry(j, struct.block_of(c)) for j in acts]
+    g = d.den * r.sigma_A.denominator // r.sigma_A.numerator
+    steps = [[d.ints[j - 1][struct.block_of(c) - 1] // g for j in acts]
              for c in coords]
 
     def below(w) -> bool:
@@ -91,7 +92,7 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
 
     members: list[tuple[int, ...]] = []
 
-    def rec(pos: int, idx: list[int], w: list[Fraction]):
+    def rec(pos: int, idx: list[int], w: list[int]):
         if pos == len(coords):
             members.append(tuple(idx))
             return
@@ -105,7 +106,7 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
             w = [x + s for x, s in zip(w, steps[pos])]
 
     if any(n > 0 for n in N):
-        zero = [Fraction(0)] * len(acts)
+        zero = [0] * len(acts)
         if below(zero):
             rec(0, [0] * struct.n, zero)
     return IndexSet(J, N, tuple(sorted(members)))
@@ -365,7 +366,9 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
     m = len(a[0])
     if m not in (2, 3):
         raise ValueError("the catalogue covers two or three blocks")
-    if len(pivots(a)) < 2:
+    d = DeformationData(2, m, tuple(tuple(row) for row in a),
+                        tuple([1] * m), None, frozenset())
+    if len(pivots(d.ints)) < 2:
         raise ValueError("degenerate action: reduces to the one-manifold case")
     if any(all(a[j][k] == 0 for j in range(2)) for k in range(m)):
         raise ValueError("a zero column reduces to fewer blocks")
@@ -416,8 +419,6 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
                 raise ValueError("proportional third block: reduces to m = 2")
             label = "m=3,N=6"
 
-    d = DeformationData(2, m, tuple(tuple(row) for row in a),
-                        tuple([1] * m), None, frozenset())
     p = PointPattern(frozenset())
     pipeline = run_pipeline(d, None, p)
     sigma = pipeline.r.sigma_A

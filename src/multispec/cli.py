@@ -60,12 +60,16 @@ def _deformation(data: dict):
 def load_scenario(source: str):
     """Scenario JSON: the action matrix (rationals as strings), optional
     block sizes and vanishing sets, and the base point's zero pattern,
-    norms and `normalized` flag (a JSON boolean), which must fit the matrix
-    (`check_point`)."""
+    norms (rational strings or JSON numbers) and `normalized` flag (a JSON
+    boolean), which must fit the matrix (`check_point`)."""
     data = _json(source)
     with _reading("scenario"):
-        norms = {int(k): float(fr(v))
-                 for k, v in data.get("norms", {}).items()}
+        norms = {}
+        for k, v in data.get("norms", {}).items():
+            if isinstance(v, bool):
+                raise TypeError(f"norm of block {k} must be a rational or a "
+                                f"number, not {json.dumps(v)}")
+            norms[int(k)] = float(fr(v))
         normalized = data.get("normalized", True)
         if not isinstance(normalized, bool):
             raise TypeError("normalized must be true or false, not "

@@ -7,9 +7,9 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .linear import adjugate, mat, pivots, sigma_for
+from .linear import adjugate, mat, pivots
 from .monomials import Monomial, lam, tau, vector_key
 
 
@@ -30,6 +30,11 @@ class DeformationData:
 
     Row j scales block k by lambda_j^{a_jk}; K_sets[j] lists the blocks that
     vanish on the j-th manifold and must equal the support of row j.
+
+    The matrix is held twice: A as Fractions, which printing, JSON and
+    `entry` read, and, computed once, ints, its integer rows over one
+    positive denominator den (A = ints / den, den the lcm of A's
+    denominators), which every exact computation reads.
     """
 
     ell: int
@@ -38,6 +43,16 @@ class DeformationData:
     block_dims: tuple[int, ...]
     K_sets: tuple[frozenset[int], ...] | None = None
     complement_block: frozenset[int] = frozenset()
+    ints: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                              compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = lcm(*(x.denominator for row in self.A for x in row))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row)
+            for row in self.A))
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         return self.A[j - 1]
@@ -45,11 +60,8 @@ class DeformationData:
     def entry(self, j: int, k: int) -> Fraction:
         return self.A[j - 1][k - 1]
 
-    def column(self, k: int) -> tuple[Fraction, ...]:
-        return tuple(self.A[j][k - 1] for j in range(self.ell))
-
     def support(self, j: int) -> frozenset[int]:
-        return frozenset(k for k in range(1, self.m + 1) if self.entry(j, k) != 0)
+        return frozenset(k for k, x in enumerate(self.ints[j - 1], 1) if x)
 
     def k_set(self, j: int) -> frozenset[int]:
         return self.K_sets[j - 1] if self.K_sets else self.support(j)
@@ -99,19 +111,18 @@ def deformation(rows, block_dims=None, K_sets=None,
     dims = tuple(block_dims) if block_dims else tuple([1] * m)
     if len(dims) != m or any(d < 1 for d in dims):
         raise ValueError("block_dims must list a positive size per block")
-    ks = None
-    if K_sets is not None:
-        ks = tuple(frozenset(s) for s in K_sets)
-        if len(ks) != ell:
-            raise ValueError("need one K set per action")
-        for j in range(1, ell + 1):
-            support = frozenset(k for k in range(1, m + 1) if a[j - 1][k - 1] != 0)
-            if ks[j - 1] != support:
-                raise ValueError(
-                    f"fixed-point condition violated on row {j}: nonzero "
-                    f"entries {sorted(support)} must match K set {sorted(ks[j - 1])}")
-    return DeformationData(ell, m, tuple(tuple(row) for row in a), dims, ks,
-                           frozenset(complement_block))
+    ks = None if K_sets is None else tuple(frozenset(s) for s in K_sets)
+    if ks is not None and len(ks) != ell:
+        raise ValueError("need one K set per action")
+    d = DeformationData(ell, m, tuple(tuple(row) for row in a), dims, ks,
+                        frozenset(complement_block))
+    for j, k_set in enumerate(ks or (), 1):
+        if k_set != d.support(j):
+            raise ValueError(
+                f"fixed-point condition violated on row {j}: nonzero "
+                f"entries {sorted(d.support(j))} must match K set "
+                f"{sorted(k_set)}")
+    return d
 
 
 def build_from_index_family(I_sets) -> DeformationData:
@@ -120,12 +131,11 @@ def build_from_index_family(I_sets) -> DeformationData:
     sets = [frozenset(s) for s in I_sets]
     if not sets:
         raise ValueError("need at least one index set")
-    union = sorted(set().union(*sets))
-    if not union:
-        raise ValueError("the index sets are all empty")
     universe = set().union(*sets)
+    if not universe:
+        raise ValueError("the index sets are all empty")
     classes: dict[tuple[bool, ...], list[int]] = {}
-    for i in union:
+    for i in sorted(universe):
         pattern = tuple(i in s for s in sets)
         classes.setdefault(pattern, []).append(i)
     ordered = sorted(classes.values(), key=min)
@@ -161,7 +171,7 @@ def check_point(d: DeformationData, p: PointPattern) -> None:
     and every zero block and every norm names a block of the matrix, with
     a positive norm."""
     for k in range(1, d.m + 1):
-        if all(x == 0 for x in d.column(k)) and k not in p.zero_blocks:
+        if k not in p.zero_blocks and not any(row[k - 1] for row in d.ints):
             raise ValueError(
                 f"block {k} has a zero column, so its direction must vanish")
     for k in p.zero_blocks:
@@ -175,7 +185,7 @@ def check_point(d: DeformationData, p: PointPattern) -> None:
 
 
 def classify_action(d: DeformationData) -> ActionClass:
-    r = len(pivots(d.A))
+    r = len(pivots(d.ints))
     if r == d.ell == d.m:
         return ActionClass.NORMAL
     if r == d.ell < d.m:
@@ -189,9 +199,8 @@ def is_fixed_point(d: DeformationData, p: PointPattern, r: RankData) -> bool:
     """Does the action lose rank on the point's live blocks?  r is the rank
     data of d (`rank_and_normalize`), whose L is the rank of d.A."""
     check_point(d, p)
-    live = [k for k in range(1, d.m + 1) if k not in p.zero_blocks]
-    restricted = [[d.entry(j, k) for k in live] for j in range(1, d.ell + 1)]
-    return len(pivots(restricted)) < r.L
+    return len(pivots([[x for k, x in enumerate(row, 1)
+                        if k not in p.zero_blocks] for row in d.ints])) < r.L
 
 
 @dataclass(frozen=True)
@@ -199,7 +208,8 @@ class RankData:
     """Rank, the chosen invertible minor, and the integrality scale.
 
     sel_rows/sel_cols list the L rows and columns of the minor in increasing
-    order.
+    order.  sigma_A is the least positive rational that makes every entry
+    an integer with gcd 1: den over the gcd of the integer rows.
     """
 
     L: int
@@ -212,7 +222,7 @@ def minor_columns(d: DeformationData, rows) -> tuple[int, ...]:
     """The pivot columns of the given rows: the lexicographically first
     columns that make an invertible minor with them, when there are as many
     as rows."""
-    return tuple(k + 1 for k in pivots([d.A[j - 1] for j in rows]))
+    return tuple(k + 1 for k in pivots([d.ints[j - 1] for j in rows]))
 
 
 def rank_and_normalize(d: DeformationData, p: PointPattern) -> RankData:
@@ -221,8 +231,9 @@ def rank_and_normalize(d: DeformationData, p: PointPattern) -> RankData:
     its lexicographically first (Edmonds), so these are the first L rows
     and, on them, the first L columns that give an invertible minor."""
     check_point(d, p)
-    rows = tuple(j + 1 for j in pivots(list(zip(*d.A))))
-    return RankData(len(rows), rows, minor_columns(d, rows), sigma_for(d.A))
+    rows = tuple(j + 1 for j in pivots(list(zip(*d.ints))))
+    return RankData(len(rows), rows, minor_columns(d, rows),
+                    Fraction(d.den, gcd(*(x for row in d.ints for x in row))))
 
 
 @dataclass(frozen=True)
@@ -237,26 +248,25 @@ class DerivedMonomials:
 
 def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
     """phi_k, the solved inverses and the quotients, in integers: with the
-    matrix over the lcm of its denominators and the minor's inverse as
-    adj / det (`adjugate`), every exponent is an integer over one
-    denominator.  Each column, solved on the selected rows, must give back
-    its other rows: a selected column as a unit vector, which is the round
-    trip (2.9), and any other as the span of the selected columns.  Both
-    are checked as integer identities.  Each monomial is built from its
-    integer exponents as its key (`vector_key`)."""
+    matrix as its integer rows over d.den and the inverse of their minor as
+    adj / den (`adjugate`), every exponent is an integer over den.  Each
+    column, solved on the selected rows, must give back its other rows: a
+    selected column as a unit vector, which is the round trip (2.9), and
+    any other as the span of the selected columns.  Both are checked as
+    integer identities.  Each monomial is built from its integer exponents
+    as its key (`vector_key`)."""
     taus = [tau(k).key() for k in range(1, d.m + 1)]
     lams = [lam(j).key() for j in range(1, d.ell + 1)]
-    scale = lcm(*(x.denominator for row in d.A for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in d.A]
+    a, scale = d.ints, d.den
     phi = {k: Monomial(vector_key(([row[k - 1] for row in a], scale), lams))
            for k in range(1, d.m + 1)}
 
     sel_rows, sel_cols = r.sel_rows, r.sel_cols
     unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
-    adj, det = adjugate([[d.entry(j, k) for k in sel_cols] for j in sel_rows])
-    if det < 0:  # a key's denominators are positive
-        adj, det = [[-x for x in row] for row in adj], -det
-    den = scale * det  # of every exponent below
+    adj, den = adjugate([[a[j - 1][k - 1] for k in sel_cols]
+                         for j in sel_rows])
+    if den < 0:  # a key's denominators are positive
+        adj, den = [[-x for x in row] for row in adj], -den
 
     def mono(exps) -> Monomial:  # (variable key, numerator) in key order
         return Monomial(vector_key(([n for _, n in exps], den),

@@ -18,7 +18,6 @@ from .asymptotics import (index_set, structure_of, remainder_exponent,
 from .deformation import deformation, point, rank_and_normalize
 from .levels import (build_levels, build_generalized_levels, canonical,
                      level_eq, lmax, lmono, lpow, lprod)
-from .linear import sigma_for
 from .monomials import (Pair, Monomial, ONE, UNIT_VALUE, mono, pair,
                         render_genset, tau)
 from .multicone import build_multicone, closure, project
@@ -522,15 +521,17 @@ def _fx_remainders():
     out = []
     p0 = point()
     dc = deformation([[3, 2], [1, 1]])
-    famc = build_levels(run_pipeline(dc, None, p0))
+    plc = run_pipeline(dc, None, p0)
+    famc = build_levels(plc)
     for N in [(1, 1), (3, 2), (4, 1)]:
-        rem = remainder_exponent(famc, N, sigma_for(dc.A))
+        rem = remainder_exponent(famc, N, plc.r.sigma_A)
         want = lmono(mono(f"t1^({N[0] - 2 * N[1]})*t2^({3 * N[1] - N[0]})"))
         out.append(CheckResult(f"cusp N={N}", level_eq(rem, want)))
     dtak = deformation([[1, 1], [0, 1]])
-    famt = build_levels(run_pipeline(dtak, None, p0))
+    plt = run_pipeline(dtak, None, p0)
+    famt = build_levels(plt)
     for N in [(1, 1), (3, 2)]:
-        rem = remainder_exponent(famt, N, sigma_for(dtak.A))
+        rem = remainder_exponent(famt, N, plt.r.sigma_A)
         want = lmono(mono(f"t1^({N[0] - N[1]})*t2^({N[1]})"))
         out.append(CheckResult(f"staircase N={N}", level_eq(rem, want)))
     # general two-block with rational entries
@@ -547,9 +548,10 @@ def _fx_remainders():
         want = lmono(mono(f"t1^({e1})*t2^({e2})"))
         out.append(CheckResult(f"general two-block N={N}", level_eq(rem, want)))
     dmix = deformation([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
-    famm = build_levels(run_pipeline(dmix, None, p0))
+    plm = run_pipeline(dmix, None, p0)
+    famm = build_levels(plm)
     for N in [(2, 1, 1)]:
-        rem = remainder_exponent(famm, N, sigma_for(dmix.A))
+        rem = remainder_exponent(famm, N, plm.r.sigma_A)
         want = lmono(mono(f"t1^({N[0] - N[1] - N[2]})*t2^({N[1]})*t3^({N[2]})"))
         out.append(CheckResult(f"mixed N={N}", level_eq(rem, want)))
     return out

@@ -426,9 +426,9 @@ def effective_exponent(e: LevelExpr, scaling) -> Fraction:
 
 def is_strict(e: LevelExpr, d: DeformationData, j: int) -> bool:
     """Generic-coefficient limit criterion: the level e of action j decays
-    along that action's own contraction orbit."""
-    scaling = {k: d.entry(j, k) for k in range(1, d.m + 1)}
-    return effective_exponent(e, scaling) > 0
+    along that action's own contraction orbit.  The integer row scales
+    the exponent by d.den > 0, which keeps its sign."""
+    return effective_exponent(e, dict(enumerate(d.ints[j - 1], 1))) > 0
 
 
 def evaluate_level(e: LevelExpr, tau_values) -> float:

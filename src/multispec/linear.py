@@ -4,20 +4,20 @@ Everything eliminates on integers.  One fraction-free Gauss-Jordan step,
 `_pivot`, divides exactly by the previous pivot (Bareiss), so every entry
 stays a minor of the integer start, and serves three routines: `pivots`
 (the pivot columns, whose number is the rank) and `adjugate` (the inverse
-over one integer), which scale their Fraction rows to integers, and the
+over one integer) on integer rows, such as `DeformationData.ints`, and the
 phase-one simplex of `nonneg_solution` (Bland's rule), which takes integer
 columns and pivots its objective row as one more row.  The simplex decides
 radical membership, and with it equivalence of generating sets;
-`cone_feasible` poses it on rational columns.
+`cone_feasible` poses it on rational columns, the one place besides `mat`
+and `fr` where Fractions come in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
-Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
@@ -25,7 +25,7 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def mat(rows) -> Matrix:
+def mat(rows) -> list[list[Fraction]]:
     return [[fr(x) for x in row] for row in rows]
 
 
@@ -48,12 +48,12 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def pivots(a: Matrix) -> list[int]:
-    """The pivot columns of a in order, 0-based: the lexicographically first
-    column basis; their number is the rank.  A pivot row is dropped once it
-    has cleared its column from the rows left (Bareiss's forward
-    elimination)."""
-    m = [_whole_row(row) for row in a]
+def pivots(a) -> list[int]:
+    """The pivot columns of the integer rows a in order, 0-based: the
+    lexicographically first column basis; their number is the rank.  A
+    pivot row is dropped once it has cleared its column from the rows left
+    (Bareiss's forward elimination)."""
+    m = [list(row) for row in a]
     found: list[int] = []
     d = 1
     for c in range(len(m[0]) if m else 0):
@@ -67,16 +67,14 @@ def pivots(a: Matrix) -> list[int]:
     return found
 
 
-def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
-    """The inverse of a square matrix over one integer d, inverse(a) =
-    adj / d; raises ValueError if singular.
+def adjugate(a) -> tuple[list[list[int]], int]:
+    """The inverse of a square integer matrix over one integer d,
+    inverse(a) = adj / d; raises ValueError if singular.
 
-    Fraction-free Gauss-Jordan elimination on [a | I] with each row made
-    integral (which leaves the inverse unchanged): the left block ends as
-    d*I, d the last pivot, and the right block as d times the inverse."""
+    Fraction-free Gauss-Jordan elimination on [a | I]: the left block ends
+    as d*I, d the last pivot, and the right block as d times the inverse."""
     n = len(a)
-    m = [_whole_row(list(row) + [int(i == j) for j in range(n)])
-         for i, row in enumerate(a)]
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
     d = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c]), None)
@@ -85,23 +83,6 @@ def adjugate(a: Matrix) -> tuple[list[list[int]], int]:
         m[c], m[piv] = m[piv], m[c]
         d = _pivot(m, c, c, d)
     return [row[n:] for row in m], d
-
-
-def sigma_for(entries) -> Fraction:
-    """Smallest positive rational s with s*a integral for all a and gcd 1.
-
-    With D the lcm of denominators and g the gcd of the integers D*a, the
-    answer is D/g.  All-zero input returns 1.
-    """
-    fracs = [fr(a) for row in entries for a in row]
-    nonzero = [a for a in fracs if a != 0]
-    if not nonzero:
-        return Fraction(1)
-    d = lcm(*(a.denominator for a in nonzero))
-    g = 0
-    for a in nonzero:
-        g = gcd(g, abs(int(a * d)))
-    return Fraction(d, g)
 
 
 def nonneg_solution(columns: list[list[int]],

@@ -88,11 +88,11 @@ def _same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
 
     # Sufficient condition: the new row is a non-negative combination of the
     # selected rows (then nothing can fail).  The minor is invertible: the
-    # pipeline solved it.
-    adj, det = adjugate([[d_A.entry(j, k) for j in r_A.sel_rows]
+    # pipeline solved it.  Its integer rows are d_A.den times it.
+    adj, det = adjugate([[d_A.ints[j - 1][k - 1] for j in r_A.sel_rows]
                          for k in r_A.sel_cols])
-    coeffs = [sum(x * beta[k - 1] for x, k in zip(row, r_A.sel_cols)) / det
-              for row in adj]
+    coeffs = [d_A.den * sum(x * beta[k - 1] for x, k in zip(row, r_A.sel_cols))
+              / det for row in adj]
     reconstructed = [sum(c * d_A.entry(j, k)
                          for c, j in zip(coeffs, r_A.sel_rows))
                      for k in range(1, d_A.m + 1)]
@@ -157,6 +157,6 @@ def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:
     row with ValueError) keeps the pipeline's rank, else the rank-plus-one
     case."""
     beta = [fr(x) for x in beta]
-    if len(pivots(extended_matrix(pipeline.d, beta).A)) == pipeline.r.L:
+    if len(pivots(extended_matrix(pipeline.d, beta).ints)) == pipeline.r.L:
         return _same_rank(pipeline, beta)
     return _rank_plus_one(pipeline, beta)

@@ -29,7 +29,7 @@ Vector = tuple[tuple[int, ...], int]
 Row = tuple[tuple[int, ...], int, bool]
 # A row column: the key (`Var.key`) of the variable it holds.
 Column = tuple[int, int]
-_XI, _LAM = KINDS.index(XI), KINDS.index(LAM)
+_TAU, _XI, _LAM = KINDS.index(TAU), KINDS.index(XI), KINDS.index(LAM)
 
 
 def reduced(nums, den: int) -> Vector:
@@ -208,11 +208,12 @@ def _stages(G, d: DeformationData, r: RankData, p: PointPattern,
         raise AssertionError("lambda variables survived the elimination")
 
     for pr in stages[-1]:
-        for k in p.zero_blocks:
-            e = pr.f.exponent(tau(k))
+        f = pr.f.key  # the sign of each zero block's numerator
+        for e in (f[i + 2] for i in range(0, len(f), 4)
+                  if f[i] == _TAU and f[i + 1] in p.zero_blocks):
             if e < 0:
                 raise AssertionError("negative zero-pattern exponent in F^q")
-            if e > 0 and not pr.v.is_zero:
+            if not pr.v.is_zero:
                 raise AssertionError("nonzero value with positive zero-pattern "
                                      "exponent in F^q")
     return (tuple(zip(order, stages[1:])),

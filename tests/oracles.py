@@ -1,19 +1,20 @@
 """Oracles: the Fraction bodies that the integer elimination kernel
 (`semigroup.balance` and its callers), the integer `derive_monomials`, the
-fraction-free `pivots` and `adjugate`, the pivot minor, the integer
-simplex, the row-level radical membership and equivalence, the integer
-monomial key (`Monomial`) and the integer bound exponents of `project`
-replaced, kept to check them against."""
+fraction-free `pivots` and `adjugate`, the pivot minor, sigma_A, the
+fixed-point test and the classification on the integer action matrix, the
+integer simplex, the row-level radical membership and equivalence, the
+integer monomial key (`Monomial`) and the integer bound exponents of
+`project` replaced, kept to check them against."""
 
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Mapping
 
-from multispec.deformation import DerivedMonomials, RankData
-from multispec.linear import fr, sigma_for
+from multispec.deformation import ActionClass, DerivedMonomials, RankData
+from multispec.linear import fr
 from multispec.monomials import (LAM, ONE, TAU, UNIT_VALUE, ZERO, Monomial,
                                  Pair, Var, fraction_closure, lam, read_expr,
                                  tau)
@@ -203,6 +204,42 @@ def inverse(a):
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def sigma_for(entries) -> Fraction:
+    """Smallest positive rational s with s*a integral for all a and gcd 1.
+
+    With D the lcm of denominators and g the gcd of the integers D*a, the
+    answer is D/g.  All-zero input returns 1.
+    """
+    fracs = [fr(a) for row in entries for a in row]
+    nonzero = [a for a in fracs if a != 0]
+    if not nonzero:
+        return Fraction(1)
+    d = lcm(*(a.denominator for a in nonzero))
+    g = 0
+    for a in nonzero:
+        g = gcd(g, abs(int(a * d)))
+    return Fraction(d, g)
+
+
+def is_fixed_point(d, p) -> bool:
+    """The action loses rank on the point's live blocks, over Fractions."""
+    live = [[d.entry(j, k) for k in range(1, d.m + 1)
+             if k not in p.zero_blocks] for j in range(1, d.ell + 1)]
+    return rank(live) < rank(d.A)
+
+
+def classify_action(d) -> ActionClass:
+    """The class of the action from the Fraction rank of its matrix."""
+    r = rank(d.A)
+    if r == d.ell == d.m:
+        return ActionClass.NORMAL
+    if r == d.ell < d.m:
+        return ActionClass.NON_DEGENERATE
+    if r == d.m < d.ell:
+        return ActionClass.TRANSITIVE
+    return ActionClass.DEGENERATE
 
 
 def rank_data(d, fixed_rows=None) -> RankData | None:

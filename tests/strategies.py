@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import oracles
 from multispec.deformation import deformation, point
-from multispec.linear import pivots
 from multispec.semigroup import run_pipeline
 
 HALVES = [Fraction(x) for x in ("0", "1/2", "1", "3/2", "2", "3")]
@@ -47,7 +47,7 @@ def moving_scenarios(draw, max_rows=4, max_cols=4):
     basis = []
     for k in draw(st.permutations(range(1, m + 1))):
         live = [[row[c - 1] for c in basis + [k]] for row in rows]
-        if len(pivots(live)) > len(basis):
+        if oracles.rank(live) > len(basis):
             basis.append(k)
     zeros = {k for k in range(1, m + 1)
              if k not in basis and draw(st.booleans())}

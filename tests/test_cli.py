@@ -225,6 +225,13 @@ def test_probe_subcommand():
     assert "not-in-cone" in res.stdout
 
 
+def test_norms_are_rational_strings_or_numbers():
+    outs = {run("pipeline", json.dumps(
+        {"A": [["1", "0", "1"], ["0", "1", "1"]], "normalized": False,
+         "norms": {"3": norm}})).stdout for norm in ("3/2", 1.5)}
+    assert len(outs) == 1 and "x3" in outs.pop()
+
+
 def test_project_subcommand():
     sc = json.dumps({"A": [["1", "1"], ["0", "1"]]})
     res = run("project", sc, "--drop", "1")
@@ -339,6 +346,10 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: norm of block 9 out of range"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "normalized": "false"}'],
      "invalid scenario: normalized must be true or false, not 'false'"),
+    (["pipeline",
+      '{"A": [["1","0","1"],["0","1","1"]], "norms": {"3": true}}'],
+     "invalid scenario: norm of block 3 must be a rational or a number, "
+     "not true"),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
@@ -347,7 +358,7 @@ def test_scenario_with_k_sets_and_blocks():
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",
         "zero-column", "norm-negative", "norm-zero", "norm-block-range",
-        "normalized-string"])
+        "normalized-string", "norm-boolean"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()

@@ -12,7 +12,7 @@ from multispec.deformation import (deformation, point, build_from_index_family,
                                    minor_columns, rank_and_normalize,
                                    derive_monomials, bundle_decomposition,
                                    ActionClass, IdentityActionError)
-from multispec.linear import sigma_for, pivots, mat, nonneg_solution
+from multispec.linear import pivots, nonneg_solution
 from multispec.monomials import mono, tau, lam
 from strategies import scenarios
 
@@ -84,9 +84,14 @@ def test_fixed_point_permutation_invariant():
 
 
 def test_sigma_examples():
-    assert sigma_for([[3, 2], [1, 1]]) == 1
-    assert sigma_for([[Fraction(1, 2), 1], [0, 1]]) == 2
-    assert sigma_for([[Fraction(2, 3), Fraction(4, 3)]]) == Fraction(3, 2)
+    # sigma_A from the integer rows: their denominator over their gcd
+    for rows, sigma in [([[3, 2], [1, 1]], 1),
+                        ([[Fraction(1, 2), 1], [0, 1]], 2),
+                        ([[Fraction(2, 3), Fraction(4, 3)]], Fraction(3, 2)),
+                        ([[2, 4]], Fraction(1, 2))]:
+        d = deformation(rows)
+        assert rank_and_normalize(d, point()).sigma_A == sigma
+        assert oracles.sigma_for(d.A) == sigma
 
 
 def test_rank_and_normalize():
@@ -103,17 +108,23 @@ def test_rank_and_normalize():
 @given(scenarios(max_rows=5, max_cols=5))
 @example(([[0, 1, 1], [0, 2, 2], [1, 0, 0]], {1}))
 @example(([[1, 1, 0], [2, 2, 0], [0, 0, 1], [1, 1, 1]], set()))
+@example(([["1/2", "3/2", "0"], ["1", "3", "0"], ["0", "0", "2"]], {3}))
 def test_pivot_minor_matches_the_search(sc):
     # the rows of the minor are the pivot rows and its columns their pivot
     # columns; for every set of rank-many lead rows, their pivot columns
     # are the search's minor on those rows, and there are fewer exactly
-    # where the search finds none
+    # where the search finds none.  The rank data (sigma_A included), the
+    # fixed-point test and the class, all read off the integer rows, are
+    # the Fraction oracles'.
     rows, zeros = sc
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         d = deformation(rows)
-    r = rank_and_normalize(d, point(zero_blocks=zeros))
+    p = point(zero_blocks=zeros)
+    r = rank_and_normalize(d, p)
     assert r == oracles.rank_data(d)
+    assert is_fixed_point(d, p, r) == oracles.is_fixed_point(d, p)
+    assert classify_action(d) is oracles.classify_action(d)
     for lead in combinations(range(1, d.ell + 1), r.L):
         want = oracles.rank_data(d, lead)
         cols = minor_columns(d, lead)
@@ -182,4 +193,4 @@ def test_nonneg_solution():
     x, d = nonneg_solution(cols, [3, 2])
     assert d > 0 and x[0] + x[1] == 3 * d and x[1] == 2 * d
     assert nonneg_solution(cols, [-1, 0]) is None
-    assert pivots(mat([[1, 2], [2, 4]])) == [0]
+    assert pivots([[1, 2], [2, 4]]) == [0]

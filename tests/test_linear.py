@@ -11,8 +11,7 @@ import multispec.semigroup
 import oracles
 from multispec.deformation import deformation, point
 from multispec.fixtures import run_fixtures
-from multispec.linear import (mat, pivots, adjugate, sigma_for,
-                              nonneg_solution, cone_feasible)
+from multispec.linear import adjugate, cone_feasible, nonneg_solution, pivots
 from multispec.semigroup import Verdict, equivalent, run_pipeline
 
 
@@ -24,6 +23,12 @@ def _solve(cols, target):
                             [int(t * scale) for t in target])
     return None if found is None else [Fraction(a, found[1])
                                        for a in found[0]]
+
+
+def _ints(a):
+    """The rational matrix a as integer rows over one positive scale."""
+    scale = lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * scale) for x in row] for row in a], scale
 
 
 _RANK_ENTRIES = st.sampled_from(
@@ -64,7 +69,7 @@ def _rank_matrices(draw):
           [Fraction(0), Fraction(5, 7)]])
 def test_integer_rank_matches_fraction_oracle(a):
     # the pivot columns are the lexicographically first independent ones
-    cols = pivots(a)
+    cols = pivots(_ints(a)[0])
     assert len(cols) == oracles.rank(a)
     assert cols == sorted(cols)
     for c in range(len(a[0]) if a else 0):
@@ -72,9 +77,9 @@ def test_integer_rank_matches_fraction_oracle(a):
         assert (c in cols) == \
             (oracles.rank(prefix) > oracles.rank([row[:c] for row in a]))
     t = [list(col) for col in zip(*a)]
-    assert len(pivots(t)) == oracles.rank(t)
+    assert len(pivots(_ints(t)[0])) == oracles.rank(t)
     if a and a[0]:
-        assert len(pivots(t)) == len(cols)
+        assert len(pivots(_ints(t)[0])) == len(cols)
 
 
 @st.composite
@@ -101,42 +106,46 @@ def test_fraction_free_inverse_matches_fraction_oracle(a):
         want = oracles.inverse(a)
     except ValueError:
         with pytest.raises(ValueError):
-            adjugate(a)
+            adjugate(_ints(a)[0])
         return
-    adj, d = adjugate(a)
-    assert [[Fraction(x, d) for x in row] for row in adj] == want
+    # the inverse of scale * a is inverse(a) / scale
+    ints, scale = _ints(a)
+    adj, d = adjugate(ints)
+    assert [[Fraction(x * scale, d) for x in row] for row in adj] == want
     n = len(a)
-    assert [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+    assert [[sum(adj[i][k] * ints[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == [[d * (i == j) for j in range(n)]
                                    for i in range(n)]
 
 
 def test_rank_and_inverse():
-    assert pivots(mat([[1, 2], [2, 4]])) == [0]
-    assert pivots(mat([[1, 0], [0, 1]])) == [0, 1]
+    assert pivots([[1, 2], [2, 4]]) == [0]
+    assert pivots([[1, 0], [0, 1]]) == [0, 1]
     # an empty matrix, zero-width rows, a zero column
     assert pivots([]) == []
     assert pivots([[], []]) == []
-    assert pivots(mat([[0, 1], [0, 2], [0, 3]])) == [1]
+    assert pivots([[0, 1], [0, 2], [0, 3]]) == [1]
     # a rank-deficient rectangular matrix: the third row is the sum of the
     # first two, and column 2 is twice column 1
-    assert pivots(mat([[1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1]])) == [0, 2]
-    m = mat([[3, 2], [1, 1]])
-    adj, d = adjugate(m)
+    assert pivots([[1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 1, 1]]) == [0, 2]
+    adj, d = adjugate([[3, 2], [1, 1]])
     assert [[Fraction(x, d) for x in row] for row in adj] == \
-        mat([[1, -2], [-1, 3]])
+        [[1, -2], [-1, 3]]
     with pytest.raises(ValueError):
-        adjugate(mat([[1, 1], [1, 1]]))
+        adjugate([[1, 1], [1, 1]])
     # the solve of m x = (1, 0)
     assert [Fraction(sum(x * b for x, b in zip(row, [1, 0])), d)
             for row in adj] == [Fraction(1), Fraction(-1)]
 
 
 def test_sigma_examples():
-    assert sigma_for([[3, 2], [1, 1]]) == 1
-    assert sigma_for([[Fraction(1, 2), 1], [0, 1]]) == 2
-    assert sigma_for([[0, 0]]) == 1
-    assert sigma_for([[Fraction(2, 1), Fraction(4, 1)]]) == Fraction(1, 2)
+    # the Fraction oracle that rank_and_normalize's sigma_A is checked
+    # against (test_deformation.py)
+    assert oracles.sigma_for([[3, 2], [1, 1]]) == 1
+    assert oracles.sigma_for([[Fraction(1, 2), 1], [0, 1]]) == 2
+    assert oracles.sigma_for([[0, 0]]) == 1
+    assert oracles.sigma_for([[Fraction(2, 1), Fraction(4, 1)]]) == \
+        Fraction(1, 2)
 
 
 def test_nonneg_solution_exactness():

@@ -59,7 +59,7 @@ def check_H2_subfamily(I_sets_B, subset) -> H2Report:
         # The restriction locus kills the directions only the removed
         # manifold acted on (the zero columns of the reduced matrix).
         dead = frozenset(k for k in range(1, d_A.m + 1)
-                         if all(x == 0 for x in d_A.column(k)))
+                         if not any(row[k - 1] for row in d_A.ints))
         p0 = PointPattern(dead)
         r_A = rank_and_normalize(d_A, p0)
         derived = derive_monomials(d_A, r_A)
