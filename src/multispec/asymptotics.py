@@ -255,6 +255,7 @@ class EstimateReport:
     samples: int
     passed: bool
     max_violation: float
+    skipped: int  # sampled points whose remainder bound underflows to 0.0
 
 
 def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
@@ -262,7 +263,9 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
                     seed: int = 0) -> EstimateReport:
     """Fit the constant in the remainder bound by sampling and re-fit on the
     halved scale; the estimate passes when the constant does not grow by
-    more than a factor of two."""
+    more than a factor of two.  A sampled point whose bound product is 0.0
+    cannot bound anything: it is left out of the fit and counted in
+    `skipped`."""
     # The layers load before numpy: the other order raises the peak memory
     # of `multispec verify` by about 1 MB.
     from .levels import build_levels, evaluate_level
@@ -284,13 +287,13 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     struct = structure_of(d)
     coord_blocks = [struct.block_of(c) for c in range(struct.n)]
 
-    def fit(scale: float, n: int) -> float:
+    def fit(scale: float, n: int) -> tuple[float, int]:
         pts = sample_members(system, n, scale, rng)
         if len(pts) < max(1, n // 4):
             raise RuntimeError(
                 f"sampling starvation: {len(pts)} of {n} requested points at "
                 f"scale {scale}")
-        worst = 0.0
+        worst, skipped = 0.0, 0
         for norms in pts:
             val = abs(diffp.evaluate([float(norms.get(k, 0.0))
                                       for k in coord_blocks]))
@@ -298,15 +301,17 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
             for e, power in powers:
                 rem *= evaluate_level(e, norms) ** power
             if rem == 0.0:
+                skipped += 1
                 continue
             worst = max(worst, val / rem)
-        return worst
+        return worst, skipped
 
-    c_full = fit(eps, samples)
-    c_half = fit(eps / 2.0, samples)
+    c_full, skipped_full = fit(eps, samples)
+    c_half, skipped_half = fit(eps / 2.0, samples)
     passed = c_half <= 2.0 * c_full + 1e-12
     return EstimateReport(c_full, c_half, samples, passed,
-                          max_violation=max(0.0, c_half - 2.0 * c_full))
+                          max_violation=max(0.0, c_half - 2.0 * c_full),
+                          skipped=skipped_full + skipped_half)
 
 
 @dataclass(frozen=True)

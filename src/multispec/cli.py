@@ -368,8 +368,11 @@ def cmd_verify(args):
                           samples=args.samples, seed=args.seed)
     lines = [f"C = {rep.C_fit:.6g}", f"C at eps/2 = {rep.C_half:.6g}",
              f"PASS: {rep.passed}"]
+    if rep.skipped:
+        lines.append(f"skipped: {rep.skipped} sampled points whose "
+                     "remainder bound is 0.0")
     payload = {"C": rep.C_fit, "C_half": rep.C_half, "passed": rep.passed,
-               "samples": rep.samples}
+               "samples": rep.samples, "skipped": rep.skipped}
     _emit(args, payload, lines)
 
 

@@ -238,16 +238,15 @@ def rank_and_normalize(d: DeformationData, p: PointPattern) -> RankData:
 
 @dataclass(frozen=True)
 class DerivedMonomials:
-    """phi_k (in lambda), the solved phi_j^{-1} (in tau', lambda''), and the
-    lambda-free quotients psi_k, all over original labels."""
+    """The solved phi_j^{-1} (in tau', lambda'') and the lambda-free
+    quotients psi_k, all over original labels."""
 
-    phi: dict[int, Monomial]
     phi_inv: dict[int, Monomial]
     psi: dict[int, Monomial]
 
 
 def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
-    """phi_k, the solved inverses and the quotients, in integers: with the
+    """The solved inverses and the quotients, in integers: with the
     matrix as its integer rows over d.den and the inverse of their minor as
     adj / den (`adjugate`), every exponent is an integer over den.  Each
     column, solved on the selected rows, must give back its other rows: a
@@ -258,9 +257,6 @@ def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
     taus = [tau(k).key() for k in range(1, d.m + 1)]
     lams = [lam(j).key() for j in range(1, d.ell + 1)]
     a, scale = d.ints, d.den
-    phi = {k: Monomial(vector_key(([row[k - 1] for row in a], scale), lams))
-           for k in range(1, d.m + 1)}
-
     sel_rows, sel_cols = r.sel_rows, r.sel_cols
     unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
     adj, den = adjugate([[a[j - 1][k - 1] for k in sel_cols]
@@ -292,7 +288,7 @@ def derive_monomials(d: DeformationData, r: RankData) -> DerivedMonomials:
             psi[k] = mono(sorted([(taus[k - 1], den)] + [
                 (taus[kk - 1], -x) for kk, x in zip(sel_cols, alpha)]))
 
-    return DerivedMonomials(phi, phi_inv, psi)
+    return DerivedMonomials(phi_inv, psi)
 
 
 @dataclass(frozen=True)

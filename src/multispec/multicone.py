@@ -119,67 +119,71 @@ class MulticoneSystem:
         """All inequalities hold at the given block norms (max-norm per
         block) and eps; zero norms are only legal on the zero pattern, and a
         block missing from norms has norm zero."""
+        return self.check(eps)([float(norms.get(k, 0.0))
+                                for k in self.blocks])
+
+    def check(self, eps: float):
+        """The membership test at eps, compiled once per eps: a function of
+        the block norms as a list of floats in `blocks` order.  A bound
+        factor whose lower base is not positive sends lo to -inf, or to 0 in
+        a closed system."""
+        eps = float(eps)
+        check = self._checks.get(eps)
+        if check is not None:
+            return check
         open_kind = self.kind is SystemKind.OPEN
-        vals = {}
-        for k in self.blocks:
-            val = float(norms.get(k, 0.0))
-            if val < 0 or (open_kind and val == 0.0 and k not in self.zero_blocks):
-                return False
-            vals[k] = val
-        for (num, den, _), (lo, hi) in zip(self._rows, self._bounds(float(eps))):
-            # Denominator-cleared comparison: valid at vanishing norms too.
-            nv = dv = 1.0
-            for k, e in num:
-                nv *= vals[k] ** e
-            for k, e in den:
-                dv *= vals[k] ** e
-            if open_kind:
-                if not (lo * dv < nv < hi * dv):
+        rows, bounds = self._rows, []  # bounds: (lo, hi) per row
+        for _, _, factors in rows:
+            hi = lo = 1.0
+            for v, a in factors:
+                hi *= (v + eps) ** a
+            for v, a in factors:
+                base = v - eps
+                if base <= 0:
+                    lo = -math.inf if open_kind else 0.0
+                    break
+                lo *= base ** a
+            bounds.append((lo, hi))
+        nonzero = tuple(open_kind and k not in self.zero_blocks
+                        for k in self.blocks)
+
+        def check(vals) -> bool:
+            for val, nz in zip(vals, nonzero):
+                if val < 0 or (nz and val == 0.0):
                     return False
-            else:
-                if not (lo * dv <= nv <= hi * dv):
+            for (num, den, _), (lo, hi) in zip(rows, bounds):
+                # Denominator-cleared comparison: valid at vanishing norms.
+                nv = dv = 1.0
+                for i, e in num:
+                    nv *= vals[i] ** e
+                for i, e in den:
+                    dv *= vals[i] ** e
+                if not (lo * dv < nv < hi * dv if open_kind
+                        else lo * dv <= nv <= hi * dv):
                     return False
-        return True
+            return True
+
+        self._checks[eps] = check
+        return check
 
     @cached_property
     def _rows(self) -> tuple:
-        """Each inequality as floats: the (block, exponent) factors of the
-        numerator and the denominator of its monomial, and the (value at
-        the base point, exponent) factors of its bound."""
+        """Each inequality as floats: the (block position, exponent) factors
+        of the numerator and the denominator of its monomial, and the
+        (value at the base point, exponent) factors of its bound."""
+        at = {k: i for i, k in enumerate(self.blocks)}
         rows = []
         for ineq in self.inequalities:
             num, den = ineq.split()
-            rows.append((tuple((v.index, float(e)) for v, e in num.exps),
-                         tuple((v.index, float(e)) for v, e in den.exps),
+            rows.append((tuple((at[v.index], float(e)) for v, e in num.exps),
+                         tuple((at[v.index], float(e)) for v, e in den.exps),
                          tuple((v.evaluate(self.norms), float(a))
                                for v, a in ineq.bound.factors)))
         return tuple(rows)
 
     @cached_property
-    def _bound_tables(self) -> dict:
+    def _checks(self) -> dict:
         return {}
-
-    def _bounds(self, eps: float) -> tuple:
-        """(lo, hi) of every inequality's bound, computed once per eps.  A
-        factor whose lower base is not positive sends lo to -inf, or to 0 in
-        a closed system."""
-        table = self._bound_tables.get(eps)
-        if table is None:
-            clamp = self.kind is not SystemKind.OPEN
-            table = []
-            for _, _, factors in self._rows:
-                hi = lo = 1.0
-                for v, a in factors:
-                    hi *= (v + eps) ** a
-                for v, a in factors:
-                    base = v - eps
-                    if base <= 0:
-                        lo = 0.0 if clamp else -math.inf
-                        break
-                    lo *= base ** a
-                table.append((lo, hi))
-            table = self._bound_tables[eps] = tuple(table)
-        return table
 
     @cached_property
     def _columns(self) -> tuple:
@@ -395,11 +399,11 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     samples sit strictly inside.  At most 200 * n candidates are drawn.
 
     Candidates are drawn in batches, one `rng.random` call per batch, and
-    each is checked with `member`.  The points and the generator's final
-    position are those of drawing one candidate at a time: per candidate,
-    `uniform` over the log parameters, then over the jitters, then one
-    draw per zero-pattern block; the doubles of a batch's unused rows are
-    given back."""
+    each is tested by the compiled `check` as a list of block norms.  The
+    points and the generator's final position are those of drawing one
+    candidate at a time: per candidate, `uniform` over the log parameters,
+    then over the jitters, then one draw per zero-pattern block; the
+    doubles of a batch's unused rows are given back."""
     import numpy as np
 
     ell = len(system.action_rows)
@@ -414,9 +418,14 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     low = np.array([lam_lo] * ell + [0.9] * len(cols) + [zero_lo] * nzero)
     span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * len(cols)
                     + [zero_hi - zero_lo] * nzero)
+    # per block: its base norm, or None and the row position of the drawn
+    # one, the row position of its jitter and its action exponents
+    drawn = iter(range(bases, width))
+    spec = [(base, next(drawn) if base is None else None, pos, col)
+            for pos, (_, base, col) in enumerate(cols, start=ell)]
     out: list[dict[int, float]] = []
     tries = 0
-    shrunk = eps * (1.0 - 0.05)
+    check = system.check(eps * (1.0 - 0.05))
     while len(out) < n and tries < 200 * n:
         state = rng.bit_generator.state
         draws = low + span * rng.random((min(_BATCH, 200 * n - tries), width))
@@ -424,16 +433,15 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
         exps[:, ell:bases] = draws[:, ell:bases]
         rows = exps.tolist()
         for used, row in enumerate(rows, start=1):
-            lams = row[:ell]
-            z = bases
-            norms = {}
-            for pos, (k, base, col) in enumerate(cols, start=ell):
-                if base is None:
-                    base = row[z]
-                    z += 1
-                norms[k] = base * _contraction(lams, col) * row[pos]
-            if system.member(norms, shrunk):
-                out.append(norms)
+            vals = []
+            for base, at, pos, col in spec:
+                scale = 1.0  # prod_j lam_j^(a_jk), lam_j being row[j]
+                for j, a in col:
+                    scale *= row[j] ** a
+                vals.append((row[at] if base is None else base) * scale
+                            * row[pos])
+            if check(vals):
+                out.append(dict(zip(system.blocks, vals)))
                 if len(out) == n:
                     break
         tries += used
@@ -441,15 +449,6 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
             rng.bit_generator.state = state
             rng.random(used * width)
     return out
-
-
-def _contraction(lams: list[float],
-                 col: tuple[tuple[int, float], ...]) -> float:
-    """The factor prod_j lam_j^(a_jk) by which the actions scale one block."""
-    scale = 1.0
-    for j, a in col:
-        scale *= lams[j] ** a
-    return scale
 
 
 @dataclass(frozen=True)
@@ -476,11 +475,12 @@ def contraction_stable_check(system: MulticoneSystem, samples: int,
     lam_rows = rng.uniform(0.05, 1.0, (len(pts), len(system.action_rows)))
     failures = []
     checked = 0
+    check = system.check(eps)
     for norms, lams, lam_vec in zip(pts, lam_rows.tolist(), lam_rows):
-        moved = {k: norms[k] * _contraction(lams, col)
-                 for k, _, col in system._columns}
+        moved = [norms[k] * math.prod(lams[j] ** a for j, a in col)
+                 for k, _, col in system._columns]
         checked += 1
-        if not system.member(moved, eps):
+        if not check(moved):
             failures.append((norms, tuple(lam_vec)))
     return ContractionReport(samples, len(pts), checked, len(failures), failures)
 

@@ -389,12 +389,17 @@ def project(system: MulticoneSystem, k: int) -> tuple[Inequality, ...]:
     return tuple(sorted(set(new), key=Inequality.sort_key))
 
 
+def phi(d) -> dict:
+    """phi_k, the action monomial prod_j lam_j^(a_jk) of each block, in
+    Fraction arithmetic."""
+    return {k: Monomial.from_dict({lam(j): d.entry(j, k)
+                                   for j in range(1, d.ell + 1)})
+            for k in range(1, d.m + 1)}
+
+
 def derive_monomials(d, r) -> DerivedMonomials:
-    """phi, the solved inverses and the quotients in Fraction arithmetic,
-    from the inverse of the minor."""
-    phi = {k: Monomial.from_dict({lam(j): d.entry(j, k)
-                                  for j in range(1, d.ell + 1)})
-           for k in range(1, d.m + 1)}
+    """The solved inverses and the quotients in Fraction arithmetic, from
+    the inverse of the minor."""
     sel_rows, sel_cols = r.sel_rows, r.sel_cols
     minor_inv = inverse([[d.entry(j, k) for k in sel_cols] for j in sel_rows])
     unsel_rows = [j for j in range(1, d.ell + 1) if j not in sel_rows]
@@ -427,7 +432,7 @@ def derive_monomials(d, r) -> DerivedMonomials:
         for kpos, kk in enumerate(sel_cols):
             exps[tau(kk)] = exps.get(tau(kk), Fraction(0)) - alpha[kpos]
         psi[k] = Monomial.from_dict(exps)
-    return DerivedMonomials(phi, phi_inv, psi)
+    return DerivedMonomials(phi_inv, psi)
 
 
 def nonneg_solution(columns, target):

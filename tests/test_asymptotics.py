@@ -543,7 +543,7 @@ def _per_point_verify_estimate(d, r, p, f, N, samples, eps, seed):
     rng = np.random.default_rng(seed)
 
     def fit(scale, n):
-        worst = 0.0
+        worst, skipped = 0.0, 0
         for norms in sample_members(system, n, scale, rng):
             struct = structure_of(d)
             coords = [0.0] * struct.n
@@ -557,15 +557,17 @@ def _per_point_verify_estimate(d, r, p, f, N, samples, eps, seed):
                 if nj:
                     rem *= evaluate_level(e, norms) ** (nj / float(r.sigma_A))
             if rem == 0.0:
+                skipped += 1
                 continue
             worst = max(worst, val / rem)
-        return worst
+        return worst, skipped
 
-    c_full = fit(eps, samples)
-    c_half = fit(eps / 2.0, samples)
+    (c_full, skip_full), (c_half, skip_half) = fit(eps, samples), \
+        fit(eps / 2.0, samples)
     return EstimateReport(c_full, c_half, samples,
                           c_half <= 2.0 * c_full + 1e-12,
-                          max_violation=max(0.0, c_half - 2.0 * c_full))
+                          max_violation=max(0.0, c_half - 2.0 * c_full),
+                          skipped=skip_full + skip_half)
 
 
 def test_verify_estimate_matches_per_point_oracle():
@@ -582,6 +584,19 @@ def test_verify_estimate_matches_per_point_oracle():
                                       seed=seed)
                 assert got == _per_point_verify_estimate(
                     d, r, P0, f, N, 80, eps, seed)
+
+
+def test_verify_estimate_counts_points_whose_bound_underflows():
+    d, r = RIGS["cusp"]
+    f = poly_monomial(structure_of(d), (1, 1))
+    assert verify_estimate(d, r, P0, f, (1, 1), samples=50).skipped == 0
+    # large orders send some remainder bounds to 0.0, then all of them
+    some = verify_estimate(d, r, P0, f, (50, 50), samples=50, seed=3)
+    assert some == _per_point_verify_estimate(d, r, P0, f, (50, 50), 50,
+                                              0.1, 3)
+    assert 0 < some.skipped < 100
+    every = verify_estimate(d, r, P0, f, (200, 200), samples=50)
+    assert every.skipped == 100 and every.C_fit == every.C_half == 0.0
 
 
 def test_classify_catalogue():

@@ -213,7 +213,18 @@ def test_expand_and_classify_and_verify():
     assert "m=2,N=3" in res.stdout
     res = run("verify", sc, "--function", "z1*z2", "--N", "1,1",
               "--samples", "150")
-    assert "PASS: True" in res.stdout
+    assert "PASS: True" in res.stdout and "skipped" not in res.stdout
+
+
+def test_verify_reports_points_whose_bound_underflows():
+    # at orders this large every sampled remainder bound is 0.0
+    args = ("verify", SC_PLANE, "--function", "z1*z2", "--N", "200,200",
+            "--samples", "40")
+    res = run(*args)
+    assert res.returncode == 0
+    assert "skipped: 80 sampled points whose remainder bound is 0.0" \
+        in res.stdout
+    assert json.loads(run("--format", "json", *args).stdout)["skipped"] == 80
 
 
 def test_probe_subcommand():

@@ -520,10 +520,38 @@ def _norms(draw, system):
 @settings(max_examples=60, deadline=None)
 @given(_systems(), st.data())
 def test_member_matches_scalar_oracle(system, data):
+    # member, and the compiled check on the norms as a list in blocks order
     for _ in range(20):
         norms = data.draw(_norms(system))
         eps = data.draw(_EPS | _EPS_SIDE)
-        assert system.member(norms, eps) is _scalar_member(system, norms, eps)
+        want = _scalar_member(system, norms, eps)
+        assert system.member(norms, eps) is want
+        vals = [float(norms.get(k, 0.0)) for k in system.blocks]
+        assert system.check(eps)(vals) is want
+
+
+def test_compiled_check_matches_scalar_oracle_on_examples():
+    # closed and projected systems, zero norms and missing blocks
+    d = deformation([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
+    closed = closure(run_pipeline(d, None, point())).system
+    _, tak = system_for([[1, 1], [0, 1]])
+    paired = project(tak, 1, k_in_JZ=False)
+    _, s226 = system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2})
+    cases = [(closed, {2: 0.005}), (closed, {1: 0.0, 2: 0.005, 3: 0.0}),
+             (closed, {1: 0.0, 2: 0.2, 3: 0.0}), (closed, {2: -0.005}),
+             (paired, {2: 0.1 * 0.1 * 0.9}), (paired, {2: 0.1 * 0.1 * 1.1}),
+             (paired, {}), (paired, {2: 0.0}), (s226, {3: 0.05}),
+             (s226, {1: 0.0, 2: 0.0, 3: 0.05}),
+             (s226, {1: 0.01, 2: 0.01, 3: 0.0})]
+    outcomes = set()
+    for system, norms in cases:
+        want = _scalar_member(system, norms, 0.1)
+        check = system.check(0.1)
+        assert check is system.check(0.1)  # compiled once per eps
+        assert check([norms.get(k, 0.0) for k in system.blocks]) is want
+        assert system.member(norms, 0.1) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 CRITERION_7_RIGS = ([[1, 0], [0, 1]], [[3, 2], [1, 1]],
@@ -584,13 +612,17 @@ def test_batched_draws_leave_the_generator_where_scalar_draws_do(
 def test_starved_sampler_stops_after_200_n_tries(monkeypatch):
     _, system = system_for(UNDERFLOW_8X3)
     calls = []
-    member = MulticoneSystem.member
+    compiled = MulticoneSystem.check
 
-    def counting(self, *args, **kw):
-        calls.append(None)
-        return member(self, *args, **kw)
+    def counting(self, eps):
+        check = compiled(self, eps)
 
-    monkeypatch.setattr(MulticoneSystem, "member", counting)
+        def counted(vals):
+            calls.append(None)
+            return check(vals)
+        return counted
+
+    monkeypatch.setattr(MulticoneSystem, "check", counting)
     rng = np.random.default_rng(1)
     assert sample_members(system, 20, 0.1, rng) == []
     assert len(calls) == 4000

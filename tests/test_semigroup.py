@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import (deformation, point, rank_and_normalize,
-                                   derive_monomials, check_point)
+                                   check_point)
 from multispec.monomials import (Monomial, Pair, Value, ONE, UNIT_VALUE, ZERO,
                                  XI, mono, pair, fraction_closure, tau, lam,
                                  xi)
@@ -22,12 +22,12 @@ from strategies import pipeline_of, scenarios
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
 
-def build_G_hat(d, r, p) -> frozenset[Pair]:
+def build_G_hat(d, p) -> frozenset[Pair]:
     """The graph variant of G: t_k over the full action monomial, tagged
     with the block norm symbol (zero on the zero pattern), plus every
     parameter."""
     check_point(d, p)
-    phi = derive_monomials(d, r).phi
+    phi = oracles.phi(d)
     pairs = []
     for k in range(1, d.m + 1):
         f = Monomial.from_dict({tau(k): 1}) * phi[k].inv()
@@ -133,12 +133,11 @@ def test_build_G_examples(running):
 def test_build_G_hat_examples(running):
     d, p, pl = running
     dmaj = deformation([[1, 0], [0, 1]])
-    rmaj = rank_and_normalize(dmaj, point())
-    ghat = build_G_hat(dmaj, rmaj, point())
+    ghat = build_G_hat(dmaj, point())
     assert ghat == gs(("t1/l1", "x1"), ("l1/t1", "x1^(-1)"),
                       ("t2/l2", "x2"), ("l2/t2", "x2^(-1)"),
                       "l1", "l2")
-    ghat226 = build_G_hat(d, pl.r, p)
+    ghat226 = build_G_hat(d, p)
     assert pair("t1/l1") in ghat226 and pair("t2/l2") in ghat226
     assert pair("t3/(l1*l2)", "x3") in ghat226
     assert all(pair(f"l{j}") in ghat226 for j in (1, 2))
@@ -248,7 +247,7 @@ def test_equivalent_examples(running):
     dmaj = deformation([[1, 0], [0, 1]])
     rmaj = rank_and_normalize(dmaj, point())
     plmaj = run_pipeline(dmaj, rmaj, point())
-    ghat = build_G_hat(dmaj, rmaj, point())
+    ghat = build_G_hat(dmaj, point())
     assert equivalent(plmaj.G, ghat) is Verdict.YES
     assert equivalent(gs("t1"), gs("t2")) is Verdict.NO
 
