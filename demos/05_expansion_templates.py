@@ -23,7 +23,7 @@ for J in subsets_of_actions(d.ell):
     print(f"  A_{subset_label(J)}(7,4): {len(iset.members)} indices, "
           "constraints " + "; ".join(constraint_text(d, J, r.sigma_A)))
 
-f = poly_monomial(s, (1, 1)) + poly_monomial(s, (3, 0), Fraction(1, 6))
+f = poly_monomial(s, (1, 1)) + poly_monomial(s, (3, 0)).scale(Fraction(1, 6))
 fam = canonical_family(f, d)
 print("\nf =", f)
 for N in [(1, 1), (6, 3), (10, 4)]:

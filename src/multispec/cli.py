@@ -269,15 +269,25 @@ def cmd_probe(args):
 
     pl = _scenario_pipeline(args)
     struct = structure_of(pl.d)
-    equations = []
-    for spec in args.zset:
-        with _reading("--zset"):
+    equations = {}
+    with _reading("--zset"):
+        for spec in args.zset:
             lhs, eq, rhs = spec.partition("=")
             m = re.fullmatch(r"\s*z(\d+)\s*", lhs)
             if not (eq and m and 1 <= int(m[1]) <= struct.m):
                 raise ValueError(f"{spec!r} is not z<k>=<polynomial> with k "
                                  f"a block of the scenario")
-            equations.append((int(m[1]), parse_block_polynomial(rhs, struct)))
+            if int(m[1]) in equations:
+                raise ValueError(f"z{m[1]} is the target of two equations")
+            equations[int(m[1])] = parse_block_polynomial(rhs, struct)
+        # A right side names free blocks only: the targets are computed
+        # from them.
+        for k, rhs in equations.items():
+            named = {struct.block_of(c) for idx, _ in rhs.terms
+                     for c, e in enumerate(idx) if e} & equations.keys()
+            if named:
+                raise ValueError(f"the right side of z{k} names "
+                                 f"z{min(named)}, the target of an equation")
     zset = _GraphSet(struct, equations)
     result = normal_cone_probe(pl, pl.p, zset, samples=args.samples,
                                seed=args.seed)

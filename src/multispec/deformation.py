@@ -54,9 +54,6 @@ class DeformationData:
             tuple(x.numerator * (den // x.denominator) for x in row)
             for row in self.A))
 
-    def row(self, j: int) -> tuple[Fraction, ...]:
-        return self.A[j - 1]
-
     def entry(self, j: int, k: int) -> Fraction:
         return self.A[j - 1][k - 1]
 

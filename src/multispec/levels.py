@@ -86,13 +86,6 @@ class LevelExpr:
             return " * ".join(f"({c})" for c in self.children)
         return f"({self.children[0]})^({self.exp})"
 
-    def json(self):
-        if self.kind == MONO:
-            return {"mono": self.mono.json()}
-        if self.kind == POW:
-            return {"pow": self.children[0].json(), "exp": str(self.exp)}
-        return {self.kind: [c.json() for c in self.children]}
-
 
 def lmono(m) -> LevelExpr:
     if isinstance(m, str):

@@ -321,8 +321,8 @@ def mono(text: str) -> Monomial:
 class Value:
     """The non-negative limit value of a generator pair.
 
-    Either the formal zero (mono is None) or a monomial in norm symbols.
-    Zero is absorbing under multiplication; the empty monomial is the unit.
+    Either the formal zero (mono is None) or a monomial in norm symbols;
+    the empty monomial is the unit.
     """
 
     mono: Monomial | None
@@ -330,22 +330,6 @@ class Value:
     @property
     def is_zero(self) -> bool:
         return self.mono is None
-
-    def __mul__(self, other: "Value") -> "Value":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        return Value(self.mono * other.mono)
-
-    def __pow__(self, r) -> "Value":
-        if type(r) is not int:
-            r = fr(r)
-        if r == 0:
-            return UNIT_VALUE
-        if self.is_zero:
-            if r < 0:
-                raise ZeroDivisionError("negative power of the zero value")
-            return ZERO
-        return Value(self.mono ** r)
 
     def inv(self) -> "Value":
         if self.is_zero:
@@ -388,16 +372,6 @@ class Pair:
 
     f: Monomial
     v: Value
-
-    def __mul__(self, other: "Pair") -> "Pair":
-        return Pair(self.f * other.f, self.v * other.v)
-
-    def __pow__(self, n) -> "Pair":
-        if type(n) is not int:
-            n = fr(n)
-        if n < 0:
-            raise ValueError("pair powers must be non-negative")
-        return Pair(self.f ** n, self.v ** n)
 
     def inv(self) -> "Pair":
         if self.v.is_zero:

@@ -114,25 +114,6 @@ class BlockPolynomial:
                 base = base * base
         return out
 
-    def diff(self, coord: int, times: int = 1) -> "BlockPolynomial":
-        out = self
-        for _ in range(times):
-            d = {}
-            for i, c in out.terms:
-                if i[coord] > 0:
-                    j = list(i)
-                    j[coord] -= 1
-                    d[tuple(j)] = d.get(tuple(j), Fraction(0)) + c * i[coord]
-            out = BlockPolynomial.from_dict(self.struct, d)
-        return out
-
-    def diff_multi(self, alpha: tuple[int, ...]) -> "BlockPolynomial":
-        out = self
-        for coord, times in enumerate(alpha):
-            if times:
-                out = out.diff(coord, times)
-        return out
-
     def restrict_zero(self, blocks) -> "BlockPolynomial":
         """Set all coordinates of the listed blocks to zero."""
         dead = set()
@@ -173,16 +154,12 @@ class BlockPolynomial:
         return " + ".join(parts)
 
 
-def poly_zero(struct: BlockStructure) -> BlockPolynomial:
-    return BlockPolynomial(struct, ())
-
-
 def poly_const(struct: BlockStructure, c) -> BlockPolynomial:
     return BlockPolynomial.from_dict(struct, {struct.zero_index(): fr(c)})
 
 
-def poly_monomial(struct: BlockStructure, idx, c=1) -> BlockPolynomial:
-    return BlockPolynomial.from_dict(struct, {tuple(idx): fr(c)})
+def poly_monomial(struct: BlockStructure, idx) -> BlockPolynomial:
+    return BlockPolynomial.from_dict(struct, {tuple(idx): 1})
 
 
 def factorial_multi(idx) -> int:

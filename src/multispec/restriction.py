@@ -4,12 +4,12 @@ the multicone family, by evaluating the log conditions on the final stage."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .deformation import DeformationData, deformation
-from .linear import adjugate, fr, pivots
+from .linear import cone_feasible, fr, pivots
 from .monomials import Monomial, Pair, TAU
 from .semigroup import PipelineResult, norm_value
 
@@ -45,7 +45,6 @@ class RestrictionVerdict:
     witnesses: tuple[Witness, ...]
     sufficient_nonneg_combination: bool | None = None
     pivot: int | None = None
-    transformed: dict[str, dict[int, Monomial]] = field(default_factory=dict)
 
     def json(self):
         return {
@@ -87,16 +86,9 @@ def _same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
                 witnesses.append(Witness(pr, "zero-value log >= 0", lv))
 
     # Sufficient condition: the new row is a non-negative combination of the
-    # selected rows (then nothing can fail).  The minor is invertible: the
-    # pipeline solved it.  Its integer rows are d_A.den times it.
-    adj, det = adjugate([[d_A.ints[j - 1][k - 1] for j in r_A.sel_rows]
-                         for k in r_A.sel_cols])
-    coeffs = [d_A.den * sum(x * beta[k - 1] for x, k in zip(row, r_A.sel_cols))
-              / det for row in adj]
-    reconstructed = [sum(c * d_A.entry(j, k)
-                         for c, j in zip(coeffs, r_A.sel_rows))
-                     for k in range(1, d_A.m + 1)]
-    suff = reconstructed == beta and all(c >= 0 for c in coeffs)
+    # selected rows (then nothing can fail).  The integer rows are d_A.den
+    # times the matrix rows, a positive scale that keeps the answer.
+    suff = cone_feasible([d_A.ints[j - 1] for j in r_A.sel_rows], beta)
 
     return RestrictionVerdict(
         RestrictionCase.SAME_RANK, holds=not witnesses, b_values=b_values,
@@ -104,8 +96,8 @@ def _same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
 
 
 def _rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
-    """The rank-increasing case: three conditions over the final stage plus
-    the pivot bookkeeping for the transformed monomials."""
+    """The rank-increasing case: three conditions over the final stage, and
+    the pivot, the first unselected column with a nonzero pairing."""
     d_A, r_A, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
     b_values: dict[int, Fraction] = {}
     for j in r_A.sel_rows:
@@ -137,18 +129,9 @@ def _rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
                                      "non-pivot quotient pairing == 0",
                                      b_values[k]))
 
-    bp = b_values[pivot]
-    psi_p = derived.psi[pivot]
-    transformed = {
-        "phi_inv": {j: derived.phi_inv[j] * (psi_p ** (-b_values[j] / bp))
-                    for j in r_A.sel_rows},
-        "phi_inv_new": {d_A.ell + 1: psi_p ** (Fraction(1) / bp)},
-        "psi": {k: derived.psi[k] * (psi_p ** (-b_values[k] / bp))
-                for k in unsel_cols if k != pivot},
-    }
     return RestrictionVerdict(
         RestrictionCase.RANK_PLUS_ONE, holds=not witnesses, b_values=b_values,
-        witnesses=tuple(witnesses), pivot=pivot, transformed=transformed)
+        witnesses=tuple(witnesses), pivot=pivot)
 
 
 def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:

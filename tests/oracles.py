@@ -4,23 +4,70 @@ fraction-free `pivots` and `adjugate`, the pivot minor, sigma_A, the
 fixed-point test and the classification on the integer action matrix, the
 integer simplex, the row-level radical membership and equivalence, the
 integer monomial key (`Monomial`) and the integer bound exponents of
-`project` replaced, kept to check them against."""
+`project` replaced, kept to check them against; and the routes that
+`app_template` (an index-set lookup per subset), the same-rank restriction
+test (an adjugate solve) and `canonical_family` (derivatives) no longer
+take, with the Pair and Value arithmetic that only tests use."""
 
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Mapping
 
+from multispec.asymptotics import (index_set, structure_of,
+                                   subsets_of_actions)
 from multispec.deformation import ActionClass, DerivedMonomials, RankData
-from multispec.linear import fr
+from multispec.linear import adjugate, fr
 from multispec.monomials import (LAM, ONE, TAU, UNIT_VALUE, ZERO, Monomial,
-                                 Pair, Var, fraction_closure, lam, read_expr,
-                                 tau)
+                                 Pair, Value, Var, fraction_closure, lam,
+                                 read_expr, tau)
+from multispec.polynomials import (BlockPolynomial, factorial_multi,
+                                   poly_monomial)
 from multispec.multicone import (BoundFactors, ClosureEntry, Inequality,
                                  MulticoneSystem)
 from multispec.semigroup import MembershipResult, Verdict
+
+
+def value_times(a: Value, b: Value) -> Value:
+    """The product of two limit values; the zero value is absorbing."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    return Value(a.mono * b.mono)
+
+
+def value_power(v: Value, r) -> Value:
+    """v^r for a rational r: the unit for r = 0, and zero for the zero
+    value, which has no negative power."""
+    if type(r) is not int:
+        r = fr(r)
+    if r == 0:
+        return UNIT_VALUE
+    if v.is_zero:
+        if r < 0:
+            raise ZeroDivisionError("negative power of the zero value")
+        return ZERO
+    return Value(v.mono ** r)
+
+
+def pair_power(p: Pair, n) -> Pair:
+    """p^n for a rational n >= 0."""
+    if type(n) is not int:
+        n = fr(n)
+    if n < 0:
+        raise ValueError("pair powers must be non-negative")
+    return Pair(p.f ** n, value_power(p.v, n))
+
+
+def pair_product(powers) -> Pair:
+    """The semigroup product of p^n over the (p, n) of powers; the unit
+    pair when there are none."""
+    out = Pair(ONE, UNIT_VALUE)
+    for p, n in powers:
+        q = pair_power(p, n)
+        out = Pair(out.f * q.f, value_times(out.v, q.v))
+    return out
 
 
 _NO_EXPONENT = Fraction(0)
@@ -285,7 +332,7 @@ def eliminate(F, v) -> frozenset[Pair]:
     for p, ep in pos:
         for q, eq in neg:
             a, b = balanced(ep, eq)
-            out.add((p ** a) * (q ** b))
+            out.add(pair_product(((p, a), (q, b))))
     return frozenset(out)
 
 
@@ -336,7 +383,7 @@ def closure_entries(pl, rounds):
                 for ef, eg in zip(exps_a, exps):
                     if ef > 0 and eg < 0:
                         a, b = balanced(ef, eg)
-                        prod = (ea.pair ** a) * (eb.pair ** b)
+                        prod = pair_product(((ea.pair, a), (eb.pair, b)))
                         if prod not in entries:
                             fac: dict[Pair, int] = {}
                             for q, n in ea.factors:
@@ -384,7 +431,8 @@ def project(system: MulticoneSystem, k: int) -> tuple[Inequality, ...]:
             a, b = balanced(ep, en)
             f = (gpos.f ** a) * (gneg.f ** b)
             bound = merge_bounds(gpos.bound, a, gneg.bound, b)
-            value = (gpos.value ** a) * (gneg.value ** b)
+            value = value_times(value_power(gpos.value, a),
+                                value_power(gneg.value, b))
             new.append(Inequality(f, bound, value))
     return tuple(sorted(set(new), key=Inequality.sort_key))
 
@@ -548,9 +596,8 @@ def radical_member(probe, H, zero_slack=(),
     power = lcm(*(a.denominator for a in x))
     witness = tuple((p, int(a * power)) for p, a in zip(ordered, x))
     # pairs used zero times contribute the identity
-    got = prod((p ** a for p, a in witness if a),
-               start=Pair(ONE, UNIT_VALUE))
-    want = probe ** power
+    got = pair_product((p, a) for p, a in witness if a)
+    want = pair_power(probe, power)
     if got.f != want.f or not (slacked or got.v == want.v):
         raise AssertionError(f"radical witness does not reproduce {probe}^{power}")
     return MembershipResult(Verdict.YES, witness=witness, power=power)
@@ -583,3 +630,71 @@ def equivalent(A, B, zero_slack=()) -> Verdict:
     """equivalent on Pairs: mutual radical membership of every probe."""
     return Verdict.YES if all(res for _, res in answers(A, B, zero_slack)) \
         else Verdict.NO
+
+
+def family_at(fam, struct, J, alpha) -> BlockPolynomial:
+    """The family's coefficient at (J, alpha); zero where it has none."""
+    return fam.get(frozenset(J), {}).get(tuple(alpha),
+                                         BlockPolynomial(struct, ()))
+
+
+def t_poly(d, r, J, N, fam, struct) -> BlockPolynomial:
+    """One truncated block-Taylor polynomial assembled from the family by
+    looking up every member of J's index set."""
+    out = BlockPolynomial(struct, ())
+    for alpha in index_set(d, r, J, N).members:
+        coeff = family_at(fam, struct, J, alpha)
+        if coeff.is_zero:
+            continue
+        out = out + (coeff * poly_monomial(struct, alpha).scale(
+            Fraction(1, factorial_multi(alpha))))
+    return out
+
+
+def app_template(d, r, N, fam) -> BlockPolynomial:
+    """The template as the signed sum of one t_poly per action subset."""
+    struct = structure_of(d)
+    out = BlockPolynomial(struct, ())
+    for J in subsets_of_actions(d.ell):
+        sign = 1 if len(J) % 2 == 1 else -1
+        out = out + t_poly(d, r, J, N, fam, struct).scale(sign)
+    return out
+
+
+def diff(poly: BlockPolynomial, coord: int, times: int = 1) -> BlockPolynomial:
+    """The derivative of poly in one coordinate, taken times times."""
+    out = poly
+    for _ in range(times):
+        d = {}
+        for i, c in out.terms:
+            if i[coord] > 0:
+                j = list(i)
+                j[coord] -= 1
+                d[tuple(j)] = d.get(tuple(j), Fraction(0)) + c * i[coord]
+        out = BlockPolynomial.from_dict(poly.struct, d)
+    return out
+
+
+def diff_multi(poly: BlockPolynomial, alpha) -> BlockPolynomial:
+    """The derivative of order alpha, one coordinate at a time."""
+    out = poly
+    for coord, times in enumerate(alpha):
+        if times:
+            out = diff(out, coord, times)
+    return out
+
+
+def sufficient_nonneg_combination(pipeline, beta) -> bool:
+    """Is beta a non-negative combination of the pipeline's selected rows?
+    The coefficients solve the selected minor by its adjugate (invertible:
+    the pipeline solved it; its integer rows are d.den times it), and they
+    must rebuild beta on every column."""
+    d, r = pipeline.d, pipeline.r
+    beta = [fr(x) for x in beta]
+    adj, det = adjugate([[d.ints[j - 1][k - 1] for j in r.sel_rows]
+                         for k in r.sel_cols])
+    coeffs = [d.den * sum(x * beta[k - 1] for x, k in zip(row, r.sel_cols))
+              / det for row in adj]
+    rebuilt = [sum(c * d.entry(j, k) for c, j in zip(coeffs, r.sel_rows))
+               for k in range(1, d.m + 1)]
+    return rebuilt == beta and all(c >= 0 for c in coeffs)

@@ -17,8 +17,8 @@ from multispec.multicone import build_multicone, sample_members
 from multispec.semigroup import run_pipeline
 from multispec.asymptotics import (index_set, constraint_text, subset_label,
                                    structure_of, canonical_family,
-                                   CoefficientFamily, family_at, t_poly,
-                                   app_template, remainder_exponent,
+                                   CoefficientFamily, app_template,
+                                   remainder_exponent,
                                    check_map, PolyMapSpec,
                                    classify_two_manifolds, verify_estimate,
                                    EstimateReport, subsets_of_actions,
@@ -27,6 +27,9 @@ from multispec.polynomials import (BlockPolynomial, BlockStructure,
                                    poly_monomial, poly_const,
                                    exp_truncation)
 
+import oracles
+from oracles import diff, diff_multi, family_at, t_poly
+from strategies import pipeline_of, scenarios
 from test_levels import check_levels_against_oracles
 
 P0 = point()
@@ -151,15 +154,45 @@ def test_app_separated_plane():
     assert app0.is_zero
 
 
+@st.composite
+def _families(draw, d):
+    """A coefficient family on any indices, not only the acting ones: a
+    few random entries per action subset."""
+    struct = structure_of(d)
+    small = st.lists(st.integers(0, 2), min_size=struct.n, max_size=struct.n)
+    fam = {}
+    for J in subsets_of_actions(d.ell):
+        fam[J] = {tuple(alpha): BlockPolynomial.from_dict(
+                      struct, {tuple(idx): Fraction(c) for idx, c in terms})
+                  for alpha, terms in draw(st.lists(st.tuples(
+                      small, st.lists(st.tuples(small, st.integers(-3, 3)),
+                                      max_size=2)), max_size=3))}
+    return fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_app_template_matches_the_index_set_route(sc, seed, data):
+    pl = pipeline_of(*sc)
+    d, r = pl.d, pl.r
+    N = tuple(data.draw(st.lists(st.integers(0, 4), min_size=d.ell,
+                                 max_size=d.ell)))
+    f = random_polynomial(structure_of(d), np.random.default_rng(seed),
+                          max_degree=3, terms=5)
+    for fam in (canonical_family(f, d), data.draw(_families(d))):
+        assert app_template(d, r, N, fam).terms == \
+            oracles.app_template(d, r, N, fam).terms
+
+
 def test_app_clean2_constraints():
     d, r = RIGS["clean2"]
     iset = index_set(d, r, {1, 2}, (2, 2))
     want = {(b1, b2, b3) for b1 in range(3) for b2 in range(3)
             for b3 in range(3) if b1 + b2 < 2 and b2 + b3 < 2}
     assert set(iset.members) == want
-    txt = constraint_text(d, iset.J, r.sigma_A)
+    txt = constraint_text(d, {1, 2}, r.sigma_A)
     assert txt == ["|a1| + |a2| < n1", "|a2| + |a3| < n2"]
-    assert subset_label(iset.J) == "{1,2}"
+    assert subset_label({1, 2}) == "{1,2}"
 
 
 def taylor_oracle(d: DeformationData, r: RankData, J, N,
@@ -202,7 +235,7 @@ def family_shift(fam: CoefficientFamily, d: DeformationData,
     out: CoefficientFamily = {}
     for J, entries in fam.items():
         if k not in d.k_union(J):
-            out[J] = {alpha: poly.diff(coord)
+            out[J] = {alpha: diff(poly, coord)
                       for alpha, poly in entries.items()}
         else:
             new_entries = {}
@@ -222,7 +255,7 @@ def derivative_identity_holds(d: DeformationData, r: RankData,
     k = f.struct.block_of(coord)
     n_plus = derivative_shift(d, r, N, k)
     fam = canonical_family(f, d)
-    lhs = app_template(d, r, n_plus, fam).diff(coord)
+    lhs = diff(app_template(d, r, n_plus, fam), coord)
     fam_shifted = family_shift(fam, d, f.struct, coord)
     rhs = app_template(d, r, N, fam_shifted)
     return lhs.terms == rhs.terms
@@ -270,7 +303,7 @@ def consistency_C1(family: CoefficientFamily,
                         beta = tuple(g - a for g, a in zip(gamma, alpha))
                         if any(b < 0 for b in beta):
                             continue
-                        expected = poly.diff_multi(beta).restrict_zero(kr)
+                        expected = diff_multi(poly, beta).restrict_zero(kr)
                         got = family_at(family, struct, R, gamma)
                         if expected.terms != got.terms:
                             mismatches.append(
@@ -334,7 +367,8 @@ def test_consistency_examples():
     # a family generated by one polynomial is always consistent
     d, r = RIGS["staircase2"]
     s = structure_of(d)
-    f = poly_monomial(s, (2, 1)) + poly_monomial(s, (0, 1), Fraction(1, 2))
+    f = poly_monomial(s, (2, 1)) + \
+        poly_monomial(s, (0, 1)).scale(Fraction(1, 2))
     fam = canonical_family(f, d)
     assert consistency_C1(fam, d).holds
 
@@ -544,7 +578,8 @@ def _per_point_verify_estimate(d, r, p, f, N, samples, eps, seed):
 
     def fit(scale, n):
         worst, skipped = 0.0, 0
-        for norms in sample_members(system, n, scale, rng):
+        pts = sample_members(system, n, scale, rng)
+        for norms in pts:
             struct = structure_of(d)
             coords = [0.0] * struct.n
             for k in range(1, d.m + 1):
@@ -560,13 +595,14 @@ def _per_point_verify_estimate(d, r, p, f, N, samples, eps, seed):
                 skipped += 1
                 continue
             worst = max(worst, val / rem)
-        return worst, skipped
+        return worst, skipped, len(pts)
 
-    (c_full, skip_full), (c_half, skip_half) = fit(eps, samples), \
-        fit(eps / 2.0, samples)
+    (c_full, skip_full, n_full), (c_half, skip_half, n_half) = \
+        fit(eps, samples), fit(eps / 2.0, samples)
+    # a fit with no usable point fails
     return EstimateReport(c_full, c_half, samples,
-                          c_half <= 2.0 * c_full + 1e-12,
-                          max_violation=max(0.0, c_half - 2.0 * c_full),
+                          skip_full < n_full and skip_half < n_half
+                          and c_half <= 2.0 * c_full + 1e-12,
                           skipped=skip_full + skip_half)
 
 
@@ -597,6 +633,10 @@ def test_verify_estimate_counts_points_whose_bound_underflows():
     assert 0 < some.skipped < 100
     every = verify_estimate(d, r, P0, f, (200, 200), samples=50)
     assert every.skipped == 100 and every.C_fit == every.C_half == 0.0
+    # with no point left to fit, the estimate fails
+    assert not every.passed
+    assert every == _per_point_verify_estimate(d, r, P0, f, (200, 200), 50,
+                                               0.1, 0)
 
 
 def test_classify_catalogue():
@@ -641,7 +681,7 @@ def _derivative_family(f, d):
             alpha = tuple(idx[c] if c in coords else 0
                           for c in range(struct.n))
             if alpha not in entries:
-                entries[alpha] = f.diff_multi(alpha).restrict_zero(K_J)
+                entries[alpha] = diff_multi(f, alpha).restrict_zero(K_J)
         fam[J] = entries
     return fam
 

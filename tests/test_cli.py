@@ -227,6 +227,14 @@ def test_verify_reports_points_whose_bound_underflows():
     assert json.loads(run("--format", "json", *args).stdout)["skipped"] == 80
 
 
+def test_verify_fails_when_no_point_bounds_the_remainder():
+    # a fit whose every bound is 0.0 has fitted nothing, so it cannot pass
+    args = ("verify", SC_PLANE, "--function", "z1*z2", "--N", "200,200",
+            "--samples", "40")
+    assert "PASS: False" in run(*args).stdout.splitlines()
+    assert json.loads(run("--format", "json", *args).stdout)["passed"] is False
+
+
 def test_probe_subcommand():
     sc = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"]],
                      "norms": {"3": "1"}})
@@ -324,6 +332,11 @@ def test_scenario_with_k_sets_and_blocks():
     (["expand", SC_PLANE, "--N", "1,x"], "invalid --N"),
     (["probe", SC_RUNNING, "--zset", "z9=z1"], "invalid --zset"),
     (["probe", SC_RUNNING, "--zset", "z1"], "invalid --zset"),
+    (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--zset", "z3=z1"],
+     "invalid --zset: z3 is the target of two equations"),
+    (["probe", SC_RUNNING, "--zset", "z2=z1", "--zset", "z3=z2*z1"],
+     "invalid --zset: the right side of z3 names z2, the target of an "
+     "equation"),
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1/0,1,1"],
      "invalid --beta"),
     (["restrict", "--matrix", SC_RUNNING, "--beta", "1,1"], "one per block"),
@@ -364,7 +377,8 @@ def test_scenario_with_k_sets_and_blocks():
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
-        "zset-block", "zset-form", "beta-zero-denominator", "beta-length",
+        "zset-block", "zset-form", "zset-repeated-target",
+        "zset-target-on-a-right-side", "beta-zero-denominator", "beta-length",
         "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",

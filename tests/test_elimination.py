@@ -22,6 +22,7 @@ from multispec.multicone import (ClosureCapExceeded, build_multicone, closure,
 from multispec.semigroup import (_stages, balance, eliminate,
                                  eliminate_lambda, eliminate_rows, layout,
                                  pair_of, row_of)
+from oracles import pair_product
 from strategies import moving_scenarios, pipeline_of, scenarios
 
 RUNNING = ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], set())
@@ -57,7 +58,7 @@ def test_balance_examples():
     a, b, row = balance(p, q, index[lam(1).key()], width)
     assert (a, b) == (3, 2)
     assert pair_of(row, columns, width) == \
-        (pairs[0] ** 3) * (pairs[1] ** 2) == pair("t1^(3/2)*t2^2", "0")
+        pair_product(((pairs[0], 3), (pairs[1], 2))) == pair("t1^(3/2)*t2^2", "0")
     # a nonzero value survives a product of nonzero values
     pairs = [pair("t1*t2^-2", "x1"), pair("t2^3", "x2^(1/2)")]
     columns, width, index = layout(pairs)

@@ -15,7 +15,7 @@ from multispec.multicone import (build_multicone, closure, project,
                                  ContractionReport, MulticoneSystem,
                                  SystemKind)
 from multispec.semigroup import run_pipeline
-from oracles import balanced
+from oracles import balanced, pair_product
 from strategies import pipeline_of, scenarios
 
 
@@ -134,7 +134,7 @@ def _closure_entries_oracle(pl, rounds):
                         if not (ef > 0 and eg < 0):
                             continue
                         a, b = balanced(ef, eg)
-                        prod = (ea.pair ** a) * (eb.pair ** b)
+                        prod = pair_product(((ea.pair, a), (eb.pair, b)))
                         if prod in entries:
                             continue
                         fac = {}

@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from multispec.cli import parse_block_polynomial
 from multispec.monomials import (LAM, ONE, TAU, XI, Monomial, Var, mono,
                                  read_expr)
-from multispec.polynomials import (BlockPolynomial, BlockStructure, poly_const,
-                                  poly_zero)
+from multispec.polynomials import BlockPolynomial, BlockStructure, poly_const
 
 _LETTER_KIND = {"t": TAU, "l": LAM, "x": XI}
 _TOKEN = re.compile(r"\s*([tlx]\d+|\d+|[()*/^]|\S)")
@@ -106,7 +105,7 @@ def _split_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomia
     """Sums of monomials over block coordinates, e.g. "z1*z2 - 2/3*z1^3"."""
 
     text = text.replace("-", "+-").replace("++-", "+-")
-    total = poly_zero(struct)
+    total = poly_const(struct, 0)
     for raw in text.split("+"):
         raw = raw.strip()
         if not raw:

@@ -1,15 +1,21 @@
 
+import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multispec.deformation import (PointPattern, build_from_index_family,
                                    deformation, point, rank_and_normalize,
                                    derive_monomials)
+from multispec.linear import pivots
 from multispec.monomials import mono
 from multispec.restriction import (log_at_exp_beta, check_restriction,
                                    extended_matrix, RestrictionCase)
 from multispec.semigroup import run_pipeline, radical_member, Verdict
+from oracles import sufficient_nonneg_combination
+from strategies import HALVES, pipeline_of, scenarios
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ def check_H2_subfamily(I_sets_B, subset) -> H2Report:
     for removed in sorted(set(keep) - set(subset), reverse=True):
         d_full = build_from_index_family([sets[i - 1] for i in keep])
         row_pos = keep.index(removed) + 1
-        beta = list(d_full.row(row_pos))
-        rows_A = [list(d_full.row(i)) for i in range(1, d_full.ell + 1)
+        beta = list(d_full.A[row_pos - 1])
+        rows_A = [list(d_full.A[i - 1]) for i in range(1, d_full.ell + 1)
                   if i != row_pos]
         d_A = deformation(rows_A, block_dims=d_full.block_dims)
         # The restriction locus kills the directions only the removed
@@ -110,12 +116,12 @@ def test_row_pairings():
         # solved inverses pair with the selected rows by Kronecker delta
         for jpos, j in enumerate(r.sel_rows):
             for ipos, i in enumerate(r.sel_rows):
-                got = log_at_exp_beta(der.phi_inv[j], list(d.row(i)))
+                got = log_at_exp_beta(der.phi_inv[j], list(d.A[i - 1]))
                 assert got == (1 if i == j else 0)
         # quotients pair to zero with every row of the matrix
         for k, psi in der.psi.items():
             for i in range(1, d.ell + 1):
-                assert log_at_exp_beta(psi, list(d.row(i))) == 0
+                assert log_at_exp_beta(psi, list(d.A[i - 1])) == 0
 
 
 def test_value_log_dichotomy():
@@ -128,7 +134,7 @@ def test_value_log_dichotomy():
         pl = run_pipeline(d, None, p)
         for pr in pl.Fq:
             for i in range(1, d.ell + 1):
-                lv = log_at_exp_beta(pr.f, list(d.row(i)))
+                lv = log_at_exp_beta(pr.f, list(d.A[i - 1]))
                 if pr.v.is_zero:
                     assert lv >= 0
                 else:
@@ -169,12 +175,29 @@ def test_rank_plus_one_examples():
     assert v.holds
 
 
+def _transformed(pl, v):
+    """The solved inverses and quotients of the extended matrix, from the
+    verdict's pairings and pivot: each old one times the pivot quotient
+    psi_p to minus its pairing over b_p, and the new action's inverse
+    psi_p^(1/b_p)."""
+    derived, bp = pl.derived, v.b_values[v.pivot]
+    psi_p = derived.psi[v.pivot]
+    unsel = [k for k in range(1, pl.d.m + 1) if k not in pl.r.sel_cols]
+    return {
+        "phi_inv": {j: derived.phi_inv[j] * psi_p ** (-v.b_values[j] / bp)
+                    for j in pl.r.sel_rows},
+        "phi_inv_new": {pl.d.ell + 1: psi_p ** (1 / bp)},
+        "psi": {k: derived.psi[k] * psi_p ** (-v.b_values[k] / bp)
+                for k in unsel if k != v.pivot}}
+
+
 def test_transformed_monomials():
     dM = deformation([[1, 0, 0], [0, 1, 0]])
     p = point(zero_blocks={3})
-    v = check_restriction(run_pipeline(dM, None, p), [0, 0, 1])
-    assert v.transformed["phi_inv"][1] == mono("t1")
-    assert v.transformed["phi_inv_new"][3] == mono("t3")
+    pl = run_pipeline(dM, None, p)
+    t = _transformed(pl, check_restriction(pl, [0, 0, 1]))
+    assert t["phi_inv"][1] == mono("t1")
+    assert t["phi_inv_new"][3] == mono("t3")
 
 
 def test_dispatch():
@@ -237,3 +260,28 @@ def test_a_zero_row_is_rejected_as_the_identity():
     with pytest.raises(ValueError, match="the added row is zero, so the new "
                        "action would be the identity"):
         extended_matrix(d, [0, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(), st.data())
+def test_same_rank_combination_matches_the_adjugate_route(sc, data):
+    # beta is a combination of the rows with some negative coefficients,
+    # kept when it is a valid row, or a row drawn outright
+    rows, zeros = sc
+    coeffs = data.draw(st.lists(st.sampled_from(
+        [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+        min_size=len(rows), max_size=len(rows)))
+    beta = [sum(c * row[k] for c, row in zip(coeffs, rows))
+            for k in range(len(rows[0]))]
+    if min(beta) < 0 or not any(beta):
+        beta = data.draw(st.lists(st.sampled_from(HALVES), min_size=len(beta),
+                                  max_size=len(beta)).filter(any))
+    pl = pipeline_of(rows, zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        same_rank = len(pivots(extended_matrix(pl.d, beta).ints)) == pl.r.L
+    if same_rank:
+        v = check_restriction(pl, beta)
+        assert v.case is RestrictionCase.SAME_RANK
+        assert v.sufficient_nonneg_combination == \
+            sufficient_nonneg_combination(pl, beta)

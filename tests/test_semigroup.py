@@ -16,7 +16,8 @@ import multispec.semigroup
 import oracles
 from multispec.linear import cone_feasible, nonneg_solution
 from multispec.multicone import build_multicone
-from oracles import balanced, exponent_vectors
+from oracles import (balanced, exponent_vectors, pair_power, pair_product,
+                     value_power, value_times)
 from strategies import pipeline_of, scenarios
 
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
@@ -103,7 +104,7 @@ def value_of(f: Monomial, pipeline) -> Value:
         n_k = norm_value(derived.psi[k], k, d, r, p)
         if n_k.is_zero and e > 0:
             return ZERO
-        v = v * (n_k ** e)
+        v = value_times(v, value_power(n_k, e))
     return v
 
 
@@ -278,15 +279,15 @@ def _modified_Lk(F, k: int) -> frozenset[Pair]:
     for p in f0p + fxp:
         for q in f0n + fxn:
             a, b = balanced(p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q ** b))
+            out.add(pair_product(((p, a), (q, b))))
     for p in f0p + fxp:
         for q in fxp:
             a, b = balanced(p.f.exponent(v), -q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
+            out.add(pair_product(((p, a), (q.inv(), b))))
     for p in f0n + fxn:
         for q in fxn:
             a, b = balanced(-p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
+            out.add(pair_product(((p, a), (q.inv(), b))))
     return frozenset(out)
 
 
@@ -303,7 +304,7 @@ def _modified_Lj_lambda(F, j: int) -> frozenset[Pair]:
 
     def lam_balance(p: Pair):
         e = abs(p.f.exponent(v))
-        out.add((lam_j ** e.numerator) * (p ** e.denominator))
+        out.add(pair_product(((lam_j, e.numerator), (p, e.denominator))))
 
     for p in f0n + fxn:
         lam_balance(p)
@@ -312,15 +313,15 @@ def _modified_Lj_lambda(F, j: int) -> frozenset[Pair]:
     for p in f0p + fxp:
         for q in f0n + fxn:
             a, b = balanced(p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q ** b))
+            out.add(pair_product(((p, a), (q, b))))
     for p in f0p + fxp:
         for q in fxp:
             a, b = balanced(p.f.exponent(v), -q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
+            out.add(pair_product(((p, a), (q.inv(), b))))
     for p in f0n + fxn:
         for q in fxn:
             a, b = balanced(-p.f.exponent(v), q.f.exponent(v))
-            out.add((p ** a) * (q.inv() ** b))
+            out.add(pair_product(((p, a), (q.inv(), b))))
     return frozenset(out)
 
 
@@ -364,14 +365,14 @@ def _searched_radical_member(probe: Pair, H, max_N: int = 64,
     slacked = probe.v.is_zero and any(probe.f.exponent(tau(k)) > 0
                                       for k in zero_slack)
     for n in range(1, max_N + 1):
-        powered = probe ** n
+        powered = pair_power(probe, n)
         cols, target = exponent_vectors([p.f for p in ordered], powered.f)
 
         def leaf(alpha, _target_v=powered.v):
             witness = tuple((p, a) for p, a in zip(ordered, alpha))
             value = UNIT_VALUE
             for p, a in witness:
-                value = value * (p.v ** a)
+                value = value_times(value, value_power(p.v, a))
             if slacked or value == _target_v:
                 return witness
             return None
@@ -506,7 +507,8 @@ def test_lp_radical_member_agrees_with_search(sc, data):
     f, value = ONE, UNIT_VALUE
     for q, e in factors:
         f = f * q.f ** e
-        value = ZERO if q.v.is_zero or value.is_zero else value * q.v ** e
+        value = ZERO if q.v.is_zero or value.is_zero else \
+            value_times(value, value_power(q.v, e))
     probe = Pair(f, data.draw(st.sampled_from([value, ZERO, UNIT_VALUE])))
 
     res = radical_member(probe, H, zero_slack=slack)
@@ -515,10 +517,8 @@ def test_lp_radical_member_agrees_with_search(sc, data):
     if ref is not None:
         assert res.verdict is ref.verdict
     if res:
-        got = UNIT_ONE
-        for q, a in res.witness:
-            got = got * q ** a
-        want = probe ** res.power
+        got = pair_product(res.witness)
+        want = pair_power(probe, res.power)
         slacked = probe.v.is_zero and any(f.exponent(tau(k)) > 0
                                           for k in slack)
         assert got.f == want.f and (slacked or got.v == want.v)

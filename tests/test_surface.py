@@ -12,7 +12,13 @@ test-only mode, and a default nobody overrides is a constant.
 
 A call counts for a parameter when it names the function (by its bare or
 attribute name) and passes that parameter by keyword, reaches its position,
-or spreads `*args` or `**kwargs`."""
+or spreads `*args` or `**kwargs`.
+
+Every public field and method of a library class is read as an attribute
+by the library or the benchmark: a field that is set and never read, or a
+method only tests call, belongs with the tests.  The check goes by name,
+so an operator, or a name that other classes share (such as `json`), is
+invisible to it."""
 
 import ast
 import re
@@ -207,3 +213,73 @@ def test_private_imports_are_found(tmp_path):
     assert _private_imports(path) == [("mod", "semigroup", "_stages"),
                                       ("mod", "levels", "_reduced"),
                                       ("mod", "linear", "_whole_row")]
+
+
+MEMBERS_ALLOWED = {
+    # diagnostic safety data: the points a contraction moved out of the
+    # system, for whoever inspects a failed check
+    ("multicone", "ContractionReport", "failures"),
+    # part of the YES certificate: the witness multiplies to probe^power
+    ("semigroup", "MembershipResult", "power"),
+    # N_k, the summand's ambient manifold, as data beside the text that
+    # embeds it
+    ("deformation", "BundleSummand", "ambient"),
+}
+
+
+def _public_members(path: Path):
+    """(module, class, name) of each public field (an annotated class
+    attribute) and method of a top-level class."""
+    out = []
+    for cls in ast.parse(path.read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and \
+                    isinstance(item.target, ast.Name):
+                name = item.target.id
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            else:
+                continue
+            if not name.startswith("_"):
+                out.append((path.stem, cls.name, name))
+    return out
+
+
+def _unread_members(library, benchmark):
+    """(module, class, name) of each public member of the library that no
+    library or benchmark module reads as an attribute."""
+    reads = {node.attr for path in library + benchmark
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return [member for path in library for member in _public_members(path)
+            if member[2] not in reads]
+
+
+def test_every_public_member_is_read():
+    unread = set(_unread_members(LIBRARY, BENCHMARK))
+    assert unread - MEMBERS_ALLOWED == set(), \
+        "fields and methods no library or benchmark code reads"
+    assert MEMBERS_ALLOWED <= unread, "allowlist entries that are read now"
+
+
+def test_unread_members_are_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    read: int\n"
+        "    benchmarked: int\n"
+        "    stored: int\n"
+        "    _private: int = 0\n"
+        "    def used(self): return self.read\n"
+        "    def unused(self): pass\n"
+        "    def __mul__(self, other): return self\n"
+        "def build(): return Report(1, 2, stored=3).used()\n")
+    (tmp_path / "bench.py").write_text(
+        "print(report.benchmarked)\n"
+        "report.unused = None\n")
+    assert _unread_members([tmp_path / "mod.py"], [tmp_path / "bench.py"]) \
+        == [("mod", "Report", "stored"), ("mod", "Report", "unused")]
