@@ -85,10 +85,10 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
     N = tuple(int(n) for n in N)
     struct = structure_of(d)
     K_J = d.k_union(J)
-    coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
+    coords = [c for c, k in enumerate(struct.coord_blocks) if k in K_J]
     acts = sorted(J)
     block_steps = _weight_steps(d, r, acts)
-    steps = [block_steps[struct.block_of(c) - 1] for c in coords]
+    steps = [block_steps[struct.coord_blocks[c] - 1] for c in coords]
 
     def below(w) -> bool:
         return all(x < N[j - 1] for x, j in zip(w, acts))
@@ -130,7 +130,7 @@ def canonical_family(f: BlockPolynomial, d: DeformationData) -> CoefficientFamil
     fam: CoefficientFamily = {}
     for J in subsets_of_actions(d.ell):
         K_J = d.k_union(J)
-        acting = [struct.block_of(c) in K_J for c in range(struct.n)]
+        acting = [k in K_J for k in struct.coord_blocks]
         groups: dict[tuple[int, ...], dict] = {}
         for idx, c in f.terms:
             alpha = tuple(i if a else 0 for i, a in zip(idx, acting))
@@ -152,7 +152,7 @@ def app_template(d: DeformationData, r: RankData, N,
     action in J below that action's order."""
     struct = structure_of(d)
     N = tuple(int(n) for n in N)
-    blocks = [struct.block_of(c) for c in range(struct.n)]
+    blocks = struct.coord_blocks
     out: dict[tuple[int, ...], Fraction] = {}
     for J in subsets_of_actions(d.ell):
         sign = 1 if len(J) % 2 == 1 else -1
@@ -223,8 +223,7 @@ def check_map(spec: PolyMapSpec) -> MapCheck:
     # f(M_j) inside N_j: components of acted target blocks vanish when the
     # source's acted blocks vanish.
     for j in range(1, src.ell + 1):
-        for coord in range(t_struct.n):
-            k = t_struct.block_of(coord)
+        for coord, k in enumerate(t_struct.coord_blocks):
             if k in tgt.k_set(j):
                 rest = spec.components[coord].restrict_zero(src.k_set(j))
                 if not rest.is_zero:
@@ -233,8 +232,7 @@ def check_map(spec: PolyMapSpec) -> MapCheck:
                         f"component {coord} does not map manifold {j} "
                         f"into its target", witness=(j, coord))
     induced = []
-    for coord in range(t_struct.n):
-        k = t_struct.block_of(coord)
+    for coord, k in enumerate(t_struct.coord_blocks):
         col = [tgt.entry(j, k) for j in range(1, tgt.ell + 1)]
         kept = {}
         for idx, c in spec.components[coord].terms:
@@ -284,8 +282,7 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     diffp = f - app_template(d, r, N, canonical_family(f, d))
     system = build_multicone(pipeline, p, check_equivalence=False)
     rng = np.random.default_rng(seed)
-    struct = structure_of(d)
-    coord_blocks = [struct.block_of(c) for c in range(struct.n)]
+    coord_blocks = structure_of(d).coord_blocks
 
     def fit(scale: float, n: int) -> tuple[float, int, bool]:
         """The worst ratio, the skipped points, and whether any point was

@@ -113,12 +113,9 @@ def _emit(args, payload: dict, text_lines: list[str], latex_lines=None):
     fmt = args.format or os.environ.get("MULTISPEC_FORMAT", "text")
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "latex":
-        for line in latex_lines or text_lines:
-            print(line)
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for line in (latex_lines or text_lines) if fmt == "latex" else text_lines:
+        print(line)
 
 
 def _scenario_pipeline(args):
@@ -126,29 +123,29 @@ def _scenario_pipeline(args):
     return run_pipeline(d, None, p)
 
 
-def _pipeline_payload(pl):
-    return {
-        "G": [p.json() for p in sorted_pairs(pl.G)],
-        "F0_stages": [{"eliminated": j, "set": [q.json() for q in sorted_pairs(s)]}
-                      for j, s in pl.F0_stages],
-        "F_stages": [{"eliminated": k, "set": [q.json() for q in sorted_pairs(s)]}
-                     for k, s in pl.F_stages],
-        "Fq": [p.json() for p in sorted_pairs(pl.Fq)],
-        "q": pl.q,
-        "zero_cols": list(pl.zero_cols_L),
-    }
+# Section builders: one printable layer's JSON payload and text lines, which
+# its subcommand emits and `analyze` shows under the layer's name.
 
+def _pipeline_section(pl):
+    """The generator set G, the parameter stages F0,j, the stages F^k and
+    the last stage Fq."""
+    def pairs(s):
+        return [q.json() for q in sorted_pairs(s)]
 
-def _level_lines(fam, name: str = "rho") -> list[str]:
-    from .levels import canonical
+    def sets(stages):
+        return [{"eliminated": j, "set": pairs(s)} for j, s in stages]
 
-    return [f"{name}[{j}] = {canonical(fam.rho_Lambda[j])}   "
-            f"strict: {fam.strict[j]}" for j in sorted(fam.rho_Lambda)]
+    lines = [f"G     = {render_genset(pl.G)}"]
+    lines += [f"F0,{j} = {render_genset(s)}" for j, s in pl.F0_stages]
+    lines += [f"F^{k}  = {render_genset(s)}" for k, s in pl.F_stages]
+    lines.append(f"Fq    = {render_genset(pl.Fq)}")
+    return {"G": pairs(pl.G), "F0_stages": sets(pl.F0_stages),
+            "F_stages": sets(pl.F_stages), "Fq": pairs(pl.Fq), "q": pl.q,
+            "zero_cols": list(pl.zero_cols_L)}, lines
 
 
 def _levels_or_reason(pl):
-    """The level family, or None and the reason it is unavailable (the
-    point is fixed)."""
+    """The level family, or None and why there is none (a fixed point)."""
     from .levels import build_levels
 
     try:
@@ -157,52 +154,113 @@ def _levels_or_reason(pl):
         return None, str(exc)
 
 
-def _closure_lines(cl) -> list[str]:
-    return [ineq.text(strict=False) for ineq in cl.system.inequalities]
+def _levels_section(pl, levels, generalized: bool):
+    """The level functions and their strictness, with `generalized` the
+    permutation-minimised family too; `levels` is `_levels_or_reason(pl)`,
+    and without a family the section gives the reason."""
+    from .levels import build_generalized_levels, canonical
+
+    def lines(fam, name):
+        return [f"{name}[{j}] = {canonical(e)}   strict: {fam.strict[j]}"
+                for j, e in sorted(fam.rho_Lambda.items())]
+
+    fam, reason = levels
+    if fam is None:
+        return {"unavailable": reason}, [f"unavailable: {reason}"]
+    if not generalized:
+        return fam.json(), lines(fam, "rho")
+    ghat = build_generalized_levels(pl.d, pl.r, pl.p)
+    return ({"rho": fam.json(), "rho_hat": ghat.json()},
+            lines(fam, "rho") + lines(ghat, "rho^"))
+
+
+def _multicone_section(system):
+    return system.json(), system.text()
+
+
+def _closure_section(cl):
+    return (cl.system.json(),
+            [ineq.text(strict=False) for ineq in cl.system.inequalities])
+
+
+def _expand_section(pl, N, levels):
+    """Each action subset's index set at orders N, with its sign, and the
+    remainder exponent; `levels` is `_levels_or_reason(pl)`."""
+    from .asymptotics import (constraint_text, index_set, remainder_exponent,
+                              subset_label, subsets_of_actions)
+    from .levels import canonical
+
+    d, r = pl.d, pl.r
+    terms = [{"J": sorted(J), "sign": "+" if len(J) % 2 == 1 else "-",
+              "constraints": constraint_text(d, J, r.sigma_A),
+              "count": len(index_set(d, r, J, N).members)}
+             for J in subsets_of_actions(d.ell)]
+    lines = [f"{t['sign']} T_{subset_label(t['J'])}: " +
+             "; ".join(t["constraints"]) + f"   ({t['count']} indices)"
+             for t in terms]
+    payload = {"J_terms": terms}
+    fam, reason = levels
+    if fam is None:
+        payload.update(remainder=None, remainder_unavailable=reason)
+        lines.append(f"remainder exponent unavailable: {reason}")
+    else:
+        payload["remainder"] = str(canonical(remainder_exponent(fam, N,
+                                                                r.sigma_A)))
+        lines.append(f"remainder exponent: {payload['remainder']}")
+    return payload, lines
+
+
+def _scenario_section(pl):
+    """The header of `analyze`: the action class, the rank data, the
+    derived monomials and, for a transitive or normal action, the bundle
+    summands."""
+    d, r = pl.d, pl.r
+    action_class = classify_action(d)
+    phi_inv = {j: str(pl.derived.phi_inv[j]) for j in r.sel_rows}
+    psi = {k: str(m) for k, m in sorted(pl.derived.psi.items())}
+    bundle = [{"block": s.block, "B": sorted(s.B_k), "text": s.text}
+              for s in (bundle_decomposition(d) if action_class in
+                        (ActionClass.TRANSITIVE, ActionClass.NORMAL) else ())]
+    lines = [f"classification: {action_class.value}",
+             f"rank L = {r.L}, sigma = {r.sigma_A}",
+             f"selected rows {list(r.sel_rows)}, columns {list(r.sel_cols)}"]
+    lines += [f"phi_inv[{j}] = {m}" for j, m in phi_inv.items()]
+    lines += [f"psi[{k}] = {m}" for k, m in psi.items()]
+    lines += [f"block {s['block']}: B = {s['B']}: {s['text']}" for s in bundle]
+    return {"classification": action_class.value, "rank": r.L,
+            "sigma": str(r.sigma_A), "selected_rows": list(r.sel_rows),
+            "selected_columns": list(r.sel_cols), "phi_inv": phi_inv,
+            "psi": psi, "bundle": bundle}, lines
 
 
 def cmd_pipeline(args):
-    pl = _scenario_pipeline(args)
-    lines = [f"G     = {render_genset(pl.G)}"]
-    for j, s in pl.F0_stages:
-        lines.append(f"F0,{j} = {render_genset(s)}")
-    for k, s in pl.F_stages:
-        lines.append(f"F^{k}  = {render_genset(s)}")
-    lines.append(f"Fq    = {render_genset(pl.Fq)}")
-    _emit(args, _pipeline_payload(pl), lines)
+    _emit(args, *_pipeline_section(_scenario_pipeline(args)))
 
 
 def cmd_levels(args):
-    from .levels import build_levels, build_generalized_levels
+    from .levels import build_levels
 
     pl = _scenario_pipeline(args)
-    fam = build_levels(pl)
-    lines = _level_lines(fam)
-    payload = fam.json()
-    if args.generalized:
-        ghat = build_generalized_levels(pl.d, pl.r, pl.p)
-        lines += _level_lines(ghat, "rho^")
-        payload = {"rho": payload, "rho_hat": ghat.json()}
-    _emit(args, payload, lines)
+    _emit(args, *_levels_section(pl, (build_levels(pl), None),
+                                 args.generalized))
 
 
 def cmd_multicone(args):
     from .multicone import build_multicone
 
-    pl = _scenario_pipeline(args)
-    system = build_multicone(pl)
-    lines = system.text()
+    system = build_multicone(_scenario_pipeline(args))
+    payload, lines = _multicone_section(system)
     latex = [r"\left\{\begin{array}{l}"] + \
         [ln.replace("eps", r"\epsilon").replace("*", r"\,") + r" \\"
          for ln in lines] + [r"\end{array}\right\}"]
-    _emit(args, system.json(), lines, latex)
+    _emit(args, payload, lines, latex)
 
 
 def cmd_closure(args):
     from .multicone import closure
 
-    cl = closure(_scenario_pipeline(args), rounds=args.rounds)
-    _emit(args, cl.system.json(), _closure_lines(cl))
+    _emit(args, *_closure_section(closure(_scenario_pipeline(args),
+                                          rounds=args.rounds)))
 
 
 def cmd_project(args):
@@ -211,7 +269,7 @@ def cmd_project(args):
     system = build_multicone(_scenario_pipeline(args), check_equivalence=False)
     for k in args.drop:
         system = project(system, k)
-    _emit(args, system.json(), system.text())
+    _emit(args, *_multicone_section(system))
 
 
 def cmd_restrict(args):
@@ -224,10 +282,9 @@ def cmd_restrict(args):
             raise ValueError(f"need {pl.d.m} entries, one per block")
         # a negative or zero row is malformed (`extended_matrix`)
         verdict = check_restriction(pl, beta)
-    lines = [f"case: {verdict.case.value}",
-             f"holds: {verdict.holds}"]
-    for w in verdict.witnesses:
-        lines.append(f"fails [{w.condition}]: {w.pair} pairs to {w.log_value}")
+    lines = [f"case: {verdict.case.value}", f"holds: {verdict.holds}"]
+    lines += [f"fails [{w.condition}]: {w.pair} pairs to {w.log_value}"
+              for w in verdict.witnesses]
     if verdict.sufficient_nonneg_combination is not None:
         lines.append("non-negative row combination: "
                      f"{verdict.sufficient_nonneg_combination}")
@@ -245,20 +302,16 @@ class _GraphSet:
     def sample(self, rng, scale):
         import numpy as np
 
-        coords = {}
-        for k in range(1, self.struct.m + 1):
-            if k not in self.deps:
-                coords[k] = float(np.exp(rng.uniform(np.log(scale * 1e-3),
-                                                     np.log(scale))))
-        values = [coords.get(self.struct.block_of(c), 0.0)
-                  for c in range(self.struct.n)]
+        coords = {k: float(np.exp(rng.uniform(np.log(scale * 1e-3),
+                                              np.log(scale))))
+                  for k in range(1, self.struct.m + 1) if k not in self.deps}
+        values = [coords.get(k, 0.0) for k in self.struct.coord_blocks]
         for k, rhs in self.deps.items():
             coords[k] = rhs.evaluate(values)
         return coords
 
     def contains(self, z):
-        values = [z.get(self.struct.block_of(c), 0.0)
-                  for c in range(self.struct.n)]
+        values = [z.get(k, 0.0) for k in self.struct.coord_blocks]
         return all(abs(z[k] - rhs.evaluate(values)) <= 1e-9 * (1 + abs(z[k]))
                    for k, rhs in self.deps.items())
 
@@ -283,7 +336,7 @@ def cmd_probe(args):
         # A right side names free blocks only: the targets are computed
         # from them.
         for k, rhs in equations.items():
-            named = {struct.block_of(c) for idx, _ in rhs.terms
+            named = {struct.coord_blocks[c] for idx, _ in rhs.terms
                      for c, e in enumerate(idx) if e} & equations.keys()
             if named:
                 raise ValueError(f"the right side of z{k} names "
@@ -299,34 +352,9 @@ def cmd_probe(args):
 
 
 def cmd_expand(args):
-    from .asymptotics import (constraint_text, index_set, remainder_exponent,
-                              subset_label, subsets_of_actions)
-    from .levels import canonical
-
     pl = _scenario_pipeline(args)
-    d, r = pl.d, pl.r
-    N = _orders(args.N, d.ell)
-    lines = []
-    payload = {"J_terms": []}
-    for J in subsets_of_actions(d.ell):
-        iset = index_set(d, r, J, N)
-        sign = "+" if len(J) % 2 == 1 else "-"
-        constraints = constraint_text(d, J, r.sigma_A)
-        lines.append(f"{sign} T_{subset_label(J)}: " + "; ".join(constraints) +
-                     f"   ({len(iset.members)} indices)")
-        payload["J_terms"].append({"J": sorted(J), "sign": sign,
-                                   "constraints": constraints,
-                                   "count": len(iset.members)})
-    fam, reason = _levels_or_reason(pl)
-    if fam is None:
-        lines.append(f"remainder exponent unavailable: {reason}")
-        payload["remainder"] = None
-        payload["remainder_unavailable"] = reason
-    else:
-        rem = canonical(remainder_exponent(fam, N, r.sigma_A))
-        lines.append(f"remainder exponent: {rem}")
-        payload["remainder"] = str(rem)
-    _emit(args, payload, lines)
+    N = _orders(args.N, pl.d.ell)
+    _emit(args, *_expand_section(pl, N, _levels_or_reason(pl)))
 
 
 def cmd_map_check(args):
@@ -356,15 +384,13 @@ def cmd_classify2(args):
     with _reading("matrix"):
         rows = [[fr(x) for x in row] for row in rows]
     case = classify_two_manifolds(rows)
-    lines = [f"case: {case.label}",
-             f"remainder: {case.remainder_text()}"]
-    for key, txt in case.constraints.items():
-        lines.append(f"A_{key}(N): " + "; ".join(txt))
-    lines.extend(case.system.text())
+    system, system_lines = _multicone_section(case.system)
+    lines = [f"case: {case.label}", f"remainder: {case.remainder_text()}"]
+    lines += [f"A_{key}(N): " + "; ".join(txt)
+              for key, txt in case.constraints.items()]
     payload = {"case": case.label, "remainder": case.remainder_text(),
-               "constraints": case.constraints,
-               "system": case.system.json()}
-    _emit(args, payload, lines)
+               "constraints": case.constraints, "system": system}
+    _emit(args, payload, lines + system_lines)
 
 
 def cmd_verify(args):
@@ -387,53 +413,26 @@ def cmd_verify(args):
 
 
 def cmd_analyze(args):
-    from .asymptotics import (constraint_text, remainder_exponent,
-                              subset_label, subsets_of_actions)
-    from .levels import build_generalized_levels, canonical
+    """The header, then each layer's section as its subcommand prints it,
+    under its name; expand runs at unit orders."""
     from .multicone import build_multicone, closure
 
     pl = _scenario_pipeline(args)
-    d, r, p, derived = pl.d, pl.r, pl.p, pl.derived
-    action_class = classify_action(d)
-    lines = [f"classification: {action_class.value}",
-             f"rank L = {r.L}, sigma = {r.sigma_A}",
-             f"selected rows {list(r.sel_rows)}, columns {list(r.sel_cols)}"]
-    for j in r.sel_rows:
-        lines.append(f"phi_inv[{j}] = {derived.phi_inv[j]}")
-    for k, psi in sorted(derived.psi.items()):
-        lines.append(f"psi[{k}] = {psi}")
-    if action_class in (ActionClass.TRANSITIVE, ActionClass.NORMAL):
-        for s in bundle_decomposition(d):
-            lines.append(f"block {s.block}: B = {sorted(s.B_k)}: {s.text}")
-    lines.append(f"G  = {render_genset(pl.G)}")
-    for j, s in pl.F0_stages:
-        lines.append(f"F0,{j} = {render_genset(s)}")
-    for k, s in pl.F_stages:
-        lines.append(f"after eliminating block {k}: {render_genset(s)}")
-    lines.append(f"Fq = {render_genset(pl.Fq)}")
-    fam, reason = _levels_or_reason(pl)
-    if fam is None:
-        lines.append(f"levels unavailable: {reason}")
-    else:
-        lines += _level_lines(fam)
-        if args.generalized:
-            lines += _level_lines(build_generalized_levels(d, r, p), "rho^")
-    system = build_multicone(pl, check_equivalence=False)
-    lines.append("multicone:")
-    lines.extend("  " + ln for ln in system.text())
-    lines.append("closure:")
-    lines.extend("  " + ln for ln in _closure_lines(closure(pl)))
-    for J in subsets_of_actions(d.ell):
-        lines.append(f"A_{subset_label(J)}(2,..): " +
-                     "; ".join(constraint_text(d, J, r.sigma_A)))
-    if fam is not None:
-        rem = remainder_exponent(fam, tuple(1 for _ in range(d.ell)), r.sigma_A)
-        lines.append(f"remainder exponent at unit orders: {canonical(rem)}")
-    payload = {"scenario": d.json(),
-               "classification": action_class.value,
-               "pipeline": _pipeline_payload(pl),
-               "levels": fam.json() if fam else None,
-               "multicone": system.json()}
+    header, lines = _scenario_section(pl)
+    payload = {"scenario": header}
+    levels = _levels_or_reason(pl)
+    sections = {
+        "pipeline": _pipeline_section(pl),
+        "levels": _levels_section(pl, levels, args.generalized),
+        "multicone": _multicone_section(
+            build_multicone(pl, check_equivalence=False)),
+        "closure": _closure_section(closure(pl)),
+        "expand": _expand_section(pl, (1,) * pl.d.ell, levels),
+    }
+    for name, (section, section_lines) in sections.items():
+        payload[name] = section
+        lines.append(f"{name}:")
+        lines.extend("  " + ln for ln in section_lines)
     _emit(args, payload, lines)
 
 

@@ -67,17 +67,6 @@ class DeformationData:
         """K_J: the blocks that vanish on some manifold of J."""
         return frozenset().union(*(self.k_set(j) for j in J))
 
-    def json(self) -> dict:
-        out = {
-            "ell": self.ell,
-            "m": self.m,
-            "A": [[str(x) for x in row] for row in self.A],
-            "blocks": list(self.block_dims),
-        }
-        if self.K_sets:
-            out["K"] = [sorted(s) for s in self.K_sets]
-        return out
-
 
 def deformation(rows, block_dims=None, K_sets=None,
                 complement_block=frozenset()) -> DeformationData:
@@ -106,8 +95,9 @@ def deformation(rows, block_dims=None, K_sets=None,
         else:
             seen[key] = j
     dims = tuple(block_dims) if block_dims else tuple([1] * m)
-    if len(dims) != m or any(d < 1 for d in dims):
-        raise ValueError("block_dims must list a positive size per block")
+    if len(dims) != m or not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError("block_dims must list a natural number of at least "
+                         f"1 per block, not {list(dims)}")
     ks = None if K_sets is None else tuple(frozenset(s) for s in K_sets)
     if ks is not None and len(ks) != ell:
         raise ValueError("need one K set per action")

@@ -40,11 +40,11 @@ def _single(v: Value) -> BoundFactors:
     return BoundFactors(((v, 1),))
 
 
-def _merge(a: BoundFactors, na: int, b: BoundFactors, nb: int) -> BoundFactors:
-    """The factors of a^na * b^nb: the integer exponents of each value
-    summed, keyed and ordered by the value's sort key."""
+def _merge(*powers: tuple[BoundFactors, int]) -> BoundFactors:
+    """The factors of the product of the powers bf^n: the integer exponents
+    of each value summed, keyed and ordered by the value's sort key."""
     acc: dict[tuple, list] = {}
-    for bf, n in ((a, na), (b, nb)):
+    for bf, n in powers:
         for v, e in bf.factors:
             key = v.sort_key()
             if key in acc:
@@ -325,8 +325,9 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
         frontier = fresh
 
     ordered = tuple(sorted(entries.values(), key=lambda e: e.pair.sort_key()))
-    ineqs = tuple(Inequality(e.pair.f,
-                             BoundFactors(tuple((q.v, n) for q, n in e.factors)),
+    # an entry's bound is the product of its factors' own bounds
+    ineqs = tuple(Inequality(e.pair.f, _merge(*((_single(q.v), n)
+                                                for q, n in e.factors)),
                              e.pair.v)
                   for e in ordered)
     sys0 = build_multicone(pipeline, check_equivalence=False)
@@ -370,7 +371,7 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
             for gpos, rp in zip(pos, rows):
                 a, b, row = balance(rp, rn, index[v.key()], width)
                 pr = pair_of(row, columns, width)
-                bound = _merge(gpos.bound, a, gneg.bound, b)
+                bound = _merge((gpos.bound, a), (gneg.bound, b))
                 new.append(Inequality(pr.f, bound, pr.v))
     return MulticoneSystem(
         inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),

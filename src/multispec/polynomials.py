@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 from .linear import fr
 
@@ -16,6 +16,17 @@ class BlockStructure:
     """Coordinates grouped into blocks; multi-indices are flat tuples."""
 
     dims: tuple[int, ...]
+    # the 1-based block of each 0-based coordinate, and the first
+    # coordinate of each block (one more entry: the end of the last)
+    coord_blocks: tuple[int, ...] = field(init=False, compare=False,
+                                          repr=False)
+    starts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coord_blocks", tuple(
+            k for k, d in enumerate(self.dims, start=1) for _ in range(d)))
+        object.__setattr__(self, "starts",
+                           tuple(accumulate(self.dims, initial=0)))
 
     @property
     def m(self) -> int:
@@ -23,28 +34,22 @@ class BlockStructure:
 
     @property
     def n(self) -> int:
-        return sum(self.dims)
+        return len(self.coord_blocks)
 
     def block_of(self, coord: int) -> int:
         """1-based block index of a 0-based coordinate."""
-        acc = 0
-        for k, d in enumerate(self.dims, start=1):
-            acc += d
-            if coord < acc:
-                return k
-        raise IndexError(coord)
+        return self.coord_blocks[coord]
 
     def coords_of(self, block: int) -> range:
-        start = sum(self.dims[:block - 1])
-        return range(start, start + self.dims[block - 1])
+        return range(self.starts[block - 1], self.starts[block])
 
     def block_lengths(self, idx: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(idx[c] for c in self.coords_of(k))
-                     for k in range(1, self.m + 1))
+        return tuple(sum(idx[a:b]) for a, b in zip(self.starts,
+                                                   self.starts[1:]))
 
     def coord_name(self, coord: int) -> str:
         k = self.block_of(coord)
-        offs = coord - self.coords_of(k).start
+        offs = coord - self.starts[k - 1]
         return f"z{k}" if self.dims[k - 1] == 1 else f"z{k}_{offs + 1}"
 
     def zero_index(self) -> tuple[int, ...]:

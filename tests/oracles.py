@@ -199,8 +199,8 @@ def fraction_mono(text: str) -> FractionMonomial:
 
 
 def merge_bounds(a: BoundFactors, na, b: BoundFactors, nb) -> BoundFactors:
-    """The Fraction body of `multicone._merge`: a^na * b^nb with the
-    exponents of each value summed as Fractions."""
+    """The Fraction body of `multicone._merge((a, na), (b, nb))`: a^na *
+    b^nb with the exponents of each value summed as Fractions."""
     acc: dict = {}
     for bf, n in ((a, na), (b, nb)):
         for v, e in bf.factors:

@@ -1,9 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from multispec.cli import main
+from test_golden import FREE, RUNNING
 
 SC_RUNNING = json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"]],
                          "zeros": [1, 2]})
@@ -154,10 +158,10 @@ def test_closure_subcommand():
     res = run("closure", sc)
     assert res.returncode == 0
     one = res.stdout.splitlines()
-    assert "|z1| <= eps*eps" in one and "|z2| <= eps*eps" in one
+    assert "|z1| <= eps^2" in one and "|z2| <= eps^2" in one
     two = run("closure", sc, "--rounds", "2").stdout.splitlines()
     assert two[:len(one)] == one
-    assert two[len(one):] == ["|z3| <= eps*eps*eps"]
+    assert two[len(one):] == ["|z3| <= eps^3"]
     payload = json.loads(run("--format", "json", "closure", sc).stdout)
     assert len(payload["inequalities"]) == len(one)
 
@@ -298,6 +302,97 @@ def test_analyze_deterministic():
     assert "classification: non-degenerate" in a.stdout
 
 
+def _main(capsys, *argv):
+    """Status, stdout and stderr of one in-process call."""
+    rc = main(list(argv))
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _sections(text: str) -> dict:
+    """`analyze` text as its header (key None) and its named sections,
+    each section's lines without their indent."""
+    sections, name = {None: []}, None
+    for line in text.splitlines():
+        heading = re.fullmatch(r"(\w+):", line)
+        if heading:
+            name = heading[1]
+            assert name not in sections
+            sections[name] = []
+        elif name is None:
+            sections[None].append(line)
+        else:
+            assert line.startswith("  ")
+            sections[name].append(line[2:])
+    return sections
+
+
+@pytest.mark.parametrize("generalized", [False, True],
+                         ids=["plain", "generalized"])
+@pytest.mark.parametrize("scenario", [RUNNING, FREE], ids=["running", "free"])
+def test_analyze_sections_are_the_subcommands_outputs(scenario, generalized,
+                                                      capsys):
+    # each section is what its subcommand prints, in text and in json;
+    # expand runs at unit orders
+    flags = ["--generalized"] if generalized else []
+    rc, text, _ = _main(capsys, "analyze", scenario, *flags)
+    assert rc == 0
+    payload = json.loads(_main(capsys, "--format", "json", "analyze",
+                               scenario, *flags)[1])
+    sections = _sections(text)
+    header = sections.pop(None)
+    assert list(sections) == ["pipeline", "levels", "multicone", "closure",
+                              "expand"]
+    assert set(payload) == {"scenario", *sections}
+    assert header[0] == \
+        f"classification: {payload['scenario']['classification']}"
+    ones = ",".join("1" for _ in json.loads(scenario)["A"])
+    calls = {"pipeline": [], "levels": flags, "multicone": [],
+             "closure": [], "expand": ["--N", ones]}
+    failed = []
+    for name, extra in calls.items():
+        rc, sub_text, _ = _main(capsys, name, scenario, *extra)
+        if rc != 0:
+            failed.append(name)
+            continue
+        assert sections[name] == sub_text.splitlines()
+        sub_json = _main(capsys, "--format", "json", name, scenario, *extra)[1]
+        assert payload[name] == json.loads(sub_json)
+    # only the level functions need a point off the fixed locus
+    assert failed == (["levels"] if scenario == RUNNING else [])
+
+
+def test_analyze_at_a_fixed_point_gives_the_reason(capsys):
+    # `levels` exits 1; `analyze` and `expand` print why
+    reason = "level functions need a point outside fixed points"
+    assert _main(capsys, "levels", RUNNING) == (1, "", f"error: {reason}\n")
+    sections = _sections(_main(capsys, "analyze", RUNNING)[1])
+    assert sections["levels"] == [f"unavailable: {reason}"]
+    assert sections["expand"][-1] == \
+        f"remainder exponent unavailable: {reason}"
+    payload = json.loads(_main(capsys, "--format", "json", "analyze",
+                               RUNNING)[1])
+    assert payload["levels"] == {"unavailable": reason}
+    assert payload["expand"]["remainder_unavailable"] == reason
+    rc, out, _ = _main(capsys, "expand", RUNNING, "--N", "1,1")
+    assert rc == 0 and out.splitlines()[-1] == sections["expand"][-1]
+
+
+@pytest.mark.parametrize("scenario, drop", [
+    (FREE, "1"),
+    (json.dumps({"A": [["1", "0", "1"], ["0", "1", "1"], ["1", "1", "1"]]}),
+     "3"),
+], ids=["free", "three-lines"])
+def test_closure_and_project_render_a_product_alike(scenario, drop, capsys):
+    # a balanced product that both take has one bound: equal values merged
+    # into one power, factors ordered by value
+    closed = _main(capsys, "closure", scenario)[1].splitlines()
+    projected = [ln.replace(" < ", " <= ")
+                 for ln in _main(capsys, "project", scenario, "--drop",
+                                 drop)[1].splitlines() if " in W" not in ln]
+    assert projected and set(projected) <= set(closed)
+
+
 def test_fixture_runner():
     res = run("fixtures", "--filter", "pipeline-two-actions")
     assert res.returncode == 0
@@ -368,6 +463,16 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: norm of block 2 is 0.0, not positive"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"9": "1"}}'],
      "invalid scenario: norm of block 9 out of range"),
+    (["expand", '{"A": [["1"]], "blocks": [2.5]}', "--N", "1"],
+     "invalid scenario: block_dims must list a natural number of at least 1 "
+     "per block, not [2.5]"),
+    (["pipeline", '{"A": [["1"]], "blocks": [true]}'],
+     "invalid scenario: block_dims must list a natural number of at least 1 "
+     "per block, not [True]"),
+    (["verify", '{"A": [["1"]], "blocks": ["2"]}', "--function", "z1",
+      "--N", "1"],
+     "invalid scenario: block_dims must list a natural number of at least 1 "
+     "per block, not ['2']"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "normalized": "false"}'],
      "invalid scenario: normalized must be true or false, not 'false'"),
     (["pipeline",
@@ -383,6 +488,7 @@ def test_scenario_with_k_sets_and_blocks():
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",
         "zero-column", "norm-negative", "norm-zero", "norm-block-range",
+        "block-size-float", "block-size-boolean", "block-size-string",
         "normalized-string", "norm-boolean"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
