@@ -269,7 +269,8 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
     remainder level (`remainder_exponent`, which `expand` prints) evaluated
     there.  A sampled point whose bound is 0.0 cannot bound anything: it is
     left out of the fit and counted in `skipped`, and a fit left with no
-    point fails the estimate."""
+    point fails the estimate.  Fewer than one sample, or an eps that
+    `sample_members` rejects, raises ValueError."""
     # The layers load before numpy: the other order raises the peak memory
     # of `multispec verify` by about 1 MB.
     from .levels import build_levels, evaluate_level
@@ -277,6 +278,8 @@ def verify_estimate(d: DeformationData, r: RankData, p: PointPattern,
 
     import numpy as np
 
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     pipeline = run_pipeline(d, r, p)
     rem = remainder_exponent(build_levels(pipeline), N, r.sigma_A)
     diffp = f - app_template(d, r, N, canonical_family(f, d))

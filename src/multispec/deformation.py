@@ -3,6 +3,7 @@ derived monomials, base-point zero patterns, and the fixed-point test."""
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,8 +97,9 @@ def deformation(rows, block_dims=None, K_sets=None,
             seen[key] = j
     dims = tuple(block_dims) if block_dims else tuple([1] * m)
     if len(dims) != m or not all(type(d) is int and d >= 1 for d in dims):
-        raise ValueError("block_dims must list a natural number of at least "
-                         f"1 per block, not {list(dims)}")
+        raise ValueError(
+            "block_dims must list a natural number of at least 1 per block, "
+            f"not {json.dumps(list(dims), default=repr)}")
     ks = None if K_sets is None else tuple(frozenset(s) for s in K_sets)
     if ks is not None and len(ks) != ell:
         raise ValueError("need one K set per action")

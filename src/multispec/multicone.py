@@ -186,16 +186,19 @@ class MulticoneSystem:
         return {}
 
     @cached_property
-    def _columns(self) -> tuple:
-        """Per block, for the samplers: its index, its float base norm
-        (None on the zero pattern, where a base norm is drawn) and the
-        (action, exponent) pairs of its nonzero float action exponents."""
-        return tuple((k, None if k in self.zero_blocks
-                      else float(self.norms.get(k, 1.0)),
-                      tuple((j, float(row[k - 1]))
-                            for j, row in enumerate(self.action_rows)
-                            if row[k - 1]))
-                     for k in self.blocks)
+    def _table(self) -> tuple:
+        """For the samplers, with one column per block in `blocks` order:
+        the float action exponents, one row per action, and the log of each
+        block's base norm, 0.0 on the zero pattern, where a base norm is
+        drawn."""
+        import numpy as np
+
+        acts = np.array([[float(row[k - 1]) for k in self.blocks]
+                         for row in self.action_rows])
+        log_norms = np.log([1.0 if k in self.zero_blocks
+                            else float(self.norms.get(k, 1.0))
+                            for k in self.blocks])
+        return acts, log_norms
 
     def text(self) -> list[str]:
         lines = []
@@ -399,6 +402,9 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     accepted when they satisfy the system at eps shrunk by 5%, so the
     samples sit strictly inside.  At most 200 * n candidates are drawn.
 
+    A candidate's block norms are formed in the log domain, as
+    exp(log base + log jitter + sum_j a_jk log lam_j) with the sum taken in
+    action order, where a zero-pattern block's log base is its own draw.
     Candidates are drawn in batches, one `rng.random` call per batch, and
     each is tested by the compiled `check` as a list of block norms.  The
     points and the generator's final position are those of drawing one
@@ -407,40 +413,36 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     doubles of a batch's unused rows are given back."""
     import numpy as np
 
-    ell = len(system.action_rows)
-    cols = system._columns
-    nzero = sum(base is None for _, base, _ in cols)
-    # a row holds the parameters, the jitters, then the zero-pattern bases
-    bases = ell + len(cols)
-    width = bases + nzero
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    acts, log_norms = system._table
+    ell, m = acts.shape
+    zero = [pos for pos, k in enumerate(system.blocks)
+            if k in system.zero_blocks]
+    # a row holds the log parameters, the jitters, then the zero-pattern
+    # log bases
+    bases = ell + m
+    width = bases + len(zero)
     lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
     zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
     # uniform(low, high) is low + (high - low) * u, column by column
-    low = np.array([lam_lo] * ell + [0.9] * len(cols) + [zero_lo] * nzero)
-    span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * len(cols)
-                    + [zero_hi - zero_lo] * nzero)
-    # per block: its base norm, or None and the row position of the drawn
-    # one, the row position of its jitter and its action exponents
-    drawn = iter(range(bases, width))
-    spec = [(base, next(drawn) if base is None else None, pos, col)
-            for pos, (_, base, col) in enumerate(cols, start=ell)]
+    low = np.array([lam_lo] * ell + [0.9] * m + [zero_lo] * len(zero))
+    span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * m
+                    + [zero_hi - zero_lo] * len(zero))
     out: list[dict[int, float]] = []
     tries = 0
     check = system.check(eps * (1.0 - 0.05))
     while len(out) < n and tries < 200 * n:
         state = rng.bit_generator.state
         draws = low + span * rng.random((min(_BATCH, 200 * n - tries), width))
-        exps = np.exp(draws)
-        exps[:, ell:bases] = draws[:, ell:bases]
-        rows = exps.tolist()
-        for used, row in enumerate(rows, start=1):
-            vals = []
-            for base, at, pos, col in spec:
-                scale = 1.0  # prod_j lam_j^(a_jk), lam_j being row[j]
-                for j, a in col:
-                    scale *= row[j] ** a
-                vals.append((row[at] if base is None else base) * scale
-                            * row[pos])
+        logs = np.log(draws[:, ell:bases]) + log_norms
+        logs[:, zero] += draws[:, bases:]
+        # elementwise multiply-adds, not `@`, keep each candidate's sum in
+        # action order
+        for j in range(ell):
+            logs += draws[:, j, None] * acts[j]
+        rows = np.exp(logs).tolist()
+        for used, vals in enumerate(rows, start=1):
             if check(vals):
                 out.append(dict(zip(system.blocks, vals)))
                 if len(out) == n:
@@ -468,22 +470,29 @@ class ContractionReport:
 
 def contraction_stable_check(system: MulticoneSystem, samples: int,
                              rng_seed: int, eps: float = 0.1) -> ContractionReport:
-    """Member points stay members under every contraction of the actions."""
+    """Member points stay members under every contraction of the actions.
+
+    Each sampled point moves in one pass, as norm * exp(sum_j a_jk log
+    lam_j) with the sum taken in action order."""
     import numpy as np
 
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(rng_seed)
     pts = sample_members(system, samples, eps, rng)
-    lam_rows = rng.uniform(0.05, 1.0, (len(pts), len(system.action_rows)))
-    failures = []
-    checked = 0
+    acts, _ = system._table
+    lam_rows = rng.uniform(0.05, 1.0, (len(pts), len(acts)))
+    moves = np.zeros((len(pts), acts.shape[1]))
+    for j, lam_log in enumerate(np.log(lam_rows).T):
+        moves += lam_log[:, None] * acts[j]
+    moved = np.array([list(norms.values()) for norms in pts],
+                     dtype=float).reshape(moves.shape) * np.exp(moves)
     check = system.check(eps)
-    for norms, lams, lam_vec in zip(pts, lam_rows.tolist(), lam_rows):
-        moved = [norms[k] * math.prod(lams[j] ** a for j, a in col)
-                 for k, _, col in system._columns]
-        checked += 1
-        if not check(moved):
-            failures.append((norms, tuple(lam_vec)))
-    return ContractionReport(samples, len(pts), checked, len(failures), failures)
+    failures = [(norms, tuple(lam_vec))
+                for norms, lam_vec, vals in zip(pts, lam_rows, moved.tolist())
+                if not check(vals)]
+    return ContractionReport(samples, len(pts), len(pts), len(failures),
+                             failures)
 
 
 class ProbeOutcome(Enum):

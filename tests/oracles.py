@@ -4,17 +4,21 @@ fraction-free `pivots` and `adjugate`, the pivot minor, sigma_A, the
 fixed-point test and the classification on the integer action matrix, the
 integer simplex, the row-level radical membership and equivalence, the
 integer monomial key (`Monomial`) and the integer bound exponents of
-`project` replaced, kept to check them against; and the routes that
-`app_template` (an index-set lookup per subset), the same-rank restriction
-test (an adjugate solve) and `canonical_family` (derivatives) no longer
-take, with the Pair and Value arithmetic that only tests use."""
+`project` replaced, and the float-product candidates and contraction
+moves that the log-domain samplers replaced, kept to check them against;
+and the routes that `app_template` (an index-set lookup per subset), the
+same-rank restriction test (an adjugate solve) and `canonical_family`
+(derivatives) no longer take, with the Pair and Value arithmetic that only
+tests use."""
 
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping
+
+import numpy as np
 
 from multispec.asymptotics import (index_set, structure_of,
                                    subsets_of_actions)
@@ -25,7 +29,8 @@ from multispec.monomials import (LAM, ONE, TAU, UNIT_VALUE, ZERO, Monomial,
                                  read_expr, tau)
 from multispec.polynomials import (BlockPolynomial, factorial_multi,
                                    poly_monomial)
-from multispec.multicone import (BoundFactors, ClosureEntry, Inequality,
+from multispec.multicone import (BoundFactors, ClosureEntry,
+                                 ContractionReport, Inequality,
                                  MulticoneSystem)
 from multispec.semigroup import MembershipResult, Verdict
 
@@ -435,6 +440,80 @@ def project(system: MulticoneSystem, k: int) -> tuple[Inequality, ...]:
                                 value_power(gneg.value, b))
             new.append(Inequality(f, bound, value))
     return tuple(sorted(set(new), key=Inequality.sort_key))
+
+
+
+def product_sample_members(system: MulticoneSystem, n: int, eps: float,
+                           rng) -> list[dict[int, float]]:
+    """`multicone.sample_members` with each candidate's block norms formed
+    as floats, base * prod_j lam_j^(a_jk) * jitter, from the exponentials
+    of the log draws: the same batches, draws, rewinds and checks."""
+    ell = len(system.action_rows)
+    # per block: its base norm (None on the zero pattern, where a base norm
+    # is drawn) and the (action, exponent) pairs of its nonzero exponents
+    cols = [(None if k in system.zero_blocks
+             else float(system.norms.get(k, 1.0)),
+             tuple((j, float(row[k - 1]))
+                   for j, row in enumerate(system.action_rows)
+                   if row[k - 1]))
+            for k in system.blocks]
+    nzero = sum(base is None for base, _ in cols)
+    bases = ell + len(cols)
+    width = bases + nzero
+    lam_lo, lam_hi = np.log(eps * 1e-3), np.log(eps * 0.9)
+    zero_lo, zero_hi = np.log(1e-6), np.log(0.5)
+    low = np.array([lam_lo] * ell + [0.9] * len(cols) + [zero_lo] * nzero)
+    span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * len(cols)
+                    + [zero_hi - zero_lo] * nzero)
+    drawn = iter(range(bases, width))
+    spec = [(base, next(drawn) if base is None else None, pos, col)
+            for pos, (base, col) in enumerate(cols, start=ell)]
+    out: list[dict[int, float]] = []
+    tries = 0
+    check = system.check(eps * (1.0 - 0.05))
+    while len(out) < n and tries < 200 * n:
+        state = rng.bit_generator.state
+        draws = low + span * rng.random((min(64, 200 * n - tries), width))
+        exps = np.exp(draws)
+        exps[:, ell:bases] = draws[:, ell:bases]
+        rows = exps.tolist()
+        for used, row in enumerate(rows, start=1):
+            vals = []
+            for base, at, pos, col in spec:
+                scale = 1.0
+                for j, a in col:
+                    scale *= row[j] ** a
+                vals.append((row[at] if base is None else base) * scale
+                            * row[pos])
+            if check(vals):
+                out.append(dict(zip(system.blocks, vals)))
+                if len(out) == n:
+                    break
+        tries += used
+        if used < len(rows):
+            rng.bit_generator.state = state
+            rng.random(used * width)
+    return out
+
+
+def product_contraction_check(system: MulticoneSystem, samples: int,
+                              rng_seed: int, eps: float = 0.1):
+    """`multicone.contraction_stable_check` over `product_sample_members`,
+    each point moved as norm * prod_j lam_j^(a_jk) in floats."""
+    rng = np.random.default_rng(rng_seed)
+    pts = product_sample_members(system, samples, eps, rng)
+    lam_rows = rng.uniform(0.05, 1.0, (len(pts), len(system.action_rows)))
+    check = system.check(eps)
+    failures = []
+    for norms, lams, lam_vec in zip(pts, lam_rows.tolist(), lam_rows):
+        moved = [norms[k] * prod(lams[j] ** float(row[k - 1])
+                                 for j, row in enumerate(system.action_rows)
+                                 if row[k - 1])
+                 for k in system.blocks]
+        if not check(moved):
+            failures.append((norms, tuple(lam_vec)))
+    return ContractionReport(samples, len(pts), len(pts), len(failures),
+                             failures)
 
 
 def phi(d) -> dict:

@@ -639,6 +639,24 @@ def test_verify_estimate_counts_points_whose_bound_underflows():
                                                0.1, 0)
 
 
+
+@pytest.mark.parametrize("samples, eps, message", [
+    (0, 0.1, "need at least one sample, got 0"),
+    (-3, 0.1, "need at least one sample, got -3"),
+    (50, 0.0, "eps must be finite and positive, got 0.0"),
+    (50, -0.1, "eps must be finite and positive, got -0.1"),
+    (50, math.nan, "eps must be finite and positive, got nan"),
+    (50, math.inf, "eps must be finite and positive, got inf"),
+], ids=["no-samples", "negative-samples", "zero-eps", "negative-eps",
+        "nan-eps", "infinite-eps"])
+def test_verify_estimate_rejects_what_it_cannot_sample(samples, eps,
+                                                       message):
+    # no samples is a bad argument, not a starved sampler
+    d, r = RIGS["cusp"]
+    f = poly_monomial(structure_of(d), (1, 1))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_estimate(d, r, P0, f, (1, 1), samples=samples, eps=eps)
+
 def test_classify_catalogue():
     assert classify_two_manifolds([[1, 0], [0, 1]]).label == "m=2,N=2"
     case = classify_two_manifolds([[1, 2], [0, 1]])

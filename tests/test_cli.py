@@ -468,11 +468,11 @@ def test_scenario_with_k_sets_and_blocks():
      "per block, not [2.5]"),
     (["pipeline", '{"A": [["1"]], "blocks": [true]}'],
      "invalid scenario: block_dims must list a natural number of at least 1 "
-     "per block, not [True]"),
+     "per block, not [true]"),
     (["verify", '{"A": [["1"]], "blocks": ["2"]}', "--function", "z1",
       "--N", "1"],
      "invalid scenario: block_dims must list a natural number of at least 1 "
-     "per block, not ['2']"),
+     'per block, not ["2"]'),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "normalized": "false"}'],
      "invalid scenario: normalized must be true or false, not 'false'"),
     (["pipeline",

@@ -15,7 +15,8 @@ from multispec.multicone import (build_multicone, closure, project,
                                  ContractionReport, MulticoneSystem,
                                  SystemKind)
 from multispec.semigroup import run_pipeline
-from oracles import balanced, pair_product
+from oracles import (balanced, pair_product, product_contraction_check,
+                     product_sample_members)
 from strategies import pipeline_of, scenarios
 
 
@@ -192,6 +193,37 @@ def test_starved_contraction_check_fails():
     report = contraction_stable_check(system, 5, rng_seed=1)
     assert (report.requested, report.sampled, report.violations) == (5, 0, 0)
     assert not report.passed
+
+
+_BAD_EPS = pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf],
+                                   ids=["zero", "negative", "nan", "inf"])
+
+
+@_BAD_EPS
+def test_sample_members_rejects_an_eps_it_cannot_sample(eps):
+    # such an eps would spend all 200 * n tries on NaN candidates
+    _, system = system_for([[3, 2], [1, 1]])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError,
+                       match=f"^eps must be finite and positive, got {eps}$"):
+        sample_members(system, 5, eps, rng)
+
+
+@_BAD_EPS
+def test_contraction_check_rejects_an_eps_it_cannot_sample(eps):
+    _, system = system_for([[3, 2], [1, 1]])
+    with pytest.raises(ValueError,
+                       match=f"^eps must be finite and positive, got {eps}$"):
+        contraction_stable_check(system, 5, rng_seed=0, eps=eps)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_contraction_check_rejects_no_samples(samples):
+    # with nothing requested, nothing sampled would read as a pass
+    _, system = system_for([[3, 2], [1, 1]])
+    with pytest.raises(ValueError,
+                       match=f"^need at least one sample, got {samples}$"):
+        contraction_stable_check(system, samples, rng_seed=0)
 
 
 def test_projected_systems_contraction_stable():
@@ -414,6 +446,15 @@ def _scalar_member(system, norms, eps):
     return True
 
 
+def _scalar_log_norm(log_base, log_jitter, lam_logs, col):
+    """exp(log base + log jitter + sum_j a_jk log lam_j), summed in action
+    order; numpy's scalar exp and log round as its array lanes do."""
+    acc = log_base + log_jitter
+    for lam_log, a in zip(lam_logs, col):
+        acc += float(a) * lam_log
+    return float(np.exp(np.float64(acc)))
+
+
 def _scalar_sample_members(system, n, eps, rng, margin=0.05):
     ell = len(system.action_rows)
     out = []
@@ -421,18 +462,18 @@ def _scalar_sample_members(system, n, eps, rng, margin=0.05):
     shrunk = eps * (1.0 - margin)
     while len(out) < n and tries < 200 * n:
         tries += 1
-        lam_vec = np.exp(rng.uniform(np.log(eps * 1e-3), np.log(eps * 0.9),
-                                     ell))
+        lam_logs = rng.uniform(np.log(eps * 1e-3), np.log(eps * 0.9), ell)
         jitter = rng.uniform(0.9, 1.1, len(system.blocks))
         norms = {}
         for pos, k in enumerate(system.blocks):
-            base = system.norms.get(k, 1.0)
             if k in system.zero_blocks:
-                base = float(np.exp(rng.uniform(np.log(1e-6), np.log(0.5))))
-            scale = 1.0
-            for j in range(ell):
-                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
-            norms[k] = base * scale * float(jitter[pos])
+                log_base = rng.uniform(np.log(1e-6), np.log(0.5))
+            else:
+                log_base = np.log(np.float64(system.norms.get(k, 1.0)))
+            norms[k] = _scalar_log_norm(
+                float(log_base), float(np.log(jitter[pos])),
+                [float(x) for x in lam_logs],
+                [row[k - 1] for row in system.action_rows])
         if _scalar_member(system, norms, shrunk):
             out.append(norms)
     return out
@@ -446,12 +487,11 @@ def _scalar_contraction_check(system, samples, rng_seed, eps=0.1):
     checked = 0
     for norms in pts:
         lam_vec = rng.uniform(0.05, 1.0, ell)
-        moved = {}
-        for k in system.blocks:
-            scale = 1.0
-            for j in range(ell):
-                scale *= float(lam_vec[j]) ** float(system.action_rows[j][k - 1])
-            moved[k] = norms[k] * scale
+        lam_logs = [float(np.log(x)) for x in lam_vec]
+        moved = {k: norms[k] * _scalar_log_norm(
+                     0.0, 0.0, lam_logs,
+                     [row[k - 1] for row in system.action_rows])
+                 for k in system.blocks}
         checked += 1
         if not _scalar_member(system, moved, eps):
             failures.append((norms, tuple(lam_vec)))
@@ -609,8 +649,10 @@ def test_batched_draws_leave_the_generator_where_scalar_draws_do(
     assert made[0].random() == made[1].random()
 
 
-def test_starved_sampler_stops_after_200_n_tries(monkeypatch):
-    _, system = system_for(UNDERFLOW_8X3)
+@pytest.fixture
+def check_calls(monkeypatch):
+    """One entry per candidate that a compiled `MulticoneSystem.check`
+    tests."""
     calls = []
     compiled = MulticoneSystem.check
 
@@ -623,9 +665,83 @@ def test_starved_sampler_stops_after_200_n_tries(monkeypatch):
         return counted
 
     monkeypatch.setattr(MulticoneSystem, "check", counting)
+    return calls
+
+
+# The seeded underflow systems of the benchmark corpus, as
+# perfbench/corpus.py rebuilds them: random_matrix(random.Random(name), 8, 3,
+# HALF_STEPS) for the names underflow-8x3-0 and underflow-8x3-2.
+UNDERFLOW_SEEDED = (
+    [["3", "1/2", "2"], ["3/2", "3/2", "3/2"], ["1/2", "1/2", "3/2"],
+     ["3", "2", "1"], ["1/2", "1", "3/2"], ["3", "2", "0"],
+     ["1/2", "1", "1/2"], ["0", "3", "3"]],
+    [["0", "2", "1/2"], ["0", "3/2", "3/2"], ["3/2", "0", "0"],
+     ["3", "0", "1/2"], ["3", "3/2", "1"], ["2", "3", "0"], ["3", "2", "0"],
+     ["2", "1", "2"]])
+
+
+def _same_points(got, want):
+    """The same points in the same order, each coordinate within 1e-12
+    relative."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.keys() == q.keys()
+        assert all(p[k] == pytest.approx(q[k], rel=1e-12, abs=0) for k in p)
+
+
+def _matches_product_route(system, n, eps, seed):
+    """The log-domain samplers against the float-product oracle: the same
+    accepted candidates and generator position, and the same contraction
+    report up to the rounding of the points."""
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    _same_points(sample_members(system, n, eps, rng),
+                 product_sample_members(system, n, eps, oracle))
+    assert rng.random() == oracle.random()
+    got = contraction_stable_check(system, n, rng_seed=seed, eps=eps)
+    want = product_contraction_check(system, n, rng_seed=seed, eps=eps)
+    assert (got.requested, got.sampled, got.checked, got.violations) == \
+        (want.requested, want.sampled, want.checked, want.violations)
+    _same_points([norms for norms, _ in got.failures],
+                 [norms for norms, _ in want.failures])
+    assert [lams for _, lams in got.failures] == \
+        [lams for _, lams in want.failures]
+    return got
+
+
+def test_log_domain_samplers_match_the_float_products_on_the_rigs():
+    systems = [system_for(rows)[1] for rows in CRITERION_7_RIGS]
+    systems.append(system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2})[1])
+    for seed, system in enumerate(systems, start=500):
+        assert _matches_product_route(system, 300, 0.1, seed).sampled == 300
+    _, tak = system_for([[1, 1], [0, 1]])
+    _, sep = system_for([[1, 0], [0, 1]])
+    moved = replace(tak, action_rows=sep.action_rows)
+    got = _matches_product_route(moved, 50, 0.1, 7)
+    assert (got.sampled, got.violations) == (50, 8)
+
+
+def test_underflow_systems_starve_on_both_routes(check_calls):
+    for rows in (UNDERFLOW_8X3, *UNDERFLOW_SEEDED):
+        _, system = system_for(rows)
+        for sampler in (sample_members, product_sample_members):
+            check_calls.clear()
+            assert sampler(system, 20, 0.1, np.random.default_rng(1)) == []
+            assert len(check_calls) == 4000
+        report = _matches_product_route(system, 20, 0.1, 1)
+        assert (report.sampled, report.violations) == (0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems(), st.integers(0, 2 ** 32 - 1), st.integers(1, 40), _EPS_SIDE)
+def test_log_domain_samplers_match_the_float_products(system, seed, n, eps):
+    _matches_product_route(system, n, eps, seed)
+
+
+def test_starved_sampler_stops_after_200_n_tries(check_calls):
+    _, system = system_for(UNDERFLOW_8X3)
     rng = np.random.default_rng(1)
     assert sample_members(system, 20, 0.1, rng) == []
-    assert len(calls) == 4000
+    assert len(check_calls) == 4000
     # 8 parameters and 3 jitters per candidate, no zero-pattern block
     skipped = np.random.default_rng(1)
     skipped.random(4000 * 11)
