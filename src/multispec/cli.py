@@ -73,7 +73,7 @@ def load_scenario(source: str):
         normalized = data.get("normalized", True)
         if not isinstance(normalized, bool):
             raise TypeError("normalized must be true or false, not "
-                            f"{normalized!r}")
+                            f"{json.dumps(normalized)}")
         d, p = _deformation(data), point(
             zero_blocks=set(data.get("zeros", ())), norms=norms,
             normalized=normalized)

@@ -165,7 +165,8 @@ def check_point(d: DeformationData, p: PointPattern) -> None:
                 f"block {k} has a zero column, so its direction must vanish")
     for k in p.zero_blocks:
         if type(k) is not int or not 1 <= k <= d.m:
-            raise ValueError(f"zero block {k!r} out of range")
+            raise ValueError(f"zero block {json.dumps(k, default=repr)} "
+                             "out of range")
     for k, norm in p.norms.items():
         if not 1 <= k <= d.m:
             raise ValueError(f"norm of block {k} out of range")

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .monomials import Monomial, Pair, Value, tau, sorted_pairs
@@ -118,15 +120,25 @@ class MulticoneSystem:
     def member(self, norms, eps: float) -> bool:
         """All inequalities hold at the given block norms (max-norm per
         block) and eps; zero norms are only legal on the zero pattern, and a
-        block missing from norms has norm zero."""
-        return self.check(eps)([float(norms.get(k, 0.0))
-                                for k in self.blocks])
+        block missing from norms has norm zero.  A batch of one for the
+        compiled `check`."""
+        return bool(self.check(eps)([[float(norms.get(k, 0.0))]
+                                     for k in self.blocks], 1))
 
     def check(self, eps: float):
         """The membership test at eps, compiled once per eps: a function of
-        the block norms as a list of floats in `blocks` order.  A bound
-        factor whose lower base is not positive sends lo to -inf, or to 0 in
-        a closed system."""
+        a batch of candidates, given as block columns (one list of floats
+        per block, in `blocks` order) and their number, which a system
+        without blocks cannot read off its columns.  It returns the
+        positions of the candidates that pass, in order.
+
+        A bound factor whose lower base is not positive sends lo to -inf,
+        or to 0 in a closed system, and a power of a norm that overflows is
+        +inf, as the power of an infinite norm is.  Each candidate meets
+        the floats of a test on it alone, in the same order: block
+        legality first, then the rows in order, each side's product taken
+        factor by factor, and it leaves the batch at its first failed
+        row."""
         eps = float(eps)
         check = self._checks.get(eps)
         if check is not None:
@@ -147,21 +159,27 @@ class MulticoneSystem:
         nonzero = tuple(open_kind and k not in self.zero_blocks
                         for k in self.blocks)
 
-        def check(vals) -> bool:
-            for val, nz in zip(vals, nonzero):
-                if val < 0 or (nz and val == 0.0):
-                    return False
+        def check(cols, size: int) -> list[int]:
+            alive = list(range(size))
+            for col, nz in zip(cols, nonzero):
+                # `not <=`, not `>`: a NaN norm is not rejected here
+                alive = ([i for i in alive if not col[i] <= 0.0] if nz
+                         else [i for i in alive if not col[i] < 0])
+            if len(alive) < size:
+                cols = [[col[i] for i in alive] for col in cols]
             for (num, den, _), (lo, hi) in zip(rows, bounds):
+                if not alive:
+                    break
                 # Denominator-cleared comparison: valid at vanishing norms.
-                nv = dv = 1.0
-                for i, e in num:
-                    nv *= vals[i] ** e
-                for i, e in den:
-                    dv *= vals[i] ** e
-                if not (lo * dv < nv < hi * dv if open_kind
-                        else lo * dv <= nv <= hi * dv):
-                    return False
-            return True
+                nv = _products(cols, num, len(alive))
+                dv = _products(cols, den, len(alive))
+                keep = ([lo * d < v < hi * d for v, d in zip(nv, dv)]
+                        if open_kind else
+                        [lo * d <= v <= hi * d for v, d in zip(nv, dv)])
+                if not all(keep):
+                    alive = list(compress(alive, keep))
+                    cols = [list(compress(col, keep)) for col in cols]
+            return alive
 
         self._checks[eps] = check
         return check
@@ -221,6 +239,28 @@ class MulticoneSystem:
             "cones": [k for k in self.blocks if k not in self.zero_blocks],
             "kind": self.kind.value,
         }
+
+
+def _products(cols, factors, size: int) -> list[float]:
+    """Per candidate, the product of its block norms' powers over the
+    (block position, exponent) factors, multiplied in factor order; 1.0
+    without factors."""
+    out = None
+    for i, e in factors:
+        try:
+            powers = list(map(pow, cols[i], repeat(e)))
+        except OverflowError:
+            powers = [_power(x, e) for x in cols[i]]
+        out = powers if out is None else list(map(mul, out, powers))
+    return [1.0] * size if out is None else out
+
+
+def _power(x: float, e: float) -> float:
+    """x ** e, or +inf where that overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
 
 
 def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
@@ -388,8 +428,10 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
     )
 
 
-# Candidates drawn per RNG call by sample_members.
+# Candidates drawn per RNG call by sample_members, and the most it draws
+# at once while it has accepted nothing.
 _BATCH = 64
+_MAX_BATCH = 8 * _BATCH
 
 
 def sample_members(system: MulticoneSystem, n: int, eps: float,
@@ -406,11 +448,13 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     exp(log base + log jitter + sum_j a_jk log lam_j) with the sum taken in
     action order, where a zero-pattern block's log base is its own draw.
     Candidates are drawn in batches, one `rng.random` call per batch, and
-    each is tested by the compiled `check` as a list of block norms.  The
-    points and the generator's final position are those of drawing one
-    candidate at a time: per candidate, `uniform` over the log parameters,
-    then over the jitters, then one draw per zero-pattern block; the
-    doubles of a batch's unused rows are given back."""
+    each batch is tested by one call of the compiled `check`.  A batch
+    holds 64 candidates; while nothing has been accepted, each batch is
+    twice the last, up to 512.  The points and the generator's final
+    position are those of drawing one candidate at a time: per candidate,
+    `uniform` over the log parameters, then over the jitters, then one
+    draw per zero-pattern block; the doubles of a batch's rows past the
+    n-th point are given back."""
     import numpy as np
 
     if not (math.isfinite(eps) and eps > 0):
@@ -430,27 +474,28 @@ def sample_members(system: MulticoneSystem, n: int, eps: float,
     span = np.array([lam_hi - lam_lo] * ell + [1.1 - 0.9] * m
                     + [zero_hi - zero_lo] * len(zero))
     out: list[dict[int, float]] = []
-    tries = 0
+    tries, batch = 0, _BATCH
     check = system.check(eps * (1.0 - 0.05))
     while len(out) < n and tries < 200 * n:
         state = rng.bit_generator.state
-        draws = low + span * rng.random((min(_BATCH, 200 * n - tries), width))
+        size = min(batch, 200 * n - tries)
+        draws = low + span * rng.random((size, width))
         logs = np.log(draws[:, ell:bases]) + log_norms
         logs[:, zero] += draws[:, bases:]
         # elementwise multiply-adds, not `@`, keep each candidate's sum in
         # action order
         for j in range(ell):
             logs += draws[:, j, None] * acts[j]
-        rows = np.exp(logs).tolist()
-        for used, vals in enumerate(rows, start=1):
-            if check(vals):
-                out.append(dict(zip(system.blocks, vals)))
-                if len(out) == n:
-                    break
+        norms = np.exp(logs)
+        hits = check(norms.T.tolist(), size)[:n - len(out)]
+        out += [dict(zip(system.blocks, vals))
+                for vals in norms[hits].tolist()]
+        used = hits[-1] + 1 if len(out) == n else size
         tries += used
-        if used < len(rows):
+        if used < size:
             rng.bit_generator.state = state
             rng.random(used * width)
+        batch = _BATCH if out else min(2 * batch, _MAX_BATCH)
     return out
 
 
@@ -487,10 +532,10 @@ def contraction_stable_check(system: MulticoneSystem, samples: int,
         moves += lam_log[:, None] * acts[j]
     moved = np.array([list(norms.values()) for norms in pts],
                      dtype=float).reshape(moves.shape) * np.exp(moves)
-    check = system.check(eps)
+    passing = set(system.check(eps)(moved.T.tolist(), len(pts)))
     failures = [(norms, tuple(lam_vec))
-                for norms, lam_vec, vals in zip(pts, lam_rows, moved.tolist())
-                if not check(vals)]
+                for i, (norms, lam_vec) in enumerate(zip(pts, lam_rows))
+                if i not in passing]
     return ContractionReport(samples, len(pts), len(pts), len(failures),
                              failures)
 
@@ -521,7 +566,11 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
     a predicate; membership of the base point in the cone of Z is probed
     by intersecting Z points with multicones at shrinking scales.  Each
     scale tries at most `samples` points and stops at its first member, so
-    `hits` maps every scale to 1 (a member found) or 0.  Not a decision
+    `hits` maps every scale to 1 (a member found) or 0.  The points of a
+    scale are drawn in chunks of 1, 2, 4, ... up to 64, and each chunk's
+    points that pass the filters are tested by one call of the compiled
+    `check`; a chunk with a member is drawn again up to that member, so
+    the generator moves on as if drawing had stopped there.  Not a decision
     procedure: a clean miss at one scale reports not-in-cone, hits at
     every scale report in-cone, anything else is inconclusive.
 
@@ -543,20 +592,35 @@ def normal_cone_probe(pipeline: PipelineResult, p: PointPattern, Z,
     hits = {}
     for eps in scales:
         radius = 4.0 * eps
-        found = 0
-        for _ in range(samples):
-            z = Z.sample(rng, eps)
-            if z is None or not Z.contains(z):
-                continue
-            norms = {k: abs(float(v)) if isinstance(v, float)
-                     else float(np.max(np.abs(np.atleast_1d(v))))
-                     for k, v in z.items()}
-            if any(norms[k] > radius for k in norms):
-                continue
-            if all(_within(z[k], axis) for k, axis in axes) and \
-                    system.member(norms, eps):
-                found += 1
-                break
+        check = system.check(eps)
+        found = tried = 0
+        chunk = 1
+        while not found and tried < samples:
+            state = rng.bit_generator.state
+            size = min(chunk, samples - tried)
+            at, cands = [], []  # chunk positions and norms of the survivors
+            for pos in range(size):
+                z = Z.sample(rng, eps)
+                if z is None or not Z.contains(z):
+                    continue
+                norms = {k: abs(float(v)) if isinstance(v, float)
+                         else float(np.max(np.abs(np.atleast_1d(v))))
+                         for k, v in z.items()}
+                if any(norms[k] > radius for k in norms):
+                    continue
+                if all(_within(z[k], axis) for k, axis in axes):
+                    at.append(pos)
+                    cands.append([norms.get(k, 0.0) for k in system.blocks])
+            passing = check(list(zip(*cands)), len(cands))
+            tried += size
+            if passing:
+                found = 1
+                used = at[passing[0]] + 1
+                if used < size:  # redraw the chunk up to its first member
+                    rng.bit_generator.state = state
+                    for _ in range(used):
+                        Z.sample(rng, eps)
+            chunk = min(2 * chunk, _BATCH)
         hits[eps] = found
     if all(v > 0 for v in hits.values()):
         return ProbeResult(ProbeOutcome.IN_CONE, hits=hits)

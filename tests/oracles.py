@@ -447,7 +447,8 @@ def product_sample_members(system: MulticoneSystem, n: int, eps: float,
                            rng) -> list[dict[int, float]]:
     """`multicone.sample_members` with each candidate's block norms formed
     as floats, base * prod_j lam_j^(a_jk) * jitter, from the exponentials
-    of the log draws: the same batches, draws, rewinds and checks."""
+    of the log draws: the same draws and rewinds, in batches of up to 64, each
+    candidate checked as a batch of one."""
     ell = len(system.action_rows)
     # per block: its base norm (None on the zero pattern, where a base norm
     # is drawn) and the (action, exponent) pairs of its nonzero exponents
@@ -485,7 +486,7 @@ def product_sample_members(system: MulticoneSystem, n: int, eps: float,
                     scale *= row[j] ** a
                 vals.append((row[at] if base is None else base) * scale
                             * row[pos])
-            if check(vals):
+            if check([[v] for v in vals], 1):
                 out.append(dict(zip(system.blocks, vals)))
                 if len(out) == n:
                     break
@@ -510,7 +511,7 @@ def product_contraction_check(system: MulticoneSystem, samples: int,
                                  for j, row in enumerate(system.action_rows)
                                  if row[k - 1])
                  for k in system.blocks]
-        if not check(moved):
+        if not check([[v] for v in moved], 1):
             failures.append((norms, tuple(lam_vec)))
     return ContractionReport(samples, len(pts), len(pts), len(failures),
                              failures)

@@ -454,6 +454,10 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: zero block 3 out of range"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": [1.5]}'],
      "invalid scenario: zero block 1.5 out of range"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": [true]}'],
+     "invalid scenario: zero block true out of range"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": ["1"]}'],
+     'invalid scenario: zero block "1" out of range'),
     (["pipeline", '{"A": [["1","0"]]}'],
      "invalid scenario: block 2 has a zero column, so its direction must "
      "vanish"),
@@ -474,7 +478,7 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: block_dims must list a natural number of at least 1 "
      'per block, not ["2"]'),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "normalized": "false"}'],
-     "invalid scenario: normalized must be true or false, not 'false'"),
+     'invalid scenario: normalized must be true or false, not "false"'),
     (["pipeline",
       '{"A": [["1","0","1"],["0","1","1"]], "norms": {"3": true}}'],
      "invalid scenario: norm of block 3 must be a rational or a number, "
@@ -487,6 +491,7 @@ def test_scenario_with_k_sets_and_blocks():
         "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",
+        "zeros-boolean", "zeros-string",
         "zero-column", "norm-negative", "norm-zero", "norm-block-range",
         "block-size-float", "block-size-boolean", "block-size-string",
         "normalized-string", "norm-boolean"])

@@ -13,7 +13,7 @@ from multispec.multicone import (build_multicone, closure, project,
                                  CLOSURE_CAP, ClosureCapExceeded,
                                  ClosureEntry,
                                  ContractionReport, MulticoneSystem,
-                                 SystemKind)
+                                 SystemKind, _within)
 from multispec.semigroup import run_pipeline
 from oracles import (balanced, pair_product, product_contraction_check,
                      product_sample_members)
@@ -389,6 +389,88 @@ def test_probe_reads_float_and_array_samples_alike():
             assert got.outcome is want
 
 
+def _scalar_probe_hits(pipeline, p, Z, samples, seed, directions=None):
+    """The hits of `normal_cone_probe` drawing and testing one point at a
+    time, each against the scalar oracle."""
+    system = build_multicone(pipeline, p, check_equivalence=False)
+    rng = np.random.default_rng(seed)
+    axes = [(k, np.atleast_1d(np.asarray(axis, dtype=float)))
+            for k, axis in (directions or {}).items()
+            if k in system.blocks and k not in system.zero_blocks]
+    hits = {}
+    for eps in (0.5, 0.2, 0.1, 0.05):
+        hits[eps] = 0
+        for _ in range(samples):
+            z = Z.sample(rng, eps)
+            if z is None or not Z.contains(z):
+                continue
+            norms = {k: float(np.max(np.abs(np.atleast_1d(v))))
+                     for k, v in z.items()}
+            if any(norm > 4.0 * eps for norm in norms.values()):
+                continue
+            if all(_within(z[k], axis) for k, axis in axes) and \
+                    _scalar_member(system, norms, eps):
+                hits[eps] = 1
+                break
+    return hits
+
+
+class _Rare:
+    """Mostly points of the plane z3 = 0, which are not members, now and
+    then a point of the graph z3 = z1*z2, and some draws with no point;
+    `drawn` counts the draws."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def sample(self, rng, scale):
+        self.drawn += 1
+        u = rng.random()
+        if u < 0.1:
+            return None
+        z = _Plane().sample(rng, scale)
+        if u > 0.95:
+            z[3] = z[1] * z[2]
+        return z
+
+    def contains(self, z):
+        return True
+
+
+def test_batched_probe_replays_one_at_a_time_drawing():
+    d = deformation([[1, 0, 1], [0, 1, 1]])
+    p = point(norms={3: 1.0})
+    pl = run_pipeline(d, None, p)
+    # normal_cone_probe seeds its own generator: record it
+    made = []
+
+    def recording(seed_):
+        made.append(np.random.Generator(np.random.PCG64(seed_)))
+        return made[-1]
+
+    # a member at the first draw of every scale, members in the middle of
+    # a chunk, with and without a direction filter, and no member at all
+    for make, samples, directions, want in (
+            (_Graph, 1500, None, ProbeOutcome.IN_CONE),
+            (_Rare, 300, None, ProbeOutcome.IN_CONE),
+            (_Rare, 300, {3: [1.0]}, ProbeOutcome.IN_CONE),
+            (_Plane, 200, None, ProbeOutcome.NOT_IN_CONE)):
+        for seed in range(3):
+            made.clear()
+            Z, oracle = make(), make()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.random, "default_rng", recording)
+                got = normal_cone_probe(pl, p, Z, samples=samples, seed=seed,
+                                        directions=directions)
+                hits = _scalar_probe_hits(pl, p, oracle, samples, seed,
+                                          directions)
+            assert got.hits == hits
+            assert got.outcome is want
+            assert made[0].random() == made[1].random()
+            if make is _Rare:  # its chunks with a member were drawn again
+                assert Z.drawn > oracle.drawn
+
+
 def test_system_text_mentions_key_inequality():
     pl, s226 = system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2},
                           complement_block={9})
@@ -400,13 +482,21 @@ def test_system_text_mentions_key_inequality():
 # The scalar evaluation, kept as the oracle of the compiled one: every call
 # re-derives the floats from the exact inequalities.
 
+def _power(norm, e):
+    """norm ** e, +inf where it overflows, as an infinite norm's power is."""
+    try:
+        return float(norm) ** float(e)
+    except OverflowError:
+        return math.inf
+
+
 def _eval_parts(ineq, norms):
     num, den = ineq.split()
     nv = dv = 1.0
     for v, e in num.exps:
-        nv *= float(norms.get(v.index, 0.0)) ** float(e)
+        nv *= _power(norms.get(v.index, 0.0), e)
     for v, e in den.exps:
-        dv *= float(norms.get(v.index, 0.0)) ** float(e)
+        dv *= _power(norms.get(v.index, 0.0), e)
     return nv, dv
 
 
@@ -557,41 +647,73 @@ def _norms(draw, system):
     return norms
 
 
+def _columns(system, batch):
+    """A batch of block norms as the compiled check reads it: one column of
+    floats per block, in blocks order."""
+    return [[float(norms.get(k, 0.0)) for norms in batch]
+            for k in system.blocks]
+
+
+def _passing(system, batch, eps):
+    """The positions of the batch that the scalar oracle accepts."""
+    return [i for i, norms in enumerate(batch)
+            if _scalar_member(system, norms, eps)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_systems(), st.data())
 def test_member_matches_scalar_oracle(system, data):
-    # member, and the compiled check on the norms as a list in blocks order
-    for _ in range(20):
-        norms = data.draw(_norms(system))
+    # member on each norm, and the compiled check on the 20 norms as one
+    # batch at each eps drawn
+    batch = [data.draw(_norms(system)) for _ in range(20)]
+    for norms in batch:
         eps = data.draw(_EPS | _EPS_SIDE)
-        want = _scalar_member(system, norms, eps)
-        assert system.member(norms, eps) is want
-        vals = [float(norms.get(k, 0.0)) for k in system.blocks]
-        assert system.check(eps)(vals) is want
+        got = system.check(eps)(_columns(system, batch), len(batch))
+        assert got == _passing(system, batch, eps)
+        assert system.member(norms, eps) is \
+            _scalar_member(system, norms, eps)
 
 
 def test_compiled_check_matches_scalar_oracle_on_examples():
-    # closed and projected systems, zero norms and missing blocks
+    # closed and projected systems, illegal, zero, infinite and overflowing
+    # norms and missing blocks, mixed in one batch per system, and the empty
+    # batch
     d = deformation([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
     closed = closure(run_pipeline(d, None, point())).system
     _, tak = system_for([[1, 1], [0, 1]])
     paired = project(tak, 1, k_in_JZ=False)
     _, s226 = system_for([[1, 0, 1], [0, 1, 1]], zeros={1, 2})
-    cases = [(closed, {2: 0.005}), (closed, {1: 0.0, 2: 0.005, 3: 0.0}),
-             (closed, {1: 0.0, 2: 0.2, 3: 0.0}), (closed, {2: -0.005}),
-             (paired, {2: 0.1 * 0.1 * 0.9}), (paired, {2: 0.1 * 0.1 * 1.1}),
-             (paired, {}), (paired, {2: 0.0}), (s226, {3: 0.05}),
-             (s226, {1: 0.0, 2: 0.0, 3: 0.05}),
-             (s226, {1: 0.01, 2: 0.01, 3: 0.0})]
+    _, cusp = system_for([[3, 2], [1, 1]])
+    batches = [
+        (closed, [{2: 0.005}, {1: 0.0, 2: 0.005, 3: 0.0},
+                  {1: 0.0, 2: 0.2, 3: 0.0}, {2: -0.005}, {2: 1e200}]),
+        (paired, [{2: 0.1 * 0.1 * 0.9}, {2: 0.1 * 0.1 * 1.1}, {},
+                  {2: 0.0}]),
+        (s226, [{3: 0.05}, {1: 0.0, 2: 0.0, 3: 0.05},
+                {1: 0.01, 2: 0.01, 3: 0.0}, {1: -0.0, 2: 0.0, 3: 0.05}]),
+        (cusp, [{1: 6.25e-6, 2: 1.25e-4}, {1: 1e200, 2: 1e200},
+                {1: math.inf, 2: math.inf}, {1: 1e200, 2: 1.25e-4},
+                {1: 0.5, 2: 0.5}]),
+    ]
     outcomes = set()
-    for system, norms in cases:
-        want = _scalar_member(system, norms, 0.1)
+    for system, batch in batches:
         check = system.check(0.1)
         assert check is system.check(0.1)  # compiled once per eps
-        assert check([norms.get(k, 0.0) for k in system.blocks]) is want
-        assert system.member(norms, 0.1) is want
-        outcomes.add(want)
+        want = _passing(system, batch, 0.1)
+        assert check(_columns(system, batch), len(batch)) == want
+        assert check(_columns(system, []), 0) == []
+        for i, norms in enumerate(batch):
+            assert system.member(norms, 0.1) is (i in want)
+            outcomes.add(i in want)
     assert outcomes == {True, False}
+
+
+def test_member_at_overflowing_norms_is_false():
+    # the powers of large finite norms overflow to +inf, as those of
+    # infinite norms are, instead of raising OverflowError
+    _, cusp = system_for([[3, 2], [1, 1]])
+    assert cusp.member({1: 1e200, 2: 1e200}, 0.1) is False
+    assert cusp.member({1: math.inf, 2: math.inf}, 0.1) is False
 
 
 CRITERION_7_RIGS = ([[1, 0], [0, 1]], [[3, 2], [1, 1]],
@@ -659,9 +781,9 @@ def check_calls(monkeypatch):
     def counting(self, eps):
         check = compiled(self, eps)
 
-        def counted(vals):
-            calls.append(None)
-            return check(vals)
+        def counted(cols, size):
+            calls.extend([None] * size)
+            return check(cols, size)
         return counted
 
     monkeypatch.setattr(MulticoneSystem, "check", counting)
