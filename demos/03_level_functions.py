@@ -15,7 +15,7 @@ p = point()
 pl = run_pipeline(d, None, p)
 fam = build_levels(pl)
 
-print("plain family (elimination order", fam.elim_order, ")")
+print("plain family (elimination order", pl.elim_order, ")")
 for j in sorted(fam.rho_Lambda):
     print(f"  rho[{j}] = {canonical(fam.rho_Lambda[j])}"
           f"   strict: {fam.strict[j]}")

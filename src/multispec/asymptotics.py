@@ -63,7 +63,6 @@ def constraint_text(d: DeformationData, J, sigma: Fraction) -> list[str]:
 
 @dataclass(frozen=True)
 class IndexSet:
-    N: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
 
 
@@ -112,7 +111,7 @@ def index_set(d: DeformationData, r: RankData, J, N) -> IndexSet:
         zero = [0] * len(acts)
         if below(zero):
             rec(0, [0] * struct.n, zero)
-    return IndexSet(N, tuple(sorted(members)))
+    return IndexSet(tuple(sorted(members)))
 
 
 CoefficientFamily = dict  # frozenset[int] -> dict[idx -> BlockPolynomial]
@@ -224,8 +223,8 @@ def check_map(spec: PolyMapSpec) -> MapCheck:
     # source's acted blocks vanish.
     for j in range(1, src.ell + 1):
         for coord, k in enumerate(t_struct.coord_blocks):
-            if k in tgt.k_set(j):
-                rest = spec.components[coord].restrict_zero(src.k_set(j))
+            if k in tgt.support(j):
+                rest = spec.components[coord].restrict_zero(src.support(j))
                 if not rest.is_zero:
                     return MapCheck(
                         False, None,
@@ -365,7 +364,7 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
     if m not in (2, 3):
         raise ValueError("the catalogue covers two or three blocks")
     d = DeformationData(2, m, tuple(tuple(row) for row in a),
-                        tuple([1] * m), None, frozenset())
+                        tuple([1] * m))
     if len(pivots(d.ints)) < 2:
         raise ValueError("degenerate action: reduces to the one-manifold case")
     if any(all(a[j][k] == 0 for j in range(2)) for k in range(m)):

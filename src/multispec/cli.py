@@ -46,7 +46,7 @@ def _reading(what: str):
     """Report a malformed outside value as a ScenarioError (exit status 2)."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError,
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ScenarioError(f"invalid {what}: {exc}") from exc
 
@@ -54,7 +54,7 @@ def _reading(what: str):
 def _deformation(data: dict):
     return deformation([[fr(x) for x in row] for row in data["A"]],
                        block_dims=data.get("blocks"), K_sets=data.get("K"),
-                       complement_block=frozenset(data.get("complement", ())))
+                       complement_block=data.get("complement", ()))
 
 
 def load_scenario(source: str):

@@ -8,7 +8,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .linear import adjugate, mat, pivots
 from .monomials import Monomial, lam, tau, vector_key
@@ -29,8 +29,8 @@ class IdentityActionError(ValueError):
 class DeformationData:
     """An ell x m matrix of non-negative rationals defining the actions.
 
-    Row j scales block k by lambda_j^{a_jk}; K_sets[j] lists the blocks that
-    vanish on the j-th manifold and must equal the support of row j.
+    Row j scales block k by lambda_j^{a_jk}; the blocks that vanish on the
+    j-th manifold are that row's support.
 
     The matrix is held twice: A as Fractions, which printing, JSON and
     `entry` read, and, computed once, ints, its integer rows over one
@@ -42,7 +42,6 @@ class DeformationData:
     m: int
     A: tuple[tuple[Fraction, ...], ...]
     block_dims: tuple[int, ...]
-    K_sets: tuple[frozenset[int], ...] | None = None
     complement_block: frozenset[int] = frozenset()
     ints: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
                                               compare=False)
@@ -61,16 +60,22 @@ class DeformationData:
     def support(self, j: int) -> frozenset[int]:
         return frozenset(k for k, x in enumerate(self.ints[j - 1], 1) if x)
 
-    def k_set(self, j: int) -> frozenset[int]:
-        return self.K_sets[j - 1] if self.K_sets else self.support(j)
-
     def k_union(self, J) -> frozenset[int]:
         """K_J: the blocks that vanish on some manifold of J."""
-        return frozenset().union(*(self.k_set(j) for j in J))
+        return frozenset().union(*(self.support(j) for j in J))
+
+
+def _naturals(value, top) -> bool:
+    """Is value a list (or tuple or set) of natural numbers 1..top?"""
+    return isinstance(value, (list, tuple, set, frozenset)) and all(
+        type(x) is int and 1 <= x <= top for x in value)
 
 
 def deformation(rows, block_dims=None, K_sets=None,
                 complement_block=frozenset()) -> DeformationData:
+    """The validated action matrix.  K_sets, when given, lists one set of
+    blocks per action, which must be that row's support: it is checked,
+    not stored."""
     a = mat(rows)
     ell = len(a)
     if ell == 0:
@@ -100,13 +105,20 @@ def deformation(rows, block_dims=None, K_sets=None,
         raise ValueError(
             "block_dims must list a natural number of at least 1 per block, "
             f"not {json.dumps(list(dims), default=repr)}")
-    ks = None if K_sets is None else tuple(frozenset(s) for s in K_sets)
-    if ks is not None and len(ks) != ell:
-        raise ValueError("need one K set per action")
-    d = DeformationData(ell, m, tuple(tuple(row) for row in a), dims, ks,
+    if not _naturals(complement_block, inf):
+        raise ValueError(
+            "complement must list natural numbers of at least 1, not "
+            f"{json.dumps(complement_block, default=repr)}")
+    d = DeformationData(ell, m, tuple(tuple(row) for row in a), dims,
                         frozenset(complement_block))
-    for j, k_set in enumerate(ks or (), 1):
-        if k_set != d.support(j):
+    if K_sets is None:
+        return d
+    if not (isinstance(K_sets, (list, tuple)) and len(K_sets) == ell
+            and all(_naturals(s, m) for s in K_sets)):
+        raise ValueError(f"K must list one set of blocks 1..{m} per action, "
+                         f"not {json.dumps(K_sets, default=repr)}")
+    for j, k_set in enumerate(K_sets, 1):
+        if frozenset(k_set) != d.support(j):
             raise ValueError(
                 f"fixed-point condition violated on row {j}: nonzero "
                 f"entries {sorted(d.support(j))} must match K set "
@@ -319,7 +331,7 @@ def bundle_decomposition(d: DeformationData) -> list[BundleSummand]:
                                  for j in sorted(all_rows - bk))
         terms = []
         for j in sorted(bk):
-            inter_zero = d.k_set(j) | ambient_zero
+            inter_zero = d.support(j) | ambient_zero
             if inter_zero == full_union:
                 continue  # the term collapses to TM and is absorbed
             piece = _manifold_name(j) if ambient == "X" else \

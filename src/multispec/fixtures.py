@@ -70,20 +70,24 @@ def fixture(name, *tags):
 UNIT_ONE = Pair(ONE, UNIT_VALUE)
 
 
-# ---------------------------------------------------------------- pipeline
+def _pipeline(rows, zeros=(), **deformation_kwargs):
+    """The pipeline of the matrix rows at the base point whose zero blocks
+    are zeros; deformation_kwargs go to `deformation`."""
+    return run_pipeline(deformation(rows, **deformation_kwargs), None,
+                        point(zero_blocks=zeros))
 
-def two_block_three_coord():
+
+def _running_example():
     """The running example: two actions on three blocks, base point with
     only the third direction nonzero."""
-    d = deformation([[1, 0, 1], [0, 1, 1]])
-    p = point(zero_blocks={1, 2})
-    return d, p
+    return _pipeline([[1, 0, 1], [0, 1, 1]], {1, 2})
 
+
+# ---------------------------------------------------------------- pipeline
 
 @fixture("pipeline-two-actions-three-blocks", "pipeline")
 def _fx_226():
-    d, p = two_block_three_coord()
-    pl = run_pipeline(d, None, p)
+    pl = _running_example()
     out: list[CheckResult] = []
     out.append(_eq_sets("F0", pl.F0, gs(
         "t1", "t2", ("t3/(t1*t2)", "x3"), ("t1*t2/t3", "x3^(-1)"))))
@@ -99,8 +103,7 @@ def _fx_226():
 
 @fixture("pipeline-five-actions-elimination", "pipeline")
 def _fx_326():
-    d = deformation([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]])
-    pl = run_pipeline(d, None, point())
+    pl = _pipeline([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]])
     out = [_eq_sets("G", pl.G, gs("t1/l4", "t2/l5", "t3/(l4*l5)", "l4", "l5"))]
     stages = dict(pl.F0_stages)
     out.append(_eq_sets("F0,4", stages[4], gs("t1", "t2/l5", "t3/l5", "l5")))
@@ -110,8 +113,7 @@ def _fx_326():
 
 @fixture("pipeline-four-actions-elimination", "pipeline")
 def _fx_325():
-    d = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]])
-    pl = run_pipeline(d, None, point())
+    pl = _pipeline([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]])
     out = [_eq_sets("G", pl.G, gs("t1/l4", "t2/l4", "t3*l4/(t1*t2)", "l4"))]
     out.append(_eq_sets("F0,4", pl.Fq, gs("t1", "t2", "t3/t2", "t3/t1")))
     return out
@@ -119,7 +121,6 @@ def _fx_325():
 
 @fixture("pipeline-clean-two-plane-patterns", "pipeline")
 def _fx_249_patterns():
-    d = deformation([[1, 1, 0], [0, 1, 1]])
     expect = {
         frozenset({1}): gs("t1", "t2", "t3", "t1*t3/t2", "t2/t3") | {UNIT_ONE},
         frozenset({2}): gs("t1", "t2/t1", "t3", "t2/(t1*t3)") | {UNIT_ONE},
@@ -128,7 +129,7 @@ def _fx_249_patterns():
     }
     out = []
     for zeros, want in expect.items():
-        pl = run_pipeline(d, None, point(zero_blocks=zeros))
+        pl = _pipeline([[1, 1, 0], [0, 1, 1]], zeros)
         out.append(_eq_sets(f"Fq zeros={sorted(zeros)}", pl.Fq, want))
     return out
 
@@ -136,8 +137,7 @@ def _fx_249_patterns():
 @fixture("pipeline-separated", "pipeline")
 def _fx_separated():
     for n in (2, 3):
-        d = deformation([[int(i == j) for j in range(n)] for i in range(n)])
-        pl = run_pipeline(d, None, point())
+        pl = _pipeline([[int(i == j) for j in range(n)] for i in range(n)])
         want = frozenset(pair(f"t{k}") for k in range(1, n + 1))
         if pl.Fq != want:
             return [CheckResult(f"separated-{n}", False, render_genset(pl.Fq))]
@@ -155,10 +155,22 @@ def _verdict_check(label, verdict, want_holds, want_witnesses=()):
                        "" if ok else f"holds={verdict.holds} witnesses={got_w}")
 
 
+def _radical_check(label, pl, beta, probe, want=Verdict.NO):
+    """The radical verdict on the pair probe in the last stage of pl's
+    matrix extended by beta, at pl's base point.  An exclusion (NO) asks
+    for no power in the stage's bracket; an inclusion (YES) lets the
+    zero-pattern blocks absorb a zero-valued probe, as the generated
+    semigroup does (`zero_slack`)."""
+    ext = run_pipeline(extended_matrix(pl.d, beta), None, pl.p)
+    got = radical_member(probe, ext.Fq, zero_slack=ext.zero_cols_L
+                         if want is Verdict.YES else ()).verdict
+    return CheckResult(label, got is want, got.value)
+
+
 @fixture("restriction-three-flags-center", "restriction")
 def _fx_241():
-    d = deformation([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    v = check_restriction(run_pipeline(d, None, point()), [1, 1, 1])
+    v = check_restriction(_pipeline([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+                          [1, 1, 1])
     return [
         _verdict_check("same-rank holds", v, True),
         CheckResult("non-negative combination", bool(v.sufficient_nonneg_combination)),
@@ -167,7 +179,6 @@ def _fx_241():
 
 @fixture("restriction-three-planes-center", "restriction")
 def _fx_242():
-    d = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     beta = [1, 1, 1]
     cases = [
         (frozenset(), False, ("t3/(t1*t2)",)),
@@ -177,16 +188,13 @@ def _fx_242():
     ]
     out = []
     for zeros, want, wits in cases:
-        p = point(zero_blocks=zeros)
-        v = check_restriction(run_pipeline(d, None, p), beta)
-        out.append(_verdict_check(f"zeros={sorted(zeros)}", v, want, wits))
+        pl = _pipeline([[1, 0, 1], [0, 1, 1], [0, 0, 1]], zeros)
+        out.append(_verdict_check(f"zeros={sorted(zeros)}",
+                                  check_restriction(pl, beta), want, wits))
         if wits:
-            d_b = extended_matrix(d, beta)
-            pl_b = run_pipeline(d_b, None, p)
-            res = radical_member(pair(wits[0]), pl_b.Fq)
-            out.append(CheckResult(
+            out.append(_radical_check(
                 f"witness outside extended semigroup zeros={sorted(zeros)}",
-                res.verdict is Verdict.NO, res.verdict.value))
+                pl, beta, pair(wits[0])))
     return out
 
 
@@ -200,17 +208,13 @@ def _fx_248():
         ("mixed-a", [[1, 1, 1], [0, 1, 0]], [0, 0, 1]),
         ("mixed-b", [[1, 0, 0], [0, 1, 0]], [1, 1, 1]),
     ]
-    out = []
-    p = point(zero_blocks={3})
-    for label, rows, beta in cases:
-        v = check_restriction(run_pipeline(deformation(rows), None, p), beta)
-        out.append(_verdict_check(label, v, True))
-    return out
+    return [_verdict_check(label, check_restriction(_pipeline(rows, {3}),
+                                                    beta), True)
+            for label, rows, beta in cases]
 
 
 @fixture("restriction-clean-two-plane", "restriction")
 def _fx_249_restrict():
-    d = deformation([[1, 1, 0], [0, 1, 1]])
     bullets = [
         ([1, 0, 0], {1}, True, ()),
         ([1, 0, 0], {2}, False, ("t2/t1",)),
@@ -236,51 +240,36 @@ def _fx_249_restrict():
     for bullet in bullets:
         beta, zeros, want, wits = bullet[:4]
         probes = list(wits) + list(bullet[4:])
-        p = point(zero_blocks=zeros)
-        v = check_restriction(run_pipeline(d, None, p), beta)
+        pl = _pipeline([[1, 1, 0], [0, 1, 1]], zeros)
         out.append(_verdict_check(f"beta={beta} zeros={sorted(zeros)}",
-                                  v, want, wits))
-        if probes:
-            d_b = extended_matrix(d, beta)
-            pl_b = run_pipeline(d_b, None, p)
-            for probe in probes:
-                res = radical_member(pair(probe), pl_b.Fq)
-                out.append(CheckResult(
-                    f"{probe} excluded beta={beta} zeros={sorted(zeros)}",
-                    res.verdict is Verdict.NO, res.verdict.value))
+                                  check_restriction(pl, beta), want, wits))
+        out += [_radical_check(
+            f"{probe} excluded beta={beta} zeros={sorted(zeros)}", pl, beta,
+            pair(probe)) for probe in probes]
     return out
 
 
 @fixture("restriction-four-block", "restriction")
 def _fx_250():
-    d = deformation([[1, 1, 0, 1], [0, 1, 1, 0]])
-    p = point(zero_blocks={3})
-    pl = run_pipeline(d, None, p)
-    out = []
-    v = check_restriction(pl, [0, 1, 0, 0])
-    out.append(_verdict_check("beta=0100", v, False, ("t1*t3/t2",)))
-    v = check_restriction(pl, [0, 1, 0, 1])
-    out.append(_verdict_check("beta=0101", v, False, ("t1/t4",)))
-    v = check_restriction(pl, [1, 1, 1, 0])
-    out.append(_verdict_check("beta=1110", v, False, ("t1/t4",)))
-    v = check_restriction(pl, [1, 1, 1, 1])
-    out.append(_verdict_check("beta=1111", v, True))
-
+    pl = _pipeline([[1, 1, 0, 1], [0, 1, 1, 0]], {3})
+    cases = [
+        ([0, 1, 0, 0], False, ("t1*t3/t2",)),
+        ([0, 1, 0, 1], False, ("t1/t4",)),
+        ([1, 1, 1, 0], False, ("t1/t4",)),
+        ([1, 1, 1, 1], True, ()),
+    ]
+    out = [_verdict_check("beta=" + "".join(map(str, beta)),
+                          check_restriction(pl, beta), want, wits)
+           for beta, want, wits in cases]
     # The documented confirmations: against beta = (0,1,0,1) the quotient
     # pair with its norm value has no power in the extended stage; against
     # beta = (1,1,1,0) the zero-valued quotient does lie in it.
-    d_b = extended_matrix(d, [0, 1, 0, 1])
-    pl_b = run_pipeline(d_b, None, p)
-    res = radical_member(pair("t1/t4", "x4^(-1)"), pl_b.Fq)
-    out.append(CheckResult("beta=0101 witness excluded",
-                           res.verdict is Verdict.NO, res.verdict.value))
-    d_b = extended_matrix(d, [1, 1, 1, 0])
-    pl_b = run_pipeline(d_b, None, p)
-    res = radical_member(pair("t1/t4"), pl_b.Fq,
-                         zero_slack=pl_b.zero_cols_L)
-    out.append(CheckResult("beta=1110 zero-valued member included",
-                           res.verdict is Verdict.YES))
+    out.append(_radical_check("beta=0101 witness excluded", pl, [0, 1, 0, 1],
+                              pair("t1/t4", "x4^(-1)")))
+    out.append(_radical_check("beta=1110 zero-valued member included", pl,
+                              [1, 1, 1, 0], pair("t1/t4"), Verdict.YES))
     return out
+
 
 # ------------------------------------------------------------------ levels
 
@@ -288,74 +277,64 @@ def _t(s):
     return lmono(s)
 
 
+def _level_checks(pl, want):
+    """Each action's level in pl's plain family against its expected tree,
+    and the family itself for the strictness checks."""
+    fam = build_levels(pl)
+    return fam, [CheckResult(f"rho{j}", level_eq(fam.rho_Lambda[j], want[j]),
+                             str(canonical(fam.rho_Lambda[j])))
+                 for j in want]
+
+
 @fixture("levels-normal-type", "levels")
 def _fx_324():
-    d = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
-    fam = build_levels(run_pipeline(d, None, point()))
-    want = {1: _t("t1"), 2: _t("t2"), 3: _t("t3/(t1*t2)")}
-    out = [CheckResult(f"rho{j}", level_eq(fam.rho_Lambda[j], want[j]))
-           for j in want]
-    out.append(CheckResult("all strict", all(fam.strict.values())))
-    return out
+    fam, out = _level_checks(_pipeline([[1, 0, 1], [0, 1, 1], [0, 0, 1]]), {
+        1: _t("t1"), 2: _t("t2"), 3: _t("t3/(t1*t2)")})
+    return out + [CheckResult("all strict", all(fam.strict.values()))]
 
 
 @fixture("levels-four-actions", "levels")
 def _fx_325_levels():
-    d = deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]])
-    fam = build_levels(run_pipeline(d, None, point()))
     mx = lmax(_t("t1"), _t("t2"))
-    want = {
-        1: lprod(_t("t1"), lpow(mx, -1)),
-        2: lprod(_t("t2"), lpow(mx, -1)),
-        3: lprod(_t("t3/(t1*t2)"), mx),
-        4: mx,
-    }
-    out = [CheckResult(f"rho{j}", level_eq(fam.rho_Lambda[j], want[j]),
-                       str(canonical(fam.rho_Lambda[j])))
-           for j in want]
-    out.append(CheckResult("all strict", all(fam.strict.values())))
-    return out
+    fam, out = _level_checks(
+        _pipeline([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]]), {
+            1: lprod(_t("t1"), lpow(mx, -1)),
+            2: lprod(_t("t2"), lpow(mx, -1)),
+            3: lprod(_t("t3/(t1*t2)"), mx),
+            4: mx,
+        })
+    return out + [CheckResult("all strict", all(fam.strict.values()))]
 
 
 @fixture("levels-five-actions", "levels")
 def _fx_326_levels():
-    d = deformation([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]])
-    fam = build_levels(run_pipeline(d, None, point()))
     r5 = lmax(_t("t2"), _t("t3"))
     r4 = lmax(_t("t1"), lprod(_t("t3"), lpow(r5, -1)))
-    want = {
-        1: lprod(_t("t1"), lpow(r4, -1)),
-        2: lprod(_t("t2"), lpow(r5, -1)),
-        3: lprod(_t("t3"), lpow(lmax(lprod(_t("t1"), r5), _t("t3")), -1)),
-        4: r4,
-        5: r5,
-    }
-    out = [CheckResult(f"rho{j}", level_eq(fam.rho_Lambda[j], want[j]),
-                       str(canonical(fam.rho_Lambda[j])))
-           for j in want]
-    out.append(CheckResult("all strict", all(fam.strict.values())))
-    return out
+    fam, out = _level_checks(
+        _pipeline([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]), {
+            1: lprod(_t("t1"), lpow(r4, -1)),
+            2: lprod(_t("t2"), lpow(r5, -1)),
+            3: lprod(_t("t3"), lpow(lmax(lprod(_t("t1"), r5), _t("t3")), -1)),
+            4: r4,
+            5: r5,
+        })
+    return out + [CheckResult("all strict", all(fam.strict.values()))]
 
 
 @fixture("levels-non-strict-action", "levels")
 def _fx_327_levels():
-    d = deformation([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
-    pl = run_pipeline(d, None, point())
-    fam = build_levels(pl)
-    want = {
+    pl = _pipeline([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]])
+    fam, out = _level_checks(pl, {
         1: lpow(lmax(_t("1"), _t("t2/(t1*t3)")), -1),
         2: lpow(lmax(_t("1"), _t("t1*t3/t2")), -1),
         3: _t("1"),
         4: lmax(_t("t1"), _t("t2/t3")),
         5: _t("t3"),
-    }
-    out = [CheckResult(f"rho{j}", level_eq(fam.rho_Lambda[j], want[j]),
-                       str(canonical(fam.rho_Lambda[j])))
-           for j in want]
+    })
     out.append(CheckResult("action 3 not strict", fam.strict[3] is False))
     out.append(CheckResult("others strict",
                            all(fam.strict[j] for j in (1, 2, 4, 5))))
-    ghat = build_generalized_levels(d, rank_and_normalize(d, point()), point())
+    ghat = build_generalized_levels(pl.d, pl.r, pl.p)
     out.append(CheckResult("generalized family all strict",
                            all(ghat.strict.values())))
     return out
@@ -389,8 +368,11 @@ def _want_signature(specs):
     return out
 
 
-def _system_check(label, pipeline, p, specs):
-    system = build_multicone(pipeline, p, check_equivalence=False)
+def _cone(pl):
+    return build_multicone(pl, pl.p, check_equivalence=False)
+
+
+def _system_check(label, system, specs):
     got = _system_signature(system)
     want = _want_signature(specs)
     ok = got == want
@@ -399,34 +381,29 @@ def _system_check(label, pipeline, p, specs):
 
 @fixture("multicone-displays", "multicone")
 def _fx_multicone_displays():
-    out = []
-    # three flags in general position
-    d36 = deformation([[0, 1, 1], [1, 0, 1], [0, 0, 1]], complement_block={1})
-    out.append(_system_check(
-        "three-submanifolds", run_pipeline(d36, None, point()), point(),
-        ["t1", "t2", "t3/(t1*t2)"]))
-    # four actions on four blocks
-    d37 = deformation([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]],
-                      complement_block={1})
-    out.append(_system_check(
-        "four-submanifolds", run_pipeline(d37, None, point()), point(),
-        ["t1*t4/(t2*t3)", "t2*t4/(t1*t3)", "t3*t4/(t1*t2)", "t1*t2*t3/t4"]))
-    # two actions, one nonzero direction
-    d226, p226 = two_block_three_coord()
-    pl = run_pipeline(d226, None, p226)
-    system = build_multicone(pl, p226, check_equivalence=False)
-    got = _system_signature(system)
-    want = _want_signature(["t1", "t2", "t1*t2/t3", "t3", ("1", "1")])
-    out.append(CheckResult("two-actions-system", got == want,
-                           "" if got == want else str(sorted(got))))
-    key = (_primitive(mono("t1*t2/t3")), "0")
-    out.append(CheckResult("two-actions key inequality", key in got))
-    return out
+    running = _cone(_running_example())
+    return [
+        # three flags in general position
+        _system_check("three-submanifolds", _cone(_pipeline(
+            [[0, 1, 1], [1, 0, 1], [0, 0, 1]], complement_block={1})),
+            ["t1", "t2", "t3/(t1*t2)"]),
+        # four actions on four blocks
+        _system_check("four-submanifolds", _cone(_pipeline(
+            [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]],
+            complement_block={1})),
+            ["t1*t4/(t2*t3)", "t2*t4/(t1*t3)", "t3*t4/(t1*t2)",
+             "t1*t2*t3/t4"]),
+        # two actions, one nonzero direction
+        _system_check("two-actions-system", running,
+                      ["t1", "t2", "t1*t2/t3", "t3", ("1", "1")]),
+        CheckResult("two-actions key inequality",
+                    (_primitive(mono("t1*t2/t3")), "0")
+                    in _system_signature(running)),
+    ]
 
 
 @fixture("multicone-plane-catalogue", "multicone")
 def _fx_52_53():
-    out = []
     cases = [
         ("separated-2", [[1, 0], [0, 1]], ["t1", "t2"]),
         ("staircase-2", [[1, 1], [0, 1]], ["t1", "t2/t1"]),
@@ -443,118 +420,90 @@ def _fx_52_53():
         ("mixed-clean-staircase", [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
          ["t1", "t2/t1", "t1*t3/t2"]),
     ]
-    for label, rows, specs in cases:
-        d = deformation(rows)
-        pl = run_pipeline(d, None, point())
-        out.append(_system_check(label, pl, point(), specs))
-    return out
+    return [_system_check(label, _cone(_pipeline(rows)), specs)
+            for label, rows, specs in cases]
 
 
 @fixture("multicone-closure-boundary", "multicone")
 def _fx_closure():
-    d = deformation([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-    pl = run_pipeline(d, None, point())
-    cl = closure(pl)
-    out = [CheckResult("closure gains both flags",
-                       {str(e.pair.f) for e in cl.entries} >=
-                       {"t1", "t2"})]
-    out.append(CheckResult("excludes (0, 0.2, 0) at eps 0.1",
-                           not cl.system.member({1: 0.0, 2: 0.2, 3: 0.0}, 0.1)))
-    out.append(CheckResult("keeps (0, 0.005, 0) at eps 0.1",
-                           cl.system.member({1: 0.0, 2: 0.005, 3: 0.0}, 0.1)))
-    d226, p226 = two_block_three_coord()
-    cl226 = closure(run_pipeline(d226, None, p226))
-    out.append(CheckResult("running-example closure keeps t3",
-                           pair("t3") in cl226.K))
-    return out
+    cl = closure(_pipeline([[1, 0, 1], [0, 1, 1], [1, 1, 1]]))
+    return [
+        CheckResult("closure gains both flags",
+                    {str(e.pair.f) for e in cl.entries} >= {"t1", "t2"}),
+        CheckResult("excludes (0, 0.2, 0) at eps 0.1",
+                    not cl.system.member({1: 0.0, 2: 0.2, 3: 0.0}, 0.1)),
+        CheckResult("keeps (0, 0.005, 0) at eps 0.1",
+                    cl.system.member({1: 0.0, 2: 0.005, 3: 0.0}, 0.1)),
+        CheckResult("running-example closure keeps t3",
+                    pair("t3") in closure(_running_example()).K),
+    ]
 
 
 @fixture("multicone-projection", "multicone")
 def _fx_projection():
-    dtak = deformation([[1, 1], [0, 1]])
-    system = build_multicone(run_pipeline(dtak, None, point()), point(),
-                             check_equivalence=False)
-    pr2 = project(system, 2, k_in_JZ=True)
+    system = _cone(_pipeline([[1, 1], [0, 1]]))
     pr1 = project(system, 1, k_in_JZ=False)
-    out = [
-        CheckResult("drop block 2", _system_signature(pr2) ==
-                    _want_signature(["t1"])),
-        CheckResult("drop block 1 pairs up",
-                    _system_signature(pr1) == _want_signature(["t2"])),
+    return [
+        _system_check("drop block 2", project(system, 2, k_in_JZ=True),
+                      ["t1"]),
+        _system_check("drop block 1 pairs up", pr1, ["t2"]),
         CheckResult("paired bound is squared",
                     pr1.member({2: 0.1 * 0.1 * 0.9}, 0.1) and
                     not pr1.member({2: 0.1 * 0.1 * 1.1}, 0.1)),
     ]
-    return out
 
 
 # -------------------------------------------------------------- asymptotics
 
 @fixture("asymptotics-index-sets", "asymptotics")
 def _fx_index_sets():
-    out = []
-    dmaj = deformation([[1, 0], [0, 1]])
-    rmaj = rank_and_normalize(dmaj, point())
-    iset = index_set(dmaj, rmaj, {1}, (3, 0))
-    out.append(CheckResult("separate flags", set(iset.members) ==
-                           {(0, 0), (1, 0), (2, 0)}))
-    dc = deformation([[3, 2], [1, 1]])
-    rc = rank_and_normalize(dc, point())
-    iset = index_set(dc, rc, {1}, (7, 0))
-    want = {(a1, a2) for a1 in range(3) for a2 in range(4)
-            if 3 * a1 + 2 * a2 < 7}
-    out.append(CheckResult("weighted grading", set(iset.members) == want))
-    out.append(CheckResult("zero orders empty",
-                           index_set(dc, rc, {1, 2}, (0, 0)).members == ()))
-    dcl = deformation([[1, 1, 0], [0, 1, 1]])
-    rcl = rank_and_normalize(dcl, point())
-    iset = index_set(dcl, rcl, {1, 2}, (2, 2))
-    want = {(b1, b2, b3) for b1 in range(3) for b2 in range(3)
-            for b3 in range(3) if b1 + b2 < 2 and b2 + b3 < 2}
-    out.append(CheckResult("clean-two-plane joint constraint",
-                           set(iset.members) == want))
-    return out
+    def members(rows, J, N):
+        d = deformation(rows)
+        return set(index_set(d, rank_and_normalize(d, point()), J, N).members)
+
+    cusp = [[3, 2], [1, 1]]
+    return [
+        CheckResult("separate flags", members([[1, 0], [0, 1]], {1}, (3, 0))
+                    == {(0, 0), (1, 0), (2, 0)}),
+        CheckResult("weighted grading", members(cusp, {1}, (7, 0)) == {
+            (a1, a2) for a1 in range(3) for a2 in range(4)
+            if 3 * a1 + 2 * a2 < 7}),
+        CheckResult("zero orders empty",
+                    members(cusp, {1, 2}, (0, 0)) == set()),
+        CheckResult("clean-two-plane joint constraint",
+                    members([[1, 1, 0], [0, 1, 1]], {1, 2}, (2, 2)) == {
+                        (b1, b2, b3) for b1 in range(3) for b2 in range(3)
+                        for b3 in range(3) if b1 + b2 < 2 and b2 + b3 < 2}),
+    ]
+
+
+def _remainder_checks(label, rows, orders, want):
+    """The remainder exponent of the plain levels at each order N against
+    the monomial want(N)."""
+    pl = _pipeline(rows)
+    fam = build_levels(pl)
+    return [CheckResult(f"{label} N={N}", level_eq(
+        remainder_exponent(fam, N, pl.r.sigma_A), lmono(mono(want(N)))))
+        for N in orders]
 
 
 @fixture("asymptotics-remainders", "asymptotics")
 def _fx_remainders():
-    out = []
-    p0 = point()
-    dc = deformation([[3, 2], [1, 1]])
-    plc = run_pipeline(dc, None, p0)
-    famc = build_levels(plc)
-    for N in [(1, 1), (3, 2), (4, 1)]:
-        rem = remainder_exponent(famc, N, plc.r.sigma_A)
-        want = lmono(mono(f"t1^({N[0] - 2 * N[1]})*t2^({3 * N[1] - N[0]})"))
-        out.append(CheckResult(f"cusp N={N}", level_eq(rem, want)))
-    dtak = deformation([[1, 1], [0, 1]])
-    plt = run_pipeline(dtak, None, p0)
-    famt = build_levels(plt)
-    for N in [(1, 1), (3, 2)]:
-        rem = remainder_exponent(famt, N, plt.r.sigma_A)
-        want = lmono(mono(f"t1^({N[0] - N[1]})*t2^({N[1]})"))
-        out.append(CheckResult(f"staircase N={N}", level_eq(rem, want)))
-    # general two-block with rational entries
+    # general two-block with rational entries, whose sigma_A is 6
     b, c = Fraction(1, 2), Fraction(1, 3)
-    dgen = deformation([[1, b], [c, 1]])
-    rgen = rank_and_normalize(dgen, p0)
-    famg = build_levels(run_pipeline(dgen, rgen, p0))
-    ddet = 1 / (1 - b * c)
-    sig = rgen.sigma_A
-    for N in [(1, 1), (2, 5)]:
-        rem = remainder_exponent(famg, N, sig)
-        e1 = (N[0] - b * N[1]) * ddet / sig
-        e2 = (N[1] - c * N[0]) * ddet / sig
-        want = lmono(mono(f"t1^({e1})*t2^({e2})"))
-        out.append(CheckResult(f"general two-block N={N}", level_eq(rem, want)))
-    dmix = deformation([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
-    plm = run_pipeline(dmix, None, p0)
-    famm = build_levels(plm)
-    for N in [(2, 1, 1)]:
-        rem = remainder_exponent(famm, N, plm.r.sigma_A)
-        want = lmono(mono(f"t1^({N[0] - N[1] - N[2]})*t2^({N[1]})*t3^({N[2]})"))
-        out.append(CheckResult(f"mixed N={N}", level_eq(rem, want)))
-    return out
+    ddet = 1 / (1 - b * c) / 6
+    cases = [
+        ("cusp", [[3, 2], [1, 1]], [(1, 1), (3, 2), (4, 1)],
+         lambda N: f"t1^({N[0] - 2 * N[1]})*t2^({3 * N[1] - N[0]})"),
+        ("staircase", [[1, 1], [0, 1]], [(1, 1), (3, 2)],
+         lambda N: f"t1^({N[0] - N[1]})*t2^({N[1]})"),
+        ("general two-block", [[1, b], [c, 1]], [(1, 1), (2, 5)],
+         lambda N: f"t1^({(N[0] - b * N[1]) * ddet})"
+                   f"*t2^({(N[1] - c * N[0]) * ddet})"),
+        ("mixed", [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [(2, 1, 1)],
+         lambda N: f"t1^({N[0] - N[1] - N[2]})*t2^({N[1]})*t3^({N[2]})"),
+    ]
+    return [check for case in cases for check in _remainder_checks(*case)]
 
 
 @fixture("asymptotics-induced-maps", "maps")
@@ -584,27 +533,26 @@ def _fx_maps():
     return out
 
 
+def _class_check(label, rows):
+    """The catalogue case of a two-row matrix against its label, which the
+    check's name repeats with a space for the comma."""
+    return CheckResult(label.replace(",", " "),
+                       classify_two_manifolds(rows).label == label)
+
+
 @fixture("asymptotics-classification", "classification")
 def _fx_classify():
-    out = []
-    case = classify_two_manifolds([[1, 0], [0, 1]])
-    out.append(CheckResult("m=2 N=2", case.label == "m=2,N=2"))
-    case = classify_two_manifolds([[1, 2], [0, 1]])
-    out.append(CheckResult("m=2 N=3", case.label == "m=2,N=3"))
-    case = classify_two_manifolds([[1, Fraction(1, 2)],
-                                   [Fraction(1, 3), 1]])
-    out.append(CheckResult("m=2 N=4", case.label == "m=2,N=4"))
-    case = classify_two_manifolds([[1, 0, 2], [0, 1, 0]])
-    out.append(CheckResult("m=3 N=3", case.label == "m=3,N=3"))
-    case = classify_two_manifolds([[1, 1, 2], [0, 1, 0]])
-    out.append(CheckResult("m=3 N=4a", case.label == "m=3,N=4a"))
-    case = classify_two_manifolds([[1, 1, 0], [0, 1, 2]])
-    out.append(CheckResult("m=3 N=4b", case.label == "m=3,N=4b"))
-    case = classify_two_manifolds([[1, 1, 3], [0, 1, 1]])
-    out.append(CheckResult("m=3 N=5", case.label == "m=3,N=5"))
-    case = classify_two_manifolds([[1, Fraction(1, 2), 1],
-                                   [Fraction(1, 2), 1, 1]])
-    out.append(CheckResult("m=3 N=6", case.label == "m=3,N=6"))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    out = [_class_check(label, rows) for label, rows in [
+        ("m=2,N=2", [[1, 0], [0, 1]]),
+        ("m=2,N=3", [[1, 2], [0, 1]]),
+        ("m=2,N=4", [[1, half], [third, 1]]),
+        ("m=3,N=3", [[1, 0, 2], [0, 1, 0]]),
+        ("m=3,N=4a", [[1, 1, 2], [0, 1, 0]]),
+        ("m=3,N=4b", [[1, 1, 0], [0, 1, 2]]),
+        ("m=3,N=5", [[1, 1, 3], [0, 1, 1]]),
+        ("m=3,N=6", [[1, half, 1], [half, 1, 1]]),
+    ]]
     for bad in ([[1, 1], [1, 1]], [[1, 1, 1], [0, 1, 1]], [[1, 0, 1], [0, 1, 0]]):
         try:
             classify_two_manifolds(bad)

@@ -223,7 +223,6 @@ def level_eq(a: LevelExpr, b: LevelExpr) -> bool:
 class LevelFamily:
     rho_Lambda: dict[int, LevelExpr]     # per action, scale variables only
     strict: dict[int, bool]
-    elim_order: tuple[int, ...]
 
     def json(self):
         return {
@@ -245,7 +244,7 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     rho_lambda, _, _ = next(_level_families(
         d, pipeline.r, pipeline.derived, pipeline.G, [pipeline.elim_order]))
     strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_lambda, strict, pipeline.elim_order)
+    return LevelFamily(rho_lambda, strict)
 
 
 def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -527,4 +526,4 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     if not all(strict.values()):
         raise AssertionError("an action is not strict for the generalized "
                              "family; this contradicts its construction")
-    return LevelFamily(rho_hat, strict, ())
+    return LevelFamily(rho_hat, strict)

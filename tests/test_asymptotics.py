@@ -64,7 +64,7 @@ def _weight_vector_members(d, r, J, N):
     """Oracle: the members found by recomputing weight_vector for every
     candidate index, which index_set replaced by incremental weights."""
     struct = structure_of(d)
-    K_J = set().union(*(d.k_set(j) for j in J))
+    K_J = set().union(*(d.support(j) for j in J))
     coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
 
     def below(idx) -> bool:
@@ -384,7 +384,7 @@ def test_consistency_examples():
     d, r = RIGS["cusp"]
     s = structure_of(d)
     fam = canonical_family(poly_monomial(s, (1, 1)), d)
-    ksets = {frozenset(J): frozenset().union(*(d.k_set(j) for j in J))
+    ksets = {frozenset(J): frozenset().union(*(d.support(j) for j in J))
              for J in subsets_of_actions(2)}
     assert len(set(ksets.values())) == 1
     assert consistency_C1(fam, d).holds
@@ -692,7 +692,7 @@ def _derivative_family(f, d):
     for J in subsets_of_actions(d.ell):
         K_J = set()
         for j in J:
-            K_J |= set(d.k_set(j))
+            K_J |= set(d.support(j))
         coords = [c for c in range(struct.n) if struct.block_of(c) in K_J]
         entries = {}
         for idx, _ in f.terms:

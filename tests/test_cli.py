@@ -483,6 +483,27 @@ def test_scenario_with_k_sets_and_blocks():
       '{"A": [["1","0","1"],["0","1","1"]], "norms": {"3": true}}'],
      "invalid scenario: norm of block 3 must be a rational or a number, "
      "not true"),
+    (["pipeline",
+      '{"A": [["1","0","1"],["0","1","1"]], "norms": {"3": 1e400}}'],
+     "invalid scenario: cannot convert Infinity to integer ratio"),
+    (["pipeline", '{"A": [[1e400, 1]]}'],
+     "invalid scenario: cannot convert Infinity to integer ratio"),
+    (["classify2", "--matrix", "[[1, 1e400],[0,1]]"],
+     "invalid matrix: cannot convert Infinity to integer ratio"),
+    (["pipeline", '{"A": [["1","1","0"],["0","1","1"]], '
+      '"K": [[true,2],[2,3]]}'],
+     "invalid scenario: K must list one set of blocks 1..3 per action, "
+     "not [[true, 2], [2, 3]]"),
+    (["pipeline", '{"A": [["1","1","0"],["0","1","1"]], '
+      '"K": [["1",2],[2,3]]}'],
+     "invalid scenario: K must list one set of blocks 1..3 per action, "
+     'not [["1", 2], [2, 3]]'),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "complement": ["x", true]}'],
+     "invalid scenario: complement must list natural numbers of at least 1, "
+     'not ["x", true]'),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "complement": 5}'],
+     "invalid scenario: complement must list natural numbers of at least 1, "
+     "not 5"),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
@@ -494,7 +515,9 @@ def test_scenario_with_k_sets_and_blocks():
         "zeros-boolean", "zeros-string",
         "zero-column", "norm-negative", "norm-zero", "norm-block-range",
         "block-size-float", "block-size-boolean", "block-size-string",
-        "normalized-string", "norm-boolean"])
+        "normalized-string", "norm-boolean", "norm-infinite",
+        "matrix-infinite", "classify2-infinite", "K-boolean", "K-string",
+        "complement-string", "complement-not-a-list"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()

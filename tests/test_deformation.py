@@ -45,7 +45,7 @@ def test_validation():
     with pytest.raises(ValueError):
         deformation([[1, 0], [0, 1]], K_sets=[{1, 2}, {2}])
     d = deformation([[1, 1], [0, 1]], K_sets=[{1, 2}, {2}])
-    assert d.k_set(2) == {2}
+    assert d.support(2) == {2}
 
 
 def test_classify_examples():

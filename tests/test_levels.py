@@ -96,8 +96,9 @@ def test_last_action_always_strict():
     for rows in ([[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]],
                  [[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 1, 1]],
                  [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]):
-        d, fam = fam_for(rows)
-        last = fam.elim_order[-1] if fam.elim_order else d.ell
+        pl = run_pipeline(deformation(rows), None, point())
+        fam = build_levels(pl)
+        last = pl.elim_order[-1] if pl.elim_order else pl.d.ell
         assert fam.strict[last]
 
 
@@ -392,7 +393,7 @@ def _per_ordering_generalized_levels(d, r, p):
     rho_hat = {j: canonical(lmin([fam.rho_Lambda[j] for fam in families]))
                for j in range(1, d.ell + 1)}
     strict = {j: is_strict(rho_hat[j], d, j) for j in range(1, d.ell + 1)}
-    return LevelFamily(rho_hat, strict, ())
+    return LevelFamily(rho_hat, strict)
 
 
 def _check_generalized_against_oracle(d, p):
