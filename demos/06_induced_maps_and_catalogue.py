@@ -48,5 +48,5 @@ for rows in ([[1, 0], [0, 1]],
              [[1, 1, 2], [0, 1, 0]],
              [[1, 1, 0], [0, 1, 2]],
              [[1, 1, 3], [0, 1, 1]]):
-    case = classify_two_manifolds(rows)
+    case = classify_two_manifolds(deformation(rows))
     print(f"  {rows} -> {case.label}, remainder {case.remainder_text()}")

@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .deformation import DeformationData, PointPattern, RankData
-from .linear import mat, pivots
-from .monomials import Monomial, tau
+from .linear import pivots
+from .monomials import tau
 from .polynomials import BlockStructure, BlockPolynomial, factorial_multi
 from .semigroup import run_pipeline
 
@@ -322,15 +322,18 @@ class TwoManifoldCase:
 
     def remainder_text(self) -> str:
         """Exponent of each block norm as a linear form in the orders."""
+        from .levels import canonical
+
+        leaves = {j: canonical(e).mono
+                  for j, e in sorted(self.family.rho_Lambda.items())}
+        if None in leaves.values():
+            return "(not a single monomial; see multispec expand)"
         parts = []
-        for k in sorted({v.index for e in self.family.rho_Lambda.values()
-                         for m_ in _level_monos(e) for v, _ in m_.exps}):
+        for k in sorted({v.index for m_ in leaves.values()
+                         for v, _ in m_.exps}):
             coeffs = []
-            for j, e in sorted(self.family.rho_Lambda.items()):
-                monos = _level_monos(e)
-                exp = monos[0].exponent(tau(k)) if len(monos) == 1 else None
-                if exp is None:
-                    return "(not a single monomial; see multispec expand)"
+            for j, leaf in leaves.items():
+                exp = leaf.exponent(tau(k))
                 if exp:
                     c = exp / self.sigma
                     coeffs.append(f"n{j}" if c == 1 else f"({c})*n{j}")
@@ -339,32 +342,17 @@ class TwoManifoldCase:
         return "*".join(parts) if parts else "1"
 
 
-def _level_monos(e: LevelExpr) -> list[Monomial]:
-    from .levels import canonical
-
-    c = canonical(e)
-    if c.kind == "mono":
-        return [c.mono]
-    out = []
-    for ch in c.children:
-        out.extend(_level_monos(ch))
-    return out
-
-
-def classify_two_manifolds(rows) -> TwoManifoldCase:
-    """Match a normalized 2-row action matrix against the catalogue of
-    two-manifold expansions with at most three blocks."""
+def classify_two_manifolds(d: DeformationData) -> TwoManifoldCase:
+    """Match a normalized 2-row action matrix (`deformation`) against the
+    catalogue of two-manifold expansions with at most three blocks."""
     from .levels import build_levels
     from .multicone import build_multicone
 
-    a = mat(rows)
-    if len(a) != 2:
+    a, m = d.A, d.m
+    if d.ell != 2:
         raise ValueError("the catalogue covers exactly two actions")
-    m = len(a[0])
     if m not in (2, 3):
         raise ValueError("the catalogue covers two or three blocks")
-    d = DeformationData(2, m, tuple(tuple(row) for row in a),
-                        tuple([1] * m))
     if len(pivots(d.ints)) < 2:
         raise ValueError("degenerate action: reduces to the one-manifold case")
     if any(all(a[j][k] == 0 for j in range(2)) for k in range(m)):
@@ -416,10 +404,9 @@ def classify_two_manifolds(rows) -> TwoManifoldCase:
                 raise ValueError("proportional third block: reduces to m = 2")
             label = "m=3,N=6"
 
-    p = PointPattern(frozenset())
-    pipeline = run_pipeline(d, None, p)
+    pipeline = run_pipeline(d)
     sigma = pipeline.r.sigma_A
-    system = build_multicone(pipeline, p, check_equivalence=False)
+    system = build_multicone(pipeline, check_equivalence=False)
     family = build_levels(pipeline)
     constraints = {subset_label(J): constraint_text(d, J, sigma)
                    for J in subsets_of_actions(2)}

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -51,21 +52,35 @@ def _reading(what: str):
         raise ScenarioError(f"invalid {what}: {exc}") from exc
 
 
-def _deformation(data: dict):
-    return deformation([[fr(x) for x in row] for row in data["A"]],
-                       block_dims=data.get("blocks"), K_sets=data.get("K"),
+def _deformation(data):
+    """The action of a scenario object: its matrix "A", rows as written,
+    and its optional block sizes, K sets and complement (`deformation`)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a scenario is a JSON object, not {json.dumps(data)}")
+    if "A" not in data:
+        raise ValueError('the scenario has no action matrix "A"')
+    return deformation(data["A"], block_dims=data.get("blocks"),
+                       K_sets=data.get("K"),
                        complement_block=data.get("complement", ()))
 
 
 def load_scenario(source: str):
-    """Scenario JSON: the action matrix (rationals as strings), optional
-    block sizes and vanishing sets, and the base point's zero pattern,
-    norms (rational strings or JSON numbers) and `normalized` flag (a JSON
+    """Scenario JSON: the action matrix (a list of rows, rationals as
+    strings), optional block sizes and vanishing sets, and the base point's
+    zero pattern (a list of blocks), norms (an object from blocks to
+    rational strings or JSON numbers) and `normalized` flag (a JSON
     boolean), which must fit the matrix (`check_point`)."""
     data = _json(source)
     with _reading("scenario"):
+        d = _deformation(data)
+        zeros, given = data.get("zeros", []), data.get("norms", {})
+        if not isinstance(zeros, list):
+            raise TypeError(f"zeros must list blocks, not {json.dumps(zeros)}")
+        if not isinstance(given, dict):
+            raise TypeError("norms must map blocks to norms, not "
+                            f"{json.dumps(given)}")
         norms = {}
-        for k, v in data.get("norms", {}).items():
+        for k, v in given.items():
             if isinstance(v, bool):
                 raise TypeError(f"norm of block {k} must be a rational or a "
                                 f"number, not {json.dumps(v)}")
@@ -74,9 +89,7 @@ def load_scenario(source: str):
         if not isinstance(normalized, bool):
             raise TypeError("normalized must be true or false, not "
                             f"{json.dumps(normalized)}")
-        d, p = _deformation(data), point(
-            zero_blocks=set(data.get("zeros", ())), norms=norms,
-            normalized=normalized)
+        p = point(zero_blocks=set(zeros), norms=norms, normalized=normalized)
         check_point(d, p)
     return d, p
 
@@ -381,14 +394,17 @@ def cmd_classify2(args):
     from .asymptotics import classify_two_manifolds
 
     rows = _json(args.matrix)
-    with _reading("matrix"):
-        rows = [[fr(x) for x in row] for row in rows]
-    case = classify_two_manifolds(rows)
+    with _reading("matrix"), warnings.catch_warnings():
+        # equal rows are degenerate, which the catalogue rejects
+        warnings.simplefilter("ignore")
+        d = deformation(rows)
+    case = classify_two_manifolds(d)
+    remainder = case.remainder_text()
     system, system_lines = _multicone_section(case.system)
-    lines = [f"case: {case.label}", f"remainder: {case.remainder_text()}"]
+    lines = [f"case: {case.label}", f"remainder: {remainder}"]
     lines += [f"A_{key}(N): " + "; ".join(txt)
               for key, txt in case.constraints.items()]
-    payload = {"case": case.label, "remainder": case.remainder_text(),
+    payload = {"case": case.label, "remainder": remainder,
                "constraints": case.constraints, "system": system}
     _emit(args, payload, lines + system_lines)
 

@@ -10,7 +10,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .linear import adjugate, mat, pivots
+from .linear import adjugate, fr, pivots
 from .monomials import Monomial, lam, tau, vector_key
 
 
@@ -76,7 +76,11 @@ def deformation(rows, block_dims=None, K_sets=None,
     """The validated action matrix.  K_sets, when given, lists one set of
     blocks per action, which must be that row's support: it is checked,
     not stored."""
-    a = mat(rows)
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) for row in rows)):
+        raise ValueError("the action matrix must be a list of rows, each a "
+                         f"list, not {json.dumps(rows, default=repr)}")
+    a = [[fr(x) for x in row] for row in rows]
     ell = len(a)
     if ell == 0:
         raise ValueError("need at least one action row")
@@ -100,16 +104,17 @@ def deformation(rows, block_dims=None, K_sets=None,
                 stacklevel=2)
         else:
             seen[key] = j
-    dims = tuple(block_dims) if block_dims else tuple([1] * m)
-    if len(dims) != m or not all(type(d) is int and d >= 1 for d in dims):
+    dims = [1] * m if block_dims is None else block_dims
+    if not (isinstance(dims, (list, tuple)) and len(dims) == m
+            and all(type(d) is int and d >= 1 for d in dims)):
         raise ValueError(
             "block_dims must list a natural number of at least 1 per block, "
-            f"not {json.dumps(list(dims), default=repr)}")
+            f"not {json.dumps(dims, default=repr)}")
     if not _naturals(complement_block, inf):
         raise ValueError(
             "complement must list natural numbers of at least 1, not "
             f"{json.dumps(complement_block, default=repr)}")
-    d = DeformationData(ell, m, tuple(tuple(row) for row in a), dims,
+    d = DeformationData(ell, m, tuple(tuple(row) for row in a), tuple(dims),
                         frozenset(complement_block))
     if K_sets is None:
         return d

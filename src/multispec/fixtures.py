@@ -8,6 +8,7 @@ multicone systems, expansion data).  The test suite and the command-line
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -536,8 +537,8 @@ def _fx_maps():
 def _class_check(label, rows):
     """The catalogue case of a two-row matrix against its label, which the
     check's name repeats with a space for the comma."""
-    return CheckResult(label.replace(",", " "),
-                       classify_two_manifolds(rows).label == label)
+    case = classify_two_manifolds(deformation(rows))
+    return CheckResult(label.replace(",", " "), case.label == label)
 
 
 @fixture("asymptotics-classification", "classification")
@@ -555,7 +556,10 @@ def _fx_classify():
     ]]
     for bad in ([[1, 1], [1, 1]], [[1, 1, 1], [0, 1, 1]], [[1, 0, 1], [0, 1, 0]]):
         try:
-            classify_two_manifolds(bad)
+            with warnings.catch_warnings():
+                # equal rows are degenerate, which the catalogue rejects
+                warnings.simplefilter("ignore")
+                classify_two_manifolds(deformation(bad))
             out.append(CheckResult(f"rejects {bad}", False))
         except ValueError:
             out.append(CheckResult(f"rejects {bad}", True))

@@ -8,8 +8,8 @@ over one integer) on integer rows, such as `DeformationData.ints`, and the
 phase-one simplex of `nonneg_solution` (Bland's rule), which takes integer
 columns and pivots its objective row as one more row.  The simplex decides
 radical membership, and with it equivalence of generating sets;
-`cone_feasible` poses it on rational columns, the one place besides `mat`
-and `fr` where Fractions come in.
+`cone_feasible` poses it on rational columns, the one place besides `fr`
+where Fractions come in.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ Vector = list[Fraction]
 
 def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def mat(rows) -> list[list[Fraction]]:
-    return [[fr(x) for x in row] for row in rows]
 
 
 def _whole_row(row) -> list[int]:

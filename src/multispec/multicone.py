@@ -278,18 +278,25 @@ def build_multicone(pipeline: PipelineResult, p: PointPattern | None = None,
         if verdict is not Verdict.YES:
             raise ValueError(f"stage/semigroup equivalence check came back "
                              f"{verdict.value}")
-    ineqs = tuple(Inequality(pr.f, _single(pr.v), pr.v)
-                  for pr in sorted_pairs(pipeline.Fq))
-    one_sided = fraction_closure(pipeline.Fq) == pipeline.Fq
+    return _system(pipeline, p, tuple(
+        Inequality(pr.f, _single(pr.v), pr.v)
+        for pr in sorted_pairs(pipeline.Fq)), SystemKind.OPEN)
+
+
+def _system(pipeline: PipelineResult, p: PointPattern, inequalities,
+            kind: SystemKind) -> MulticoneSystem:
+    """The system of the given rows over the pipeline's blocks and actions
+    at the point p, one-sided when the final stage is fraction-closed."""
     d = pipeline.d
     return MulticoneSystem(
-        inequalities=ineqs,
+        inequalities=inequalities,
         zero_blocks=frozenset(p.zero_blocks),
         blocks=tuple(range(1, d.m + 1)),
         norms=dict(p.norms),
         action_rows=d.A,
-        one_sided=one_sided,
+        one_sided=fraction_closure(pipeline.Fq) == pipeline.Fq,
         has_x0=bool(d.complement_block),
+        kind=kind,
     )
 
 
@@ -373,9 +380,8 @@ def closure(pipeline: PipelineResult, rounds: int = 1) -> ClosureSystem:
                                                 for q, n in e.factors)),
                              e.pair.v)
                   for e in ordered)
-    sys0 = build_multicone(pipeline, check_equivalence=False)
-    closed = replace(sys0, inequalities=ineqs, kind=SystemKind.CLOSED)
-    return ClosureSystem(ordered, closed)
+    return ClosureSystem(ordered, _system(pipeline, pipeline.p, ineqs,
+                                          SystemKind.CLOSED))
 
 
 def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> MulticoneSystem:
@@ -416,15 +422,12 @@ def project(system: MulticoneSystem, k: int, k_in_JZ: bool | None = None) -> Mul
                 pr = pair_of(row, columns, width)
                 bound = _merge((gpos.bound, a), (gneg.bound, b))
                 new.append(Inequality(pr.f, bound, pr.v))
-    return MulticoneSystem(
+    return replace(
+        system,
         inequalities=tuple(sorted(set(new), key=Inequality.sort_key)),
         zero_blocks=system.zero_blocks - {k},
         blocks=tuple(b for b in system.blocks if b != k),
         norms={b: n for b, n in system.norms.items() if b != k},
-        action_rows=system.action_rows,
-        one_sided=True,
-        has_x0=system.has_x0,
-        kind=system.kind,
     )
 
 

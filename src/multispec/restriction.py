@@ -9,8 +9,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .deformation import DeformationData, deformation
-from .linear import cone_feasible, fr, pivots
-from .monomials import Monomial, Pair, TAU
+from .linear import cone_feasible, fr
+from .monomials import Monomial, Pair, TAU, sorted_pairs
 from .semigroup import PipelineResult, norm_value
 
 
@@ -39,9 +39,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class RestrictionVerdict:
+    """b_values pairs the solved inverse of each selected row j with the
+    candidate row, quotient_values the quotient of each unselected
+    column k."""
+
     case: RestrictionCase
     holds: bool
     b_values: dict[int, Fraction]
+    quotient_values: dict[int, Fraction]
     witnesses: tuple[Witness, ...]
     sufficient_nonneg_combination: bool | None = None
     pivot: int | None = None
@@ -51,6 +56,8 @@ class RestrictionVerdict:
             "case": self.case.value,
             "holds": self.holds,
             "b": {j: str(v) for j, v in sorted(self.b_values.items())},
+            "b_quotient": {k: str(v) for k, v in
+                           sorted(self.quotient_values.items())},
             "witnesses": [{"pair": str(w.pair), "condition": w.condition,
                            "log": str(w.log_value)} for w in self.witnesses],
             "pivot": self.pivot,
@@ -72,74 +79,47 @@ def extended_matrix(d: DeformationData, beta) -> DeformationData:
                            complement_block=d.complement_block)
 
 
-def _same_rank(pipeline: PipelineResult, beta) -> RestrictionVerdict:
-    """The rank-preserving case: zero-valued stage pairs must pair
-    non-negatively with the new row."""
-    d_A, r_A = pipeline.d, pipeline.r
-    b_values = {j: log_at_exp_beta(pipeline.derived.phi_inv[j], beta)
-                for j in r_A.sel_rows}
-    witnesses = []
-    for pr in sorted(pipeline.Fq, key=lambda x: x.sort_key()):
-        if pr.v.is_zero:
-            lv = log_at_exp_beta(pr.f, beta)
-            if lv < 0:
-                witnesses.append(Witness(pr, "zero-value log >= 0", lv))
-
-    # Sufficient condition: the new row is a non-negative combination of the
-    # selected rows (then nothing can fail).  The integer rows are d_A.den
-    # times the matrix rows, a positive scale that keeps the answer.
-    suff = cone_feasible([d_A.ints[j - 1] for j in r_A.sel_rows], beta)
-
-    return RestrictionVerdict(
-        RestrictionCase.SAME_RANK, holds=not witnesses, b_values=b_values,
-        witnesses=tuple(witnesses), sufficient_nonneg_combination=suff)
-
-
-def _rank_plus_one(pipeline: PipelineResult, beta) -> RestrictionVerdict:
-    """The rank-increasing case: three conditions over the final stage, and
-    the pivot, the first unselected column with a nonzero pairing."""
-    d_A, r_A, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
-    b_values: dict[int, Fraction] = {}
-    for j in r_A.sel_rows:
-        b_values[j] = log_at_exp_beta(derived.phi_inv[j], beta)
-    unsel_cols = [k for k in range(1, d_A.m + 1) if k not in r_A.sel_cols]
-    for k in unsel_cols:
-        b_values[k] = log_at_exp_beta(derived.psi[k], beta)
-
-    pivot = next((k for k in unsel_cols if b_values[k] != 0), None)
-    if pivot is None:
-        raise RuntimeError(
-            "all quotient pairings vanish, which would keep the rank fixed; "
-            "inconsistent with the rank increase")
-
-    witnesses = []
-    for pr in sorted(pipeline.Fq, key=lambda x: x.sort_key()):
-        lv = log_at_exp_beta(pr.f, beta)
-        if pr.v.is_zero:
-            if lv < 0:
-                witnesses.append(Witness(pr, "zero-value log >= 0", lv))
-        elif lv != 0:
-            witnesses.append(Witness(pr, "nonzero-value log == 0", lv))
-    for k in unsel_cols:
-        if k == pivot or k in p.zero_blocks:
-            continue
-        if b_values[k] != 0:
-            v_k = norm_value(derived.psi[k], k, d_A, r_A, p)
-            witnesses.append(Witness(Pair(derived.psi[k], v_k),
-                                     "non-pivot quotient pairing == 0",
-                                     b_values[k]))
-
-    return RestrictionVerdict(
-        RestrictionCase.RANK_PLUS_ONE, holds=not witnesses, b_values=b_values,
-        witnesses=tuple(witnesses), pivot=pivot)
-
-
 def check_restriction(pipeline: PipelineResult, beta) -> RestrictionVerdict:
-    """The verdict for adding beta as a new row: the same-rank case when the
-    extended matrix (`extended_matrix`, which rejects a zero or malformed
-    row with ValueError) keeps the pipeline's rank, else the rank-plus-one
-    case."""
+    """The verdict for adding beta as a new row (`extended_matrix` rejects
+    a zero or malformed row with ValueError).
+
+    The quotients span the annihilator of the matrix's rows, so beta keeps
+    the rank exactly when every quotient pairs with it to zero; otherwise
+    the pivot is the first unselected column with a nonzero pairing.  A
+    zero-valued stage pair must pair non-negatively with beta in both
+    cases; in the rank-plus-one case a nonzero-valued pair, and the
+    quotient of every non-pivot column off the zero pattern, must pair to
+    zero."""
     beta = [fr(x) for x in beta]
-    if len(pivots(extended_matrix(pipeline.d, beta).ints)) == pipeline.r.L:
-        return _same_rank(pipeline, beta)
-    return _rank_plus_one(pipeline, beta)
+    extended_matrix(pipeline.d, beta)  # the row's checks only
+    d, r, p, derived = pipeline.d, pipeline.r, pipeline.p, pipeline.derived
+    b_values = {j: log_at_exp_beta(derived.phi_inv[j], beta)
+                for j in r.sel_rows}
+    quotient_values = {k: log_at_exp_beta(psi, beta)
+                       for k, psi in derived.psi.items()}
+    pivot = next((k for k, b in quotient_values.items() if b), None)
+
+    witnesses = []
+    for pr in sorted_pairs(pipeline.Fq):
+        lv = log_at_exp_beta(pr.f, beta)
+        if pr.v.is_zero and lv < 0:
+            witnesses.append(Witness(pr, "zero-value log >= 0", lv))
+        elif not pr.v.is_zero and lv and pivot is not None:
+            witnesses.append(Witness(pr, "nonzero-value log == 0", lv))
+    for k, b in quotient_values.items():
+        if b and k != pivot and k not in p.zero_blocks:
+            psi = derived.psi[k]
+            witnesses.append(Witness(Pair(psi, norm_value(psi, k, d, r, p)),
+                                     "non-pivot quotient pairing == 0", b))
+
+    if pivot is not None:
+        return RestrictionVerdict(
+            RestrictionCase.RANK_PLUS_ONE, not witnesses, b_values,
+            quotient_values, tuple(witnesses), pivot=pivot)
+    # Sufficient condition: the new row is a non-negative combination of the
+    # selected rows (then nothing can fail).  The integer rows are d.den
+    # times the matrix rows, a positive scale that keeps the answer.
+    suff = cone_feasible([d.ints[j - 1] for j in r.sel_rows], beta)
+    return RestrictionVerdict(
+        RestrictionCase.SAME_RANK, not witnesses, b_values, quotient_values,
+        tuple(witnesses), sufficient_nonneg_combination=suff)

@@ -658,31 +658,38 @@ def test_verify_estimate_rejects_what_it_cannot_sample(samples, eps,
         verify_estimate(d, r, P0, f, (1, 1), samples=samples, eps=eps)
 
 def test_classify_catalogue():
-    assert classify_two_manifolds([[1, 0], [0, 1]]).label == "m=2,N=2"
-    case = classify_two_manifolds([[1, 2], [0, 1]])
+    assert classify_two_manifolds(
+        deformation([[1, 0], [0, 1]])).label == "m=2,N=2"
+    case = classify_two_manifolds(deformation([[1, 2], [0, 1]]))
     assert case.label == "m=2,N=3"
     assert case.remainder_text() == "|z1|^(n1 + (-2)*n2)*|z2|^(n2)"
+    assert classify_two_manifolds(deformation(
+        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]])).label == "m=2,N=4"
     assert classify_two_manifolds(
-        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]]).label == "m=2,N=4"
-    assert classify_two_manifolds([[1, 0, 2], [0, 1, 0]]).label == "m=3,N=3"
-    assert classify_two_manifolds([[1, 1, 2], [0, 1, 0]]).label == "m=3,N=4a"
-    assert classify_two_manifolds([[1, 1, 0], [0, 1, 2]]).label == "m=3,N=4b"
-    assert classify_two_manifolds([[1, 1, 3], [0, 1, 1]]).label == "m=3,N=5"
+        deformation([[1, 0, 2], [0, 1, 0]])).label == "m=3,N=3"
     assert classify_two_manifolds(
-        [[1, Fraction(1, 2), 1], [Fraction(1, 2), 1, 1]]).label == "m=3,N=6"
+        deformation([[1, 1, 2], [0, 1, 0]])).label == "m=3,N=4a"
+    assert classify_two_manifolds(
+        deformation([[1, 1, 0], [0, 1, 2]])).label == "m=3,N=4b"
+    assert classify_two_manifolds(
+        deformation([[1, 1, 3], [0, 1, 1]])).label == "m=3,N=5"
+    assert classify_two_manifolds(deformation(
+        [[1, Fraction(1, 2), 1], [Fraction(1, 2), 1, 1]])).label == "m=3,N=6"
 
 
 def test_classify_rejections():
     with pytest.raises(ValueError):
-        classify_two_manifolds([[1, 1], [1, 1]])
+        classify_two_manifolds(deformation([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
-        classify_two_manifolds([[1, 0, 1], [0, 1, 0]])  # duplicated block
+        # duplicated block
+        classify_two_manifolds(deformation([[1, 0, 1], [0, 1, 0]]))
     with pytest.raises(ValueError):
-        classify_two_manifolds([[1, 1, 1], [0, 1, 1]])  # proportional block
+        # proportional block
+        classify_two_manifolds(deformation([[1, 1, 1], [0, 1, 1]]))
     with pytest.raises(ValueError):
-        classify_two_manifolds([[2, 0], [0, 1]])  # not normalized
+        classify_two_manifolds(deformation([[2, 0], [0, 1]]))  # not normalized
     with pytest.raises(ValueError):
-        classify_two_manifolds([[1, 0], [0, 1], [1, 1]])
+        classify_two_manifolds(deformation([[1, 0], [0, 1], [1, 1]]))
 
 
 def _derivative_family(f, d):

@@ -504,6 +504,33 @@ def test_scenario_with_k_sets_and_blocks():
     (["pipeline", '{"A": [["1","0"],["0","1"]], "complement": 5}'],
      "invalid scenario: complement must list natural numbers of at least 1, "
      "not 5"),
+    (["pipeline", '{"A": ["12", "01"]}'],
+     "invalid scenario: the action matrix must be a list of rows, each a "
+     'list, not ["12", "01"]'),
+    (["map-check", json.dumps({**MAP_SPEC, "target": {"A": ["10", "01"]}})],
+     "invalid map spec: the action matrix must be a list of rows, each a "
+     'list, not ["10", "01"]'),
+    (["classify2", "--matrix", '["12","01"]'],
+     "invalid matrix: the action matrix must be a list of rows, each a "
+     'list, not ["12", "01"]'),
+    (["classify2", "--matrix", "[[1,-1],[0,1]]"],
+     "invalid matrix: action exponents must be non-negative"),
+    (["classify2", "--matrix", "[[1,0],[0]]"],
+     "invalid matrix: ragged action matrix"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "blocks": []}'],
+     "invalid scenario: block_dims must list a natural number of at least 1 "
+     "per block, not []"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "blocks": 5}'],
+     "invalid scenario: block_dims must list a natural number of at least 1 "
+     "per block, not 5"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": 5}'],
+     "invalid scenario: zeros must list blocks, not 5"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": [1]}'],
+     "invalid scenario: norms must map blocks to norms, not [1]"),
+    (["pipeline", "[1, 2]"],
+     "invalid scenario: a scenario is a JSON object, not [1, 2]"),
+    (["pipeline", '{"B": 1}'],
+     'invalid scenario: the scenario has no action matrix "A"'),
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
@@ -517,7 +544,11 @@ def test_scenario_with_k_sets_and_blocks():
         "block-size-float", "block-size-boolean", "block-size-string",
         "normalized-string", "norm-boolean", "norm-infinite",
         "matrix-infinite", "classify2-infinite", "K-boolean", "K-string",
-        "complement-string", "complement-not-a-list"])
+        "complement-string", "complement-not-a-list", "matrix-string-rows",
+        "map-string-rows", "classify2-string-rows", "classify2-negative",
+        "classify2-ragged", "blocks-empty", "blocks-not-a-list",
+        "zeros-not-a-list", "norms-not-an-object", "scenario-not-an-object",
+        "scenario-without-matrix"])
 def test_malformed_input_exits_2(args, message, tmp_path):
     spec = tmp_path / "map.json"
     spec.write_text(json.dumps({k: v for k, v in MAP_SPEC.items()
@@ -527,6 +558,13 @@ def test_malformed_input_exits_2(args, message, tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_classify2_rejection_outside_the_catalogue_exits_1():
+    res = run("classify2", "--matrix", "[[2,0],[0,1]]")
+    assert res.returncode == 1
+    assert res.stderr == ("error: normalize the matrix first: unit diagonal "
+                          "via row scaling and column order\n")
 
 
 def test_project_rejects_a_block_it_does_not_have():

@@ -180,14 +180,14 @@ def _transformed(pl, v):
     verdict's pairings and pivot: each old one times the pivot quotient
     psi_p to minus its pairing over b_p, and the new action's inverse
     psi_p^(1/b_p)."""
-    derived, bp = pl.derived, v.b_values[v.pivot]
+    derived, bp = pl.derived, v.quotient_values[v.pivot]
     psi_p = derived.psi[v.pivot]
     unsel = [k for k in range(1, pl.d.m + 1) if k not in pl.r.sel_cols]
     return {
         "phi_inv": {j: derived.phi_inv[j] * psi_p ** (-v.b_values[j] / bp)
                     for j in pl.r.sel_rows},
         "phi_inv_new": {pl.d.ell + 1: psi_p ** (1 / bp)},
-        "psi": {k: derived.psi[k] * psi_p ** (-v.b_values[k] / bp)
+        "psi": {k: derived.psi[k] * psi_p ** (-v.quotient_values[k] / bp)
                 for k in unsel if k != v.pivot}}
 
 
@@ -198,6 +198,20 @@ def test_transformed_monomials():
     t = _transformed(pl, check_restriction(pl, [0, 0, 1]))
     assert t["phi_inv"][1] == mono("t1")
     assert t["phi_inv_new"][3] == mono("t3")
+
+
+def test_row_and_quotient_pairings_are_kept_apart():
+    # column 2 is unselected and row 2 is selected: the quotient psi_2 =
+    # t2/t1 pairs to -1 with beta, the inverse phi_2^-1 = t3 to 0
+    d = deformation([[1, 1, 0], [0, 0, 1]])
+    pl = run_pipeline(d)
+    v = check_restriction(pl, [1, 0, 0])
+    assert v.b_values == {1: 1, 2: 0}
+    assert v.quotient_values == {2: -1}
+    assert v.json()["b"] == {1: "1", 2: "0"}
+    assert v.json()["b_quotient"] == {2: "-1"}
+    want = run_pipeline(extended_matrix(d, [1, 0, 0])).derived.phi_inv
+    assert _transformed(pl, v)["phi_inv"][2] == want[2] == mono("t3")
 
 
 def test_dispatch():

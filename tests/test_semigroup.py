@@ -647,3 +647,29 @@ def test_zero_valued_support_skips_the_homogenised_lp(monkeypatch):
     calls.clear()
     assert radical_member(pair("t2"), H).verdict is Verdict.NO
     assert len(calls) == 2
+
+
+def test_zero_slack_decides_a_probe_of_an_eliminated_stage():
+    # decide-2x3-0 of the benchmark corpus with block 1 on the zero
+    # pattern: the zero-valued probe, positive in block 1, is the monomial
+    # of the pair with value x3^(-1), and no combination with a zero-valued
+    # pair gives it, so only the slack of block 1 makes it a member
+    d = deformation([["3/2", "2", "1/2"], ["2", "3/2", "2"]])
+    H = eliminate_lambda(run_pipeline(d, None, point({1})).G)
+    probe = pair("t1^(13/7)*t2^(-8/7)*t3^(-1)")
+    res = radical_member(probe, H, zero_slack=(1,))
+    assert res.verdict is Verdict.YES and res.power == 1
+    assert dict(res.witness)[pair("t1^(13/7)*t2^(-8/7)*t3^(-1)",
+                                  "x3^(-1)")] == 1
+    assert radical_member(probe, H, zero_slack=()).verdict is Verdict.NO
+
+
+def test_homogenised_lp_with_a_positive_scale():
+    # the first LP combines the zero-valued probe t1 from (t1, x1) alone;
+    # the homogenised second LP needs a zero-valued pair and finds t1^2
+    # with scale s = 2, so t1^2 is the witness at power 2
+    res = radical_member(pair("t1"), gs(("t1", "x1"), "t1^2"))
+    assert res.verdict is Verdict.YES and res.power == 2
+    assert dict(res.witness) == {pair("t1", "x1"): 0, pair("t1^2"): 1}
+    # without t1^2 no zero-valued pair is left to combine
+    assert radical_member(pair("t1"), gs(("t1", "x1"))).verdict is Verdict.NO
