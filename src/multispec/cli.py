@@ -76,15 +76,13 @@ def load_scenario(source: str):
         zeros, given = data.get("zeros", []), data.get("norms", {})
         if not isinstance(zeros, list):
             raise TypeError(f"zeros must list blocks, not {json.dumps(zeros)}")
+        for k in zeros:  # as check_point words it, before set() hashes k
+            if type(k) is not int:
+                raise ValueError(f"zero block {json.dumps(k)} out of range")
         if not isinstance(given, dict):
             raise TypeError("norms must map blocks to norms, not "
                             f"{json.dumps(given)}")
-        norms = {}
-        for k, v in given.items():
-            if isinstance(v, bool):
-                raise TypeError(f"norm of block {k} must be a rational or a "
-                                f"number, not {json.dumps(v)}")
-            norms[int(k)] = float(fr(v))
+        norms = {_block(k): _norm(k, v) for k, v in given.items()}
         normalized = data.get("normalized", True)
         if not isinstance(normalized, bool):
             raise TypeError("normalized must be true or false, not "
@@ -92,6 +90,26 @@ def load_scenario(source: str):
         p = point(zero_blocks=set(zeros), norms=norms, normalized=normalized)
         check_point(d, p)
     return d, p
+
+
+def _block(key: str) -> int:
+    """The block a key of a scenario's norms names."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"norm of block {json.dumps(key)} out of range") \
+            from None
+
+
+def _norm(key: str, value) -> float:
+    """A scenario norm: a rational string or a JSON number."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(fr(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise TypeError(f"norm of block {key} must be a rational or a number, "
+                    f"not {json.dumps(value)}")
 
 
 def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .deformation import (DeformationData, PointPattern, RankData,
                           derive_monomials, is_fixed_point, minor_columns)
@@ -237,13 +238,35 @@ def build_levels(pipeline: PipelineResult) -> LevelFamily:
     scales stage by stage (the parameter stages eliminated again from G,
     as rows of monomials); restriction substitutes them back in elimination
     order (so scale factors cancel exactly as in the worked examples); the
-    selected actions restrict their solved inverses."""
+    selected actions restrict their solved inverses.
+
+    Strictness is read from the elimination steps, without walking a tree.
+    The effective exponent along an integer orbit s is a tropical
+    evaluation: a max takes the least exponent of its children, a min the
+    greatest, a power scales and a product adds.  Restriction puts m * b^x
+    in place of a leaf m whose parameter at a position has exponent x,
+    over that position's branches b, under a max for x > 0 and a min for
+    x < 0; either way the exponent is that of m plus x times the least
+    exponent of a branch.  So, from the last position back, E at a
+    position is the least over its branches (nums, den) of
+
+        (sum_k nums[tau_k] s_k + sum_pos' nums[lam_pos'] E[pos']) / den
+
+    over the later positions pos' (a branch holds no other parameter),
+    and E = 0 at a step with no branches, whose parameter becomes 1
+    (LEVEL_ONE).  An eliminated action's exponent is E at its own
+    position, a selected action's the same form of the row of its solved
+    inverse, and it is strict when that exponent is positive.  This is
+    exactly the value `effective_exponent` walks the restricted tree for,
+    and that walk (`is_strict`) is the oracle of this route.
+    """
     d, p = pipeline.d, pipeline.p
     if is_fixed_point(d, p, pipeline.r):
         raise ValueError("level functions need a point outside fixed points")
-    rho_lambda, _, _ = next(_level_families(
+    rho_lambda, variables, steps = next(_level_families(
         d, pipeline.r, pipeline.derived, pipeline.G, [pipeline.elim_order]))
-    strict = {j: is_strict(rho_lambda[j], d, j) for j in range(1, d.ell + 1)}
+    strict = {j: n > 0 for j, (n, _) in
+              _orbit_exponents(pipeline, variables, steps).items()}
     return LevelFamily(rho_lambda, strict)
 
 
@@ -258,6 +281,54 @@ def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
                        for i in range(0, len(k), 4) if k[i] == _TAU)
         object.__setattr__(e, "_taus", t)
     return t
+
+
+def _orbit_exponents(pipeline: PipelineResult, variables,
+                     steps) -> dict[int, tuple[int, int]]:
+    """Per action j, the effective exponent of its restricted level along
+    its own integer orbit d.ints[j - 1], read from the branches of the
+    steps (see build_levels), as (p, q) with q > 0; values are integer
+    pairs compared by cross-multiplication."""
+    d, r = pipeline.d, pipeline.r
+    index = {v: i for i, v in enumerate(variables)}
+    rows = {j: row_of(pipeline.derived.phi_inv[j], ZERO, index)[:2]
+            for j in r.sel_rows}
+    position = {j: pos for pos, j in enumerate(pipeline.elim_order)}
+    out = {}
+    for j in range(1, d.ell + 1):
+        s = d.ints[j - 1]
+        later: list[tuple[int, int, int]] = []  # (column, p, q) of each E
+        at = {}
+        for pos in range(len(steps) - 1, -1, -1):
+            i, branches = steps[pos]
+            e = None
+            for b in branches:
+                x = _exponent(b, s, later)
+                if e is None or x[0] * e[1] < e[0] * x[1]:
+                    e = x
+            if e is None:
+                e = 0, 1  # no branches: the parameter becomes 1
+            else:
+                g = gcd(*e)
+                e = e[0] // g, e[1] // g
+            at[pos] = e
+            later.append((i, *e))
+        out[j] = at[position[j]] if j in position else \
+            _exponent(rows[j], s, later)
+    return out
+
+
+def _exponent(vec: Vector, s, later) -> tuple[int, int]:
+    """The exponent (p, q), q > 0, of the vector along the tau scaling s
+    with each later parameter's column at its exponent; the tau columns
+    come first."""
+    nums, den = vec
+    p, q = sum(map(mul, nums, s)), 1
+    for i, ep, eq in later:
+        n = nums[i]
+        if n:
+            p, q = p * eq + n * ep * q, q * eq
+    return p, q * den
 
 
 def _level_families(d: DeformationData, r: RankData, derived, G, orders):
@@ -300,7 +371,13 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
     tree substituted parameter by parameter.
     """
     variables = tuple(index)
-    kept = [v[0] == _TAU and v[1] in r.sel_cols for v in variables]
+    # The tau columns of the minor, with their variable keys, and the tau
+    # columns outside it.  A final leaf has substituted or skipped every
+    # parameter, so its lam columns are zero.
+    kept = [(i, *v) for i, v in enumerate(variables)
+            if v[0] == _TAU and v[1] in r.sel_cols]
+    outside = [i for i, v in enumerate(variables)
+               if v[0] == _TAU and v[1] not in r.sel_cols]
     elim = [j for j, _ in stages]
 
     steps: list[tuple[int, list[Vector]]] = []
@@ -329,12 +406,17 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
         out = memo.get(key)
         if out is None:
             if pos == last:
-                bad = [key_var(*v) for v, n, ok in zip(variables, nums, kept)
-                       if n and not ok]
+                bad = [key_var(*variables[i]) for i in outside if nums[i]]
                 if bad:
                     raise AssertionError(
                         f"level for action {action} involves {bad}")
-                out = LevelExpr(MONO, vector_key(vec, variables))
+                k = []  # vector_key over the kept columns
+                for i, kind, number in kept:
+                    n = nums[i]
+                    if n:
+                        g = gcd(n, den)
+                        k += (kind, number, n // g, den // g)
+                out = LevelExpr(MONO, tuple(k))
             else:
                 out = substitute(nums, den, pos)
             memo[key] = out
@@ -350,9 +432,15 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
         rest[i] = 0
         if not branches:
             return leaf(reduced(rest, den), pos + 1)
-        kids = [leaf(reduced([n * bd + x * b for n, b in zip(rest, bn)],
-                              den * bd), pos + 1)
-                for bn, bd in branches]
+        kids = []
+        for bn, bd in branches:
+            vec = [n * bd + x * b for n, b in zip(rest, bn)]
+            vd = den * bd
+            g = gcd(*vec, vd)
+            if g != 1:
+                vec = [n // g for n in vec]
+                vd //= g
+            kids.append(leaf((tuple(vec), vd), pos + 1))
         return _lattice(MAX if x > 0 else MIN, kids)
 
     rho_lambda: dict[int, LevelExpr] = {}
@@ -375,6 +463,11 @@ def effective_exponent(e: LevelExpr, scaling) -> Fraction:
     pairs by cross-multiplication.  Shared subtrees are evaluated once
     (memoised by identity for this call), and blocks with zero scaling are
     skipped.
+
+    The walk is as large as the tree.  `build_levels` reads the same value
+    for its levels from the elimination steps (a max of restricted
+    branches is the least of their exponents, so one value per position
+    suffices), and this walk is the oracle of that route.
     """
     scale = {k: fr(s) for k, s in scaling.items() if s}
     den = lcm(*(s.denominator for s in scale.values()))
@@ -419,7 +512,10 @@ def effective_exponent(e: LevelExpr, scaling) -> Fraction:
 def is_strict(e: LevelExpr, d: DeformationData, j: int) -> bool:
     """Generic-coefficient limit criterion: the level e of action j decays
     along that action's own contraction orbit.  The integer row scales
-    the exponent by d.den > 0, which keeps its sign."""
+    the exponent by d.den > 0, which keeps its sign.  This walks the tree:
+    it is the oracle of `build_levels`, which reads the same exponent from
+    its elimination steps, and the check of `build_generalized_levels`,
+    whose minimum over orderings has no steps of its own."""
     return effective_exponent(e, dict(enumerate(d.ints[j - 1], 1))) > 0
 
 

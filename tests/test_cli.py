@@ -458,6 +458,16 @@ def test_scenario_with_k_sets_and_blocks():
      "invalid scenario: zero block true out of range"),
     (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": ["1"]}'],
      'invalid scenario: zero block "1" out of range'),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "zeros": [[1]]}'],
+     "invalid scenario: zero block [1] out of range"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"x": 1}}'],
+     'invalid scenario: norm of block "x" out of range'),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"1": [1]}}'],
+     "invalid scenario: norm of block 1 must be a rational or a number, "
+     "not [1]"),
+    (["pipeline", '{"A": [["1","0"],["0","1"]], "norms": {"1": "abc"}}'],
+     "invalid scenario: norm of block 1 must be a rational or a number, "
+     'not "abc"'),
     (["pipeline", '{"A": [["1","0"]]}'],
      "invalid scenario: block 2 has a zero column, so its direction must "
      "vanish"),
@@ -539,7 +549,8 @@ def test_scenario_with_k_sets_and_blocks():
         "beta-negative", "beta-zero",
         "probe-samples", "verify-samples", "probe-seed", "verify-seed",
         "closure-rounds", "zero-block-range", "zero-block-fraction",
-        "zeros-boolean", "zeros-string",
+        "zeros-boolean", "zeros-string", "zeros-list", "norm-block-name",
+        "norm-list", "norm-string",
         "zero-column", "norm-negative", "norm-zero", "norm-block-range",
         "block-size-float", "block-size-boolean", "block-size-string",
         "normalized-string", "norm-boolean", "norm-infinite",

@@ -25,6 +25,7 @@ from multispec.semigroup import _stages, run_pipeline
 import oracles
 from oracles import reordered
 from strategies import moving_scenarios, pipeline_of, scenarios
+from test_acceptance import CONFIGS
 
 
 def fam_for(rows, zeros=frozenset()):
@@ -53,17 +54,24 @@ def test_levels_transitive_families():
     assert level_eq(fam.rho_Lambda[5], lmono("t3"))
 
 
+FOUR_ACTIONS = [[1, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]]
+
+
+def _no_branch_pipeline():
+    """The four-action pipeline without the pairs that hold l4 in the
+    denominator: its one step has no branches.  No drawn scenario has such
+    a stage."""
+    pl = run_pipeline(deformation(FOUR_ACTIONS), None, point())
+    assert pl.elim_order == (4,)
+    return replace(pl, G=frozenset(q for q in pl.G
+                                   if q.f.exponent(lam(4)) >= 0))
+
+
 def test_empty_branch_set_gives_one():
     # A parameter that no pair of its stage holds with a negative exponent
     # has no branches: its level is the constant, and restriction sets it to
-    # 1 in the other levels.  No drawn scenario has such a stage, so the
-    # pairs with l4 in the denominator are taken out by hand.
-    pl = run_pipeline(deformation([[1, 0, 1], [0, 1, 1], [0, 0, 1],
-                                   [1, 1, 1]]), None, point())
-    assert pl.elim_order == (4,)
-    cut = replace(pl, G=frozenset(q for q in pl.G
-                                  if q.f.exponent(lam(4)) >= 0))
-    fam = build_levels(cut)
+    # 1 in the other levels.
+    fam = build_levels(_no_branch_pipeline())
     assert fam.rho_Lambda == {1: lmono("t1"), 2: lmono("t2"),
                               3: lmono("t3/(t1*t2)"), 4: lmono("1")}
 
@@ -688,6 +696,77 @@ def test_effective_exponent_matches_per_node_oracle(sc, s):
     plain, with_params = _trees()
     for e in list(fam.rho_Lambda.values()) + plain + with_params:
         assert effective_exponent(e, scaling) == _tree_exponent(e, scaling)
+
+
+def _check_orbit_exponents(pl, change_steps=lambda steps: steps):
+    """The exponent build_levels reads from the steps, against the walk of
+    each restricted level along its action's own integer orbit; and the
+    strict flags against is_strict.  Returns the exponents read."""
+    _, variables, steps = next(levels._level_families(
+        pl.d, pl.r, pl.derived, pl.G, [pl.elim_order]))
+    got = levels._orbit_exponents(pl, variables, change_steps(steps))
+    fam = build_levels(pl)
+    assert sorted(got) == sorted(fam.rho_Lambda)
+    for j, e in fam.rho_Lambda.items():
+        p, q = got[j]
+        assert q > 0
+        want = effective_exponent(e, dict(enumerate(pl.d.ints[j - 1], 1)))
+        assert Fraction(p, q) == want
+        assert fam.strict[j] is is_strict(e, pl.d, j) is (want > 0)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(moving_scenarios(max_rows=5, max_cols=4))
+@example((FOUR_ACTIONS, set()))
+@example((STRESS_8X3, set()))
+@example((STRESS_6X4, set()))
+def test_orbit_exponents_match_the_walk(sc):
+    _check_orbit_exponents(_moving_pipeline(sc))
+
+
+def test_orbit_exponents_match_the_walk_at_a_min_and_without_branches():
+    # l4 enters the level t1/l4 of action 1 with a negative exponent, so
+    # restriction builds a min node there
+    pl = run_pipeline(deformation(FOUR_ACTIONS), None, point())
+    assert any(n.kind == "min" for n in _nodes(build_levels(pl).rho_Lambda[1]))
+    _check_orbit_exponents(pl)
+    # a step with no branches: its parameter becomes 1, exponent 0
+    assert _check_orbit_exponents(_no_branch_pipeline())[4] == (0, 1)
+
+
+def test_a_wrong_branch_sign_fails_the_exponent_oracle():
+    # negative control: l4 = max(t1, t2) decays as t^1 along the orbit
+    # (1, 1, 1) of action 4; with the branch t1 read as 1/t1 the steps
+    # give t^-1, which the walk of the tree does not
+    def flip_first_branch(steps):
+        (i, branches), = steps
+        (nums, den), *rest = branches
+        return [(i, [(tuple(-n for n in nums), den), *rest])]
+
+    pl = run_pipeline(deformation(FOUR_ACTIONS), None, point())
+    _check_orbit_exponents(pl)
+    with pytest.raises(AssertionError):
+        _check_orbit_exponents(pl, flip_first_branch)
+
+
+def test_build_levels_walks_no_tree(monkeypatch):
+    pipelines = [run_pipeline(deformation(rows), None, point(zero_blocks=z))
+                 for _, rows, z in CONFIGS]
+    pipelines = [pl for pl in pipelines
+                 if not is_fixed_point(pl.d, pl.p, pl.r)]
+    want = [build_levels(pl).strict for pl in pipelines]
+
+    def walk(*args):
+        raise AssertionError("build_levels walked a level tree")
+
+    monkeypatch.setattr(levels, "effective_exponent", walk)
+    monkeypatch.setattr(levels, "_tau_vector", walk)
+    for pl, strict in zip(pipelines, want, strict=True):
+        fam = build_levels(pl)
+        assert fam.strict == strict
+        for e in fam.rho_Lambda.values():
+            assert all(leaf._taus is None for leaf in _leaves(e))
 
 
 def test_sort_key_is_the_nested_key():
