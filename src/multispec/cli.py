@@ -39,7 +39,9 @@ def _json(source: str):
                 return json.load(fh)
         return json.loads(source)
     except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot parse JSON {source!r}: {exc}") from exc
+        why = exc if os.path.exists(source) else \
+            f"no such file, and not JSON text: {exc}"
+        raise ScenarioError(f"cannot parse JSON {source!r}: {why}") from exc
 
 
 @contextmanager
@@ -133,10 +135,13 @@ def parse_block_polynomial(text: str, struct: BlockStructure) -> BlockPolynomial
 
 def _orders(text: str, ell: int) -> tuple[int, ...]:
     """The --N orders: one natural number per action."""
-    with _reading("--N"):
-        N = tuple(int(x) for x in text.split(","))
-        if len(N) != ell or min(N) < 0:
-            raise ValueError(f"need {ell} natural orders, one per action")
+    try:
+        N = tuple(map(int, text.split(",")))
+    except ValueError:
+        N = None
+    if N is None or len(N) != ell or min(N) < 0:
+        raise ScenarioError(f"invalid --N: need {ell} natural orders, one "
+                            "per action")
     return N
 
 
@@ -475,7 +480,7 @@ def cmd_fixtures(args):
 
     results = run_fixtures(args.filter or "")
     if not results:
-        print("warning: no fixtures match the filter")
+        print("warning: no fixtures match the filter", file=sys.stderr)
         return 0
     for name, check in results:
         status = "ok" if check.ok else "FAIL"
@@ -562,9 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
 _LEAST = {"samples": 1, "seed": 0, "rounds": 0}
 
 
+def _warning_line(message, category, filename, lineno, file, line):
+    """A warning as one line on stderr, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         for name, least in _LEAST.items():
             if getattr(args, name, least) < least:

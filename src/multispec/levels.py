@@ -24,7 +24,7 @@ _ORDER = {MAX: 1, MIN: 2, PROD: 3, POW: 4}
 _TAU = KINDS.index(TAU)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LevelExpr:
     """A level tree node.  A MONO leaf is the key of its monomial
     (`Monomial.key`), on which it compares, hashes, sorts and prints, so a
@@ -50,11 +50,26 @@ class LevelExpr:
     _tree: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
+    def __init__(self, kind: str, key: tuple[int, ...] = (),
+                 children: tuple["LevelExpr", ...] = (),
+                 exp: Fraction | None = None):
+        # Each slot through its own descriptor: half the cost of the
+        # generated frozen __init__, which looks every slot up by name.
+        _SET_KIND(self, kind)
+        _SET_KEY(self, key)
+        _SET_CHILDREN(self, children)
+        _SET_EXP(self, exp)
+        _SET_TAUS(self, None)
+        _SET_HASH(self, None)
+        _SET_SORT_KEY(self, None)
+        _SET_CANONICAL(self, None)
+        _SET_TREE(self, None)
+
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.kind, self.key, self.children, self.exp))
-            object.__setattr__(self, "_hash", h)
+            _SET_HASH(self, h)
         return h
 
     def __reduce__(self):
@@ -75,7 +90,7 @@ class LevelExpr:
                      tuple(c.sort_key() for c in self.children),
                      (self.exp.numerator, self.exp.denominator)
                      if self.exp else ())
-            object.__setattr__(self, "_sort_key", k)
+            _SET_SORT_KEY(self, k)
         return k
 
     def __str__(self) -> str:
@@ -86,6 +101,13 @@ class LevelExpr:
         if self.kind == PROD:
             return " * ".join(f"({c})" for c in self.children)
         return f"({self.children[0]})^({self.exp})"
+
+
+(_SET_KIND, _SET_KEY, _SET_CHILDREN, _SET_EXP, _SET_TAUS, _SET_HASH,
+ _SET_SORT_KEY, _SET_CANONICAL, _SET_TREE) = (
+    LevelExpr.__dict__[name].__set__ for name in (
+        "kind", "key", "children", "exp", "_taus", "_hash", "_sort_key",
+        "_canonical", "_tree"))
 
 
 def lmono(m) -> LevelExpr:
@@ -155,9 +177,9 @@ def canonical(e: LevelExpr) -> LevelExpr:
     c = e._canonical
     if c is None:
         c = _canonical(e)
-        object.__setattr__(e, "_canonical", c)
+        _SET_CANONICAL(e, c)
         if c._canonical is None:
-            object.__setattr__(c, "_canonical", c)
+            _SET_CANONICAL(c, c)
     return c
 
 
@@ -203,7 +225,7 @@ def _lattice(kind: str, kids: list[LevelExpr]) -> LevelExpr:
         return children.pop()
     out = LevelExpr(kind, children=tuple(sorted(children,
                                                 key=LevelExpr.sort_key)))
-    object.__setattr__(out, "_canonical", out)
+    _SET_CANONICAL(out, out)
     return out
 
 
@@ -279,7 +301,7 @@ def _tau_vector(e: LevelExpr) -> tuple[int, tuple[tuple[int, int], ...]]:
         den = lcm(*k[3::4])
         t = den, tuple((k[i + 1], k[i + 2] * (den // k[i + 3]))
                        for i in range(0, len(k), 4) if k[i] == _TAU)
-        object.__setattr__(e, "_taus", t)
+        _SET_TAUS(e, t)
     return t
 
 
@@ -332,45 +354,40 @@ def _exponent(vec: Vector, s, later) -> tuple[int, int]:
 
 
 def _level_families(d: DeformationData, r: RankData, derived, G, orders):
-    """_level_trees for each order of eliminating the unselected parameters
-    from G, in rows of the monomials over every tau and the eliminated lams;
-    each prefix of an order is eliminated once."""
+    """For each order of eliminating the unselected parameters from G: the
+    canonical restricted level of every action; the variables of the
+    exponent vectors; and per eliminated parameter, in elimination order,
+    its coordinate and the branches of its unrestricted level.
+
+    Stages are rows over every tau and the eliminated lams (`row_of`).
+    The level of a parameter j is the max of its branches lam_j *
+    f^(1/|a|), one for each row f with exponent a < 0 in lam_j of the stage
+    j is eliminated from.  Restriction substitutes the eliminated
+    parameters in elimination order, one monomial leaf at a time, on exact
+    integer exponent vectors over the tau's and the eliminated lam's; a
+    final leaf is keyed on its vector (see LevelExpr).  A leaf skips the
+    steps whose parameter it lacks; its restricted form from the next step
+    it has is a max (a min for a negative exponent) over that step's
+    branches, each restricted by the steps after.  Each max and min node is
+    built in canonical form (`_lattice`).  As canonical forms of max and
+    min nodes depend only on the canonical forms of their children, the
+    result equals the canonical form of the whole tree substituted
+    parameter by parameter.
+
+    The orders share what they have in common.  Each prefix of an order is
+    eliminated once, and the step of its last parameter built once.  A
+    restricted form depends only on its vector and the chain of steps left
+    (and on the tau columns of the minor, fixed here), so equal chains are
+    interned as one, (column, branches, next chain, id), and the memo is
+    keyed on (vector, chain id): orders share the restriction along every
+    equal suffix of their steps, and the selected actions' rows are read
+    once.
+    """
     index = {v.key(): i for i, v in enumerate(
         [tau(k) for k in range(1, d.m + 1)]
         + [lam(j) for j in sorted(orders[0])])}
-    after = {(): {row_of(pr.f, ZERO, index) for pr in G}}
-    for order in orders:
-        for n in range(1, len(order)):
-            if order[:n] not in after:
-                after[order[:n]] = eliminate_rows(
-                    after[order[:n - 1]], index[lam(order[n - 1]).key()],
-                    len(index), False)
-        yield _level_trees(d, r, derived, index, [
-            (j, after[order[:n]]) for n, j in enumerate(order)])
-
-
-def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
-    """The canonical restricted level of every action; the variables of
-    the exponent vectors; and per eliminated parameter, in elimination
-    order, its coordinate and the branches of its unrestricted level.
-
-    stages lists, in elimination order, each eliminated parameter j and
-    the stage it is eliminated from, as rows over index (`row_of`).  The
-    level of j is the max of its branches lam_j * f^(1/|a|), one for each
-    row f with exponent a < 0 in lam_j.  Restriction substitutes the
-    eliminated parameters in elimination order, one monomial leaf at a
-    time, on exact integer exponent vectors over the tau's and the
-    eliminated lam's; a final leaf is keyed on its vector (see LevelExpr).
-    A leaf skips the positions of the order whose parameter it lacks; its
-    restricted form from the next position it has is memoised for this
-    call, and is a max (a min for a negative exponent) over that
-    parameter's branches, each restricted from the position after.  Each
-    max and min node is built in canonical form (`_lattice`).  As
-    canonical forms of max and min nodes depend only on the canonical forms
-    of their children, the result equals the canonical form of the whole
-    tree substituted parameter by parameter.
-    """
     variables = tuple(index)
+    width = len(index)
     # The tau columns of the minor, with their variable keys, and the tau
     # columns outside it.  A final leaf has substituted or skipped every
     # parameter, so its lam columns are zero.
@@ -378,79 +395,109 @@ def _level_trees(d: DeformationData, r: RankData, derived, index, stages):
             if v[0] == _TAU and v[1] in r.sel_cols]
     outside = [i for i, v in enumerate(variables)
                if v[0] == _TAU and v[1] not in r.sel_cols]
-    elim = [j for j, _ in stages]
+    selected = [(j, row_of(derived.phi_inv[j], ZERO, index)[:2])
+                for j in r.sel_rows]
 
-    steps: list[tuple[int, list[Vector]]] = []
-    for j, rows in stages:
-        i = index[lam(j).key()]
-        branches = set()
-        for nums, _, _ in rows:
-            a = nums[i]
-            if a < 0:
-                nums = list(nums)
-                nums[i] = 0
-                branches.add(reduced(nums, -a))
-        steps.append((i, sorted(branches,
-                                key=lambda b: vector_key(b, variables))))
-
-    columns = [i for i, _ in steps]
-    last = len(steps)
+    after = {(): {row_of(pr.f, ZERO, index) for pr in G}}  # per prefix
+    steps: dict[tuple, tuple] = {}   # prefix -> step of its last parameter
+    chains: dict[tuple, tuple] = {}  # (step, id of the next chain) -> chain
     memo: dict[tuple[Vector, int], LevelExpr] = {}
+    end = (None, (), None, 0)        # the chain with no step left
     action = 0
 
-    def leaf(vec: Vector, pos: int) -> LevelExpr:
-        nums, den = vec
-        while pos < last and not nums[columns[pos]]:
-            pos += 1
-        key = (vec, pos)
+    def leaf(vec: Vector, chain) -> LevelExpr:
+        nums = vec[0]
+        while chain is not end and not nums[chain[0]]:
+            chain = chain[2]
+        key = vec, chain[3]
         out = memo.get(key)
         if out is None:
-            if pos == last:
-                bad = [key_var(*variables[i]) for i in outside if nums[i]]
-                if bad:
-                    raise AssertionError(
-                        f"level for action {action} involves {bad}")
-                k = []  # vector_key over the kept columns
-                for i, kind, number in kept:
-                    n = nums[i]
-                    if n:
-                        g = gcd(n, den)
-                        k += (kind, number, n // g, den // g)
-                out = LevelExpr(MONO, tuple(k))
-            else:
-                out = substitute(nums, den, pos)
-            memo[key] = out
+            out = memo[key] = (final(*vec) if chain is end
+                               else substitute(*vec, chain))
         return out
 
-    def substitute(nums, den: int, pos: int) -> LevelExpr:
+    def final(nums, den: int) -> LevelExpr:
+        if outside:
+            bad = [key_var(*variables[i]) for i in outside if nums[i]]
+            if bad:
+                raise AssertionError(
+                    f"level for action {action} involves {bad}")
+        k = []  # vector_key over the kept columns
+        for i, kind, number in kept:
+            n = nums[i]
+            if n:
+                if den == 1:
+                    k += (kind, number, n, 1)
+                else:
+                    g = gcd(n, den)
+                    k += (kind, number, n // g, den // g)
+        return LevelExpr(MONO, tuple(k))
+
+    def substitute(nums, den: int, chain) -> LevelExpr:
         # m * b^x over the branches b of the parameter, where x is m's
         # exponent of it: m's numerators times b's denominator plus x's
-        # numerator times b's numerators, over both denominators.
-        i, branches = steps[pos]
+        # numerator times b's numerators, over both denominators; a branch
+        # is zero in the parameter's column, which the product clears.
+        i, branches, rest_chain, _ = chain
         x = nums[i]
-        rest = list(nums)
-        rest[i] = 0
         if not branches:
-            return leaf(reduced(rest, den), pos + 1)
+            rest = list(nums)
+            rest[i] = 0
+            return leaf(reduced(rest, den), rest_chain)
         kids = []
         for bn, bd in branches:
-            vec = [n * bd + x * b for n, b in zip(rest, bn)]
-            vd = den * bd
-            g = gcd(*vec, vd)
-            if g != 1:
-                vec = [n // g for n in vec]
-                vd //= g
-            kids.append(leaf((tuple(vec), vd), pos + 1))
+            if bd == 1:
+                vec = [n + x * b for n, b in zip(nums, bn)]
+                vd = den
+            else:
+                vec = [n * bd + x * b for n, b in zip(nums, bn)]
+                vd = den * bd
+            vec[i] = 0
+            if vd != 1:
+                g = gcd(*vec, vd)
+                if g != 1:
+                    vec = [n // g for n in vec]
+                    vd //= g
+            kids.append(leaf((tuple(vec), vd), rest_chain))
         return _lattice(MAX if x > 0 else MIN, kids)
 
-    rho_lambda: dict[int, LevelExpr] = {}
-    for action in r.sel_rows:
-        rho_lambda[action] = leaf(
-            row_of(derived.phi_inv[action], ZERO, index)[:2], 0)
-    for action, (_, branches) in zip(elim, steps):
-        rho_lambda[action] = (_lattice(MAX, [leaf(b, 0) for b in branches])
-                              if branches else LEVEL_ONE)
-    return rho_lambda, variables, steps
+    for order in orders:
+        order_steps = []
+        for n, j in enumerate(order):
+            prefix = order[:n + 1]
+            step = steps.get(prefix)
+            if step is None:
+                stage = after[order[:n]]
+                i = index[lam(j).key()]
+                if n + 1 < len(order):
+                    after[prefix] = eliminate_rows(stage, i, width, False)
+                branches = set()
+                for nums, _, _ in stage:
+                    a = nums[i]
+                    if a < 0:
+                        nums = list(nums)
+                        nums[i] = 0
+                        branches.add(reduced(nums, -a))
+                step = steps[prefix] = (i, tuple(sorted(
+                    branches, key=lambda b: vector_key(b, variables))))
+            order_steps.append(step)
+        links = [end]
+        for step in reversed(order_steps):
+            key = step, links[-1][3]
+            chain = chains.get(key)
+            if chain is None:
+                chain = chains[key] = (*step, links[-1], len(chains) + 1)
+            links.append(chain)
+        links.reverse()
+
+        rho_lambda: dict[int, LevelExpr] = {}
+        for action, vec in selected:
+            rho_lambda[action] = leaf(vec, links[0])
+        for action, (_, branches, rest, _) in zip(order, links):
+            rho_lambda[action] = (
+                _lattice(MAX, [leaf(b, rest) for b in branches])
+                if branches else LEVEL_ONE)
+        yield rho_lambda, variables, order_steps
 
 
 def effective_exponent(e: LevelExpr, scaling) -> Fraction:
@@ -524,7 +571,7 @@ def evaluate_level(e: LevelExpr, tau_values) -> float:
     tree = e._tree
     if tree is None:
         tree = _compile(e)
-        object.__setattr__(e, "_tree", tree)
+        _SET_TREE(e, tree)
     return _run(tree, tau_values)
 
 
@@ -582,7 +629,9 @@ def build_generalized_levels(d: DeformationData, r: RankData,
     family; duplicates collapse before the pointwise minimum.  An ordering
     acts only through its set of leading rows and the order of the rest:
     G is built once per set of leading rows, and the orders of the rest
-    share the stages of their common prefixes, in rows.  Every action is
+    share the stages of their common prefixes, in rows, and the
+    restriction along the equal suffixes of their steps (see
+    `_level_families`).  Every action is
     strict with respect to the result, which is asserted.  More than
     MAX_ORDERINGS orderings (ell!) raise PermutationBudgetExceeded before
     any G is built.

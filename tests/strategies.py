@@ -27,21 +27,21 @@ def _with_zero_columns(rows, zeros) -> set[int]:
 
 
 @st.composite
-def scenarios(draw, max_rows=4, max_cols=4):
+def scenarios(draw, max_rows=4, max_cols=4, min_rows=2):
     """An action matrix and a zero pattern drawn from all blocks, so the
     point may be fixed."""
-    ell = draw(st.integers(2, max_rows))
+    ell = draw(st.integers(min_rows, max_rows))
     m = draw(st.integers(2, max_cols))
     rows = draw(_rows(ell, m))
     return rows, _with_zero_columns(rows, draw(st.sets(st.integers(1, m))))
 
 
 @st.composite
-def moving_scenarios(draw, max_rows=4, max_cols=4):
+def moving_scenarios(draw, max_rows=4, max_cols=4, min_rows=2):
     """Scenarios off the fixed points by construction: the zero set is drawn
     only outside a column basis, so the live columns keep the rank of the
     matrix."""
-    ell = draw(st.integers(2, max_rows))
+    ell = draw(st.integers(min_rows, max_rows))
     m = draw(st.integers(2, max_cols))
     rows = draw(_rows(ell, m))
     basis = []

@@ -398,7 +398,8 @@ def test_fixture_runner():
     assert res.returncode == 0
     assert "0 failures" in res.stdout
     res = run("fixtures", "--filter", "no-such-fixture-exists")
-    assert res.returncode == 0 and "no fixtures" in res.stdout
+    assert res.returncode == 0 and res.stdout == ""
+    assert res.stderr == "warning: no fixtures match the filter\n"
 
 
 def test_scenario_with_k_sets_and_blocks():
@@ -425,6 +426,14 @@ def test_scenario_with_k_sets_and_blocks():
     (["verify", SC_PLANE, "--function", "z1", "--N", "1"], "one per action"),
     (["expand", SC_PLANE, "--N", "1"], "one per action"),
     (["expand", SC_PLANE, "--N", "1,x"], "invalid --N"),
+    (["expand", SC_PLANE, "--N", "1.5,1"],
+     "invalid --N: need 2 natural orders, one per action"),
+    (["verify", SC_PLANE, "--function", "z1", "--N", "a,1"],
+     "invalid --N: need 2 natural orders, one per action"),
+    (["expand", SC_PLANE, "--N", "1,,1"],
+     "invalid --N: need 2 natural orders, one per action"),
+    (["verify", SC_PLANE, "--function", "z1", "--N", "1.0,1"],
+     "invalid --N: need 2 natural orders, one per action"),
     (["probe", SC_RUNNING, "--zset", "z9=z1"], "invalid --zset"),
     (["probe", SC_RUNNING, "--zset", "z1"], "invalid --zset"),
     (["probe", SC_RUNNING, "--zset", "z3=z1*z2", "--zset", "z3=z1"],
@@ -544,6 +553,8 @@ def test_scenario_with_k_sets_and_blocks():
 ], ids=["classify2-zero-denominator", "map-without-target", "missing-map",
         "function-block", "function-offset", "function-syntax",
         "verify-orders", "expand-orders", "expand-order-syntax",
+        "expand-order-fraction", "verify-order-name", "expand-order-empty",
+        "verify-order-float",
         "zset-block", "zset-form", "zset-repeated-target",
         "zset-target-on-a-right-side", "beta-zero-denominator", "beta-length",
         "beta-negative", "beta-zero",
@@ -569,6 +580,32 @@ def test_malformed_input_exits_2(args, message, tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_a_warning_is_one_line_on_stderr():
+    res = run("levels", '{"A": [["1","1"],["1","1"]]}')
+    assert res.returncode == 0
+    assert res.stdout == ("rho[1] = 1   strict: False\n"
+                          "rho[2] = t1   strict: True\n")
+    assert res.stderr == ("warning: rows 1 and 2 coincide; duplicated "
+                          "actions are allowed in the local model but can be "
+                          "eliminated\n")
+
+
+def test_a_json_argument_that_is_no_file_names_it(tmp_path):
+    missing = str(tmp_path / "none.json")
+    res = run("map-check", missing)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith(
+        f"error: cannot parse JSON {missing!r}: no such file, and not JSON "
+        "text: ")
+    # an existing file is read as JSON, and its own error is given
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    res = run("map-check", str(bad))
+    assert res.returncode == 2
+    assert "no such file" not in res.stderr
+    assert res.stderr.startswith(f"error: cannot parse JSON {str(bad)!r}: ")
 
 
 def test_classify2_rejection_outside_the_catalogue_exits_1():

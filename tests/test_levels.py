@@ -439,12 +439,7 @@ def test_generalized_levels_match_per_ordering_route(rows, zeros):
                                       point(zero_blocks=zeros))
 
 
-@settings(max_examples=40, deadline=None)
-@given(scenarios(max_rows=5, max_cols=4))
-def test_generalized_levels_match_per_ordering_route_at_random(sc):
-    rows, zeros = sc
-    if len(rows) < 3:
-        rows = rows + [[a + b for a, b in zip(rows[0], rows[1])]]
+def _check_generalized_scenario(rows, zeros):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         d = deformation(rows)
@@ -455,6 +450,31 @@ def test_generalized_levels_match_per_ordering_route_at_random(sc):
             build_generalized_levels(d, r, p)
         return
     _check_generalized_against_oracle(d, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(max_rows=5, max_cols=4))
+def test_generalized_levels_match_per_ordering_route_at_random(sc):
+    rows, zeros = sc
+    if len(rows) < 3:
+        rows = rows + [[a + b for a, b in zip(rows[0], rows[1])]]
+    _check_generalized_scenario(rows, zeros)
+
+
+# The benchmark's generalized-7x3-0 (perfbench/corpus.py): 19 admissible
+# sets of leading rows, 24 orders of the rest each.
+GENERALIZED_7X3 = [[2, 0, 2], [1, 0, 0], [0, 0, 1], [0, 0, 2], [1, 2, 2],
+                   [1, 1, 0], [0, 0, 2]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(moving_scenarios(min_rows=4, max_rows=6, max_cols=4))
+@example((GENERALIZED_7X3, set()))
+def test_generalized_levels_share_restriction_across_orders(sc):
+    # the orders of one set of leading rows share one restriction memo,
+    # keyed on the chain of steps left: against a pipeline and a level
+    # family per order, on 4 to 6 actions off the fixed points
+    _check_generalized_scenario(*sc)
 
 
 def test_generalized_levels_reject_a_fixed_point():

@@ -39,9 +39,10 @@ ALLOWED = {
 
 def _defaulted(path: Path):
     """(module, function, parameter, position) of each defaulted parameter;
-    position is None for keyword-only ones and excludes self or cls."""
+    position is None for keyword-only ones and excludes self or cls.  An
+    `__init__` goes by its class's name, which is how it is called."""
     tree = ast.parse(path.read_text())
-    methods = {id(item) for cls in ast.walk(tree)
+    methods = {id(item): cls.name for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for item in cls.body
                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
@@ -52,12 +53,13 @@ def _defaulted(path: Path):
         args = fn.args
         positional = args.posonlyargs + args.args
         skip = 1 if id(fn) in methods else 0
+        name = methods[id(fn)] if fn.name == "__init__" else fn.name
         first = len(positional) - len(args.defaults)
         for pos in range(first, len(positional)):
-            yield path.stem, fn.name, positional[pos].arg, pos - skip
+            yield path.stem, name, positional[pos].arg, pos - skip
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield path.stem, fn.name, arg.arg, None
+                yield path.stem, name, arg.arg, None
 
 
 def _calls():
