@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("project", cmd_project, help="project out blocks")
     p.add_argument("scenario")
-    p.add_argument("--drop", type=int, nargs="+", required=True)
+    p.add_argument("--drop", type=int, nargs="+", action="extend",
+                   required=True)
 
     p = add("restrict", cmd_restrict, help="added-row restriction verdict")
     p.add_argument("--matrix", dest="scenario", required=True)

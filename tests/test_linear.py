@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from math import lcm
 
@@ -11,7 +12,8 @@ import multispec.semigroup
 import oracles
 from multispec.deformation import deformation, point
 from multispec.fixtures import run_fixtures
-from multispec.linear import adjugate, cone_feasible, nonneg_solution, pivots
+from multispec.linear import (_pivot, adjugate, cone_feasible,
+                              nonneg_solution, pivots)
 from multispec.semigroup import Verdict, equivalent, run_pipeline
 
 
@@ -286,3 +288,81 @@ def test_replayed_calls_match_fraction_oracle(monkeypatch):
         found = real(columns, target)
         assert (found and [Fraction(a, found[1]) for a in found[0]]) == \
             oracles.nonneg_solution(columns, target), (columns, target)
+
+
+def test_a_clear_row_is_only_rescaled():
+    # rows[1] has no entry in the pivot column: with p == d it is left as
+    # it is, with p != d it is scaled by p / d, exactly
+    rows = [[1, 2], [0, 5], [3, 4]]
+    clear = rows[1]
+    assert _pivot(rows, 0, 0, 1) == 1
+    assert rows == [[1, 2], [0, 5], [0, -2]] and rows[1] is clear
+    rows = [[2, 2], [0, 5], [3, 4]]
+    assert _pivot(rows, 0, 0, 1) == 2
+    assert rows == [[2, 2], [0, 10], [0, 2]] and clear == [0, 5]
+    # the second step of adjugate([[2, 0], [0, 3]]): the first row is
+    # clear in column 1 and 6 * x / 2 is whole
+    rows = [[2, 0, 1, 0], [0, 6, 0, 2]]
+    assert _pivot(rows, 1, 1, 2) == 6
+    assert rows == [[6, 0, 3, 0], [0, 6, 0, 2]]
+
+
+_SPARSE_ENTRIES = st.sampled_from(
+    [Fraction(0)] * 8 + [Fraction(x) for x in ("1", "-1", "2", "-3", "1/2",
+                                               "3/2")])
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Zero-heavy matrices up to 5 x 5, and a target as long as a row: most
+    rows are already clear in the column of a pivot."""
+    n_cols = draw(st.integers(1, 5))
+    row = st.lists(_SPARSE_ENTRIES, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=1, max_size=5)), draw(row)
+
+
+_UNIT = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_systems())
+# each pivot leaves the other, clear rows as they are (p == d)
+@example((_UNIT, [Fraction(1), Fraction(0), Fraction(2)]))
+# each pivot rescales the other, clear rows (p != d)
+@example(([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]],
+          [Fraction(1), Fraction(1)]))
+# both: with target (1, 2) the simplex pivots on 1 (= d), then on 2
+@example(([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],
+          [Fraction(1), Fraction(2)]))
+@example(([[Fraction(0), Fraction(0), Fraction(-3)],
+           [Fraction(1, 2), Fraction(0), Fraction(0)],
+           [Fraction(0), Fraction(2), Fraction(0)]],
+          [Fraction(0), Fraction(-1), Fraction(3, 2)]))
+def test_clear_rows_match_fraction_oracles(system):
+    a, target = system
+    ints, scale = _ints(a)
+    given_rows = deepcopy(ints)
+    cols = pivots(ints)
+    assert ints == given_rows
+    assert len(cols) == oracles.rank(a)
+    assert all(oracles.rank([row[:c + 1] for row in a])
+               > oracles.rank([row[:c] for row in a]) for c in cols)
+    # the leading square block; its inverse is inverse(a) / scale
+    n = min(len(a), len(a[0]))
+    square = [row[:n] for row in ints[:n]]
+    try:
+        want = oracles.inverse([row[:n] for row in a[:n]])
+    except ValueError:
+        with pytest.raises(ValueError):
+            adjugate(square)
+    else:
+        adj, d = adjugate(square)
+        assert [[Fraction(x * scale, d) for x in row] for row in adj] == want
+    assert square == [row[:n] for row in given_rows[:n]]
+    # the rows of a as columns, scaled with the target by one lcm
+    (*columns, t), _ = _ints([*a, target])
+    given_system = deepcopy((columns, t))
+    found = nonneg_solution(columns, t)
+    assert (columns, t) == given_system
+    assert (found and [Fraction(x, found[1]) for x in found[0]]) == \
+        oracles.nonneg_solution(a, target)

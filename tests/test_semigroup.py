@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -590,6 +591,52 @@ def test_equivalent_agrees_with_an_lp_on_every_probe(sc):
         assert equivalent(a, pl.G, zero_slack=slack) \
             is oracles.equivalent(a, pl.G, zero_slack=slack) is Verdict.NO
         assert _row_answers(a, pl.G, slack) == _oracle_answers(a, pl.G, slack)
+
+
+def _oracle_simplex(columns, target):
+    """The Fraction simplex of the oracles in the kernel's form: integer
+    numerators over one positive denominator, or None."""
+    x = oracles.nonneg_solution(columns, target)
+    if x is None:
+        return None
+    d = lcm(*(a.denominator for a in x))
+    return [int(a * d) for a in x], d
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.data())
+def test_radical_answers_agree_on_the_oracle_simplex(sc, data):
+    # verdict, witness and power of equivalent (every probe, both
+    # directions) and of radical_member (generators of either side and a
+    # drawn product), once on the kernel and once on the oracle simplex
+    pl = pipeline_of(*sc)
+    slack = pl.zero_cols_L
+    free_G = eliminate_lambda(pl.G)
+    pool = sorted(pl.Fq | free_G, key=Pair.sort_key)
+    f, value = ONE, UNIT_VALUE
+    for q, e in data.draw(st.lists(st.tuples(
+            st.sampled_from(pool), st.sampled_from([-1, 1, 2])), max_size=3)):
+        f = f * q.f ** e
+        value = ZERO if q.v.is_zero or value.is_zero else \
+            value_times(value, value_power(q.v, e))
+    drawn = Pair(f, data.draw(st.sampled_from([value, ZERO])))
+    g = _outside_generator(pl)
+    sides = [(pl.Fq, pl.G)] + ([(pl.Fq | {g}, pl.G)] if g else [])
+
+    def answers():
+        out = [(equivalent(a, b, zero_slack=slack), _row_answers(a, b, slack))
+               for a, b in sides]
+        for probe, H in [(drawn, pl.Fq), (drawn, free_G)] + [
+                (p, free_G) for p in sorted(pl.Fq, key=Pair.sort_key)] + [
+                (p, pl.Fq) for p in sorted(free_G, key=Pair.sort_key)]:
+            res = radical_member(probe, H, zero_slack=slack)
+            out.append((res.verdict, res.witness, res.power))
+        return out
+
+    kernel = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multispec.semigroup, "nonneg_solution", _oracle_simplex)
+        assert answers() == kernel
 
 
 def _counting_lps(monkeypatch):
